@@ -14,6 +14,7 @@ The two routes share no channel mathematics, so their agreement (tested to
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,24 +159,46 @@ def _z_count(pattern) -> int:
     return sum(1 for idx in pattern if idx == 3)
 
 
-def damped_bloch_array(kind: ChannelKind, w: np.ndarray, param: ChannelParam) -> np.ndarray:
-    """Closed-form channel action on raw block Bloch coordinates (4, 4).
+def _sign_product(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` over the last axis of a stack of 4-vectors ``v``."""
+    return np.einsum("rk,...k->...r", m, v)
+
+
+def damped_bloch_array(
+    kind: ChannelKind, w: np.ndarray, param: ChannelParam | Sequence[ChannelParam]
+) -> np.ndarray:
+    """Closed-form channel action on raw block Bloch coordinates ``(..., 4, 4)``.
+
+    Leading axes of ``w`` are stack axes.  Given a sequence of parameters
+    instead of one, the result gains a leading axis with one entry per
+    parameter.
 
     The transverse columns scale uniformly by ``transverse**3``.  When the
     longitudinal factor differs from one (depolarizing), the two z sectors
     mix across blocks: in tensor slots the map is diagonal, so in block
     coordinates it is ``(1/4) M diag(fz**n_z) M.T``.
     """
-    ft, fz = bloch_damping_factors(kind, param)
-    out = np.array(w, dtype=float)
-    out[:, 1] *= ft**3
-    out[:, 2] *= ft**3
-    if fz != 1.0:
-        d_even = np.array([fz ** _z_count(p) for p in Z_EVEN_PATTERNS])
-        d_odd = np.array([fz ** _z_count(p) for p in Z_ODD_PATTERNS])
-        out[:, 0] = 0.25 * (M_EVEN @ (d_even * (M_EVEN.T @ out[:, 0])))
-        out[:, 3] = 0.25 * (M_ODD @ (d_odd * (M_ODD.T @ out[:, 3])))
-    return out
+    single = isinstance(param, ChannelParam)
+    params = [param] if single else list(param)
+    w = np.asarray(w, dtype=float)
+    out = np.empty((len(params),) + w.shape)
+    out[...] = w
+    # The damping factors stay Python floats per parameter, then become one
+    # array axis that broadcasts over the stack and block axes of w.
+    factors = [bloch_damping_factors(kind, p) for p in params]
+    transverse = np.array([ft**3 for ft, _ in factors]).reshape((-1,) + (1,) * (w.ndim - 1))
+    out[..., 1] *= transverse
+    out[..., 2] *= transverse
+    mixing = [k for k, (_, fz) in enumerate(factors) if fz != 1.0]
+    if mixing:
+        for m, patterns, col in ((M_EVEN, Z_EVEN_PATTERNS, 0), (M_ODD, Z_ODD_PATTERNS, 3)):
+            scale = np.array(
+                [[factors[k][1] ** _z_count(pattern) for pattern in patterns] for k in mixing]
+            ).reshape((-1,) + (1,) * (w.ndim - 2) + (4,))
+            out[mixing, ..., col] = 0.25 * _sign_product(
+                m, scale * _sign_product(m.T, out[mixing, ..., col])
+            )
+    return out[0] if single else out
 
 
 def damped_bloch(kind: ChannelKind, bloch: BlockBloch, param: ChannelParam) -> BlockBloch:

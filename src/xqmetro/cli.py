@@ -39,9 +39,9 @@ from .ghz import (
     Verdict,
     crosscheck,
     depolarizing_qfi_gap,
-    ghz_family,
+    ghz_grid,
 )
-from .metrics import concurrence_ghz_class, qfi_total, random_family, skew_total
+from .metrics import qfi_total, random_family, skew_total
 from .oracle import qfi_eigen_oracle, skew_sqrt_oracle
 from .xstate import bloch_from_xstate, random_xstate, xstate_from_bloch
 
@@ -97,14 +97,17 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the requested metrics on the (q, p) grid, q outer, p inner.
 
     Values come from the trusted pipeline (closed-form channel route plus
-    analytic d/dq), rounded to 12 significant digits; metrics not requested
-    are None.
+    analytic d/dq), evaluated over the whole grid by :func:`ghz_grid` and
+    rounded to 12 significant digits; metrics not requested are None.
     """
     p_values = [float(p) for p in np.linspace(spec.p_start, spec.p_stop, spec.p_count)]
-    families = [(p, ghz_family(spec.channel, p)) for p in p_values]
+    grid = {
+        name: values.tolist()
+        for name, values in ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics).items()
+    }
     rows = []
-    for q in spec.q_values:
-        for p, family in families:
+    for i, q in enumerate(spec.q_values):
+        for j, p in enumerate(p_values):
             row = {
                 "channel": spec.channel.value,
                 "q": float(_sig12(q)),
@@ -113,12 +116,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 "skew": None,
                 "concurrence": None,
             }
-            if "qfi" in spec.metrics:
-                row["qfi"] = float(_sig12(qfi_total(family, q)))
-            if "skew" in spec.metrics:
-                row["skew"] = float(_sig12(skew_total(family, q)))
-            if "concurrence" in spec.metrics:
-                row["concurrence"] = float(_sig12(concurrence_ghz_class(family.state(q))))
+            for name, values in grid.items():
+                row[name] = float(_sig12(values[i][j]))
             rows.append(row)
     return rows
 

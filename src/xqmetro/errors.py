@@ -39,3 +39,11 @@ class SingularBlockError(XQMetroError):
 
 class NotPureError(XQMetroError):
     """Block is not pure where a pure-regime formula was requested."""
+
+
+class NotConvergedError(XQMetroError, RuntimeError):
+    """Iterative eigensolver ran out of sweeps before converging.
+
+    Also a ``RuntimeError``, so handlers written for the bare error still
+    catch it.
+    """

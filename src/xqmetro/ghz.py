@@ -28,13 +28,20 @@ from .channels import (
     apply_kraus_dense,
     damped_bloch_array,
 )
-from .errors import BadParameterError, XQMetroError
-from .metrics import ParamFamily, concurrence_ghz_class, qfi_total, skew_total
+from .errors import BadParameterError, NotConvergedError, XQMetroError
+from .metrics import (
+    ParamFamily,
+    concurrence_ghz_class,
+    evaluate_stack,
+    qfi_total,
+    skew_total,
+)
 from .oracle import OracleConfig, qfi_eigen_oracle, skew_sqrt_oracle
 from .xstate import (
     XState,
     XTangent,
     bloch_from_compact,
+    check_compact,
     compact_from_bloch,
 )
 
@@ -42,11 +49,14 @@ GHZ_QMIN = 1e-3
 CLOSED_FORM_TOL = 1e-8
 
 
-def _werner_compact(q: float):
-    diag = np.full(8, q / 8.0)
-    diag[0] = diag[7] = (4.0 - 3.0 * q) / 8.0
-    anti = np.zeros(4, dtype=complex)
-    anti[0] = (1.0 - q) / 2.0
+def _werner_compact(q):
+    """Compact form of the Werner-GHZ state; array ``q`` gives a stack."""
+    q = np.asarray(q, dtype=float)
+    diag = np.empty(q.shape + (8,))
+    diag[...] = (q / 8.0)[..., None]
+    diag[..., 0] = diag[..., 7] = (4.0 - 3.0 * q) / 8.0
+    anti = np.zeros(q.shape + (4,), dtype=complex)
+    anti[..., 0] = (1.0 - q) / 2.0
     return diag, anti
 
 
@@ -56,12 +66,24 @@ _TANGENT_DIAG.setflags(write=False)
 _TANGENT_ANTI = np.array([-0.5, 0.0, 0.0, 0.0], dtype=complex)
 _TANGENT_ANTI.setflags(write=False)
 
+# p values per kernel call in :func:`ghz_grid`; bounds the grid's working set.
+GRID_P_BLOCK = 8
+
 
 def werner_ghz(q: float) -> XState:
     """Werner-GHZ state ``q/8 I + (1-q)|GHZ><GHZ|`` for q in [0, 1]."""
     if not np.isfinite(q) or not 0.0 <= q <= 1.0:
         raise BadParameterError(f"q must lie in [0, 1], got {q!r}")
     return XState(*_werner_compact(q))
+
+
+def _damped_compact(kind: ChannelKind, compact, param):
+    """Compact form of the channel image, through the closed-form Bloch route.
+
+    ``compact`` is a ``(diag, anti)`` pair, stacked or not; ``param`` is one
+    :class:`ChannelParam` or a sequence (see :func:`damped_bloch_array`).
+    """
+    return compact_from_bloch(damped_bloch_array(kind, bloch_from_compact(*compact), param))
 
 
 def ghz_family(kind: ChannelKind, p: float) -> ParamFamily:
@@ -74,14 +96,45 @@ def ghz_family(kind: ChannelKind, p: float) -> ParamFamily:
     param = ChannelParam(p)
 
     def state(q: float) -> XState:
-        w = damped_bloch_array(kind, bloch_from_compact(*_werner_compact(q)), param)
-        return XState(*compact_from_bloch(w))
+        return XState(*_damped_compact(kind, _werner_compact(q), param))
 
-    dw = damped_bloch_array(
-        kind, bloch_from_compact(_TANGENT_DIAG, _TANGENT_ANTI), param
-    )
-    tangent = XTangent(*compact_from_bloch(dw))
+    tangent = XTangent(*_damped_compact(kind, (_TANGENT_DIAG, _TANGENT_ANTI), param))
     return ParamFamily(state=state, tangent=lambda q: tangent)
+
+
+def ghz_grid(
+    kind: ChannelKind, q_values, p_values, metrics=("qfi", "skew", "concurrence")
+) -> dict[str, np.ndarray]:
+    """Pipeline metrics of the damped Werner-GHZ family over a whole (q, p) grid.
+
+    Returns ``{metric: array of shape (len(q_values), len(p_values))}``.
+    Element ``[i, j]`` is, bit for bit, what ``qfi_total`` / ``skew_total`` /
+    ``concurrence_ghz_class`` give on ``ghz_family(kind, p_j)`` at ``q_i``:
+    states take the same route to compact form and back to Bloch
+    coordinates (that round trip is not exact), and every stack passes the
+    checks of :class:`XState`.  The grid is evaluated in blocks of
+    ``GRID_P_BLOCK`` p values.
+    """
+    params = [ChannelParam(float(p)) for p in p_values]
+    werner = _werner_compact(np.asarray(q_values, dtype=float))
+    out = {name: np.empty((len(werner[0]), len(params))) for name in metrics}
+    for start in range(0, len(params), GRID_P_BLOCK):
+        block = params[start : start + GRID_P_BLOCK]
+        diag, anti = _damped_compact(kind, werner, block)  # (p, q, 8), (p, q, 4)
+        check_compact(diag, anti)
+        tangent = bloch_from_compact(
+            *_damped_compact(kind, (_TANGENT_DIAG, _TANGENT_ANTI), block)
+        )
+        values = evaluate_stack(
+            metrics,
+            bloch=bloch_from_compact(diag, anti),
+            tangent=tangent[:, None],
+            diag=diag,
+            anti=anti,
+        )
+        for name, value in values.items():
+            out[name][:, start : start + len(block)] = value.T
+    return out
 
 
 def _kraus_family(kind: ChannelKind, p: float) -> ParamFamily:
@@ -285,7 +338,8 @@ def crosscheck(
     ride the dense Kraus route (eigen oracle for Fisher, square-root oracle
     for skew, and the same concurrence expression on the independently damped
     state).  A metric whose evaluation hits a singular-regime error is
-    reported with NaNs and a SINGULAR verdict.
+    reported with NaNs and a SINGULAR verdict; an eigensolver that does not
+    converge raises :class:`NotConvergedError` instead.
     """
     param = _check_point(q, p)
     family = ghz_family(kind, p)
@@ -301,6 +355,8 @@ def crosscheck(
             pipeline = pipeline_fn()
             closed = closed_fn()
             oracle_val = oracle_fn()
+        except NotConvergedError:
+            raise  # a solver failure, not a singular regime: never a verdict
         except (XQMetroError, ZeroDivisionError, FloatingPointError):
             return MetricCheck(float("nan"), float("nan"), float("nan"), Verdict.SINGULAR)
         return MetricCheck(pipeline, closed, oracle_val, _verdict(pipeline, closed))

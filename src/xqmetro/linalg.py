@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPSDError
+from .errors import NotConvergedError, NotHermitianError, NotPSDError
 
 HERMITICITY_TOL = 1e-12
 OFFDIAG_TOL = 1e-14
@@ -51,6 +51,8 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     ------
     NotHermitianError
         If ``max |A - A^dagger|`` exceeds the tolerance.
+    NotConvergedError
+        If ``MAX_SWEEPS`` sweeps leave the off-diagonal norm above ``1e-14``.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -102,7 +104,9 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
                 a[p, p] = a[p, p].real
                 a[q, q] = a[q, q].real
     else:
-        raise RuntimeError("Jacobi sweep did not converge")
+        raise NotConvergedError(
+            f"Jacobi iteration on a {n}x{n} matrix did not converge in {MAX_SWEEPS} sweeps"
+        )
 
     values = np.real(np.diag(a))
     order = np.argsort(values, kind="stable")

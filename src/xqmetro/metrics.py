@@ -11,12 +11,18 @@ purity boundary are routed to a rank-aware 2x2 spectral evaluation (Fisher
 information) or to the documented pure-limit stand-in ``4 Tr((d rho)^2)``
 (skew information), so the closed forms are used strictly inside the mixed
 regime.
+
+Every closed form works on stacked arrays.  :func:`evaluate_stack` is the one
+kernel that routes blocks and sums them over any stack of states;
+:func:`qfi_total`, :func:`skew_total` and :func:`concurrence_ghz_class` are
+its single-state views, and ``ghz.ghz_grid`` hands it a whole sweep grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -36,25 +42,40 @@ RANK_CUTOFF = 1e-12
 PURITY_TOL = 1e-10
 
 
-def _gap(w: np.ndarray, v: np.ndarray) -> float:
-    return float(w[0] * v[0] - w[1:] @ v[1:])
+def _gap(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Minkowski contraction over the last axis of stacked Bloch 4-vectors."""
+    return w[..., 0] * v[..., 0] - np.vecdot(w[..., 1:], v[..., 1:])
 
 
-def qfi_block_mixed(w: np.ndarray, dw: np.ndarray) -> float:
-    """Fisher information of a mixed 2x2 block.
+def _require_mixed(w: np.ndarray, gap_ww: np.ndarray, message: str) -> None:
+    singular = (w[..., 0] <= EPS_SINGULAR) | (gap_ww <= EPS_SINGULAR)
+    if singular.any():
+        gap = np.asarray(gap_ww)[np.unravel_index(int(np.argmax(singular)), singular.shape)]
+        raise SingularBlockError(f"{message}, got gap {gap:.3e}")
+
+
+def _float_if_single(value: np.ndarray):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def qfi_block_mixed(w: np.ndarray, dw: np.ndarray):
+    """Fisher information of mixed 2x2 blocks, one or stacked.
 
     F = (dw0)^2/w0 + [ gap(w, dw)^2 / gap(w, w) - gap(dw, dw) ] / w0,
-    valid for w0 > 0 and gap(w, w) > 0.
+    valid for w0 > 0 and gap(w, w) > 0.  ``w``, ``dw`` have shape
+    ``(..., 4)``; a single block gives a float.
     """
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
     gap_ww = _gap(w, w)
-    if w[0] <= EPS_SINGULAR or gap_ww <= EPS_SINGULAR:
-        raise SingularBlockError(
-            f"mixed-block form needs w0 > 0 and w0^2 > |w|^2, got gap {gap_ww:.3e}"
-        )
-    slope = _gap(w, dw)
-    return float(dw[0] ** 2 / w[0] + (slope**2 / gap_ww - _gap(dw, dw)) / w[0])
+    _require_mixed(w, gap_ww, "mixed-block form needs w0 > 0 and w0^2 > |w|^2")
+    w0 = w[..., 0]
+    # Squares go through pow() via np.float_power, the rounding of a scalar
+    # x**2; an array ** 2 computes x*x, which differs in rare last bits.
+    value = np.float_power(dw[..., 0], 2.0) / w0 + (
+        np.float_power(_gap(w, dw), 2.0) / gap_ww - _gap(dw, dw)
+    ) / w0
+    return _float_if_single(value)
 
 
 class PureBlockQfi(NamedTuple):
@@ -121,37 +142,113 @@ def _qfi_block_spectral(w: np.ndarray, dw: np.ndarray) -> float:
     return total
 
 
-def skew_block(w: np.ndarray, dw: np.ndarray) -> float:
-    """Skew information of a mixed block, 8[(d d0)^2 + sum_i (d d_i)^2].
+def skew_block(w: np.ndarray, dw: np.ndarray):
+    """Skew information of mixed blocks, 8[(d d0)^2 + sum_i (d d_i)^2].
 
     The square root of the block is d0 I + sum d_i sigma_i with
     d0 = sqrt(w0 + R)/2, d_i = w_i / (2 sqrt(w0 + R)), R = sqrt(w0^2 - |w|^2);
     the derivative coefficients below are the closed forms of d(d0), d(d_i).
-    Normalisation: 4 Tr((d sqrt(rho))^2).
+    Normalisation: 4 Tr((d sqrt(rho))^2).  ``w``, ``dw`` have shape
+    ``(..., 4)``; a single block gives a float.
     """
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
     gap_ww = _gap(w, w)
-    if w[0] <= EPS_SINGULAR or gap_ww <= EPS_SINGULAR:
-        raise SingularBlockError(
-            f"skew closed form needs a strictly mixed block, got gap {gap_ww:.3e}"
-        )
+    _require_mixed(w, gap_ww, "skew closed form needs a strictly mixed block")
+    w0, dw0, vec, dvec = w[..., 0], dw[..., 0], w[..., 1:], dw[..., 1:]
     radial = np.sqrt(gap_ww)
-    k = w[0] + radial
+    k = w0 + radial
     sqrt_k = np.sqrt(k)
-    dot = float(w[1:] @ dw[1:])
-    dd0 = (sqrt_k * dw[0] - dot / sqrt_k) / (4.0 * radial)
+    dot = np.vecdot(vec, dvec)
+    dd0 = (sqrt_k * dw0 - dot / sqrt_k) / (4.0 * radial)
     lam = 1.0 / sqrt_k
     sig = lam / radial
     gam = lam / (radial * k)
-    ddi = -(sig / 4.0) * w[1:] * dw[0] + (lam / 2.0) * dw[1:] + (gam / 4.0) * w[1:] * dot
-    return float(8.0 * (dd0**2 + ddi @ ddi))
+    ddi = (
+        -(sig / 4.0)[..., None] * vec * dw0[..., None]
+        + (lam / 2.0)[..., None] * dvec
+        + (gam / 4.0)[..., None] * vec * dot[..., None]
+    )
+    return _float_if_single(8.0 * (np.float_power(dd0, 2.0) + np.vecdot(ddi, ddi)))
 
 
-def _skew_block_singular(dw: np.ndarray) -> float:
+def _qfi_blocks_spectral(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """:func:`_qfi_block_spectral` of each block of a stack ``(n, 4)``."""
+    return np.array([_qfi_block_spectral(a, da) for a, da in zip(w, dw)], dtype=float)
+
+
+def _skew_block_singular(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """Pure/singular-limit stand-in: 4 Tr((d rho)^2) on the block = 2 sum dw^2."""
-    dw = np.asarray(dw, dtype=float)
-    return float(2.0 * dw @ dw)
+    return 2.0 * np.vecdot(dw, dw)
+
+
+def _concurrence(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """GHZ-class concurrence over stacked compact states (..., 8), (..., 4)."""
+    # sqrt(rho_ii rho_jj) of the inner BLOCK_PAIRS (1, 6), (2, 5), (3, 4).
+    roots = np.sqrt(diag[..., 1:4] * diag[..., 6:3:-1])
+    penalty = 0.0 + roots[..., 0] + roots[..., 1] + roots[..., 2]
+    excess = np.hypot(anti[..., 0].real, anti[..., 0].imag) - penalty
+    return 2.0 * np.where(excess > 0.0, excess, 0.0)
+
+
+def _block_sum(blocks: np.ndarray) -> np.ndarray:
+    """Sum over the block axis, in block order."""
+    total = 0.0
+    for j in range(4):
+        total = total + blocks[..., j]
+    return total
+
+
+def evaluate_stack(
+    metrics: Iterable[str],
+    bloch: np.ndarray | None = None,
+    tangent: np.ndarray | None = None,
+    diag: np.ndarray | None = None,
+    anti: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """The block kernel: metric totals over stacked X states.
+
+    ``"qfi"`` and ``"skew"`` read the Bloch coordinates ``bloch`` and their
+    derivative ``tangent`` (shapes ``(..., 4, 4)`` that broadcast together);
+    ``"concurrence"`` reads the compact state ``diag`` (..., 8), ``anti``
+    (..., 4).  Each result has the stack's shape.
+
+    Mixed blocks (w0 > 1e-10 and gap(w, w) > 1e-10) take the closed forms of
+    :func:`qfi_block_mixed` and :func:`skew_block` in one call per metric;
+    every other block takes the rank-aware spectral Fisher information and
+    the pure-limit skew stand-in, so no closed form ever sees a singular
+    block.  Each element's value equals the one :func:`qfi_total`,
+    :func:`skew_total` and :func:`concurrence_ghz_class` give for it alone,
+    bit for bit: those are this kernel's single-state views.
+    """
+    out = {}
+    # Built per call: a closed form rebound on the module (say, by a tracer)
+    # is the one called.
+    routes = (
+        ("qfi", qfi_block_mixed, _qfi_blocks_spectral),
+        ("skew", skew_block, _skew_block_singular),
+    )
+    if "qfi" in metrics or "skew" in metrics:
+        w = np.asarray(bloch, dtype=float)
+        dw = np.asarray(tangent, dtype=float)
+        if w.shape != dw.shape:
+            w, dw = np.broadcast_arrays(w, dw)
+        mixed = (w[..., 0] > EPS_SINGULAR) & (_gap(w, w) > EPS_SINGULAR)
+        singular = ~mixed
+        fallback = singular.any()
+    for name, closed_form, singular_form in routes:
+        if name not in metrics:
+            continue
+        if fallback:
+            blocks = np.empty(mixed.shape)
+            blocks[mixed] = closed_form(w[mixed], dw[mixed])
+            blocks[singular] = singular_form(w[singular], dw[singular])
+        else:
+            blocks = closed_form(w, dw)
+        out[name] = _block_sum(blocks)
+    if "concurrence" in metrics:
+        out["concurrence"] = _concurrence(np.asarray(diag), np.asarray(anti))
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,8 +267,10 @@ class ParamFamily:
     def tangent_at(self, phi: float) -> XTangent:
         if self.tangent is not None:
             return self.tangent(phi)
-        diag = central_diff(lambda x: self.state(x).diag, phi, self.fd_step)
-        anti = central_diff(lambda x: self.state(x).anti, phi, self.fd_step)
+        # Both differences probe the same two points: build each state once.
+        state = lru_cache(maxsize=2)(self.state)
+        diag = central_diff(lambda x: state(x).diag, phi, self.fd_step)
+        anti = central_diff(lambda x: state(x).anti, phi, self.fd_step)
         return XTangent(diag, anti)
 
     def bloch_at(self, phi: float) -> np.ndarray:
@@ -188,25 +287,13 @@ def _block_values(family: ParamFamily, phi: float):
 def qfi_total(family: ParamFamily, phi: float) -> float:
     """Quantum Fisher information of the family at ``phi`` (sum over blocks)."""
     w, dw = _block_values(family, phi)
-    total = 0.0
-    for j in range(4):
-        if w[j, 0] > EPS_SINGULAR and _gap(w[j], w[j]) > EPS_SINGULAR:
-            total += qfi_block_mixed(w[j], dw[j])
-        else:
-            total += _qfi_block_spectral(w[j], dw[j])
-    return total
+    return float(evaluate_stack(("qfi",), bloch=w, tangent=dw)["qfi"])
 
 
 def skew_total(family: ParamFamily, phi: float) -> float:
     """Skew information 4 Tr((d sqrt(rho))^2) of the family at ``phi``."""
     w, dw = _block_values(family, phi)
-    total = 0.0
-    for j in range(4):
-        if w[j, 0] > EPS_SINGULAR and _gap(w[j], w[j]) > EPS_SINGULAR:
-            total += skew_block(w[j], dw[j])
-        else:
-            total += _skew_block_singular(dw[j])
-    return total
+    return float(evaluate_stack(("skew",), bloch=w, tangent=dw)["skew"])
 
 
 def concurrence_ghz_class(state: XState) -> float:
@@ -215,9 +302,9 @@ def concurrence_ghz_class(state: XState) -> float:
     C = 2 max(0, |rho_18| - sqrt(rho_22 rho_77) - sqrt(rho_33 rho_66)
                  - sqrt(rho_44 rho_55)).
     """
-    d = state.diag
-    penalty = sum(np.sqrt(d[i] * d[j]) for i, j in BLOCK_PAIRS[1:])
-    return float(2.0 * max(0.0, abs(state.anti[0]) - penalty))
+    return float(
+        evaluate_stack(("concurrence",), diag=state.diag, anti=state.anti)["concurrence"]
+    )
 
 
 def random_family(rng: np.random.Generator) -> ParamFamily:

@@ -116,15 +116,7 @@ class XState:
         anti = np.array(self.anti, dtype=complex)
         if diag.shape != (8,) or anti.shape != (4,):
             raise NotXFormError("expected 8 populations and 4 coherences")
-        if abs(diag.sum() - 1.0) > DIAG_TOL:
-            raise TraceViolationError(f"trace {diag.sum()!r} differs from 1 beyond 1e-12")
-        if diag.min() < -DIAG_TOL:
-            raise BlockNotPSDError(f"negative population {diag.min():.3e}")
-        for k, (i, j) in enumerate(BLOCK_PAIRS):
-            if diag[i] * diag[j] - abs(anti[k]) ** 2 < -DIAG_TOL:
-                raise BlockNotPSDError(
-                    f"block {k}: |coherence|^2 exceeds population product"
-                )
+        check_compact(diag, anti)
         diag.setflags(write=False)
         anti.setflags(write=False)
         object.__setattr__(self, "diag", diag)
@@ -157,25 +149,92 @@ def dense_from_compact(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:
+    """Validate compact X states, one or stacked: shapes ``(..., 8)``, ``(..., 4)``.
+
+    These are the checks of :class:`XState`, in its order: finite entries,
+    unit trace, no population below -1e-12, and block positivity
+    ``rho_ii rho_jj - |rho_ij|^2 >= -1e-12``.  The first check that fails
+    raises for the first element (C order) it fails on, with the error
+    :class:`XState` would raise and, for a stack, the element's index named
+    in the message.
+    """
+    if diag.shape[-1:] != (8,) or anti.shape != diag.shape[:-1] + (4,):
+        raise NotXFormError(
+            f"expected stacks of 8 populations and 4 coherences,"
+            f" got shapes {diag.shape} and {anti.shape}"
+        )
+    with np.errstate(all="ignore"):  # non-finite input is reported below, not warned about
+        trace = diag.sum(axis=-1)
+        lowest = diag.min(axis=-1)
+        # BLOCK_PAIRS pairs population k with population 7 - k.
+        margin = diag[..., :4] * diag[..., :3:-1] - np.float_power(
+            np.hypot(anti.real, anti.imag), 2.0
+        )
+    # Every comparison fails on NaN, and a non-finite entry leaves a NaN or
+    # an infinity in one of the three.
+    passed = (abs(trace - 1.0) <= DIAG_TOL) & (lowest >= -DIAG_TOL) & (
+        margin.min(axis=-1) >= -DIAG_TOL
+    )
+    if passed if passed.ndim == 0 else passed.all():
+        return
+
+    def fail(error, flags, message):
+        index = tuple(int(k) for k in np.unravel_index(int(np.argmax(flags)), flags.shape))
+        where = f"element {index[0] if len(index) == 1 else index}: " if index else ""
+        raise error(where + message(index))
+
+    for name, values in (("diag", diag), ("anti", anti)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            fail(
+                NotXFormError,
+                ~finite.all(axis=-1),
+                lambda i: f"{name}[{int(np.argmin(finite[i]))}] is"
+                f" {values[i][np.argmin(finite[i])]}, not finite",
+            )
+    flags = abs(trace - 1.0) > DIAG_TOL
+    if flags.any():
+        fail(
+            TraceViolationError,
+            flags,
+            lambda i: f"trace {trace[i]!r} differs from 1 beyond 1e-12",
+        )
+    flags = lowest < -DIAG_TOL
+    if flags.any():
+        fail(BlockNotPSDError, flags, lambda i: f"negative population {lowest[i]:.3e}")
+    flags = margin < -DIAG_TOL
+    fail(
+        BlockNotPSDError,
+        flags.any(axis=-1),
+        lambda i: f"block {int(np.argmax(flags[i]))}: |coherence|^2 exceeds population product",
+    )
+
+
 def bloch_from_compact(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
-    """Block Bloch coordinates, shape (4, 4), from compact X components."""
-    w = np.empty((4, 4))
-    for k, (i, j) in enumerate(BLOCK_PAIRS):
-        w[k, 0] = diag[i] + diag[j]
-        w[k, 1] = 2.0 * np.real(anti[k])
-        w[k, 2] = -2.0 * np.imag(anti[k])
-        w[k, 3] = diag[i] - diag[j]
+    """Block Bloch coordinates ``(..., 4, 4)`` from compact X components.
+
+    Leading axes of ``diag`` (..., 8) and ``anti`` (..., 4) are stack axes.
+    """
+    diag = np.asarray(diag)
+    anti = np.asarray(anti)
+    upper = diag[..., :4]  # populations i of the BLOCK_PAIRS (i, j)
+    lower = diag[..., :3:-1]  # populations j = 7 - i
+    w = np.empty(diag.shape[:-1] + (4, 4))
+    w[..., 0] = upper + lower
+    w[..., 1] = 2.0 * anti.real
+    w[..., 2] = -2.0 * anti.imag
+    w[..., 3] = upper - lower
     return w
 
 
 def compact_from_bloch(w: np.ndarray):
     """Inverse of :func:`bloch_from_compact`; returns ``(diag, anti)`` arrays."""
-    diag = np.empty(8)
-    anti = np.empty(4, dtype=complex)
-    for k, (i, j) in enumerate(BLOCK_PAIRS):
-        diag[i] = (w[k, 0] + w[k, 3]) / 2.0
-        diag[j] = (w[k, 0] - w[k, 3]) / 2.0
-        anti[k] = (w[k, 1] - 1j * w[k, 2]) / 2.0
+    w = np.asarray(w)
+    diag = np.empty(w.shape[:-2] + (8,))
+    diag[..., :4] = (w[..., 0] + w[..., 3]) / 2.0
+    diag[..., :3:-1] = (w[..., 0] - w[..., 3]) / 2.0
+    anti = (w[..., 1] - 1j * w[..., 2]) / 2.0
     return diag, anti
 
 

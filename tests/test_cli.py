@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from xqmetro import linalg
 from xqmetro.channels import ChannelKind
 from xqmetro.cli import (
     CSV_HEADER,
@@ -231,6 +232,14 @@ class TestExitCodes:
     def test_success_exit_zero(self, capsys):
         assert main(["ghz-point", "--channel", "pdc", "--q", "0.4", "--p", "0.25"]) == 0
         capsys.readouterr()
+
+    def test_eigensolver_failure_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+        code = exit_code(["ghz-point", "--channel", "pdc", "--q", "0.4", "--p", "0.25"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: Jacobi iteration")
+        assert captured.out == ""
 
 
 class TestGhzPointCommand:

@@ -1,0 +1,41 @@
+"""Golden outputs: `sweep` tables and a `validate` report, byte for byte.
+
+The files under ``tests/data`` were written by the scalar, row-at-a-time
+pipeline that preceded the stacked block kernel, with
+
+    xqmetro sweep --channel {pdc,dpc,pfc} --q 0.001,0.2,0.37,0.5,0.9,1 \\
+        --p 0:1:21 --format {csv,json} --output tests/data/sweep-<channel>.<format>
+    xqmetro validate --grid 3 --seed 0 > tests/data/validate-grid3-seed0.txt
+
+The validate report prints oracle errors near 1e-16, so it also pins the last
+bits of the scalar totals on the seeded corpus.  Regenerate a file only for an
+intended change of output, and say why in the change log.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from xqmetro.cli import main
+
+DATA = Path(__file__).parent / "data"
+SWEEP_Q = "0.001,0.2,0.37,0.5,0.9,1"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("channel", ["pdc", "dpc", "pfc"])
+def test_sweep_output_is_byte_identical(channel, fmt, tmp_path):
+    out = tmp_path / f"sweep-{channel}.{fmt}"
+    argv = ["sweep", "--channel", channel, "--q", SWEEP_Q, "--p", "0:1:21"]
+    assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"sweep-{channel}.{fmt}").read_bytes()
+
+
+def test_validate_report_is_byte_identical():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(["validate", "--grid", "3", "--seed", "0"]) == 0
+    expected = (DATA / "validate-grid3-seed0.txt").read_bytes()
+    assert buffer.getvalue().encode("utf-8") == expected

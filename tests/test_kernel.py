@@ -1,0 +1,304 @@
+"""The stacked block kernel and the batch paths that feed it.
+
+Every stacked result is compared with ``==``: a stack must give each element
+exactly what the element gives alone and what the per-block scalar loop it
+replaced gives, and the sweep grid exactly what the scalar totals give per
+point.
+"""
+
+import numpy as np
+import pytest
+
+from xqmetro.channels import ChannelKind, ChannelParam, damped_bloch_array
+from xqmetro.errors import BlockNotPSDError, NotXFormError, TraceViolationError
+from xqmetro.ghz import GHZ_QMIN, GRID_P_BLOCK, ghz_family, ghz_grid
+from xqmetro.metrics import (
+    EPS_SINGULAR,
+    ParamFamily,
+    _qfi_block_spectral,
+    concurrence_ghz_class,
+    evaluate_stack,
+    qfi_block_mixed,
+    qfi_total,
+    skew_block,
+    skew_total,
+)
+from xqmetro.xstate import (
+    BLOCK_PAIRS,
+    XState,
+    XTangent,
+    bloch_from_compact,
+    check_compact,
+    compact_from_bloch,
+    random_xstate,
+)
+
+METRICS = ("qfi", "skew", "concurrence")
+
+
+def _block_with_gap(weight, gap, rng):
+    """Bloch 4-vector of weight ``weight`` with w0^2 - |w|^2 = ``gap``."""
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    return np.concatenate(([weight], np.sqrt(weight**2 - gap) * direction))
+
+
+def edge_stack():
+    """Five 4-block states, each carrying one kind of block the kernel routes.
+
+    Element 0 is all mixed; element 1 holds a rank-1 block, element 2 a
+    zero-weight block, and elements 3 and 4 blocks whose gap sits just above
+    (1e-9) and just below (1e-11) the 1e-10 switch between closed form and
+    fallback.
+    """
+    rng = np.random.default_rng(2024)
+    w = np.empty((5, 4, 4))
+    for n in range(5):
+        for j in range(4):
+            w[n, j] = _block_with_gap(0.25, 0.25**2 * rng.uniform(0.2, 0.9), rng)
+    w[1, 2] = [0.3, 0.0, 0.0, 0.3]
+    w[2, 1] = 0.0
+    w[3, 0] = _block_with_gap(0.5, 1e-9, rng)
+    w[4, 3] = _block_with_gap(0.5, 1e-11, rng)
+    dw = 0.1 * rng.normal(size=(5, 4, 4))
+    return w, dw
+
+
+class TestKernel:
+    def test_edge_stack_routes(self):
+        w, _ = edge_stack()
+        gap = w[..., 0] ** 2 - np.sum(w[..., 1:] ** 2, axis=-1)
+        mixed = (w[..., 0] > EPS_SINGULAR) & (gap > EPS_SINGULAR)
+        assert mixed[0].all() and mixed[3].all()
+        assert not mixed[1, 2] and not mixed[2, 1] and not mixed[4, 3]
+        assert mixed.sum() == 20 - 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_element_equals_itself_alone(self):
+        w, dw = edge_stack()
+        diag, anti = compact_from_bloch(w)
+        with np.errstate(all="raise"):
+            stacked = evaluate_stack(METRICS, bloch=w, tangent=dw, diag=diag, anti=anti)
+            for n in range(len(w)):
+                alone = evaluate_stack(
+                    METRICS, bloch=w[n], tangent=dw[n], diag=diag[n], anti=anti[n]
+                )
+                for name in METRICS:
+                    assert np.isfinite(stacked[name][n])
+                    assert stacked[name][n] == alone[name], (name, n)
+
+    @pytest.mark.filterwarnings("error")
+    def test_stack_shape_and_tangent_broadcast(self):
+        w, dw = edge_stack()
+        grid = np.stack([w, w[::-1]])  # (2, 5, 4, 4)
+        with np.errstate(all="raise"):
+            out = evaluate_stack(("qfi", "skew"), bloch=grid, tangent=dw[0])
+            for name in ("qfi", "skew"):
+                assert out[name].shape == (2, 5)
+                for i in range(2):
+                    for n in range(5):
+                        alone = evaluate_stack((name,), bloch=grid[i, n], tangent=dw[0])
+                        assert out[name][i, n] == alone[name]
+
+    def test_totals_are_single_state_views(self):
+        w, dw = edge_stack()
+        state = XState(*compact_from_bloch(w[0] / w[0, :, 0].sum()))
+        family = ParamFamily(
+            state=lambda phi: state, tangent=lambda phi: XTangent(*compact_from_bloch(dw[0]))
+        )
+        out = evaluate_stack(
+            METRICS,
+            bloch=family.bloch_at(0.0),
+            tangent=family.tangent_at(0.0).to_bloch_array(),
+            diag=state.diag,
+            anti=state.anti,
+        )
+        assert qfi_total(family, 0.0) == out["qfi"]
+        assert skew_total(family, 0.0) == out["skew"]
+        assert concurrence_ghz_class(state) == out["concurrence"]
+
+    def test_only_requested_metrics(self):
+        w, dw = edge_stack()
+        assert set(evaluate_stack(("skew",), bloch=w, tangent=dw)) == {"skew"}
+
+
+def _scalar_gap(w, v):
+    return float(w[0] * v[0] - w[1:] @ v[1:])
+
+
+def reference_qfi_block(a, da):
+    slope = _scalar_gap(a, da)
+    gap = _scalar_gap(a, a)
+    return float(da[0] ** 2 / a[0] + (slope**2 / gap - _scalar_gap(da, da)) / a[0])
+
+
+def reference_skew_block(a, da):
+    radial = np.sqrt(_scalar_gap(a, a))
+    k = a[0] + radial
+    sqrt_k = np.sqrt(k)
+    dot = float(a[1:] @ da[1:])
+    dd0 = (sqrt_k * da[0] - dot / sqrt_k) / (4.0 * radial)
+    lam = 1.0 / sqrt_k
+    sig = lam / radial
+    gam = lam / (radial * k)
+    ddi = -(sig / 4.0) * a[1:] * da[0] + (lam / 2.0) * da[1:] + (gam / 4.0) * a[1:] * dot
+    return float(8.0 * (dd0**2 + ddi @ ddi))
+
+
+def reference_totals(w, dw):
+    """The per-block scalar loop the kernel replaced, kept as its reference.
+
+    Python-float and numpy-scalar arithmetic throughout: ``x**2`` is libm
+    pow() and ``@`` numpy's 1-D dot.  The kernel must reproduce it bit for bit.
+    """
+    qfi = skew = 0.0
+    for a, da in zip(w, dw):
+        if a[0] > EPS_SINGULAR and _scalar_gap(a, a) > EPS_SINGULAR:
+            qfi += reference_qfi_block(a, da)
+            skew += reference_skew_block(a, da)
+        else:
+            qfi += _qfi_block_spectral(a, da)
+            skew += float(2.0 * da @ da)
+    return qfi, skew
+
+
+def reference_concurrence(diag, anti):
+    penalty = sum(np.sqrt(diag[i] * diag[j]) for i, j in BLOCK_PAIRS[1:])
+    return float(2.0 * max(0.0, abs(anti[0]) - penalty))
+
+
+def test_kernel_reproduces_the_scalar_loop():
+    # Thousands of blocks, because pow() and x*x, or the SIMD and scalar
+    # |z|, part in about 0.1% and 35% of last bits respectively.
+    rng = np.random.default_rng(77)
+    count = 3000
+    weight = rng.uniform(0.05, 0.5, size=(count, 4))
+    direction = rng.normal(size=(count, 4, 3))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    length = weight * rng.uniform(0.0, 0.95, size=(count, 4))
+    w = np.concatenate((weight[..., None], length[..., None] * direction), axis=-1)
+    dw = rng.normal(size=(count, 4, 4)) * 0.2
+    blocks = qfi_block_mixed(w, dw), skew_block(w, dw)
+    for index in np.ndindex(count, 4):
+        assert blocks[0][index] == reference_qfi_block(w[index], dw[index]), index
+        assert blocks[1][index] == reference_skew_block(w[index], dw[index]), index
+    out = evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw)
+    for n in range(count):
+        assert (out["qfi"][n], out["skew"][n]) == reference_totals(w[n], dw[n]), n
+    w, dw = edge_stack()
+    out = evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw)
+    for n in range(len(w)):
+        assert (out["qfi"][n], out["skew"][n]) == reference_totals(w[n], dw[n]), n
+    # GHZ-like states, so that most concurrences are not clamped to zero.
+    diag = rng.dirichlet(np.r_[20.0, np.ones(6), 20.0], size=count)
+    anti = np.sqrt(diag[:, :4] * diag[:, :3:-1]) * rng.uniform(0.5, 1.0, size=(count, 4))
+    anti = anti * np.exp(2j * np.pi * rng.uniform(size=(count, 4)))
+    out = evaluate_stack(("concurrence",), diag=diag, anti=anti)["concurrence"]
+    assert np.count_nonzero(out) > count // 2
+    for n in range(count):
+        assert out[n] == reference_concurrence(diag[n], anti[n]), n
+
+
+def rank1_family():
+    """Block 2 stays rank-1 (|rho_25| = sqrt(rho_22 rho_55)) along the family."""
+    d0 = np.array([0.2, 0.1, 0.15, 0.05, 0.1, 0.1, 0.2, 0.1])
+    d1 = np.array([0.1, 0.2, 0.1, 0.1, 0.15, 0.05, 0.1, 0.2])
+    fraction = np.array([0.5, 0.3, 1.0, 0.4])
+
+    def state(phi):
+        diag = (1.0 - phi) * d0 + phi * d1
+        return XState(diag, fraction * np.sqrt(diag[:4] * diag[:3:-1]) + 0j)
+
+    return ParamFamily(state=state)
+
+
+def test_totals_return_python_floats_on_a_rank1_family():
+    family = rank1_family()
+    w = family.bloch_at(0.4)
+    assert w[2, 0] ** 2 - w[2, 1:] @ w[2, 1:] <= EPS_SINGULAR  # the spectral route
+    assert type(qfi_total(family, 0.4)) is float
+    assert type(skew_total(family, 0.4)) is float
+    assert type(concurrence_ghz_class(family.state(0.4))) is float
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_grid_equals_scalar_pipeline(kind):
+    q_values = (GHZ_QMIN, 0.13, 0.5, 0.77, 1.0)
+    p_values = [float(p) for p in np.linspace(0.0, 1.0, GRID_P_BLOCK + 3)]
+    grid = ghz_grid(kind, q_values, p_values)
+    for j, p in enumerate(p_values):
+        family = ghz_family(kind, p)
+        for i, q in enumerate(q_values):
+            assert grid["qfi"][i, j] == qfi_total(family, q)
+            assert grid["skew"][i, j] == skew_total(family, q)
+            assert grid["concurrence"][i, j] == concurrence_ghz_class(family.state(q))
+
+
+def test_grid_evaluates_only_requested_metrics():
+    grid = ghz_grid(ChannelKind.DEPOLARIZING, (0.5,), (0.0, 0.5), metrics=("concurrence",))
+    assert set(grid) == {"concurrence"} and grid["concurrence"].shape == (1, 2)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_damping_over_a_parameter_sequence(kind):
+    rng = np.random.default_rng(5)
+    states = [random_xstate(rng) for _ in range(3)]
+    w = np.stack([bloch_from_compact(s.diag, s.anti) for s in states])
+    params = [ChannelParam(p) for p in (0.0, 0.3, 0.5, 1.0)]
+    out = damped_bloch_array(kind, w, params)
+    assert out.shape == (4, 3, 4, 4)
+    for k, param in enumerate(params):
+        for n in range(3):
+            assert np.array_equal(out[k, n], damped_bloch_array(kind, w[n], param))
+
+
+def test_compact_bloch_conversions_stack():
+    rng = np.random.default_rng(9)
+    states = [random_xstate(rng) for _ in range(6)]
+    diag = np.stack([s.diag for s in states]).reshape(2, 3, 8)
+    anti = np.stack([s.anti for s in states]).reshape(2, 3, 4)
+    w = bloch_from_compact(diag, anti)
+    back_diag, back_anti = compact_from_bloch(w)
+    for n, s in enumerate(states):
+        i, k = divmod(n, 3)
+        assert np.array_equal(w[i, k], bloch_from_compact(s.diag, s.anti))
+        single_diag, single_anti = compact_from_bloch(w[i, k])
+        assert np.array_equal(back_diag[i, k], single_diag)
+        assert np.array_equal(back_anti[i, k], single_anti)
+
+
+def _spoil(kind, diag, anti):
+    diag, anti = diag.copy(), anti.copy()
+    if kind == "nan":
+        diag[3] = np.nan
+    elif kind == "trace":
+        diag[0] += 1e-9
+    elif kind == "negative":
+        diag[1], diag[2] = diag[1] + diag[2] + 1e-6, -1e-6
+    else:  # coherence beyond the population product of block 1
+        anti[1] = 1.01 * np.sqrt(diag[1] * diag[6])
+    return diag, anti
+
+
+@pytest.mark.parametrize("kind", ["nan", "trace", "negative", "coherence"])
+def test_stack_check_names_the_bad_element(kind):
+    rng = np.random.default_rng(17)
+    states = [random_xstate(rng) for _ in range(6)]
+    diag = np.stack([s.diag for s in states]).reshape(2, 3, 8)
+    anti = np.stack([s.anti for s in states]).reshape(2, 3, 4)
+    check_compact(diag, anti)
+    bad = _spoil(kind, diag[1, 2], anti[1, 2])
+    with pytest.raises((NotXFormError, TraceViolationError, BlockNotPSDError)) as alone:
+        XState(*bad)
+    diag[1, 2], anti[1, 2] = bad
+    with pytest.raises(type(alone.value)) as stacked:
+        check_compact(diag, anti)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == f"element (1, 2): {alone.value}"
+    with pytest.raises(type(alone.value), match=r"^element 5: "):
+        check_compact(diag.reshape(6, 8), anti.reshape(6, 4))
+
+
+def test_stack_check_rejects_mismatched_shapes():
+    with pytest.raises(NotXFormError, match="shapes"):
+        check_compact(np.full((2, 8), 0.125), np.zeros((3, 4), dtype=complex))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from xqmetro.errors import NotHermitianError, NotPSDError
+from xqmetro import linalg
+from xqmetro.errors import NotConvergedError, NotHermitianError, NotPSDError, XQMetroError
 from xqmetro.linalg import central_diff, eigh, psd_sqrt
 
 
@@ -69,6 +70,13 @@ class TestEigh:
     def test_rejects_non_square(self):
         with pytest.raises(NotHermitianError):
             eigh(np.zeros((2, 3)))
+
+    def test_non_convergence_raises_package_error(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+        with pytest.raises(NotConvergedError, match="did not converge") as info:
+            eigh(random_hermitian(np.random.default_rng(3), n=2))
+        assert isinstance(info.value, XQMetroError)
+        assert isinstance(info.value, RuntimeError)  # handlers of the bare error still apply
 
     def test_degenerate_spectrum(self):
         values, vectors = eigh(np.eye(4, dtype=complex) * 0.25)

@@ -60,6 +60,14 @@ class TestXStateConstruction:
         with pytest.raises(BlockNotPSDError):
             XState(diag, np.zeros(4, dtype=complex))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["diag", "anti"])
+    def test_non_finite_entry_rejected(self, field, value):
+        parts = {"diag": np.full(8, 1.0 / 8.0), "anti": np.full(4, 0.05, dtype=complex)}
+        parts[field][1] = value
+        with pytest.raises(NotXFormError, match=rf"^{field}\[1\] is .*not finite"):
+            XState(parts["diag"], parts["anti"])
+
     def test_dense_roundtrip(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
