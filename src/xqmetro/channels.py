@@ -113,6 +113,11 @@ def kraus_operators(kind: ChannelKind, param: ChannelParam) -> list[np.ndarray]:
     raise BadParameterError(f"unknown channel kind {kind!r}")
 
 
+# Matrices per pass of :func:`apply_kraus_dense`; bounds its working set,
+# two (n, m^3, 8, 8) complex temporaries (64 KiB per matrix for depolarizing).
+KRAUS_CHUNK = 4
+
+
 @lru_cache(maxsize=256)
 def _triple_kraus(kind: ChannelKind, p: float) -> np.ndarray:
     """Stacked 8x8 operators K_a x K_b x K_c, shape (m^3, 8, 8)."""
@@ -123,10 +128,23 @@ def _triple_kraus(kind: ChannelKind, p: float) -> np.ndarray:
 
 
 def apply_kraus_dense(matrix: np.ndarray, kind: ChannelKind, param: ChannelParam) -> np.ndarray:
-    """Kraus action ``sum K M K^dag`` on a dense 8x8 matrix (no validation)."""
+    """Kraus action ``sum K M K^dag`` on dense 8x8 matrices ``(..., 8, 8)`` (no validation).
+
+    Leading axes are stack axes, walked ``KRAUS_CHUNK`` matrices at a time.
+    Each element comes out bit for bit as it would alone: every triple
+    operator has one nonzero entry per row and column, real or imaginary, so
+    each entry of ``K M K^dag`` is one product, and the Kraus sum runs in
+    operator order.
+    """
     kr = _triple_kraus(kind, param.p)
-    tmp = kr @ matrix
-    return np.einsum("kij,kmj->im", tmp, kr.conj())
+    kr_dagger = kr.conj().swapaxes(-1, -2)
+    m = np.asarray(matrix)
+    flat = m.reshape((-1, 8, 8))
+    out = np.empty(flat.shape, dtype=complex)
+    for start in range(0, len(flat), KRAUS_CHUNK):
+        chunk = flat[start : start + KRAUS_CHUNK, None]
+        (kr @ chunk @ kr_dagger).sum(axis=1, out=out[start : start + KRAUS_CHUNK])
+    return out.reshape(m.shape)
 
 
 def apply_kraus(state: XState, kind: ChannelKind, param: ChannelParam) -> XState:

@@ -28,8 +28,8 @@ import numpy as np
 from .channels import (
     ChannelKind,
     ChannelParam,
-    apply_kraus,
-    damped_bloch,
+    apply_kraus_dense,
+    damped_bloch_array,
     kraus_operators,
 )
 from .errors import BadParameterError, XQMetroError
@@ -43,7 +43,15 @@ from .ghz import (
 )
 from .metrics import qfi_total, random_family, skew_total
 from .oracle import qfi_eigen_oracle, skew_sqrt_oracle
-from .xstate import bloch_from_xstate, random_xstate, xstate_from_bloch
+from .xstate import (
+    bloch_from_compact,
+    check_bloch,
+    check_compact,
+    compact_from_bloch,
+    compact_from_dense,
+    dense_from_compact,
+    random_xstate,
+)
 
 METRIC_NAMES = ("qfi", "skew", "concurrence")
 CSV_HEADER = ("channel", "q", "p", "qfi", "skew", "concurrence")
@@ -205,16 +213,28 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
             err = max(err, float(np.abs(total - np.eye(2)).max()))
     suites.append(SuiteResult("kraus-completeness", err, 1e-14))
 
+    # Both routes run over the whole corpus at once, and every state passes the
+    # checks it would pass alone: BlockBloch on the input and the Bloch image,
+    # XState on both images, the dense X pattern on the Kraus image.  A
+    # failure names its element of the stack.
+    states = [random_xstate(rng) for _ in range(12 * grid)]
+    diag = np.stack([state.diag for state in states])
+    anti = np.stack([state.anti for state in states])
+    bloch = bloch_from_compact(diag, anti)
+    check_bloch(bloch)
+    dense = dense_from_compact(diag, anti)
+    params = [ChannelParam(p) for p in p_probe]
     err = 0.0
-    for _ in range(12 * grid):
-        state = random_xstate(rng)
-        bloch = bloch_from_xstate(state)
-        for kind in ChannelKind:
-            for p in p_probe:
-                param = ChannelParam(p)
-                via_kraus = apply_kraus(state, kind, param).to_dense()
-                via_bloch = xstate_from_bloch(damped_bloch(kind, bloch, param)).to_dense()
-                err = max(err, float(np.abs(via_kraus - via_bloch).max()))
+    for kind in ChannelKind:
+        damped = damped_bloch_array(kind, bloch, params)
+        check_bloch(damped)
+        damped_diag, damped_anti = compact_from_bloch(damped)
+        check_compact(damped_diag, damped_anti)
+        for k, param in enumerate(params):
+            kraus_diag, kraus_anti = compact_from_dense(apply_kraus_dense(dense, kind, param))
+            via_kraus = dense_from_compact(kraus_diag, kraus_anti)
+            via_bloch = dense_from_compact(damped_diag[k], damped_anti[k])
+            err = max(err, float(np.abs(via_kraus - via_bloch).max()))
     suites.append(SuiteResult("channel-equivalence", err, 1e-12))
 
     qfi_err = 0.0

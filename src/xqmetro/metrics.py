@@ -184,8 +184,9 @@ def _skew_block_singular(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
 
 def _concurrence(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     """GHZ-class concurrence over stacked compact states (..., 8), (..., 4)."""
-    # sqrt(rho_ii rho_jj) of the inner BLOCK_PAIRS (1, 6), (2, 5), (3, 4).
-    roots = np.sqrt(diag[..., 1:4] * diag[..., 6:3:-1])
+    # sqrt(rho_ii rho_jj) of the inner BLOCK_PAIRS (1, 6), (2, 5), (3, 4); a
+    # population in the tolerated band [-1e-12, 0) makes the product negative.
+    roots = np.sqrt(np.maximum(diag[..., 1:4] * diag[..., 6:3:-1], 0.0))
     penalty = 0.0 + roots[..., 0] + roots[..., 1] + roots[..., 2]
     excess = np.hypot(anti[..., 0].real, anti[..., 0].imag) - penalty
     return 2.0 * np.where(excess > 0.0, excess, 0.0)

@@ -42,6 +42,11 @@ PAULI = np.array(
 )
 
 BLOCK_PAIRS = ((0, 7), (1, 6), (2, 5), (3, 4))
+_UPPER = tuple(i for i, _ in BLOCK_PAIRS)
+_LOWER = tuple(j for _, j in BLOCK_PAIRS)
+_DIAGONAL = tuple(range(8))
+# Entries an X state leaves empty: all but the main diagonal and the anti-diagonal.
+_OFF_PATTERN = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
 
 # All 64 triple Kronecker products s_a x s_b x s_c, flattened index a*16+b*4+c.
 PAULI_TRIPLES = np.stack(
@@ -141,12 +146,28 @@ class XTangent(NamedTuple):
 
 
 def dense_from_compact(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
-    """Assemble the dense 8x8 matrix from compact X components."""
-    out = np.diag(np.asarray(diag, dtype=complex))
-    for k, (i, j) in enumerate(BLOCK_PAIRS):
-        out[i, j] = anti[k]
-        out[j, i] = np.conj(anti[k])
+    """Assemble dense 8x8 matrices ``(..., 8, 8)`` from compact X components.
+
+    Leading axes of ``diag`` (..., 8) and ``anti`` (..., 4) are stack axes.
+    """
+    diag = np.asarray(diag)
+    anti = np.asarray(anti)
+    out = np.zeros(diag.shape[:-1] + (8, 8), dtype=complex)
+    out[..., _DIAGONAL, _DIAGONAL] = diag
+    out[..., _UPPER, _LOWER] = anti
+    out[..., _LOWER, _UPPER] = np.conj(anti)
     return out
+
+
+def _fail(error, flags: np.ndarray, message) -> None:
+    """Raise ``error`` for the first element (C order) whose flag is set.
+
+    ``message`` maps that element's index to the text; for a stack the
+    index is named in front of it.
+    """
+    index = tuple(int(k) for k in np.unravel_index(int(np.argmax(flags)), flags.shape))
+    where = f"element {index[0] if len(index) == 1 else index}: " if index else ""
+    raise error(where + message(index))
 
 
 def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:
@@ -179,15 +200,10 @@ def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:
     if passed if passed.ndim == 0 else passed.all():
         return
 
-    def fail(error, flags, message):
-        index = tuple(int(k) for k in np.unravel_index(int(np.argmax(flags)), flags.shape))
-        where = f"element {index[0] if len(index) == 1 else index}: " if index else ""
-        raise error(where + message(index))
-
     for name, values in (("diag", diag), ("anti", anti)):
         finite = np.isfinite(values)
         if not finite.all():
-            fail(
+            _fail(
                 NotXFormError,
                 ~finite.all(axis=-1),
                 lambda i: f"{name}[{int(np.argmin(finite[i]))}] is"
@@ -195,16 +211,16 @@ def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:
             )
     flags = abs(trace - 1.0) > DIAG_TOL
     if flags.any():
-        fail(
+        _fail(
             TraceViolationError,
             flags,
             lambda i: f"trace {trace[i]!r} differs from 1 beyond 1e-12",
         )
     flags = lowest < -DIAG_TOL
     if flags.any():
-        fail(BlockNotPSDError, flags, lambda i: f"negative population {lowest[i]:.3e}")
+        _fail(BlockNotPSDError, flags, lambda i: f"negative population {lowest[i]:.3e}")
     flags = margin < -DIAG_TOL
-    fail(
+    _fail(
         BlockNotPSDError,
         flags.any(axis=-1),
         lambda i: f"block {int(np.argmax(flags[i]))}: |coherence|^2 exceeds population product",
@@ -238,6 +254,52 @@ def compact_from_bloch(w: np.ndarray):
     return diag, anti
 
 
+def _x_components(m: np.ndarray):
+    """Compact components of dense matrices ``(..., 8, 8)``, X pattern checked.
+
+    The checks, in order: no entry off the X pattern beyond 1e-10 in
+    magnitude, no imaginary part on the diagonal beyond 1e-10, and each
+    coherence pair conjugate to 1e-10.  A failure raises
+    :class:`NotXFormError` for the first failing element, named as in
+    :func:`check_compact`.
+    """
+    if m.shape[-2:] != (8, 8):
+        raise NotXFormError(f"expected 8x8 matrices, got shape {m.shape}")
+    upper = m[..., _UPPER, _LOWER]
+    lower = m[..., _LOWER, _UPPER]
+    diagonal = m[..., _DIAGONAL, _DIAGONAL]
+    with np.errstate(all="ignore"):  # non-finite entries are caught by check_compact
+        worst = np.abs(m[..., _OFF_PATTERN]).max(axis=-1)
+        unpaired = np.abs(upper - np.conj(lower)) > PATTERN_TOL
+    flags = worst > PATTERN_TOL
+    if flags.any():
+        _fail(NotXFormError, flags, lambda i: f"off-pattern entry of magnitude {worst[i]:.3e}")
+    flags = np.abs(diagonal.imag).max(axis=-1) > PATTERN_TOL
+    if flags.any():
+        _fail(NotXFormError, flags, lambda i: "diagonal has imaginary part beyond 1e-10")
+    if unpaired.any():
+        _fail(
+            NotXFormError,
+            unpaired.any(axis=-1),
+            lambda i: f"block {int(np.argmax(unpaired[i]))}: coherence pair is not conjugate",
+        )
+    return diagonal.real, (upper + np.conj(lower)) / 2.0
+
+
+def compact_from_dense(matrix: np.ndarray):
+    """Validate dense matrices ``(..., 8, 8)`` as X states; return ``(diag, anti)``.
+
+    These are the checks of :func:`xstate_from_dense`, in its order: the X
+    pattern, then :func:`check_compact`.  The first check that fails raises
+    for the first element (C order) it fails on, with the error
+    :func:`xstate_from_dense` would raise and, for a stack, the element's
+    index named in the message.
+    """
+    diag, anti = _x_components(np.asarray(matrix, dtype=complex))
+    check_compact(diag, anti)
+    return diag, anti
+
+
 def xstate_from_dense(matrix: np.ndarray) -> XState:
     """Validate a dense matrix as an X state and return its compact form.
 
@@ -252,22 +314,7 @@ def xstate_from_dense(matrix: np.ndarray) -> XState:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (8, 8):
         raise NotXFormError(f"expected an 8x8 matrix, got shape {m.shape}")
-    mask = np.zeros((8, 8), dtype=bool)
-    for i in range(8):
-        mask[i, i] = True
-        mask[i, 7 - i] = True
-    worst = np.max(np.abs(m[~mask])) if np.any(~mask) else 0.0
-    if worst > PATTERN_TOL:
-        raise NotXFormError(f"off-pattern entry of magnitude {worst:.3e}")
-    if np.max(np.abs(np.diag(m).imag)) > PATTERN_TOL:
-        raise NotXFormError("diagonal has imaginary part beyond 1e-10")
-    diag = np.diag(m).real.copy()
-    anti = np.empty(4, dtype=complex)
-    for k, (i, j) in enumerate(BLOCK_PAIRS):
-        if abs(m[i, j] - np.conj(m[j, i])) > PATTERN_TOL:
-            raise NotXFormError(f"block {k}: coherence pair is not conjugate")
-        anti[k] = (m[i, j] + np.conj(m[j, i])) / 2.0
-    return XState(diag, anti)
+    return XState(*_x_components(m))
 
 
 def correlation_tensor(state: XState) -> np.ndarray:
@@ -343,17 +390,53 @@ class BlockBloch:
         w = np.array(self.w, dtype=float)
         if w.shape != (4, 4):
             raise BlockNotPSDError(f"expected coordinates of shape (4, 4), got {w.shape}")
-        if abs(w[:, 0].sum() - 1.0) > DIAG_TOL:
-            raise TraceViolationError(
-                f"block weights sum to {w[:, 0].sum()!r}, expected 1"
-            )
-        for j in range(4):
-            if w[j, 0] < -DIAG_TOL:
-                raise BlockNotPSDError(f"block {j}: negative weight {w[j, 0]:.3e}")
-            if w[j, 0] ** 2 - np.sum(w[j, 1:] ** 2) < -DIAG_TOL:
-                raise BlockNotPSDError(f"block {j}: Bloch vector longer than weight")
+        check_bloch(w)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
+
+
+def check_bloch(w: np.ndarray) -> None:
+    """Validate block Bloch coordinates, one set or stacked: shape ``(..., 4, 4)``.
+
+    These are the checks of :class:`BlockBloch`, in its order: finite
+    coordinates, trace weights summing to one within 1e-12, then block by
+    block a weight no lower than -1e-12 and ``w0^2 - |(w1, w2, w3)|^2 >=
+    -1e-12``.  The first check that fails raises for the first element
+    (C order) it fails on, with the error :class:`BlockBloch` would raise
+    and, for a stack, the element's index named in the message.
+    """
+    if w.shape[-2:] != (4, 4):
+        raise BlockNotPSDError(f"expected coordinates of shape (..., 4, 4), got {w.shape}")
+    with np.errstate(all="ignore"):  # non-finite input is reported below, not warned about
+        total = w[..., 0, 0] + w[..., 1, 0] + w[..., 2, 0] + w[..., 3, 0]
+        weight = w[..., 0]
+        negative = weight < -DIAG_TOL
+        too_long = np.float_power(weight, 2.0) - np.square(w[..., 1:]).sum(axis=-1) < -DIAG_TOL
+    finite = np.isfinite(w).all(axis=(-2, -1))
+    off_trace = abs(total - 1.0) > DIAG_TOL
+    bad_block = negative | too_long
+    if finite.all() and not off_trace.any() and not bad_block.any():
+        return
+
+    def not_finite(i):
+        j, a = np.unravel_index(int(np.argmin(np.isfinite(w[i]))), (4, 4))
+        return f"w[{j}, {a}] is {w[i][j, a]}, not finite"
+
+    def first_bad_block(i):
+        j = int(np.argmax(bad_block[i]))
+        if negative[i][j]:
+            return f"block {j}: negative weight {w[i][j, 0]:.3e}"
+        return f"block {j}: Bloch vector longer than weight"
+
+    if not finite.all():
+        _fail(NotXFormError, ~finite, not_finite)
+    if off_trace.any():
+        _fail(
+            TraceViolationError,
+            off_trace,
+            lambda i: f"block weights sum to {total[i]!r}, expected 1",
+        )
+    _fail(BlockNotPSDError, bad_block.any(axis=-1), first_bad_block)
 
 
 def bloch_from_xstate(state: XState) -> BlockBloch:

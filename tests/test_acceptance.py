@@ -14,9 +14,9 @@ from numpy.random import default_rng
 from xqmetro.channels import (
     ChannelKind,
     ChannelParam,
-    apply_channel_compact,
     apply_kraus,
     apply_kraus_dense,
+    damped_bloch_array,
     kraus_operators,
 )
 from xqmetro.cli import main, run_validation
@@ -38,7 +38,15 @@ from xqmetro.metrics import (
     sld_block,
 )
 from xqmetro.oracle import qfi_eigen_oracle, skew_sqrt_oracle
-from xqmetro.xstate import XState, random_xstate, xstate_from_dense
+from xqmetro.xstate import (
+    XState,
+    bloch_from_compact,
+    check_compact,
+    compact_from_bloch,
+    dense_from_compact,
+    random_xstate,
+    xstate_from_dense,
+)
 
 Q_GRID = tuple(j / 10.0 for j in range(1, 10))
 P_GRID = tuple(j / 10.0 for j in range(10))
@@ -64,18 +72,24 @@ def family_corpus():
 def test_criterion_1_channel_route_equivalence(report):
     rng = default_rng(20260819)
     states = [random_xstate(rng) for _ in range(1000)]
-    p_grid = np.linspace(0.0, 1.0, 11)
+    diag = np.stack([state.diag for state in states])
+    anti = np.stack([state.anti for state in states])
+    dense = dense_from_compact(diag, anti)
+    bloch = bloch_from_compact(diag, anti)
+    params = [ChannelParam(float(p)) for p in np.linspace(0.0, 1.0, 11)]
     completeness = 0.0
     route_diff = 0.0
     for kind in ChannelKind:
-        for p in p_grid:
-            param = ChannelParam(float(p))
+        # The whole corpus through both routes at once; the Bloch route goes
+        # as apply_channel_compact takes it, with the checks XState makes.
+        damped_diag, damped_anti = compact_from_bloch(damped_bloch_array(kind, bloch, params))
+        check_compact(damped_diag, damped_anti)
+        for k, param in enumerate(params):
             total = sum(op.conj().T @ op for op in kraus_operators(kind, param))
             completeness = max(completeness, float(np.abs(total - np.eye(2)).max()))
-            for state in states:
-                via_kraus = apply_kraus_dense(state.to_dense(), kind, param)
-                via_bloch = apply_channel_compact(state, kind, param).to_dense()
-                route_diff = max(route_diff, float(np.abs(via_kraus - via_bloch).max()))
+            via_kraus = apply_kraus_dense(dense, kind, param)
+            via_bloch = dense_from_compact(damped_diag[k], damped_anti[k])
+            route_diff = max(route_diff, float(np.abs(via_kraus - via_bloch).max()))
     ok = route_diff <= 1e-12 and completeness <= 1e-14
     report(
         "criterion-1",

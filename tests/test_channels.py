@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xqmetro.channels import (
+    KRAUS_CHUNK,
     ChannelKind,
     ChannelParam,
     apply_channel_compact,
@@ -112,6 +113,45 @@ class TestChannelAction:
             for p in P_GRID:
                 out = apply_kraus_dense(state.to_dense(), kind, ChannelParam(p))
                 assert abs(np.trace(out) - 1.0) < 1e-13
+
+
+def _kraus_alone(matrix, kind, param):
+    """One matrix conjugated on its own: the per-matrix route the stack replaced."""
+    ops = kraus_operators(kind, param)
+    kr = np.stack([np.kron(np.kron(a, b), c) for a in ops for b in ops for c in ops])
+    return np.einsum("kij,kmj->im", kr @ matrix, kr.conj())
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+class TestStackedKraus:
+    """A stack gives every matrix exactly what the matrix gives alone."""
+
+    @pytest.mark.parametrize("size", [1, KRAUS_CHUNK - 1, KRAUS_CHUNK, KRAUS_CHUNK + 1])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_stack_matches_each_matrix_alone(self, kind, p, size):
+        rng = np.random.default_rng(48)
+        dense = np.stack([random_xstate(rng).to_dense() for _ in range(size)])
+        param = ChannelParam(p)
+        expected = np.stack([_kraus_alone(m, kind, param) for m in dense])
+        assert _same_bits(apply_kraus_dense(dense, kind, param), expected)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_leading_axes_and_general_matrices(self, kind):
+        # The single-product argument holds for any matrix, not only X states.
+        rng = np.random.default_rng(49)
+        dense = rng.normal(size=(2, 3, 8, 8)) + 1j * rng.normal(size=(2, 3, 8, 8))
+        param = ChannelParam(0.3)
+        got = apply_kraus_dense(dense, kind, param)
+        assert got.shape == (2, 3, 8, 8)
+        for index in np.ndindex(2, 3):
+            assert _same_bits(got[index], _kraus_alone(dense[index], kind, param))
+        assert _same_bits(apply_kraus_dense(dense[1, 2], kind, param), got[1, 2])
 
 
 class TestRouteEquivalence:

@@ -7,9 +7,13 @@ pipeline that preceded the stacked block kernel, with
         --p 0:1:21 --format {csv,json} --output tests/data/sweep-<channel>.<format>
     xqmetro validate --grid 3 --seed 0 > tests/data/validate-grid3-seed0.txt
 
-The validate report prints oracle errors near 1e-16, so it also pins the last
-bits of the scalar totals on the seeded corpus.  Regenerate a file only for an
-intended change of output, and say why in the change log.
+and ``validate-grid9-seed42.txt`` by the per-matrix Kraus route that preceded
+the stacked one, with ``xqmetro validate --grid 9 --seed 42``.
+
+The validate report prints oracle and route errors near 1e-16, so it also
+pins the last bits of the scalar totals and of both channel routes on the
+seeded corpus.  Regenerate a file only for an intended change of output, and
+say why in the change log.
 """
 
 import contextlib
@@ -33,9 +37,16 @@ def test_sweep_output_is_byte_identical(channel, fmt, tmp_path):
     assert out.read_bytes() == (DATA / f"sweep-{channel}.{fmt}").read_bytes()
 
 
-def test_validate_report_is_byte_identical():
+def _validate_report(grid, seed):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        assert main(["validate", "--grid", "3", "--seed", "0"]) == 0
-    expected = (DATA / "validate-grid3-seed0.txt").read_bytes()
-    assert buffer.getvalue().encode("utf-8") == expected
+        assert main(["validate", "--grid", str(grid), "--seed", str(seed)]) == 0
+    return buffer.getvalue().encode("utf-8")
+
+
+def test_validate_report_is_byte_identical():
+    assert _validate_report(3, 0) == (DATA / "validate-grid3-seed0.txt").read_bytes()
+
+
+def test_validate_grid9_report_is_byte_identical():
+    assert _validate_report(9, 42) == (DATA / "validate-grid9-seed42.txt").read_bytes()

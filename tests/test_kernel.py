@@ -9,7 +9,7 @@ point.
 import numpy as np
 import pytest
 
-from xqmetro.channels import ChannelKind, ChannelParam, damped_bloch_array
+from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense, damped_bloch_array
 from xqmetro.errors import BlockNotPSDError, NotXFormError, TraceViolationError
 from xqmetro.ghz import GHZ_QMIN, GRID_P_BLOCK, ghz_family, ghz_grid
 from xqmetro.metrics import (
@@ -25,12 +25,17 @@ from xqmetro.metrics import (
 )
 from xqmetro.xstate import (
     BLOCK_PAIRS,
+    BlockBloch,
     XState,
     XTangent,
     bloch_from_compact,
+    check_bloch,
     check_compact,
     compact_from_bloch,
+    compact_from_dense,
+    dense_from_compact,
     random_xstate,
+    xstate_from_dense,
 )
 
 METRICS = ("qfi", "skew", "concurrence")
@@ -302,3 +307,107 @@ def test_stack_check_names_the_bad_element(kind):
 def test_stack_check_rejects_mismatched_shapes():
     with pytest.raises(NotXFormError, match="shapes"):
         check_compact(np.full((2, 8), 0.125), np.zeros((3, 4), dtype=complex))
+
+
+def _spoil_dense(kind, m):
+    m = m.copy()
+    if kind == "off-pattern":
+        m[1, 2] = m[2, 1] = 1e-6
+    elif kind == "imaginary-diagonal":
+        m[3, 3] += 1e-6j
+    elif kind == "conjugate-pair":
+        m[6, 1] += 1e-6
+    elif kind == "trace":
+        m[0, 0] += 1e-9
+    else:  # a negative population, trace kept
+        m[1, 1], m[2, 2] = m[1, 1] + m[2, 2] + 1e-6, -1e-6
+    return m
+
+
+@pytest.mark.parametrize(
+    "kind, error",
+    [
+        ("off-pattern", NotXFormError),
+        ("imaginary-diagonal", NotXFormError),
+        ("conjugate-pair", NotXFormError),
+        ("trace", TraceViolationError),
+        ("negative-population", BlockNotPSDError),
+    ],
+)
+def test_dense_stack_check_names_the_bad_element(kind, error):
+    rng = np.random.default_rng(19)
+    dense = np.stack([random_xstate(rng).to_dense() for _ in range(6)]).reshape(2, 3, 8, 8)
+    compact_from_dense(dense)
+    bad = _spoil_dense(kind, dense[1, 2])
+    with pytest.raises(error) as alone:
+        xstate_from_dense(bad)
+    dense[1, 2] = bad
+    with pytest.raises(error) as stacked:
+        compact_from_dense(dense)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == f"element (1, 2): {alone.value}"
+    with pytest.raises(error, match=r"^element 5: "):
+        compact_from_dense(dense.reshape(6, 8, 8))
+
+
+def test_dense_stack_conversions_match_each_state_alone():
+    rng = np.random.default_rng(20)
+    states = [random_xstate(rng) for _ in range(6)]
+    diag = np.stack([s.diag for s in states]).reshape(2, 3, 8)
+    anti = np.stack([s.anti for s in states]).reshape(2, 3, 4)
+    dense = dense_from_compact(diag, anti)
+    assert dense.shape == (2, 3, 8, 8)
+    # A channel image carries rounding residue off the X pattern and in the
+    # coherence pairs, which the conversion must drop exactly as alone.
+    damped = apply_kraus_dense(dense, ChannelKind.DEPOLARIZING, ChannelParam(0.3))
+    back_diag, back_anti = compact_from_dense(damped)
+    for index in np.ndindex(2, 3):
+        state = states[3 * index[0] + index[1]]
+        assert np.array_equal(dense[index], state.to_dense())
+        alone = xstate_from_dense(damped[index])
+        assert np.array_equal(back_diag[index], alone.diag)
+        assert np.array_equal(back_anti[index], alone.anti)
+
+
+def _spoil_bloch(kind, w):
+    w = w.copy()
+    if kind == "nan":
+        w[2, 3] = np.nan
+    elif kind == "inf":
+        w[1, 0] = np.inf
+    elif kind == "trace":
+        w[0, 0] += 1e-9
+    elif kind == "weight":  # block 1 negative, weight moved to block 0
+        w[0, 0], w[1] = w[0, 0] + w[1, 0] + 1e-6, [-1e-6, 0.0, 0.0, 0.0]
+    else:  # Bloch vector of block 3 longer than its weight
+        w[3, 1] = 1.01 * w[3, 0]
+    return w
+
+
+@pytest.mark.parametrize(
+    "kind, error",
+    [
+        ("nan", NotXFormError),
+        ("inf", NotXFormError),
+        ("trace", TraceViolationError),
+        ("weight", BlockNotPSDError),
+        ("vector", BlockNotPSDError),
+    ],
+)
+def test_bloch_stack_check_names_the_bad_element(kind, error):
+    rng = np.random.default_rng(21)
+    states = [random_xstate(rng) for _ in range(6)]
+    w = bloch_from_compact(
+        np.stack([s.diag for s in states]), np.stack([s.anti for s in states])
+    ).reshape(2, 3, 4, 4)
+    check_bloch(w)
+    bad = _spoil_bloch(kind, w[1, 2])
+    with pytest.raises(error) as alone:
+        BlockBloch(bad)
+    w[1, 2] = bad
+    with pytest.raises(error) as stacked:
+        check_bloch(w)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == f"element (1, 2): {alone.value}"
+    with pytest.raises(error, match=r"^element 5: "):
+        check_bloch(w.reshape(6, 4, 4))

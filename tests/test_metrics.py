@@ -223,6 +223,14 @@ class TestConcurrence:
         state = XState(diag, np.array([0.5, 0.0, 0.0, 0.0], dtype=complex))
         assert abs(concurrence_ghz_class(state) - 1.0) < 1e-14
 
+    @pytest.mark.filterwarnings("error")
+    def test_population_in_tolerated_negative_band(self):
+        # diag[1] * diag[6] = -1e-14 is inside the -1e-12 tolerance XState
+        # accepts; its root counts as 0, not as a NaN that clamps the total.
+        diag = np.array([0.45, -1e-13, 0.0, 0.0, 0.0, 0.0, 0.1, 0.45 + 1e-13])
+        state = XState(diag, np.array([0.4, 0.0, 0.0, 0.0], dtype=complex))
+        assert concurrence_ghz_class(state) == 0.8
+
 
 class TestRandomFamily:
     def test_states_valid_over_parameter_range(self):

@@ -205,6 +205,15 @@ class TestBlockBloch:
         with pytest.raises(BlockNotPSDError):
             BlockBloch(w)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    def test_non_finite_coordinate_rejected(self, column, value):
+        w = np.zeros((4, 4))
+        w[:, 0] = 0.25
+        w[2, column] = value
+        with pytest.raises(NotXFormError, match=rf"^w\[2, {column}\] is .*not finite"):
+            BlockBloch(w)
+
 
 class TestXTangent:
     def test_dense_matches_compact_embedding(self):
