@@ -38,6 +38,7 @@ from .ghz import (
     CrosscheckReport,
     Verdict,
     crosscheck,
+    crosscheck_grid,
     depolarizing_qfi_gap,
     ghz_grid,
 )
@@ -113,13 +114,15 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         name: values.tolist()
         for name, values in ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics).items()
     }
+    q_rounded = [float(_sig12(q)) for q in spec.q_values]
+    p_rounded = [float(_sig12(p)) for p in p_values]
     rows = []
-    for i, q in enumerate(spec.q_values):
-        for j, p in enumerate(p_values):
+    for i, q in enumerate(q_rounded):
+        for j, p in enumerate(p_rounded):
             row = {
                 "channel": spec.channel.value,
-                "q": float(_sig12(q)),
-                "p": float(_sig12(p)),
+                "q": q,
+                "p": p,
                 "qfi": None,
                 "skew": None,
                 "concurrence": None,
@@ -252,15 +255,15 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
     suites.append(SuiteResult("family-skew-oracle", skew_err, 1e-5))
 
     q_values, p_values = _grid_axes(grid)
-    reports: dict[ChannelKind, list[CrosscheckReport]] = {kind: [] for kind in ChannelKind}
-    singular = 0
-    for kind in ChannelKind:
-        for q in q_values:
-            for p in p_values:
-                report = crosscheck(kind, q, p)
-                reports[kind].append(report)
-                for check in (report.qfi, report.skew, report.concurrence):
-                    singular += check.verdict is Verdict.SINGULAR
+    reports: dict[ChannelKind, list[CrosscheckReport]] = {
+        kind: crosscheck_grid(kind, q_values, p_values) for kind in ChannelKind
+    }
+    singular = sum(
+        check.verdict is Verdict.SINGULAR
+        for kind_reports in reports.values()
+        for report in kind_reports
+        for check in (report.qfi, report.skew, report.concurrence)
+    )
 
     agree_err = 0.0
     for kind in (ChannelKind.PHASE_DAMPING, ChannelKind.PHASE_FLIP):

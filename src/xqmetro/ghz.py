@@ -7,7 +7,7 @@ parameter.
 ``closed_form_qfi`` / ``closed_form_skew`` / ``closed_form_concurrence`` are
 hand-derived per-channel reference expressions transcribed verbatim into this
 one quarantined module.  They are *never* used by the generic pipeline
-(channels + metrics); the :func:`crosscheck` engine evaluates pipeline,
+(channels + metrics); the :func:`crosscheck_grid` engine evaluates pipeline,
 closed form and brute-force oracle side by side and reports a verdict per
 metric.  Known defects of the reference expressions (see the depolarizing
 helpers below) therefore show up as reported deviations, not as wrong
@@ -24,25 +24,24 @@ import numpy as np
 from .channels import (
     ChannelKind,
     ChannelParam,
-    apply_kraus,
     apply_kraus_dense,
     damped_bloch_array,
 )
 from .errors import BadParameterError, NotConvergedError, XQMetroError
-from .metrics import (
-    ParamFamily,
-    concurrence_ghz_class,
-    evaluate_stack,
-    qfi_total,
-    skew_total,
-)
-from .oracle import OracleConfig, qfi_eigen_oracle, skew_sqrt_oracle
+from .metrics import ParamFamily, evaluate_stack
+
+# Unused here, but importable from this module: the benchmark's tracer
+# self-test calls xqmetro.ghz.qfi_total.
+from .metrics import qfi_total  # noqa: F401
+from .oracle import OracleConfig, qfi_eigen_oracle, skew_from_probes
 from .xstate import (
     XState,
     XTangent,
     bloch_from_compact,
     check_compact,
     compact_from_bloch,
+    compact_from_dense,
+    dense_from_compact,
 )
 
 GHZ_QMIN = 1e-3
@@ -135,16 +134,6 @@ def ghz_grid(
         for name, value in values.items():
             out[name][:, start : start + len(block)] = value.T
     return out
-
-
-def _kraus_family(kind: ChannelKind, p: float) -> ParamFamily:
-    """Same family through the dense Kraus route (for oracle independence)."""
-    param = ChannelParam(p)
-
-    def state(q: float) -> XState:
-        return apply_kraus(XState(*_werner_compact(q)), kind, param)
-
-    return ParamFamily(state=state)
 
 
 def _check_point(q: float, p: float) -> ChannelParam:
@@ -334,46 +323,102 @@ def crosscheck(
 ) -> CrosscheckReport:
     """Evaluate pipeline, reference closed form, and oracle at one grid point.
 
-    Pipeline values ride the compact closed-form channel route; oracle values
-    ride the dense Kraus route (eigen oracle for Fisher, square-root oracle
-    for skew, and the same concurrence expression on the independently damped
-    state).  A metric whose evaluation hits a singular-regime error is
-    reported with NaNs and a SINGULAR verdict; an eigensolver that does not
-    converge raises :class:`NotConvergedError` instead.
+    The one-point view of :func:`crosscheck_grid`, which documents the routes
+    and the error semantics.
     """
-    param = _check_point(q, p)
-    family = ghz_family(kind, p)
-    kraus_fam = _kraus_family(kind, p)
+    return crosscheck_grid(kind, [q], [p], config)[0]
 
-    rho = apply_kraus_dense(werner_ghz(q).to_dense(), kind, param)
-    drho = apply_kraus_dense(
-        XTangent(_TANGENT_DIAG, _TANGENT_ANTI).to_dense(), kind, param
+
+def crosscheck_grid(
+    kind: ChannelKind, q_values, p_values, config: OracleConfig = OracleConfig()
+) -> list[CrosscheckReport]:
+    """Crosscheck every point of a (q, p) grid; reports in q-outer, p-inner order.
+
+    Pipeline values ride the compact closed-form channel route, the whole
+    grid in one :func:`ghz_grid` call.  Oracle values ride the dense Kraus
+    route, one :func:`apply_kraus_dense` call per p over the stack of
+    rho(q) for every q, the skew probes rho(q -+ h) with
+    ``h = fd_step * max(1, |q|)``, and d rho.  Then, per point, the eigen
+    oracle gives Fisher information and :func:`skew_from_probes` the skew
+    information, each through the Jacobi eigensolver, and concurrence is the
+    pipeline's expression on the Kraus image of rho(q).  Every value is, bit
+    for bit, what the same point alone gives.
+
+    Every point is range-checked before any work, so a bad one raises
+    :class:`BadParameterError`.  The Werner-GHZ inputs pass the checks of
+    :class:`XState` as stacks, and so do the Kraus images of the states; a
+    failure raises that check's error naming the element (which of rho,
+    left probe, right probe, then the q index).  A channel that is
+    completely positive and trace-preserving cannot fail these checks on an
+    in-domain point.  Closed forms and per-point oracles run per metric: a
+    singular-regime error there is reported with NaNs and a SINGULAR verdict
+    for that metric alone, and an eigensolver that does not converge raises
+    :class:`NotConvergedError` instead.
+    """
+    for q in q_values:
+        for p in p_values:
+            _check_point(q, p)
+    pipeline = {
+        name: values.tolist() for name, values in ghz_grid(kind, q_values, p_values).items()
+    }
+
+    # Oracle inputs: rho(q), then the skew probes rho(q - h) and rho(q + h),
+    # as one (3, q) stack of states followed by d rho.
+    steps = [config.fd_step * max(1.0, abs(q)) for q in q_values]
+    diag, anti = _werner_compact(
+        np.array(
+            [
+                q_values,
+                [q - h for q, h in zip(q_values, steps)],
+                [q + h for q, h in zip(q_values, steps)],
+            ],
+            dtype=float,
+        )
+    )
+    check_compact(diag, anti)
+    stack = np.concatenate(
+        [
+            dense_from_compact(diag, anti).reshape((-1, 8, 8)),
+            XTangent(_TANGENT_DIAG, _TANGENT_ANTI).to_dense()[None],
+        ]
     )
 
-    def check(pipeline_fn, closed_fn, oracle_fn) -> MetricCheck:
+    def check(pipeline_value, closed_fn, oracle_fn) -> MetricCheck:
         try:
-            pipeline = pipeline_fn()
             closed = closed_fn()
             oracle_val = oracle_fn()
         except NotConvergedError:
             raise  # a solver failure, not a singular regime: never a verdict
         except (XQMetroError, ZeroDivisionError, FloatingPointError):
             return MetricCheck(float("nan"), float("nan"), float("nan"), Verdict.SINGULAR)
-        return MetricCheck(pipeline, closed, oracle_val, _verdict(pipeline, closed))
+        return MetricCheck(pipeline_value, closed, oracle_val, _verdict(pipeline_value, closed))
 
-    qfi = check(
-        lambda: qfi_total(family, q),
-        lambda: closed_form_qfi(kind, q, p),
-        lambda: qfi_eigen_oracle(rho, drho, config),
-    )
-    skew = check(
-        lambda: skew_total(family, q),
-        lambda: closed_form_skew(kind, q, p),
-        lambda: skew_sqrt_oracle(kraus_fam, q, config),
-    )
-    concurrence = check(
-        lambda: concurrence_ghz_class(family.state(q)),
-        lambda: closed_form_concurrence(kind, q, p),
-        lambda: concurrence_ghz_class(kraus_fam.state(q)),
-    )
-    return CrosscheckReport(kind, q, p, qfi, skew, concurrence)
+    reports = [[None] * len(p_values) for _ in q_values]
+    for j, p in enumerate(p_values):
+        images = apply_kraus_dense(stack, kind, ChannelParam(p))
+        drho = images[-1]
+        states = images[:-1].reshape(diag.shape[:-1] + (8, 8))
+        rho = states[0]  # raw images for the eigen oracle, as d rho is
+        kraus_diag, kraus_anti = compact_from_dense(states)
+        left, right = dense_from_compact(kraus_diag[1:], kraus_anti[1:])
+        concurrence = evaluate_stack(
+            ("concurrence",), diag=kraus_diag[0], anti=kraus_anti[0]
+        )["concurrence"].tolist()
+        for i, q in enumerate(q_values):
+            qfi = check(
+                pipeline["qfi"][i][j],
+                lambda: closed_form_qfi(kind, q, p),
+                lambda: qfi_eigen_oracle(rho[i], drho, config),
+            )
+            skew = check(
+                pipeline["skew"][i][j],
+                lambda: closed_form_skew(kind, q, p),
+                lambda: skew_from_probes(left[i], right[i], steps[i]),
+            )
+            conc = check(
+                pipeline["concurrence"][i][j],
+                lambda: closed_form_concurrence(kind, q, p),
+                lambda: concurrence[i],
+            )
+            reports[i][j] = CrosscheckReport(kind, q, p, qfi, skew, conc)
+    return [report for row in reports for report in row]

@@ -33,6 +33,15 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(off) ** 2)))
 
 
+def check_finite(matrix: np.ndarray, name: str = "matrix") -> None:
+    """Raise :class:`NotHermitianError` naming the NaN/+-inf entries of ``matrix``."""
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        shown = ", ".join(f"{name}[{i}, {j}] = {matrix[i, j]}" for i, j in bad[:4])
+        more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+        raise NotHermitianError(f"non-finite entries: {shown}{more}")
+
+
 def eigh(matrix: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
@@ -50,14 +59,18 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     Raises
     ------
     NotHermitianError
-        If ``max |A - A^dagger|`` exceeds the tolerance.
+        If ``max |A - A^dagger|`` exceeds the tolerance, or an entry is NaN
+        or infinite (the message names the non-finite entries).
     NotConvergedError
         If ``MAX_SWEEPS`` sweeps leave the off-diagonal norm above ``1e-14``.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL:
+    # A non-finite entry leaves a NaN or an infinity in A - A^dagger, so the
+    # finiteness check rides on the failure branch of this one comparison.
+    if not np.max(np.abs(a - a.conj().T)) <= HERMITICITY_TOL:
+        check_finite(a)
         raise NotHermitianError("matrix is not Hermitian within 1e-12")
 
     n = a.shape[0]

@@ -3,19 +3,33 @@
 import numpy as np
 import pytest
 
-from xqmetro.channels import ChannelKind
-from xqmetro.errors import BadParameterError
+from xqmetro import ghz, linalg
+from xqmetro.channels import ChannelKind, apply_kraus, apply_kraus_dense
+from xqmetro.cli import _grid_axes
+from xqmetro.errors import (
+    BadParameterError,
+    NotConvergedError,
+    NotPSDError,
+    TraceViolationError,
+    XQMetroError,
+)
 from xqmetro.ghz import (
+    GHZ_QMIN,
+    CrosscheckReport,
+    MetricCheck,
     Verdict,
     closed_form_concurrence,
     closed_form_qfi,
     closed_form_skew,
     crosscheck,
+    crosscheck_grid,
     depolarizing_qfi_gap,
     ghz_family,
     werner_ghz,
 )
-from xqmetro.metrics import concurrence_ghz_class, qfi_total, skew_total
+from xqmetro.metrics import ParamFamily, concurrence_ghz_class, qfi_total, skew_total
+from xqmetro.oracle import OracleConfig, qfi_eigen_oracle, skew_sqrt_oracle
+from xqmetro.xstate import XState, XTangent
 
 Q_GRID = tuple(j / 10.0 for j in range(1, 10))
 P_GRID = tuple(j / 10.0 for j in range(10))
@@ -195,3 +209,165 @@ class TestZeroCrossing:
                 ]
                 assert values[0] > 0.0 or q >= 0.75  # entangled at low noise
                 assert any(v == 0.0 for v in values)
+
+
+def reference_crosscheck(kind, q, p, config=OracleConfig()):
+    """One point through scalar calls only: the per-point crosscheck that
+    preceded :func:`crosscheck_grid`, kept as its reference (the Kraus
+    family helper it used is inlined)."""
+    param = ghz._check_point(q, p)
+    family = ghz_family(kind, p)
+    kraus_fam = ParamFamily(
+        state=lambda x: apply_kraus(XState(*ghz._werner_compact(x)), kind, param)
+    )
+
+    rho = apply_kraus_dense(werner_ghz(q).to_dense(), kind, param)
+    drho = apply_kraus_dense(
+        XTangent(ghz._TANGENT_DIAG, ghz._TANGENT_ANTI).to_dense(), kind, param
+    )
+
+    def check(pipeline_fn, closed_fn, oracle_fn):
+        try:
+            pipeline = pipeline_fn()
+            closed = closed_fn()
+            oracle_val = oracle_fn()
+        except NotConvergedError:
+            raise
+        except (XQMetroError, ZeroDivisionError, FloatingPointError):
+            return MetricCheck(float("nan"), float("nan"), float("nan"), Verdict.SINGULAR)
+        return MetricCheck(pipeline, closed, oracle_val, ghz._verdict(pipeline, closed))
+
+    qfi = check(
+        lambda: qfi_total(family, q),
+        lambda: closed_form_qfi(kind, q, p),
+        lambda: qfi_eigen_oracle(rho, drho, config),
+    )
+    skew = check(
+        lambda: skew_total(family, q),
+        lambda: closed_form_skew(kind, q, p),
+        lambda: skew_sqrt_oracle(kraus_fam, q, config),
+    )
+    concurrence = check(
+        lambda: concurrence_ghz_class(family.state(q)),
+        lambda: closed_form_concurrence(kind, q, p),
+        lambda: concurrence_ghz_class(kraus_fam.state(q)),
+    )
+    return CrosscheckReport(kind, q, p, qfi, skew, concurrence)
+
+
+METRICS = ("qfi", "skew", "concurrence")
+
+
+def report_bits(report):
+    """Raw bits of every value of a report, and its verdicts."""
+    checks = [getattr(report, name) for name in METRICS]
+    values = np.array(
+        [[check.pipeline, check.closed_form, check.oracle] for check in checks]
+    )
+    return values.view(np.uint64).tolist(), [check.verdict for check in checks]
+
+
+class TestCrosscheckGrid:
+    # The depolarizing reference skew reads NaN at (q, p) = (1, 0), with
+    # these warnings, on both routes alike; its bits are compared like the rest.
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_bit_identical_to_per_point_reference(self, kind):
+        q_values, p_values = _grid_axes(9)
+        q_values = [GHZ_QMIN] + q_values + [1.0]
+        p_values = p_values + [1.0]
+        reports = crosscheck_grid(kind, q_values, p_values)
+        assert [(r.q, r.p) for r in reports] == [(q, p) for q in q_values for p in p_values]
+        for report in reports:
+            assert report.kind is kind
+            reference = reference_crosscheck(kind, report.q, report.p)
+            assert report_bits(report) == report_bits(reference), (report.q, report.p)
+
+    def test_empty_axis_gives_no_reports(self):
+        assert crosscheck_grid(ChannelKind.PHASE_DAMPING, [], [0.1]) == []
+        assert crosscheck_grid(ChannelKind.PHASE_DAMPING, [0.5], []) == []
+
+    Q = (0.2, 0.5, 0.8)
+    P = (0.0, 0.3, 0.6)
+
+    def assert_one_singular(self, monkeypatch, name, failing, metric):
+        """Patch ``ghz.<name>`` to raise NotPSDError where ``failing(args)``
+        holds; exactly one point's ``metric`` must turn SINGULAR."""
+        kind = ChannelKind.PHASE_FLIP
+        clean = crosscheck_grid(kind, self.Q, self.P)
+        original = getattr(ghz, name)
+
+        def patched(*args):
+            if failing(args):
+                raise NotPSDError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(ghz, name, patched)
+        reports = crosscheck_grid(kind, self.Q, self.P)
+        singular = []
+        for report, reference in zip(reports, clean):
+            bits, verdicts = report_bits(report)
+            clean_bits, clean_verdicts = report_bits(reference)
+            for k, m in enumerate(METRICS):
+                if verdicts[k] is Verdict.SINGULAR:
+                    singular.append((report.q, report.p, m))
+                    check = getattr(report, m)
+                    assert np.isnan([check.pipeline, check.closed_form, check.oracle]).all()
+                else:
+                    assert bits[k] == clean_bits[k] and verdicts[k] is clean_verdicts[k]
+        assert len(singular) == 1 and singular[0][2] == metric
+        return singular[0][:2]
+
+    def test_singular_closed_form_stays_local(self, monkeypatch):
+        where = self.assert_one_singular(
+            monkeypatch,
+            "closed_form_qfi",
+            lambda args: args[1:] == (0.5, 0.3),
+            "qfi",
+        )
+        assert where == (0.5, 0.3)
+
+    def test_singular_oracle_stays_local(self, monkeypatch):
+        calls = []
+
+        def fifth_call(args):
+            calls.append(args)
+            return len(calls) == 5
+
+        self.assert_one_singular(monkeypatch, "skew_from_probes", fifth_call, "skew")
+
+    def test_bad_kraus_image_raises_naming_it(self, monkeypatch):
+        # The stacked image checks raise where the per-point crosscheck gave a
+        # SINGULAR verdict; the element is (rho / left / right probe, q index).
+        def leaky(stack, kind, param):
+            images = apply_kraus_dense(stack, kind, param)
+            images[len(self.Q) + 2] *= 1.1  # left probe of the third q
+            return images
+
+        monkeypatch.setattr(ghz, "apply_kraus_dense", leaky)
+        with pytest.raises(TraceViolationError, match=r"^element \(1, 2\): trace"):
+            crosscheck_grid(ChannelKind.PHASE_DAMPING, self.Q, self.P)
+
+    def test_eigensolver_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+        with pytest.raises(NotConvergedError):
+            crosscheck_grid(ChannelKind.DEPOLARIZING, self.Q, self.P)
+
+    @pytest.mark.parametrize(
+        "q_values, p_values",
+        [
+            ((0.2, 0.5, 1.5), (0.1, 0.2)),
+            ((0.2, 0.5), (0.1, float("nan"))),
+            ((0.2, 1e-4), (0.1, 0.2)),
+            ((0.2, 0.5), (0.1, 1.01)),
+        ],
+    )
+    def test_bad_point_raises_before_any_work(self, monkeypatch, q_values, p_values):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the grid was checked")
+
+        monkeypatch.setattr(ghz, "ghz_grid", no_work)
+        monkeypatch.setattr(ghz, "apply_kraus_dense", no_work)
+        with pytest.raises(BadParameterError):
+            crosscheck_grid(ChannelKind.PHASE_DAMPING, q_values, p_values)

@@ -8,7 +8,10 @@ pipeline that preceded the stacked block kernel, with
     xqmetro validate --grid 3 --seed 0 > tests/data/validate-grid3-seed0.txt
 
 and ``validate-grid9-seed42.txt`` by the per-matrix Kraus route that preceded
-the stacked one, with ``xqmetro validate --grid 9 --seed 42``.
+the stacked one, with ``xqmetro validate --grid 9 --seed 42``.  The
+``ghz-point-<channel>.txt`` files were written by the per-point crosscheck
+that preceded the grid crosscheck: ``xqmetro ghz-point --channel <channel>
+--q Q --p P`` for each (Q, P) in ``GHZ_POINTS``, outputs concatenated.
 
 The validate report prints oracle and route errors near 1e-16, so it also
 pins the last bits of the scalar totals and of both channel routes on the
@@ -26,6 +29,14 @@ from xqmetro.cli import main
 
 DATA = Path(__file__).parent / "data"
 SWEEP_Q = "0.001,0.2,0.37,0.5,0.9,1"
+GHZ_POINTS = (
+    ("0.001", "0.3"),
+    ("0.25", "0.1"),
+    ("1", "0.5"),
+    ("0.5", "0"),
+    ("0.5", "1"),
+    ("0.7", "0.85"),
+)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -50,3 +61,13 @@ def test_validate_report_is_byte_identical():
 
 def test_validate_grid9_report_is_byte_identical():
     assert _validate_report(9, 42) == (DATA / "validate-grid9-seed42.txt").read_bytes()
+
+
+@pytest.mark.parametrize("channel", ["pdc", "dpc", "pfc"])
+def test_ghz_point_output_is_byte_identical(channel):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        for q, p in GHZ_POINTS:
+            assert main(["ghz-point", "--channel", channel, "--q", q, "--p", p]) == 0
+    expected = (DATA / f"ghz-point-{channel}.txt").read_bytes()
+    assert buffer.getvalue().encode("utf-8") == expected

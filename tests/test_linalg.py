@@ -71,6 +71,22 @@ class TestEigh:
         with pytest.raises(NotHermitianError):
             eigh(np.zeros((2, 3)))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(0, float("inf"))])
+    @pytest.mark.parametrize("entry", [(2, 2), (1, 6)])
+    def test_rejects_non_finite_entries(self, monkeypatch, bad, entry):
+        # Typed at once: the Jacobi loop never runs (it would raise
+        # NotConvergedError here instead).
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+        matrix = np.eye(8, dtype=complex) / 8.0
+        matrix[entry] = bad
+        with pytest.raises(NotHermitianError, match=rf"non-finite entries: matrix\[{entry[0]}, {entry[1]}\]"):
+            eigh(matrix)
+
+    def test_non_finite_message_is_bounded(self):
+        with pytest.raises(NotHermitianError, match="and 60 more$"):
+            eigh(np.full((8, 8), np.nan))
+
     def test_non_convergence_raises_package_error(self, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
         with pytest.raises(NotConvergedError, match="did not converge") as info:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xqmetro.errors import NotPSDError, TraceViolationError
+from xqmetro.errors import NotHermitianError, NotPSDError, TraceViolationError, XQMetroError
 from xqmetro.metrics import ParamFamily, qfi_total, random_family, skew_total
 from xqmetro.oracle import OracleConfig, qfi_eigen_oracle, skew_sqrt_oracle
 from xqmetro.xstate import XState, XTangent
@@ -48,6 +48,14 @@ class TestQfiEigenOracle:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(TraceViolationError):
             qfi_eigen_oracle(np.eye(4, dtype=complex), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tangent(self, bad):
+        drho = np.zeros((8, 8), dtype=complex)
+        drho[0, 7] = drho[7, 0] = bad
+        with pytest.raises(NotHermitianError, match=r"drho\[0, 7\]") as info:
+            qfi_eigen_oracle(np.eye(8, dtype=complex) / 8.0, drho)
+        assert isinstance(info.value, XQMetroError)
 
     def test_rank_deficient_state_skips_null_pairs(self):
         # Support-preserving motion on a rank-2 state: finite answer.
