@@ -114,36 +114,55 @@ def kraus_operators(kind: ChannelKind, param: ChannelParam) -> list[np.ndarray]:
 
 
 # Matrices per pass of :func:`apply_kraus_dense`; bounds its working set,
-# two (n, m^3, 8, 8) complex temporaries (64 KiB per matrix for depolarizing).
+# one (n, m^3, 8, 8) complex temporary (64 KiB per matrix for depolarizing).
 KRAUS_CHUNK = 4
 
 
 @lru_cache(maxsize=256)
-def _triple_kraus(kind: ChannelKind, p: float) -> np.ndarray:
-    """Stacked 8x8 operators K_a x K_b x K_c, shape (m^3, 8, 8)."""
+def _triple_kraus(kind: ChannelKind, p: float):
+    """Triple operators K_a x K_b x K_c as the gather tables of :func:`apply_kraus_dense`.
+
+    Every triple operator has at most one nonzero entry per row: operator k
+    reads, for row r, column ``c_k[r]`` with value ``v_k[r]``.  A zero row
+    reads its own column with value 0, so a non-finite input entry reaches
+    its own output entry (0 * nan is nan).  Returns the column indices
+    ``c[:, :, None]`` and ``c[:, None, :]`` and the values ``v[:, :, None]``
+    and ``conj(v)[:, None, :]``, each broadcasting to shape (m^3, 8, 8).
+    """
     ops = kraus_operators(kind, ChannelParam(p))
-    return np.stack(
-        [np.kron(np.kron(a, b), c) for a in ops for b in ops for c in ops]
-    )
+    kr = np.stack([np.kron(np.kron(a, b), c) for a in ops for b in ops for c in ops])
+    nonzero = kr != 0
+    cols = np.where(nonzero.any(axis=-1), np.argmax(nonzero, axis=-1), np.arange(8))
+    values = np.take_along_axis(kr, cols[..., None], axis=-1)[..., 0]
+    tables = (cols[:, :, None], cols[:, None, :], values[:, :, None], values.conj()[:, None, :])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def apply_kraus_dense(matrix: np.ndarray, kind: ChannelKind, param: ChannelParam) -> np.ndarray:
     """Kraus action ``sum K M K^dag`` on dense 8x8 matrices ``(..., 8, 8)`` (no validation).
 
     Leading axes are stack axes, walked ``KRAUS_CHUNK`` matrices at a time.
-    Each element comes out bit for bit as it would alone: every triple
-    operator has one nonzero entry per row and column, real or imaginary, so
-    each entry of ``K M K^dag`` is one product, and the Kraus sum runs in
-    operator order.
+    Every triple operator has at most one nonzero entry per row, real or
+    imaginary, in column ``c[r]`` with value ``v[r]``, so ``(K M K^dag)[r, s]
+    = (v[r] M[c[r], c[s]]) conj(v[s])``: one gather of M, then two products,
+    then the Kraus sum in operator order.  Each entry comes out bit for bit
+    as the dense product ``(K @ M) @ K^dag`` gives it for finite input, and
+    each element as it would alone.
     """
-    kr = _triple_kraus(kind, param.p)
-    kr_dagger = kr.conj().swapaxes(-1, -2)
-    m = np.asarray(matrix)
+    rows, cols, left, right = _triple_kraus(kind, param.p)
+    m = np.asarray(matrix, dtype=complex)
     flat = m.reshape((-1, 8, 8))
     out = np.empty(flat.shape, dtype=complex)
-    for start in range(0, len(flat), KRAUS_CHUNK):
-        chunk = flat[start : start + KRAUS_CHUNK, None]
-        (kr @ chunk @ kr_dagger).sum(axis=1, out=out[start : start + KRAUS_CHUNK])
+    # A non-finite input entry stays non-finite at its output entries, for
+    # the X-pattern check downstream to report; 0 * inf is not warned about.
+    with np.errstate(invalid="ignore"):
+        for start in range(0, len(flat), KRAUS_CHUNK):
+            terms = flat[start : start + KRAUS_CHUNK][:, rows, cols]
+            terms *= left
+            terms *= right
+            terms.sum(axis=1, out=out[start : start + KRAUS_CHUNK])
     return out.reshape(m.shape)
 
 

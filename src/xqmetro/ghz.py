@@ -33,7 +33,8 @@ from .metrics import ParamFamily, evaluate_stack
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.ghz.qfi_total.
 from .metrics import qfi_total  # noqa: F401
-from .oracle import OracleConfig, qfi_eigen_oracle, skew_from_probes
+from .linalg import eigh_stack
+from .oracle import OracleConfig, qfi_from_spectrum, skew_from_spectra
 from .xstate import (
     XState,
     XTangent,
@@ -338,9 +339,10 @@ def crosscheck_grid(
     grid in one :func:`ghz_grid` call.  Oracle values ride the dense Kraus
     route, one :func:`apply_kraus_dense` call per p over the stack of
     rho(q) for every q, the skew probes rho(q -+ h) with
-    ``h = fd_step * max(1, |q|)``, and d rho.  Then, per point, the eigen
-    oracle gives Fisher information and :func:`skew_from_probes` the skew
-    information, each through the Jacobi eigensolver, and concurrence is the
+    ``h = fd_step * max(1, |q|)``, and d rho.  Per p, one :func:`eigh_stack`
+    call then gives the spectra of rho and of both probes for every q, and
+    per point :func:`qfi_from_spectrum` finishes the Fisher information and
+    :func:`skew_from_spectra` the skew information; concurrence is the
     pipeline's expression on the Kraus image of rho(q).  Every value is, bit
     for bit, what the same point alone gives.
 
@@ -348,11 +350,15 @@ def crosscheck_grid(
     :class:`BadParameterError`.  The Werner-GHZ inputs pass the checks of
     :class:`XState` as stacks, and so do the Kraus images of the states; a
     failure raises that check's error naming the element (which of rho,
-    left probe, right probe, then the q index).  A channel that is
-    completely positive and trace-preserving cannot fail these checks on an
-    in-domain point.  Closed forms and per-point oracles run per metric: a
-    singular-regime error there is reported with NaNs and a SINGULAR verdict
-    for that metric alone, and an eigensolver that does not converge raises
+    left probe, right probe, then the q index).  The eigensolver's
+    Hermiticity test (1e-12) on the same stack raises
+    :class:`NotHermitianError` the same way, where a per-point oracle gave a
+    SINGULAR verdict; the Kraus image of a Hermitian state is Hermitian up
+    to rounding, so a completely positive and trace-preserving channel
+    fails none of these checks on an in-domain point.  Closed forms and
+    per-point oracle finishes run per metric: a singular-regime error there
+    is reported with NaNs and a SINGULAR verdict for that metric alone, and
+    an eigensolver that does not converge raises
     :class:`NotConvergedError` instead.
     """
     for q in q_values:
@@ -398,9 +404,12 @@ def crosscheck_grid(
         images = apply_kraus_dense(stack, kind, ChannelParam(p))
         drho = images[-1]
         states = images[:-1].reshape(diag.shape[:-1] + (8, 8))
-        rho = states[0]  # raw images for the eigen oracle, as d rho is
         kraus_diag, kraus_anti = compact_from_dense(states)
-        left, right = dense_from_compact(kraus_diag[1:], kraus_anti[1:])
+        # The eigen oracle reads the raw image of rho, as it does d rho; the
+        # skew probes are rebuilt from their compact forms.
+        values, vectors = eigh_stack(
+            np.concatenate([states[:1], dense_from_compact(kraus_diag[1:], kraus_anti[1:])])
+        )
         concurrence = evaluate_stack(
             ("concurrence",), diag=kraus_diag[0], anti=kraus_anti[0]
         )["concurrence"].tolist()
@@ -408,12 +417,14 @@ def crosscheck_grid(
             qfi = check(
                 pipeline["qfi"][i][j],
                 lambda: closed_form_qfi(kind, q, p),
-                lambda: qfi_eigen_oracle(rho[i], drho, config),
+                lambda: qfi_from_spectrum(values[0, i], vectors[0, i], drho, config),
             )
             skew = check(
                 pipeline["skew"][i][j],
                 lambda: closed_form_skew(kind, q, p),
-                lambda: skew_from_probes(left[i], right[i], steps[i]),
+                lambda: skew_from_spectra(
+                    (values[1, i], vectors[1, i]), (values[2, i], vectors[2, i]), steps[i]
+                ),
             )
             conc = check(
                 pipeline["concurrence"][i][j],

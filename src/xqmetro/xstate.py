@@ -47,6 +47,7 @@ _LOWER = tuple(j for _, j in BLOCK_PAIRS)
 _DIAGONAL = tuple(range(8))
 # Entries an X state leaves empty: all but the main diagonal and the anti-diagonal.
 _OFF_PATTERN = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
+_OFF_ENTRIES = np.argwhere(_OFF_PATTERN)  # (row, column), in the order m[..., _OFF_PATTERN] reads
 
 # All 64 triple Kronecker products s_a x s_b x s_c, flattened index a*16+b*4+c.
 PAULI_TRIPLES = np.stack(
@@ -259,24 +260,37 @@ def _x_components(m: np.ndarray):
 
     The checks, in order: no entry off the X pattern beyond 1e-10 in
     magnitude, no imaginary part on the diagonal beyond 1e-10, and each
-    coherence pair conjugate to 1e-10.  A failure raises
-    :class:`NotXFormError` for the first failing element, named as in
-    :func:`check_compact`.
+    coherence pair conjugate to 1e-10; NaN fails the first two.  A failure
+    raises :class:`NotXFormError` for the first failing element, named as in
+    :func:`check_compact`, and names the first failing entry.
     """
     if m.shape[-2:] != (8, 8):
         raise NotXFormError(f"expected 8x8 matrices, got shape {m.shape}")
     upper = m[..., _UPPER, _LOWER]
     lower = m[..., _LOWER, _UPPER]
     diagonal = m[..., _DIAGONAL, _DIAGONAL]
-    with np.errstate(all="ignore"):  # non-finite entries are caught by check_compact
-        worst = np.abs(m[..., _OFF_PATTERN]).max(axis=-1)
+    with np.errstate(all="ignore"):  # non-finite pattern entries are caught by check_compact
+        off = np.abs(m[..., _OFF_PATTERN])
         unpaired = np.abs(upper - np.conj(lower)) > PATTERN_TOL
-    flags = worst > PATTERN_TOL
+    imaginary = np.abs(diagonal.imag)
+    # Both tests fail on NaN: the compact components drop these entries.
+    flags = ~(off.max(axis=-1) <= PATTERN_TOL)
     if flags.any():
-        _fail(NotXFormError, flags, lambda i: f"off-pattern entry of magnitude {worst[i]:.3e}")
-    flags = np.abs(diagonal.imag).max(axis=-1) > PATTERN_TOL
+
+        def off_pattern(i):
+            k = int(np.argmax(~(off[i] <= PATTERN_TOL)))
+            row, col = _OFF_ENTRIES[k]
+            return f"off-pattern entry [{row}, {col}] of magnitude {off[i][k]:.3e}"
+
+        _fail(NotXFormError, flags, off_pattern)
+    flags = ~(imaginary.max(axis=-1) <= PATTERN_TOL)
     if flags.any():
-        _fail(NotXFormError, flags, lambda i: "diagonal has imaginary part beyond 1e-10")
+
+        def imaginary_diagonal(i):
+            k = int(np.argmax(~(imaginary[i] <= PATTERN_TOL)))
+            return f"diagonal entry [{k}, {k}] has imaginary part {imaginary[i][k]:.3e} beyond 1e-10"
+
+        _fail(NotXFormError, flags, imaginary_diagonal)
     if unpaired.any():
         _fail(
             NotXFormError,

@@ -14,9 +14,14 @@ from xqmetro.channels import (
     damped_bloch,
     kraus_operators,
 )
-from xqmetro.errors import BadParameterError, BadProbabilityError
+from xqmetro.errors import BadParameterError, BadProbabilityError, NotXFormError
 from xqmetro.ghz import werner_ghz
-from xqmetro.xstate import bloch_from_xstate, random_xstate, xstate_from_bloch
+from xqmetro.xstate import (
+    bloch_from_xstate,
+    compact_from_dense,
+    random_xstate,
+    xstate_from_bloch,
+)
 
 ALL_KINDS = tuple(ChannelKind)
 P_GRID = tuple(float(p) for p in np.linspace(0.0, 1.0, 11))
@@ -152,6 +157,21 @@ class TestStackedKraus:
         for index in np.ndindex(2, 3):
             assert _same_bits(got[index], _kraus_alone(dense[index], kind, param))
         assert _same_bits(apply_kraus_dense(dense[1, 2], kind, param), got[1, 2])
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_non_finite_entry_is_reported_downstream(self, kind, p):
+        # Each operator reads one input entry per output entry, and a zero
+        # row reads its own entry, so a NaN anywhere stays in the image and
+        # the stacked X-pattern check names its element.
+        param = ChannelParam(p)
+        for row in range(8):
+            for col in range(8):
+                stack = np.stack([np.eye(8, dtype=complex) / 8.0] * 3)
+                stack[1, row, col] = np.nan
+                images = apply_kraus_dense(stack, kind, param)
+                with pytest.raises(NotXFormError, match=r"^element 1: "):
+                    compact_from_dense(images)
 
 
 class TestRouteEquivalence:

@@ -9,6 +9,7 @@ from xqmetro.cli import _grid_axes
 from xqmetro.errors import (
     BadParameterError,
     NotConvergedError,
+    NotHermitianError,
     NotPSDError,
     TraceViolationError,
     XQMetroError,
@@ -335,7 +336,7 @@ class TestCrosscheckGrid:
             calls.append(args)
             return len(calls) == 5
 
-        self.assert_one_singular(monkeypatch, "skew_from_probes", fifth_call, "skew")
+        self.assert_one_singular(monkeypatch, "skew_from_spectra", fifth_call, "skew")
 
     def test_bad_kraus_image_raises_naming_it(self, monkeypatch):
         # The stacked image checks raise where the per-point crosscheck gave a
@@ -347,6 +348,21 @@ class TestCrosscheckGrid:
 
         monkeypatch.setattr(ghz, "apply_kraus_dense", leaky)
         with pytest.raises(TraceViolationError, match=r"^element \(1, 2\): trace"):
+            crosscheck_grid(ChannelKind.PHASE_DAMPING, self.Q, self.P)
+
+    def test_asymmetric_kraus_image_raises_naming_it(self, monkeypatch):
+        # A 1e-11 asymmetry passes the 1e-10 X-pattern checks but not the
+        # eigensolver's 1e-12 Hermiticity test, which names (probe, q index)
+        # where the per-point oracle gave a SINGULAR verdict.
+        def leaky(stack, kind, param):
+            images = apply_kraus_dense(stack, kind, param)
+            images[1, 0, 7] += 1e-11  # rho of the second q
+            return images
+
+        monkeypatch.setattr(ghz, "apply_kraus_dense", leaky)
+        with pytest.raises(
+            NotHermitianError, match=r"^element \(0, 1\): matrix is not Hermitian within 1e-12$"
+        ):
             crosscheck_grid(ChannelKind.PHASE_DAMPING, self.Q, self.P)
 
     def test_eigensolver_failure_raises(self, monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 
 from xqmetro import linalg
 from xqmetro.errors import NotConvergedError, NotHermitianError, NotPSDError, XQMetroError
-from xqmetro.linalg import central_diff, eigh, psd_sqrt
+from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense
+from xqmetro.linalg import central_diff, eigh, eigh_stack, psd_sqrt
+from xqmetro.xstate import random_xstate
 
 
 def random_hermitian(rng, n=8):
@@ -98,6 +100,86 @@ class TestEigh:
         values, vectors = eigh(np.eye(4, dtype=complex) * 0.25)
         np.testing.assert_allclose(values, [0.25] * 4, atol=1e-15)
         assert np.abs(vectors.conj().T @ vectors - np.eye(4)).max() < 1e-13
+
+
+def assert_stack_matches_eigh(matrices):
+    """Every element of ``eigh_stack`` equals ``eigh`` alone in raw bits."""
+    values, vectors = eigh_stack(matrices)
+    assert values.shape == matrices.shape[:-1] and vectors.shape == matrices.shape
+    for index in np.ndindex(matrices.shape[:-2]):
+        alone_values, alone_vectors = eigh(matrices[index])
+        assert values[index].tobytes() == alone_values.tobytes(), index
+        assert vectors[index].tobytes() == alone_vectors.tobytes(), index
+
+
+class TestEighStack:
+    """The stacked solver is eigh, element by element, bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_kraus_images(self, kind, p):
+        rng = np.random.default_rng(31)
+        dense = np.stack([random_xstate(rng).to_dense() for _ in range(12)])
+        assert_stack_matches_eigh(apply_kraus_dense(dense, kind, ChannelParam(p)))
+
+    def test_general_hermitian(self):
+        rng = np.random.default_rng(32)
+        assert_stack_matches_eigh(np.stack([random_hermitian(rng) for _ in range(12)]))
+
+    def test_degenerate_spectrum_keeps_stable_order(self):
+        assert_stack_matches_eigh(np.stack([np.eye(8, dtype=complex) / 8.0] * 3))
+
+    def test_elements_converging_on_different_sweeps(self, monkeypatch):
+        # A diagonal matrix needs no rotation, an X state two sweeps, a
+        # near-diagonal matrix four (leaving tiny nonzero off-diagonal
+        # entries) and a general Hermitian matrix six: the active mask must
+        # stop each element where eigh stops it.
+        rng = np.random.default_rng(33)
+        general = random_hermitian(rng)
+        near_diagonal = np.diag(np.arange(1.0, 9.0)).astype(complex) + 1e-3 * random_hermitian(rng)
+        x_state = random_xstate(rng).to_dense()
+        diagonal = np.diag([0.5, 0.25, 0.25, 0, 0, 0, 0, 0]).astype(complex)
+        assert_stack_matches_eigh(np.stack([general, near_diagonal, diagonal, x_state]))
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 5)
+        eigh(near_diagonal)
+        with pytest.raises(NotConvergedError):
+            eigh(general)
+
+    def test_single_element_and_leading_axes(self):
+        rng = np.random.default_rng(34)
+        assert_stack_matches_eigh(random_hermitian(rng)[None])
+        dense = np.stack([random_xstate(rng).to_dense() for _ in range(6)]).reshape(2, 3, 8, 8)
+        assert_stack_matches_eigh(dense)
+
+    def test_empty_stack(self):
+        values, vectors = eigh_stack(np.zeros((0, 8, 8), dtype=complex))
+        assert values.shape == (0, 8) and vectors.shape == (0, 8, 8)
+
+    def test_non_convergence_raises_eigh_message(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+        matrices = np.stack([np.eye(8, dtype=complex) / 8.0] * 2)
+        with pytest.raises(NotConvergedError) as alone:
+            eigh(matrices[0])
+        with pytest.raises(NotConvergedError, match="^Jacobi iteration") as stacked:
+            eigh_stack(matrices)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_element_named(self):
+        matrices = np.stack([np.eye(8, dtype=complex) / 8.0] * 4)
+        matrices[2, 1, 6] = np.nan
+        with pytest.raises(
+            NotHermitianError, match=r"^element 2: non-finite entries: matrix\[1, 6\] = \(nan\+0j\)$"
+        ):
+            eigh_stack(matrices)
+
+    def test_asymmetric_element_named(self):
+        matrices = np.stack([np.eye(8, dtype=complex) / 8.0] * 6).reshape(2, 3, 8, 8)
+        matrices[1, 0, 0, 7] += 1e-11
+        with pytest.raises(
+            NotHermitianError, match=r"^element \(1, 0\): matrix is not Hermitian within 1e-12$"
+        ):
+            eigh_stack(matrices)
 
 
 class TestPsdSqrt:

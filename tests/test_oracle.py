@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from xqmetro.errors import NotHermitianError, NotPSDError, TraceViolationError, XQMetroError
+from xqmetro.errors import (
+    BadParameterError,
+    NotHermitianError,
+    NotPSDError,
+    TraceViolationError,
+    XQMetroError,
+)
 from xqmetro.metrics import ParamFamily, qfi_total, random_family, skew_total
-from xqmetro.oracle import OracleConfig, qfi_eigen_oracle, skew_sqrt_oracle
+from xqmetro.oracle import OracleConfig, family_oracles, qfi_eigen_oracle, skew_sqrt_oracle
 from xqmetro.xstate import XState, XTangent
 
 
@@ -101,6 +107,20 @@ class TestOracleConfig:
         assert config.fd_step == 1e-6
         assert config.rank_cutoff == 1e-12
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_fd_step(self, bad):
+        # fd_step = 0 made the skew oracle's central difference 0/0.
+        with pytest.raises(BadParameterError, match="fd_step"):
+            OracleConfig(fd_step=bad)
+
+    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_bad_rank_cutoff(self, bad):
+        with pytest.raises(BadParameterError, match="rank_cutoff"):
+            OracleConfig(rank_cutoff=bad)
+
+    def test_zero_rank_cutoff_accepted(self):
+        assert OracleConfig(rank_cutoff=0.0).rank_cutoff == 0.0
+
     def test_rank_cutoff_controls_null_pairs(self):
         lam = np.array([1.0 - 1e-8, 1e-8])
         dlam = np.array([1.0, -1.0])
@@ -117,3 +137,36 @@ class TestOracleConfig:
         # the tiny-eigenvalue diagonal term 1/1e-8 is excluded by the strict cutoff
         assert loose > strict
         assert abs(strict - (1.0 / (1.0 - 1e-8))) < 1e-6
+
+
+def _bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+class TestFamilyOracles:
+    """The stacked oracle column gives every point what the point gives alone."""
+
+    @pytest.mark.parametrize("config", [OracleConfig(), OracleConfig(fd_step=1e-4)])
+    def test_bit_identical_to_per_family_oracles(self, config):
+        rng = np.random.default_rng(85)
+        points = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(40)]
+        got = family_oracles(points, config)
+        assert len(got) == len(points)
+        for (family, phi), (qfi, skew) in zip(points, got):
+            rho = family.state(phi).to_dense()
+            drho = family.tangent_at(phi).to_dense()
+            assert _bits(qfi) == _bits(qfi_eigen_oracle(rho, drho, config))
+            assert _bits(skew) == _bits(skew_sqrt_oracle(family, phi, config))
+
+    def test_no_points(self):
+        assert family_oracles([]) == []
+
+    def test_non_finite_tangent_named(self):
+        rng = np.random.default_rng(86)
+        family = random_family(rng)
+        broken = ParamFamily(
+            state=family.state,
+            tangent=lambda phi: XTangent(np.full(8, np.nan), np.zeros(4, dtype=complex)),
+        )
+        with pytest.raises(NotHermitianError, match=r"drho\[0, 0\]"):
+            family_oracles([(family, 0.4), (broken, 0.4)])

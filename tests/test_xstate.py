@@ -84,6 +84,22 @@ class TestXStateConstruction:
         with pytest.raises(NotXFormError):
             xstate_from_dense(w)
 
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [
+            ((0, 1), np.nan, r"^off-pattern entry \[0, 1\] of magnitude nan$"),
+            ((5, 3), complex(0, np.inf), r"^off-pattern entry \[5, 3\] of magnitude inf$"),
+            ((2, 2), 0.0037 + np.nan * 1j, r"^diagonal entry \[2, 2\] has imaginary part nan"),
+        ],
+    )
+    def test_dense_rejects_non_finite_dropped_entries(self, entry, value, message):
+        # The compact form keeps neither entry, so the pattern checks must fail
+        # on the NaN itself rather than drop it.
+        m = np.eye(8, dtype=complex) / 8.0
+        m[entry] = value
+        with pytest.raises(NotXFormError, match=message):
+            xstate_from_dense(m)
+
     def test_dense_rejects_conjugate_mismatch(self):
         m = werner_ghz(0.5).to_dense().astype(complex)
         m[0, 7] = 0.25 + 0.1j
