@@ -17,8 +17,6 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -102,6 +100,21 @@ class SweepSpec:
             raise BadParameterError(f"--format: must be csv or json, got {self.fmt!r}")
 
 
+def _sweep_cells(spec: SweepSpec) -> tuple[list[str], list[str], dict[str, list[str]]]:
+    """The sweep's values as 12-significant-digit text, each formatted once.
+
+    One :func:`ghz_grid` call gives the requested metrics over the whole
+    grid.  Returns the q cells (one per q), the p cells (one per p) and the
+    cells of each requested metric, flattened q outer, p inner.
+    """
+    p_values = np.linspace(spec.p_start, spec.p_stop, spec.p_count).tolist()
+    grid = ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics)
+    cells = {
+        name: [f"{x:.12g}" for x in values.ravel().tolist()] for name, values in grid.items()
+    }
+    return [f"{q:.12g}" for q in spec.q_values], [f"{p:.12g}" for p in p_values], cells
+
+
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the requested metrics on the (q, p) grid, q outer, p inner.
 
@@ -109,41 +122,41 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     analytic d/dq), evaluated over the whole grid by :func:`ghz_grid` and
     rounded to 12 significant digits; metrics not requested are None.
     """
-    p_values = [float(p) for p in np.linspace(spec.p_start, spec.p_stop, spec.p_count)]
-    grid = {
-        name: values.tolist()
-        for name, values in ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics).items()
-    }
-    q_rounded = [float(_sig12(q)) for q in spec.q_values]
-    p_rounded = [float(_sig12(p)) for p in p_values]
-    rows = []
-    for i, q in enumerate(q_rounded):
-        for j, p in enumerate(p_rounded):
-            row = {
-                "channel": spec.channel.value,
-                "q": q,
-                "p": p,
-                "qfi": None,
-                "skew": None,
-                "concurrence": None,
-            }
-            for name, values in grid.items():
-                row[name] = float(_sig12(values[i][j]))
-            rows.append(row)
+    q_cells, p_cells, cells = _sweep_cells(spec)
+    p_values = [float(cell) for cell in p_cells]
+    rows = [
+        {
+            "channel": spec.channel.value,
+            "q": float(q),
+            "p": p,
+            "qfi": None,
+            "skew": None,
+            "concurrence": None,
+        }
+        for q in q_cells
+        for p in p_values
+    ]
+    for name, column in cells.items():
+        for row, cell in zip(rows, column):
+            row[name] = float(cell)
     return rows
 
 
-def render_csv(rows: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [row["channel"]]
-            + [_sig12(row[key]) for key in ("q", "p")]
-            + ["" if row[key] is None else _sig12(row[key]) for key in METRIC_NAMES]
-        )
-    return buffer.getvalue()
+def render_csv(spec: SweepSpec) -> str:
+    """The sweep as CSV: a header, then one line per (q, p), q outer, p inner.
+
+    Every value is formatted once (:func:`_sweep_cells`) and each line fills
+    one ``%s`` template, with an empty cell per metric not requested.  No
+    field needs quoting: they are numbers, empty cells and the channel label.
+    """
+    q_cells, p_cells, cells = _sweep_cells(spec)
+    template = f"{spec.channel.value},%s,%s"
+    template += "".join(",%s" if name in cells else "," for name in METRIC_NAMES) + "\n"
+    columns = [cells[name] for name in METRIC_NAMES if name in cells]
+    q_column = [q for q in q_cells for _ in p_cells]
+    p_column = p_cells * len(q_cells)
+    lines = [template % row for row in zip(q_column, p_column, *columns)]
+    return ",".join(CSV_HEADER) + "\n" + "".join(lines)
 
 
 def render_json(rows: list[dict]) -> str:
@@ -419,8 +432,8 @@ def main(argv: list[str] | None = None) -> int:
                 fmt=args.format,
                 output=args.output,
             )
-            rows = run_sweep(spec)
-            _emit(render_csv(rows) if spec.fmt == "csv" else render_json(rows), spec.output)
+            text = render_csv(spec) if spec.fmt == "csv" else render_json(run_sweep(spec))
+            _emit(text, spec.output)
             return 0
         if args.command == "validate":
             report = run_validation(args.grid, args.seed)

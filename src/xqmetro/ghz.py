@@ -17,6 +17,7 @@ pipeline numbers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,6 +315,10 @@ class CrosscheckReport:
 
 
 def _verdict(pipeline: float, closed_form: float) -> Verdict:
+    # A closed form that is NaN or infinite is undefined at the point (the
+    # depolarizing skew form at q = 1, p = 0), not a deviation.
+    if not math.isfinite(closed_form):
+        return Verdict.SINGULAR
     if abs(pipeline - closed_form) <= CLOSED_FORM_TOL:
         return Verdict.AGREE
     return Verdict.CLOSED_FORM_DEVIATES

@@ -20,13 +20,14 @@ its single-state views, and ``ghz.ghz_grid`` hands it a whole sweep grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import NotPureError, SingularBlockError
+from .errors import NotPureError, NotXFormError, SingularBlockError
 from .linalg import central_diff, eigh
 from .xstate import (
     BLOCK_PAIRS,
@@ -279,22 +280,35 @@ class ParamFamily:
         return bloch_from_compact(s.diag, s.anti)
 
 
-def _block_values(family: ParamFamily, phi: float):
+def _total(name: str, family: ParamFamily, phi: float) -> float:
+    """Metric ``name`` of the family at ``phi`` through the block kernel.
+
+    A non-finite result with a NaN or infinite tangent entry raises
+    :class:`NotXFormError` naming the first such entry; the check runs only
+    after a non-finite result, so a finite one costs a single test.
+    """
     w = family.bloch_at(phi)
-    dw = family.tangent_at(phi).to_bloch_array()
-    return w, dw
+    tangent = family.tangent_at(phi)
+    total = float(evaluate_stack((name,), bloch=w, tangent=tangent.to_bloch_array())[name])
+    if not math.isfinite(total):
+        for field, values in (("diag", tangent.diag), ("anti", tangent.anti)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise NotXFormError(
+                    f"at phi={phi!r}: tangent {field}[{k}] is {values[k]}, not finite"
+                )
+    return total
 
 
 def qfi_total(family: ParamFamily, phi: float) -> float:
     """Quantum Fisher information of the family at ``phi`` (sum over blocks)."""
-    w, dw = _block_values(family, phi)
-    return float(evaluate_stack(("qfi",), bloch=w, tangent=dw)["qfi"])
+    return _total("qfi", family, phi)
 
 
 def skew_total(family: ParamFamily, phi: float) -> float:
     """Skew information 4 Tr((d sqrt(rho))^2) of the family at ``phi``."""
-    w, dw = _block_values(family, phi)
-    return float(evaluate_stack(("skew",), bloch=w, tangent=dw)["skew"])
+    return _total("skew", family, phi)
 
 
 def concurrence_ghz_class(state: XState) -> float:

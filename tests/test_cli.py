@@ -1,5 +1,8 @@
 """Command-line interface: sweeps, validation, point reports, exit codes."""
 
+import csv
+import io
+import itertools
 import json
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from xqmetro import linalg
 from xqmetro.channels import ChannelKind
 from xqmetro.cli import (
     CSV_HEADER,
+    METRIC_NAMES,
     SweepSpec,
     build_parser,
     main,
@@ -19,7 +23,7 @@ from xqmetro.cli import (
     run_validation,
 )
 from xqmetro.errors import BadParameterError
-from xqmetro.ghz import ghz_family
+from xqmetro.ghz import GHZ_QMIN, ghz_family, ghz_grid
 from xqmetro.metrics import concurrence_ghz_class, qfi_total, skew_total
 
 
@@ -97,8 +101,7 @@ class TestRunSweep:
 
 class TestRendering:
     def test_csv_header_and_digits(self):
-        rows = run_sweep(default_spec())
-        text = render_csv(rows)
+        text = render_csv(default_spec())
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(CSV_HEADER)
         assert lines[0] == "channel,q,p,qfi,skew,concurrence"
@@ -111,8 +114,7 @@ class TestRendering:
             assert len(mantissa.split("e")[0]) <= 12
 
     def test_csv_blank_cells_for_absent_metrics(self):
-        rows = run_sweep(default_spec(metrics=("skew",)))
-        line = render_csv(rows).strip().split("\n")[1]
+        line = render_csv(default_spec(metrics=("skew",))).strip().split("\n")[1]
         cells = line.split(",")
         assert cells[3] == "" and cells[5] == ""
         assert cells[4] != ""
@@ -122,6 +124,101 @@ class TestRendering:
         payload = json.loads(json.dumps(rows))
         assert payload[0]["skew"] is None
         assert payload[0]["qfi"] == rows[0]["qfi"]
+
+
+def _sig12(value):
+    return f"{value:.12g}"
+
+
+def two_pass_rows(spec):
+    """Reference sweep rows: every value rounded through ``float(_sig12(x))``."""
+    p_values = [float(p) for p in np.linspace(spec.p_start, spec.p_stop, spec.p_count)]
+    grid = {
+        name: values.tolist()
+        for name, values in ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics).items()
+    }
+    rows = []
+    for i, q in enumerate(float(_sig12(q)) for q in spec.q_values):
+        for j, p in enumerate(float(_sig12(p)) for p in p_values):
+            row = {"channel": spec.channel.value, "q": q, "p": p}
+            row.update(dict.fromkeys(METRIC_NAMES))
+            for name, values in grid.items():
+                row[name] = float(_sig12(values[i][j]))
+            rows.append(row)
+    return rows
+
+
+def two_pass_csv(rows):
+    """Reference CSV of those rows: ``csv.writer``, every value through ``_sig12`` again."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow(
+            [row["channel"]]
+            + [_sig12(row[key]) for key in ("q", "p")]
+            + ["" if row[key] is None else _sig12(row[key]) for key in METRIC_NAMES]
+        )
+    return buffer.getvalue()
+
+
+def first_difference(actual, expected):
+    """(line number, actual line, expected line) of the first difference, or None.
+
+    Keeps a failing byte comparison of two long texts short to report.
+    """
+    got, want = actual.split("\n"), expected.split("\n")
+    for number, (a, b) in enumerate(itertools.zip_longest(got, want)):
+        if a != b:
+            return number, a, b
+    return None
+
+
+GATE_Q = (
+    GHZ_QMIN,
+    *(float(q) for q in np.sort(np.random.default_rng(808).uniform(GHZ_QMIN, 1.0, 18))),
+    1.0,
+)
+METRIC_ORDERS = [
+    order for k in range(1, 4) for order in itertools.permutations(METRIC_NAMES, k)
+]
+
+
+class TestOnePassBytes:
+    """The one-pass CSV and the JSON view write the bytes of the two-pass reference:
+    values rounded through float, then formatted a second time."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("metrics", METRIC_ORDERS, ids=",".join)
+    @pytest.mark.parametrize("channel", ["pdc", "dpc", "pfc"])
+    def test_sweep_bytes_match_two_pass_reference(self, channel, metrics, fmt, tmp_path):
+        out = tmp_path / f"sweep.{fmt}"
+        q_text = ",".join(repr(q) for q in GATE_Q)
+        argv = ["sweep", "--channel", channel, "--metrics", ",".join(metrics), "--q", q_text]
+        assert main(argv + ["--p", "0:1:37", "--format", fmt, "--output", str(out)]) == 0
+        spec = SweepSpec(ChannelKind.from_label(channel), metrics, GATE_Q, 0.0, 1.0, 37)
+        rows = two_pass_rows(spec)
+        expected = two_pass_csv(rows) if fmt == "csv" else json.dumps(rows, indent=2) + "\n"
+        assert first_difference(out.read_text(encoding="utf-8"), expected) is None
+
+    def test_second_12_digit_pass_is_an_identity(self):
+        rng = np.random.default_rng(1212)
+        magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+        subnormals = rng.uniform(0.0, 1.0, 2_000) * sys.float_info.min
+        # 13-digit decimals ending in 5 sit next to a 12-digit rounding tie.
+        near_ties = [
+            float(f"{m}5e{e}")
+            for m, e in zip(
+                rng.integers(10**11, 10**12, 2_000).tolist(),
+                rng.integers(-290, 290, 2_000).tolist(),
+            )
+        ]
+        values = [*magnitudes.tolist(), *subnormals.tolist(), *near_ties]
+        values += [0.0, 5e-324, sys.float_info.min, sys.float_info.max]
+        values += [-x for x in values]
+        assert min(abs(x) for x in values if x) == 5e-324
+        mismatched = [x for x in values if f"{float(f'{x:.12g}'):.12g}" != f"{x:.12g}"]
+        assert mismatched == []
 
 
 class TestMainSweep:
@@ -252,6 +349,13 @@ class TestGhzPointCommand:
         body = [ln for ln in lines if ln.startswith(("qfi", "skew", "concurrence"))]
         assert len(body) == 3
         assert any("closed-form-deviates" in ln for ln in body)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_closed_form_prints_singular(self, capsys):
+        assert main(["ghz-point", "--channel", "dpc", "--q", "1", "--p", "0"]) == 0
+        skew = capsys.readouterr().out.split("\n")[3].split()
+        assert skew[:3] == ["skew", "7", "nan"]
+        assert skew[-1] == "singular"
 
     def test_agreeing_point(self, capsys):
         main(["ghz-point", "--channel", "pfc", "--q", "0.3", "--p", "0.2"])

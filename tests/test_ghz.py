@@ -190,6 +190,17 @@ class TestCrosscheck:
         with pytest.raises(BadParameterError):
             crosscheck(ChannelKind.PHASE_DAMPING, 0.5, 1.5)
 
+    # The depolarizing skew form divides by zero at (1, 0), and numpy warns.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_closed_form_is_singular(self):
+        report = crosscheck(ChannelKind.DEPOLARIZING, 1.0, 0.0)
+        assert np.isnan(report.skew.closed_form)
+        assert report.skew.verdict is Verdict.SINGULAR
+        assert report.skew.pipeline == 7.0
+        assert abs(report.skew.oracle - 7.0) < 1e-8
+        assert report.qfi.verdict is Verdict.CLOSED_FORM_DEVIATES
+        assert report.concurrence.verdict is Verdict.AGREE
+
 
 class TestZeroCrossing:
     def test_phase_damping_crossing_location(self):

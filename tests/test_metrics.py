@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xqmetro.errors import NotPureError, SingularBlockError
+from xqmetro.errors import NotPureError, NotXFormError, SingularBlockError
 from xqmetro.linalg import psd_sqrt
 from xqmetro.metrics import (
     ParamFamily,
@@ -196,6 +196,47 @@ class TestTotals:
             fisher = qfi_total(family, phi)
             skew = skew_total(family, phi)
             assert fisher - 1e-9 <= skew <= 2.0 * fisher + 1e-9
+
+
+def with_tangent_entry(family, field, k, value):
+    """``family`` whose analytic tangent has entry ``field[k]`` replaced by ``value``."""
+
+    def tangent(phi):
+        exact = family.tangent(phi)
+        parts = {"diag": exact.diag.copy(), "anti": exact.anti.copy()}
+        parts[field][k] = value
+        return XTangent(parts["diag"], parts["anti"])
+
+    return ParamFamily(state=family.state, tangent=tangent)
+
+
+class TestNonFiniteTangent:
+    # An infinite entry meets inf - inf in the closed forms, which numpy warns about.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("total", [qfi_total, skew_total])
+    @pytest.mark.parametrize("field", ["diag", "anti"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_raises_naming_entry_and_phi(self, total, field, value):
+        family = with_tangent_entry(random_family(np.random.default_rng(70)), field, 3, value)
+        text = str(value) if field == "diag" else str(complex(value, 0.0))
+        with pytest.raises(NotXFormError) as err:
+            total(family, 0.5)
+        assert str(err.value) == f"at phi=0.5: tangent {field}[3] is {text}, not finite"
+
+    @pytest.mark.parametrize("total", [qfi_total, skew_total])
+    def test_rank_deficient_block_raises(self, total):
+        # Population 1 is zero, so block (1, 6) takes the rank-aware route.
+        d0 = np.array([0.30, 0.0, 0.10, 0.02, 0.08, 0.15, 0.25, 0.10])
+        d1 = np.array([0.10, 0.0, 0.05, 0.12, 0.18, 0.05, 0.25, 0.25])
+        family = with_tangent_entry(diagonal_line_family(d0, d1), "diag", 6, np.nan)
+        with pytest.raises(NotXFormError, match=r"tangent diag\[6\] is nan"):
+            total(family, 0.4)
+
+    def test_finite_tangent_unchanged(self):
+        family = random_family(np.random.default_rng(70))
+        same = with_tangent_entry(family, "diag", 3, family.tangent(0.5).diag[3])
+        assert qfi_total(same, 0.5) == qfi_total(family, 0.5)
+        assert skew_total(same, 0.5) == skew_total(family, 0.5)
 
 
 class TestConcurrence:
