@@ -14,7 +14,6 @@ from .channels import (
     apply_kraus,
     apply_kraus_dense,
     bloch_damping_factors,
-    damped_bloch,
     damped_bloch_array,
     kraus_operators,
 )
@@ -25,7 +24,6 @@ from .errors import (
     NotConvergedError,
     NotHermitianError,
     NotPSDError,
-    NotPureError,
     NotXFormError,
     SingularBlockError,
     TraceViolationError,
@@ -47,11 +45,9 @@ from .ghz import (
 from .linalg import central_diff, eigh, psd_sqrt
 from .metrics import (
     ParamFamily,
-    PureBlockQfi,
     concurrence_ghz_class,
     evaluate_stack,
     qfi_block_mixed,
-    qfi_block_pure,
     qfi_total,
     random_family,
     skew_block,
@@ -60,15 +56,9 @@ from .metrics import (
 )
 from .oracle import OracleConfig, qfi_eigen_oracle, skew_sqrt_oracle
 from .xstate import (
-    BlockBloch,
     XState,
     XTangent,
-    bloch_from_tensor,
-    bloch_from_xstate,
-    block_decompose,
-    correlation_tensor,
     random_xstate,
-    xstate_from_bloch,
     xstate_from_dense,
 )
 
@@ -77,7 +67,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BadParameterError",
     "BadProbabilityError",
-    "BlockBloch",
     "BlockNotPSDError",
     "ChannelKind",
     "ChannelParam",
@@ -86,11 +75,9 @@ __all__ = [
     "NotConvergedError",
     "NotHermitianError",
     "NotPSDError",
-    "NotPureError",
     "NotXFormError",
     "OracleConfig",
     "ParamFamily",
-    "PureBlockQfi",
     "SingularBlockError",
     "TraceViolationError",
     "Verdict",
@@ -101,17 +88,12 @@ __all__ = [
     "apply_kraus",
     "apply_kraus_dense",
     "bloch_damping_factors",
-    "bloch_from_tensor",
-    "bloch_from_xstate",
-    "block_decompose",
     "central_diff",
     "closed_form_concurrence",
     "closed_form_qfi",
     "closed_form_skew",
     "concurrence_ghz_class",
-    "correlation_tensor",
     "crosscheck",
-    "damped_bloch",
     "damped_bloch_array",
     "depolarizing_qfi_gap",
     "eigh",
@@ -121,7 +103,6 @@ __all__ = [
     "kraus_operators",
     "psd_sqrt",
     "qfi_block_mixed",
-    "qfi_block_pure",
     "qfi_eigen_oracle",
     "qfi_total",
     "random_family",
@@ -131,6 +112,5 @@ __all__ = [
     "skew_total",
     "sld_block",
     "werner_ghz",
-    "xstate_from_bloch",
     "xstate_from_dense",
 ]

@@ -2,10 +2,12 @@
 
 Each channel is available on two deliberately separate routes:
 
-* :func:`apply_kraus` — dense 8x8 conjugation by triple Kronecker products of
-  the single-qubit Kraus operators;
-* :func:`damped_bloch` — exact closed-form linear map on block Bloch
-  coordinates, built from the channel's per-qubit Bloch scaling factors.
+* :func:`apply_kraus_dense` — dense 8x8 conjugation by triple Kronecker
+  products of the single-qubit Kraus operators, with :func:`apply_kraus` its
+  validated single-state view;
+* :func:`damped_bloch_array` — exact closed-form linear map on block Bloch
+  coordinates, built from the channel's per-qubit Bloch scaling factors, with
+  :func:`apply_channel_compact` its single-state view.
 
 The two routes share no channel mathematics, so their agreement (tested to
 1e-12 elementwise) is a real check rather than a tautology.
@@ -26,7 +28,6 @@ from .xstate import (
     M_ODD,
     Z_EVEN_PATTERNS,
     Z_ODD_PATTERNS,
-    BlockBloch,
     XState,
     bloch_from_compact,
     compact_from_bloch,
@@ -236,11 +237,6 @@ def damped_bloch_array(
                 m, scale * _sign_product(m.T, out[mixing, ..., col])
             )
     return out[0] if single else out
-
-
-def damped_bloch(kind: ChannelKind, bloch: BlockBloch, param: ChannelParam) -> BlockBloch:
-    """Closed-form channel action on validated block Bloch coordinates."""
-    return BlockBloch(damped_bloch_array(kind, bloch.w, param))
 
 
 def apply_channel_compact(state: XState, kind: ChannelKind, param: ChannelParam) -> XState:

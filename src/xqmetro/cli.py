@@ -230,7 +230,7 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
     suites.append(SuiteResult("kraus-completeness", err, 1e-14))
 
     # Both routes run over the whole corpus at once, and every state passes the
-    # checks it would pass alone: BlockBloch on the input and the Bloch image,
+    # checks it would pass alone: check_bloch on the input and the Bloch image,
     # XState on both images, the dense X pattern on the Kraus image.  A
     # failure names its element of the stack.
     states = [random_xstate(rng) for _ in range(12 * grid)]

@@ -37,10 +37,6 @@ class SingularBlockError(XQMetroError):
     """Block is singular where a mixed-regime closed form was requested."""
 
 
-class NotPureError(XQMetroError):
-    """Block is not pure where a pure-regime formula was requested."""
-
-
 class NotConvergedError(XQMetroError, RuntimeError):
     """Iterative eigensolver ran out of sweeps before converging.
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import NotPureError, NotXFormError, SingularBlockError
+from .errors import NotXFormError, SingularBlockError
 from .linalg import central_diff, eigh
 from .xstate import (
     BLOCK_PAIRS,
@@ -40,7 +40,6 @@ from .xstate import (
 MINKOWSKI_SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
 EPS_SINGULAR = 1e-10
 RANK_CUTOFF = 1e-12
-PURITY_TOL = 1e-10
 
 
 def _gap(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -77,29 +76,6 @@ def qfi_block_mixed(w: np.ndarray, dw: np.ndarray):
         np.float_power(_gap(w, dw), 2.0) / gap_ww - _gap(dw, dw)
     ) / w0
     return _float_if_single(value)
-
-
-class PureBlockQfi(NamedTuple):
-    """Both readings of the pure-block Fisher information.
-
-    ``quadratic_form`` is the derivative-free reference value w0^2 + |w|^2;
-    ``sld_trace`` is Tr(d rho * L) with L = 2 d rho, i.e. sum_a (dw_a)^2.
-    They are reported side by side (see the validation report) because they
-    disagree in general; totals never use either — singular blocks in
-    :func:`qfi_total` go through the rank-aware spectral route instead.
-    """
-
-    quadratic_form: float
-    sld_trace: float
-
-
-def qfi_block_pure(w: np.ndarray, dw: np.ndarray) -> PureBlockQfi:
-    """Pure-block Fisher information readings; requires w0^2 = |w|^2 to 1e-10."""
-    w = np.asarray(w, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    if abs(_gap(w, w)) > PURITY_TOL:
-        raise NotPureError(f"block is not pure: w0^2 - |w|^2 = {_gap(w, w):.3e}")
-    return PureBlockQfi(float(w @ w), float(dw @ dw))
 
 
 def sld_block(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -259,20 +235,19 @@ class ParamFamily:
 
     ``tangent`` supplies the analytic derivative as an :class:`XTangent`;
     when absent, derivatives fall back to symmetric differences of the
-    compact components with step ``fd_step`` (default 1e-6 * max(1, |phi|)).
+    compact components with step 1e-6 * max(1, |phi|).
     """
 
     state: Callable[[float], XState]
     tangent: Callable[[float], XTangent] | None = None
-    fd_step: float | None = None
 
     def tangent_at(self, phi: float) -> XTangent:
         if self.tangent is not None:
             return self.tangent(phi)
         # Both differences probe the same two points: build each state once.
         state = lru_cache(maxsize=2)(self.state)
-        diag = central_diff(lambda x: state(x).diag, phi, self.fd_step)
-        anti = central_diff(lambda x: state(x).anti, phi, self.fd_step)
+        diag = central_diff(lambda x: state(x).diag, phi)
+        anti = central_diff(lambda x: state(x).anti, phi)
         return XTangent(diag, anti)
 
     def bloch_at(self, phi: float) -> np.ndarray:

@@ -82,22 +82,18 @@ def skew_sqrt_oracle(
 ) -> float:
     """Skew information 4 Tr((d sqrt(rho))^2) with d sqrt(rho) by central differences."""
     h = config.fd_step * max(1.0, abs(phi))
-    return skew_from_probes(
-        family.state(phi - h).to_dense(), family.state(phi + h).to_dense(), h
-    )
-
-
-def skew_from_probes(left: np.ndarray, right: np.ndarray, h: float) -> float:
-    """Skew information from dense states at ``phi - h`` and ``phi + h``.
-
-    The central difference ``(sqrt(right) - sqrt(left)) / 2h`` stands for
-    d sqrt(rho); the result is 4 Tr((d sqrt(rho))^2).
-    """
+    left = family.state(phi - h).to_dense()
+    right = family.state(phi + h).to_dense()
     return skew_from_spectra(eigh(left), eigh(right), h)
 
 
 def skew_from_spectra(left, right, h: float) -> float:
-    """:func:`skew_from_probes` from the probes' spectra, ``(values, vectors)`` pairs."""
+    """Skew information from the spectra of dense states at ``phi - h`` and ``phi + h``.
+
+    ``left`` and ``right`` are ``(values, vectors)`` pairs.  The central
+    difference ``(sqrt(right) - sqrt(left)) / 2h`` stands for d sqrt(rho);
+    the result is 4 Tr((d sqrt(rho))^2).
+    """
     droot = (sqrt_from_spectrum(*right) - sqrt_from_spectrum(*left)) / (2.0 * h)
     return float(np.real(np.trace(droot @ droot)) * 4.0)
 

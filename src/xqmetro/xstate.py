@@ -1,4 +1,4 @@
-"""Three-qubit X states: compact storage, blocks, correlation tensor, Bloch form.
+"""Three-qubit X states: compact storage and block Bloch form.
 
 Conventions, fixed here once and tested:
 
@@ -12,11 +12,11 @@ Conventions, fixed here once and tested:
   ``block = (w0*I + w1*sx + w2*sy + w3*sz) / 2`` in the block basis, i.e.
   ``w_a = Tr(block @ sigma_a)``.  Consequently ``w1 - i*w2`` equals twice the
   stored coherence and ``w0`` is the block's trace weight.
-* The correlation tensor is ``T[a, b, c] = Tr(rho @ s_a x s_b x s_c)`` with
-  ``s_0 = I``; an X state populates at most 16 of the 64 slots in the two
-  diagonal sectors and 8 transverse slots, and the linear map between those
-  slots and the block Bloch coordinates is derived programmatically below
-  from the trace definition (coefficients are exactly +-1/4).
+* The z-sector sign matrices ``M_EVEN`` and ``M_ODD`` link the block
+  weights and z coordinates to the correlation-tensor slots
+  ``T[a, b, c] = Tr(rho @ s_a x s_b x s_c)`` (``s_0 = I``) of the two
+  diagonal sectors; they are derived programmatically below from the trace
+  definition (coefficients are exactly +-1/4).
 """
 
 from __future__ import annotations
@@ -60,11 +60,9 @@ PAULI_TRIPLES = np.stack(
 )
 PAULI_TRIPLES.setflags(write=False)
 
-# Tensor slots that an X state can populate, grouped by sector.
+# Tensor slots of the two diagonal sectors that an X state can populate.
 Z_EVEN_PATTERNS = ((0, 0, 0), (0, 3, 3), (3, 0, 3), (3, 3, 0))
 Z_ODD_PATTERNS = ((0, 0, 3), (0, 3, 0), (3, 0, 0), (3, 3, 3))
-X_EVEN_PATTERNS = ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1))
-X_ODD_PATTERNS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2))
 
 
 def _block_generator(block: int, axis: int) -> np.ndarray:
@@ -96,9 +94,7 @@ def _sector_matrix(axis: int, patterns) -> np.ndarray:
 
 M_EVEN = _sector_matrix(0, Z_EVEN_PATTERNS)
 M_ODD = _sector_matrix(3, Z_ODD_PATTERNS)
-M_TRANSVERSE_EVEN = _sector_matrix(1, X_EVEN_PATTERNS)
-M_TRANSVERSE_ODD = _sector_matrix(2, X_ODD_PATTERNS)
-for _m in (M_EVEN, M_ODD, M_TRANSVERSE_EVEN, M_TRANSVERSE_ODD):
+for _m in (M_EVEN, M_ODD):
     _m.setflags(write=False)
 
 
@@ -331,93 +327,16 @@ def xstate_from_dense(matrix: np.ndarray) -> XState:
     return XState(*_x_components(m))
 
 
-def correlation_tensor(state: XState) -> np.ndarray:
-    """Correlation tensor ``T[a,b,c] = Tr(rho s_a x s_b x s_c)``, shape (4,4,4)."""
-    rho = state.to_dense()
-    flat = np.real(np.einsum("ij,xji->x", rho, PAULI_TRIPLES))
-    return flat.reshape(4, 4, 4)
-
-
-def block_decompose(state: XState) -> np.ndarray:
-    """The four 2x2 blocks, shape (4, 2, 2), in the block-pair bases."""
-    out = np.zeros((4, 2, 2), dtype=complex)
-    for k, (i, j) in enumerate(BLOCK_PAIRS):
-        out[k, 0, 0] = state.diag[i]
-        out[k, 1, 1] = state.diag[j]
-        out[k, 0, 1] = state.anti[k]
-        out[k, 1, 0] = np.conj(state.anti[k])
-    return out
-
-
-def _gather(t: np.ndarray, patterns) -> np.ndarray:
-    return np.array([t[p] for p in patterns])
-
-
-def bloch_from_tensor(t: np.ndarray) -> "BlockBloch":
-    """Block Bloch coordinates from a correlation tensor.
-
-    Each coordinate is an exact +-1/4 combination of four tensor slots; the
-    sign matrices are derived at import time from the trace definition.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (4, 4, 4):
-        raise ValueError(f"expected tensor of shape (4, 4, 4), got {t.shape}")
-    w = np.empty((4, 4))
-    w[:, 0] = 0.25 * (M_EVEN @ _gather(t, Z_EVEN_PATTERNS))
-    w[:, 3] = 0.25 * (M_ODD @ _gather(t, Z_ODD_PATTERNS))
-    w[:, 1] = 0.25 * (M_TRANSVERSE_EVEN @ _gather(t, X_EVEN_PATTERNS))
-    w[:, 2] = 0.25 * (M_TRANSVERSE_ODD @ _gather(t, X_ODD_PATTERNS))
-    return BlockBloch(w)
-
-
-def tensor_from_bloch_array(w: np.ndarray) -> np.ndarray:
-    """X-supported correlation tensor from raw Bloch coordinates (4, 4).
-
-    Inverse of the linear map in :func:`bloch_from_tensor`; the sign matrices
-    satisfy ``M @ M.T = 4 I`` so the inverse of ``(1/4) M`` is ``M.T``.
-    """
-    t = np.zeros((4, 4, 4))
-    for patterns, m, col in (
-        (Z_EVEN_PATTERNS, M_EVEN, 0),
-        (Z_ODD_PATTERNS, M_ODD, 3),
-        (X_EVEN_PATTERNS, M_TRANSVERSE_EVEN, 1),
-        (X_ODD_PATTERNS, M_TRANSVERSE_ODD, 2),
-    ):
-        vals = m.T @ w[:, col]
-        for k, p in enumerate(patterns):
-            t[p] = vals[k]
-    return t
-
-
-@dataclass(frozen=True)
-class BlockBloch:
-    """Validated block Bloch coordinates of an X state.
-
-    ``w[j]`` is the 4-vector (w0, w1, w2, w3) of block j; the trace weights
-    sum to one and every block satisfies ``w0 >= |(w1, w2, w3)|`` up to
-    tolerance.
-    """
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.w, dtype=float)
-        if w.shape != (4, 4):
-            raise BlockNotPSDError(f"expected coordinates of shape (4, 4), got {w.shape}")
-        check_bloch(w)
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-
-
 def check_bloch(w: np.ndarray) -> None:
     """Validate block Bloch coordinates, one set or stacked: shape ``(..., 4, 4)``.
 
-    These are the checks of :class:`BlockBloch`, in its order: finite
-    coordinates, trace weights summing to one within 1e-12, then block by
-    block a weight no lower than -1e-12 and ``w0^2 - |(w1, w2, w3)|^2 >=
-    -1e-12``.  The first check that fails raises for the first element
-    (C order) it fails on, with the error :class:`BlockBloch` would raise
-    and, for a stack, the element's index named in the message.
+    The checks, in order: finite coordinates (else :class:`NotXFormError`),
+    trace weights summing to one within 1e-12 (else
+    :class:`TraceViolationError`), then block by block a weight no lower than
+    -1e-12 and ``w0^2 - |(w1, w2, w3)|^2 >= -1e-12`` (else
+    :class:`BlockNotPSDError`).  The first check that fails raises for the
+    first element (C order) it fails on, naming the first failing coordinate
+    or block and, for a stack, the element's index.
     """
     if w.shape[-2:] != (4, 4):
         raise BlockNotPSDError(f"expected coordinates of shape (..., 4, 4), got {w.shape}")
@@ -451,17 +370,6 @@ def check_bloch(w: np.ndarray) -> None:
             lambda i: f"block weights sum to {total[i]!r}, expected 1",
         )
     _fail(BlockNotPSDError, bad_block.any(axis=-1), first_bad_block)
-
-
-def bloch_from_xstate(state: XState) -> BlockBloch:
-    """Block Bloch coordinates of a state (direct block arithmetic)."""
-    return BlockBloch(bloch_from_compact(state.diag, state.anti))
-
-
-def xstate_from_bloch(bloch: BlockBloch) -> XState:
-    """Rebuild the compact X state from validated block Bloch coordinates."""
-    diag, anti = compact_from_bloch(bloch.w)
-    return XState(diag, anti)
 
 
 def random_xstate(rng: np.random.Generator) -> XState:

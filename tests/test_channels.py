@@ -11,16 +11,18 @@ from xqmetro.channels import (
     apply_kraus,
     apply_kraus_dense,
     bloch_damping_factors,
-    damped_bloch,
+    damped_bloch_array,
     kraus_operators,
 )
 from xqmetro.errors import BadParameterError, BadProbabilityError, NotXFormError
 from xqmetro.ghz import werner_ghz
 from xqmetro.xstate import (
-    bloch_from_xstate,
+    XState,
+    bloch_from_compact,
+    check_bloch,
+    compact_from_bloch,
     compact_from_dense,
     random_xstate,
-    xstate_from_bloch,
 )
 
 ALL_KINDS = tuple(ChannelKind)
@@ -179,12 +181,14 @@ class TestRouteEquivalence:
         rng = np.random.default_rng(46)
         for _ in range(60):
             state = random_xstate(rng)
-            bloch = bloch_from_xstate(state)
+            w = bloch_from_compact(state.diag, state.anti)
             for kind in ALL_KINDS:
                 for p in P_GRID:
                     param = ChannelParam(p)
                     via_kraus = apply_kraus(state, kind, param).to_dense()
-                    via_bloch = xstate_from_bloch(damped_bloch(kind, bloch, param)).to_dense()
+                    image = damped_bloch_array(kind, w, param)
+                    check_bloch(image)
+                    via_bloch = XState(*compact_from_bloch(image)).to_dense()
                     assert np.abs(via_kraus - via_bloch).max() <= 1e-12
 
     def test_compact_route_equals_kraus(self):
@@ -201,16 +205,14 @@ class TestRouteEquivalence:
         # Distinct populations exercise the longitudinal-sector mixing of the
         # depolarizing map, which is not a plain per-coordinate scaling.
         diag = np.array([0.30, 0.05, 0.10, 0.02, 0.08, 0.15, 0.20, 0.10])
-        from xqmetro.xstate import XState
-
         state = XState(diag, np.zeros(4, dtype=complex))
-        bloch = bloch_from_xstate(state)
+        w = bloch_from_compact(state.diag, state.anti)
         for p in (0.2, 0.5, 0.8):
             param = ChannelParam(p)
             a = apply_kraus(state, ChannelKind.DEPOLARIZING, param).to_dense()
-            b = xstate_from_bloch(
-                damped_bloch(ChannelKind.DEPOLARIZING, bloch, param)
-            ).to_dense()
+            image = damped_bloch_array(ChannelKind.DEPOLARIZING, w, param)
+            check_bloch(image)
+            b = XState(*compact_from_bloch(image)).to_dense()
             assert np.abs(a - b).max() <= 1e-13
 
 
@@ -225,10 +227,11 @@ class TestBlochFactors:
     def test_transverse_contraction(self):
         rng = np.random.default_rng(48)
         state = random_xstate(rng)
-        w = bloch_from_xstate(state).w
+        w = bloch_from_compact(state.diag, state.anti)
         for kind in ALL_KINDS:
             for p in (0.1, 0.4, 0.9):
-                out = damped_bloch(kind, bloch_from_xstate(state), ChannelParam(p)).w
+                out = damped_bloch_array(kind, w, ChannelParam(p))
+                check_bloch(out)
                 for j in range(4):
                     assert (
                         np.linalg.norm(out[j, 1:]) <= np.linalg.norm(w[j, 1:]) + 1e-12
@@ -240,9 +243,11 @@ class TestBlochFactors:
         # (1 - S^2(1-q))/4 each.
         q, p = 0.3, 0.25
         s = 1.0 - p
-        out = damped_bloch(
-            ChannelKind.DEPOLARIZING, bloch_from_xstate(werner_ghz(q)), ChannelParam(p)
-        ).w
+        state = werner_ghz(q)
+        out = damped_bloch_array(
+            ChannelKind.DEPOLARIZING, bloch_from_compact(state.diag, state.anti), ChannelParam(p)
+        )
+        check_bloch(out)
         assert abs(out[0, 0] - (1.0 + 3.0 * s**2 * (1.0 - q)) / 4.0) < 1e-13
         for j in (1, 2, 3):
             assert abs(out[j, 0] - (1.0 - s**2 * (1.0 - q)) / 4.0) < 1e-13

@@ -350,7 +350,7 @@ class TestGhzPointCommand:
         assert len(body) == 3
         assert any("closed-form-deviates" in ln for ln in body)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_closed_form_prints_singular(self, capsys):
         assert main(["ghz-point", "--channel", "dpc", "--q", "1", "--p", "0"]) == 0
         skew = capsys.readouterr().out.split("\n")[3].split()

@@ -190,8 +190,8 @@ class TestCrosscheck:
         with pytest.raises(BadParameterError):
             crosscheck(ChannelKind.PHASE_DAMPING, 0.5, 1.5)
 
-    # The depolarizing skew form divides by zero at (1, 0), and numpy warns.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # The depolarizing skew form divides by zero at (1, 0); numpy must not warn.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_closed_form_is_singular(self):
         report = crosscheck(ChannelKind.DEPOLARIZING, 1.0, 0.0)
         assert np.isnan(report.skew.closed_form)
@@ -280,10 +280,8 @@ def report_bits(report):
 
 
 class TestCrosscheckGrid:
-    # The depolarizing reference skew reads NaN at (q, p) = (1, 0), with
-    # these warnings, on both routes alike; its bits are compared like the rest.
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # The depolarizing reference skew reads NaN at (q, p) = (1, 0) on both
+    # routes alike; its bits are compared like the rest.
     @pytest.mark.parametrize("kind", list(ChannelKind))
     def test_bit_identical_to_per_point_reference(self, kind):
         q_values, p_values = _grid_axes(9)

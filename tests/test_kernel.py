@@ -25,7 +25,6 @@ from xqmetro.metrics import (
 )
 from xqmetro.xstate import (
     BLOCK_PAIRS,
-    BlockBloch,
     XState,
     XTangent,
     bloch_from_compact,
@@ -403,7 +402,7 @@ def test_bloch_stack_check_names_the_bad_element(kind, error):
     check_bloch(w)
     bad = _spoil_bloch(kind, w[1, 2])
     with pytest.raises(error) as alone:
-        BlockBloch(bad)
+        check_bloch(bad)
     w[1, 2] = bad
     with pytest.raises(error) as stacked:
         check_bloch(w)

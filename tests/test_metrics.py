@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from xqmetro.errors import NotPureError, NotXFormError, SingularBlockError
+from xqmetro.errors import NotXFormError, SingularBlockError
 from xqmetro.linalg import psd_sqrt
 from xqmetro.metrics import (
     ParamFamily,
     block_matrix,
     concurrence_ghz_class,
     qfi_block_mixed,
-    qfi_block_pure,
     qfi_total,
     random_family,
     skew_block,
@@ -74,15 +73,6 @@ class TestBlockQfi:
     def test_pure_block_raises_in_mixed_form(self):
         with pytest.raises(SingularBlockError):
             qfi_block_mixed(np.array([0.5, 0.5, 0.0, 0.0]), np.ones(4))
-
-    def test_pure_block_quadratic_form(self):
-        report = qfi_block_pure(np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0]))
-        assert abs(report.quadratic_form - 2.0) < 1e-14
-        assert abs(report.sld_trace - 1.0) < 1e-14
-
-    def test_pure_block_rejects_mixed_input(self):
-        with pytest.raises(NotPureError):
-            qfi_block_pure(np.array([0.5, 0.1, 0.0, 0.0]), np.zeros(4))
 
 
 class TestSld:

@@ -7,18 +7,15 @@ from xqmetro.errors import BlockNotPSDError, NotXFormError, TraceViolationError
 from xqmetro.ghz import werner_ghz
 from xqmetro.xstate import (
     BLOCK_PAIRS,
-    BlockBloch,
+    M_EVEN,
+    M_ODD,
+    PAULI_TRIPLES,
     XState,
     XTangent,
     bloch_from_compact,
-    bloch_from_tensor,
-    bloch_from_xstate,
-    block_decompose,
+    check_bloch,
     compact_from_bloch,
-    correlation_tensor,
     random_xstate,
-    tensor_from_bloch_array,
-    xstate_from_bloch,
     xstate_from_dense,
 )
 
@@ -34,6 +31,11 @@ OMEGA1_PATTERNS = ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1))
 OMEGA1_SIGNS = ((1, -1, -1, -1), (1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1))
 OMEGA2_PATTERNS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2))
 OMEGA2_SIGNS = ((1, 1, 1, -1), (-1, 1, 1, 1), (1, -1, 1, 1), (-1, -1, 1, -1))
+
+
+def correlation_tensor(state):
+    """``T[a, b, c] = Tr(rho s_a x s_b x s_c)``, shape (4, 4, 4)."""
+    return np.einsum("ij,xji->x", state.to_dense(), PAULI_TRIPLES).real.reshape(4, 4, 4)
 
 
 class TestXStateConstruction:
@@ -134,22 +136,11 @@ class TestCorrelationTensor:
 
     def test_expansion_reconstructs_density_matrix(self):
         rng = np.random.default_rng(23)
-        from xqmetro.xstate import PAULI_TRIPLES
-
         for _ in range(10):
             state = random_xstate(rng)
             t = correlation_tensor(state).reshape(64)
             rebuilt = np.einsum("x,xij->ij", t, PAULI_TRIPLES) / 8.0
             assert np.abs(rebuilt - state.to_dense()).max() < 1e-12
-
-    def test_tensor_bloch_tensor_roundtrip(self):
-        rng = np.random.default_rng(24)
-        for _ in range(10):
-            state = random_xstate(rng)
-            t = correlation_tensor(state)
-            w = bloch_from_tensor(t).w
-            t2 = tensor_from_bloch_array(w)
-            assert np.abs(t - t2).max() < 1e-12
 
 
 class TestBlockBloch:
@@ -159,19 +150,22 @@ class TestBlockBloch:
         rng = np.random.default_rng(25)
         for _ in range(200):
             state = random_xstate(rng)
-            w = bloch_from_xstate(state).w
-            blocks = block_decompose(state)
-            for j in range(4):
+            w = bloch_from_compact(state.diag, state.anti)
+            dense = state.to_dense()
+            for j, pair in enumerate(BLOCK_PAIRS):
+                block = dense[np.ix_(pair, pair)]
                 for alpha in range(4):
-                    expected = np.trace(blocks[j] @ PAULI[alpha]).real
+                    expected = np.trace(block @ PAULI[alpha]).real
                     assert abs(w[j, alpha] - expected) < 1e-12
 
     def test_sign_tables_frozen(self):
+        np.testing.assert_array_equal(M_EVEN, OMEGA0_SIGNS)
+        np.testing.assert_array_equal(M_ODD, OMEGA3_SIGNS)
         rng = np.random.default_rng(26)
         for _ in range(20):
             state = random_xstate(rng)
             t = correlation_tensor(state)
-            w = bloch_from_xstate(state).w
+            w = bloch_from_compact(state.diag, state.anti)
             for alpha, patterns, signs in (
                 (0, OMEGA0_PATTERNS, OMEGA0_SIGNS),
                 (3, OMEGA3_PATTERNS, OMEGA3_SIGNS),
@@ -187,7 +181,7 @@ class TestBlockBloch:
     def test_coherence_mapping(self):
         rng = np.random.default_rng(27)
         state = random_xstate(rng)
-        w = bloch_from_xstate(state).w
+        w = bloch_from_compact(state.diag, state.anti)
         for k in range(4):
             assert abs((w[k, 1] - 1j * w[k, 2]) - 2.0 * state.anti[k]) < 1e-13
 
@@ -204,14 +198,15 @@ class TestBlockBloch:
         rng = np.random.default_rng(29)
         for _ in range(20):
             state = random_xstate(rng)
-            back = xstate_from_bloch(bloch_from_xstate(state))
+            back = XState(*compact_from_bloch(bloch_from_compact(state.diag, state.anti)))
             np.testing.assert_allclose(back.diag, state.diag, atol=1e-13)
             np.testing.assert_allclose(back.anti, state.anti, atol=1e-13)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(30)
         for _ in range(20):
-            w = bloch_from_xstate(random_xstate(rng)).w
+            state = random_xstate(rng)
+            w = bloch_from_compact(state.diag, state.anti)
             assert abs(w[:, 0].sum() - 1.0) < 1e-12
 
     def test_block_bloch_validates(self):
@@ -219,7 +214,7 @@ class TestBlockBloch:
         w[:, 0] = 0.25
         w[0, 1] = 0.5  # |vec| exceeds w0
         with pytest.raises(BlockNotPSDError):
-            BlockBloch(w)
+            check_bloch(w)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", [0, 1, 2, 3])
@@ -228,7 +223,7 @@ class TestBlockBloch:
         w[:, 0] = 0.25
         w[2, column] = value
         with pytest.raises(NotXFormError, match=rf"^w\[2, {column}\] is .*not finite"):
-            BlockBloch(w)
+            check_bloch(w)
 
 
 class TestXTangent:
@@ -247,5 +242,5 @@ class TestXTangent:
         a = random_xstate(rng)
         b = random_xstate(rng)
         tangent = XTangent(b.diag - a.diag, b.anti - a.anti)
-        expected = bloch_from_xstate(b).w - bloch_from_xstate(a).w
+        expected = bloch_from_compact(b.diag, b.anti) - bloch_from_compact(a.diag, a.anti)
         np.testing.assert_allclose(tangent.to_bloch_array(), expected, atol=1e-13)
