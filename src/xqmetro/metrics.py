@@ -7,10 +7,10 @@ with the Minkowski-signature contractions
     gap(w, v)   = w0*v0 - w1*v1 - w2*v2 - w3*v3.
 
 Mixed blocks (``gap(w, w) > 1e-10``) use closed forms; blocks at or beyond the
-purity boundary are routed to a rank-aware 2x2 spectral evaluation (Fisher
-information) or to the documented pure-limit stand-in ``4 Tr((d rho)^2)``
-(skew information), so the closed forms are used strictly inside the mixed
-regime.
+purity boundary take the rank-aware 2x2 spectral sum, closed over the block
+eigenvalues ``(w0 +- |w|)/2`` (Fisher information), or the documented
+pure-limit stand-in ``4 Tr((d rho)^2)`` (skew information): the mixed closed
+forms see only mixed blocks, and no route calls an eigensolver.
 
 Every closed form works on stacked arrays.  :func:`evaluate_stack` is the one
 kernel that routes blocks and sums them over any stack of states;
@@ -28,16 +28,18 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import NotXFormError, SingularBlockError
-from .linalg import central_diff, eigh
+# eigh is unused here, but importable from this module: the benchmark's
+# tracer rebinds, and its self-test calls, xqmetro.metrics.eigh.
+from .linalg import central_diff, eigh  # noqa: F401
 from .xstate import (
     BLOCK_PAIRS,
     PAULI,
     XState,
     XTangent,
     bloch_from_compact,
+    check_bloch,
 )
 
-MINKOWSKI_SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
 EPS_SINGULAR = 1e-10
 RANK_CUTOFF = 1e-12
 
@@ -102,23 +104,6 @@ def block_matrix(w: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("a,aij->ij", np.asarray(w, dtype=float), PAULI)
 
 
-def _qfi_block_spectral(w: np.ndarray, dw: np.ndarray) -> float:
-    """Rank-aware spectral Fisher information of one block.
-
-    F = sum over eigenpairs with lam_i + lam_j > cutoff of
-    2 |<i| d rho |j>|^2 / (lam_i + lam_j); exact on singular and pure blocks.
-    """
-    values, vectors = eigh(block_matrix(w))
-    overlap = vectors.conj().T @ block_matrix(dw) @ vectors
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            denom = values[i] + values[j]
-            if denom > RANK_CUTOFF:
-                total += 2.0 * abs(overlap[i, j]) ** 2 / denom
-    return total
-
-
 def skew_block(w: np.ndarray, dw: np.ndarray):
     """Skew information of mixed blocks, 8[(d d0)^2 + sum_i (d d_i)^2].
 
@@ -150,8 +135,27 @@ def skew_block(w: np.ndarray, dw: np.ndarray):
 
 
 def _qfi_blocks_spectral(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """:func:`_qfi_block_spectral` of each block of a stack ``(n, 4)``."""
-    return np.array([_qfi_block_spectral(a, da) for a, da in zip(w, dw)], dtype=float)
+    """Rank-aware spectral Fisher information of blocks ``(n, 4)``, in closed form.
+
+    F = sum over eigenpairs with lam_i + lam_j > c = RANK_CUTOFF of
+    2 |<i| d rho |j>|^2 / (lam_i + lam_j), exact on singular and pure blocks.
+    With v = (w1, w2, w3), r = |v| and a = dv.v / r (0 at r = 0, where the
+    sum does not depend on the axis), the eigenpairs (w0 +- r)/2 along +-v/r
+    give [w0 + r > c] (dw0 + a)^2 / (2 (w0 + r))
+    + [w0 - r > c] (dw0 - a)^2 / (2 (w0 - r)) + [w0 > c] (|dv|^2 - a^2) / w0.
+    """
+    w0, dw0, v, dv = w[..., 0], dw[..., 0], w[..., 1:], dw[..., 1:]
+    r = np.sqrt(np.vecdot(v, v))
+
+    def ratio(numerator, denominator, cut):
+        return np.divide(numerator, denominator, out=np.zeros_like(r), where=cut)
+
+    a = ratio(np.vecdot(dv, v), r, r > 0.0)
+    return (
+        ratio(0.5 * (dw0 + a) ** 2, w0 + r, w0 + r > RANK_CUTOFF)
+        + ratio(0.5 * (dw0 - a) ** 2, w0 - r, w0 - r > RANK_CUTOFF)
+        + ratio(np.vecdot(dv, dv) - a * a, w0, w0 > RANK_CUTOFF)
+    )
 
 
 def _skew_block_singular(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -193,9 +197,12 @@ def evaluate_stack(
 
     Mixed blocks (w0 > 1e-10 and gap(w, w) > 1e-10) take the closed forms of
     :func:`qfi_block_mixed` and :func:`skew_block` in one call per metric;
-    every other block takes the rank-aware spectral Fisher information and
-    the pure-limit skew stand-in, so no closed form ever sees a singular
-    block.  Each element's value equals the one :func:`qfi_total`,
+    every other block takes the rank-aware 2x2 spectral Fisher sum, in closed
+    form over the block's eigenpairs, and the pure-limit skew stand-in, so no
+    mixed closed form ever sees a singular block.  With a block on that route
+    (a NaN one always is), a NaN/+-inf coordinate raises
+    :class:`NotXFormError`, worded as by :func:`check_bloch`.
+    Each element's value equals the one :func:`qfi_total`,
     :func:`skew_total` and :func:`concurrence_ghz_class` give for it alone,
     bit for bit: those are this kernel's single-state views.
     """
@@ -214,6 +221,8 @@ def evaluate_stack(
         mixed = (w[..., 0] > EPS_SINGULAR) & (_gap(w, w) > EPS_SINGULAR)
         singular = ~mixed
         fallback = singular.any()
+        if fallback and not np.isfinite(w).all():  # NaN fails both route tests
+            check_bloch(w)  # its first check names the coordinate
     for name, closed_form, singular_form in routes:
         if name not in metrics:
             continue
@@ -264,7 +273,8 @@ def _total(name: str, family: ParamFamily, phi: float) -> float:
     """
     w = family.bloch_at(phi)
     tangent = family.tangent_at(phi)
-    total = float(evaluate_stack((name,), bloch=w, tangent=tangent.to_bloch_array())[name])
+    with np.errstate(invalid="ignore"):  # inf - inf of an infinite tangent: raised below
+        total = float(evaluate_stack((name,), bloch=w, tangent=tangent.to_bloch_array())[name])
     if not math.isfinite(total):
         for field, values in (("diag", tangent.diag), ("anti", tangent.anti)):
             finite = np.isfinite(values)

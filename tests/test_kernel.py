@@ -9,13 +9,15 @@ point.
 import numpy as np
 import pytest
 
+from xqmetro import linalg, metrics
 from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense, damped_bloch_array
 from xqmetro.errors import BlockNotPSDError, NotXFormError, TraceViolationError
 from xqmetro.ghz import GHZ_QMIN, GRID_P_BLOCK, ghz_family, ghz_grid
 from xqmetro.metrics import (
     EPS_SINGULAR,
+    RANK_CUTOFF,
     ParamFamily,
-    _qfi_block_spectral,
+    block_matrix,
     concurrence_ghz_class,
     evaluate_stack,
     qfi_block_mixed,
@@ -149,6 +151,34 @@ def reference_skew_block(a, da):
     return float(8.0 * (dd0**2 + ddi @ ddi))
 
 
+def reference_spectral_block(a, da):
+    """Scalar transcription of the closed-form rank-aware 2x2 spectral sum."""
+    r = np.sqrt(float(a[1:] @ a[1:]))
+    s = float(da[1:] @ a[1:]) / r if r > 0.0 else 0.0
+    terms = (
+        (0.5 * ((da[0] + s) * (da[0] + s)), a[0] + r),  # (+, +)
+        (0.5 * ((da[0] - s) * (da[0] - s)), a[0] - r),  # (-, -)
+        (float(da[1:] @ da[1:]) - s * s, a[0]),  # (+, -) and (-, +)
+    )
+    total = 0.0
+    for numerator, denominator in terms:
+        if denominator > RANK_CUTOFF:
+            total += numerator / denominator
+    return total
+
+
+def jacobi_spectral_block(a, da):
+    """The same rank-aware sum over the Jacobi spectrum of the 2x2 block."""
+    values, vectors = linalg.eigh(block_matrix(a))
+    overlap = vectors.conj().T @ block_matrix(da) @ vectors
+    return sum(
+        2.0 * abs(overlap[i, j]) ** 2 / (values[i] + values[j])
+        for i in range(2)
+        for j in range(2)
+        if values[i] + values[j] > RANK_CUTOFF
+    )
+
+
 def reference_totals(w, dw):
     """The per-block scalar loop the kernel replaced, kept as its reference.
 
@@ -161,7 +191,7 @@ def reference_totals(w, dw):
             qfi += reference_qfi_block(a, da)
             skew += reference_skew_block(a, da)
         else:
-            qfi += _qfi_block_spectral(a, da)
+            qfi += reference_spectral_block(a, da)
             skew += float(2.0 * da @ da)
     return qfi, skew
 
@@ -223,6 +253,113 @@ def test_totals_return_python_floats_on_a_rank1_family():
     assert type(qfi_total(family, 0.4)) is float
     assert type(skew_total(family, 0.4)) is float
     assert type(concurrence_ghz_class(family.state(0.4))) is float
+
+
+def zero_population_family():
+    """Population 1 is zero, so block (1, 6) has weight 0 along the family."""
+    d0 = np.array([0.30, 0.0, 0.10, 0.02, 0.08, 0.15, 0.25, 0.10])
+    d1 = np.array([0.10, 0.0, 0.05, 0.12, 0.18, 0.05, 0.25, 0.25])
+    return ParamFamily(
+        state=lambda phi: XState((1.0 - phi) * d0 + phi * d1, np.zeros(4, dtype=complex)),
+        tangent=lambda phi: XTangent(d1 - d0, np.zeros(4, dtype=complex)),
+    )
+
+
+def rank_deficient_blocks(rng, count):
+    """``count`` rank-1 blocks, then ``count // 10`` zero-weight ones, with tangents."""
+    weight = rng.uniform(0.05, 0.9, size=(count, 1))
+    axis = rng.normal(size=(count, 3))
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    w = np.concatenate((np.hstack((weight, weight * axis)), np.zeros((count // 10, 4))))
+    return w, 0.3 * rng.normal(size=w.shape)
+
+
+def relative_error(value, reference):
+    return abs(value - reference) / abs(reference) if reference else abs(value)
+
+
+class TestSpectralFallback:
+    """The closed-form rank-aware 2x2 sum that non-mixed blocks take."""
+
+    def test_matches_the_jacobi_route(self):
+        w, dw = rank_deficient_blocks(np.random.default_rng(31), 2000)
+        closed = metrics._qfi_blocks_spectral(w, dw)
+        for n in range(len(w)):
+            assert relative_error(closed[n], jacobi_spectral_block(w[n], dw[n])) <= 1e-13, n
+        assert not closed[2000:].any()  # a zero-weight block has an empty sum
+
+    def test_edge_stack_matches_the_jacobi_route(self):
+        # Element 4's gap = 1e-11 block has w0 - r ~ 1e-11, known to ~1e-16
+        # absolute on either route: both are ~1e-5 off exact arithmetic there.
+        w, dw = edge_stack()
+        out = evaluate_stack(("qfi",), bloch=w, tangent=dw)["qfi"]
+        for n, tolerance in enumerate((1e-13, 1e-13, 1e-13, 1e-13, 1e-5)):
+            jacobi = 0.0
+            for a, da in zip(w[n], dw[n]):
+                mixed = a[0] > EPS_SINGULAR and _scalar_gap(a, a) > EPS_SINGULAR
+                jacobi += reference_qfi_block(a, da) if mixed else jacobi_spectral_block(a, da)
+            assert relative_error(out[n], jacobi) <= tolerance, n
+
+    @staticmethod
+    def exact_sum(a, da):
+        """The rank-aware sum in 50-digit arithmetic, from mpmath's own eigh."""
+        import mpmath
+
+        def matrix(x):
+            w0, w1, w2, w3 = (mpmath.mpf(float(c)) for c in x)
+            return mpmath.matrix([[w0 + w3, w1 - 1j * w2], [w1 + 1j * w2, w0 - w3]]) / 2
+
+        with mpmath.workdps(50):
+            values, vectors = mpmath.eigh(matrix(a))
+            overlap = vectors.H * matrix(da) * vectors
+            return sum(
+                2 * abs(overlap[i, j]) ** 2 / (values[i] + values[j])
+                for i in range(2)
+                for j in range(2)
+                if values[i] + values[j] > RANK_CUTOFF
+            )
+
+    def test_rank_deficient_blocks_to_fifty_digits(self):
+        w, dw = rank_deficient_blocks(np.random.default_rng(32), 200)
+        closed = metrics._qfi_blocks_spectral(w, dw)
+        for n in range(len(w)):
+            assert relative_error(closed[n], float(self.exact_sum(w[n], dw[n]))) <= 1e-13, n
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-10, 3e-11, 1e-11, 1e-12])
+    def test_near_singular_blocks_to_fifty_digits(self, gap):
+        # w0 - r = gap / (w0 + r) carries the ~1e-16 absolute rounding of r.
+        rng = np.random.default_rng(33)
+        w = np.stack([_block_with_gap(rng.uniform(0.1, 0.9), gap, rng) for _ in range(40)])
+        dw = 0.3 * rng.normal(size=w.shape)
+        closed = metrics._qfi_blocks_spectral(w, dw)
+        for n in range(len(w)):
+            assert relative_error(closed[n], float(self.exact_sum(w[n], dw[n]))) <= 1e-4, n
+
+    def test_pipeline_calls_no_eigensolver(self, monkeypatch):
+        families = (rank1_family(), zero_population_family())
+        totals = [(qfi_total(f, 0.4), skew_total(f, 0.4)) for f in families]
+        w, dw = edge_stack()
+        stacked = evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw)
+
+        def forbidden(*args):
+            raise AssertionError("the block kernel called an eigensolver")
+
+        for module, name in ((linalg, "eigh"), (linalg, "eigh_stack"), (metrics, "eigh")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert [(qfi_total(f, 0.4), skew_total(f, 0.4)) for f in families] == totals
+        again = evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw)
+        for name in ("qfi", "skew"):
+            assert np.array_equal(again[name], stacked[name])
+
+    @pytest.mark.parametrize("name", ["qfi", "skew"])
+    def test_non_finite_coordinate_raises(self, name):
+        w, dw = edge_stack()
+        w[1, 2, 3] = np.nan
+        with pytest.raises(NotXFormError, match=r"^element 1: w\[2, 3\] is nan, not finite$"):
+            evaluate_stack((name,), bloch=w, tangent=dw)
+        w[1, 2, 3] = -np.inf
+        with pytest.raises(NotXFormError, match=r"^w\[2, 3\] is -inf, not finite$"):
+            evaluate_stack((name,), bloch=w[1], tangent=dw[1])
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
