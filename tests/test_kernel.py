@@ -3,7 +3,8 @@
 Every stacked result is compared with ``==``: a stack must give each element
 exactly what the element gives alone and what the per-block scalar loop it
 replaced gives, and the sweep grid exactly what the scalar totals give per
-point.
+point.  The closed-form spectral fallback is also held, at stated relative
+tolerances, to the Jacobi route it replaced and to 50-digit arithmetic.
 """
 
 import numpy as np
