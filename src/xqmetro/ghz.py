@@ -346,8 +346,8 @@ def crosscheck_grid(
     Pipeline values ride the compact closed-form channel route, the whole
     grid in one :func:`ghz_grid` call.  Oracle values ride the dense Kraus
     route, one :func:`apply_kraus_dense` call per p over the stack of
-    rho(q) for every q, the skew probes rho(q -+ h) with
-    ``h = fd_step * max(1, |q|)``, and d rho.  Per p, one :func:`eigh_stack`
+    rho(q) for every q, the skew probes rho(q -+ h) with ``h`` from
+    :meth:`OracleConfig.probe_step`, and d rho.  Per p, one :func:`eigh_stack`
     call then gives the spectra of rho and of both probes for every q, and
     per point :func:`qfi_from_spectrum` finishes the Fisher information and
     :func:`skew_from_spectra` the skew information; concurrence is the
@@ -378,7 +378,7 @@ def crosscheck_grid(
 
     # Oracle inputs: rho(q), then the skew probes rho(q - h) and rho(q + h),
     # as one (3, q) stack of states followed by d rho.
-    steps = [config.fd_step * max(1.0, abs(q)) for q in q_values]
+    steps = [config.probe_step(q) for q in q_values]
     diag, anti = _werner_compact(
         np.array(
             [

@@ -199,9 +199,8 @@ def evaluate_stack(
     :func:`qfi_block_mixed` and :func:`skew_block` in one call per metric;
     every other block takes the rank-aware 2x2 spectral Fisher sum, in closed
     form over the block's eigenpairs, and the pure-limit skew stand-in, so no
-    mixed closed form ever sees a singular block.  With a block on that route
-    (a NaN one always is), a NaN/+-inf coordinate raises
-    :class:`NotXFormError`, worded as by :func:`check_bloch`.
+    mixed closed form ever sees a singular block.  A NaN/+-inf coordinate
+    raises :class:`NotXFormError`, worded as by :func:`check_bloch`.
     Each element's value equals the one :func:`qfi_total`,
     :func:`skew_total` and :func:`concurrence_ghz_class` give for it alone,
     bit for bit: those are this kernel's single-state views.
@@ -218,11 +217,11 @@ def evaluate_stack(
         dw = np.asarray(tangent, dtype=float)
         if w.shape != dw.shape:
             w, dw = np.broadcast_arrays(w, dw)
+        if not np.isfinite(w).all():
+            check_bloch(w)  # its first check names the coordinate
         mixed = (w[..., 0] > EPS_SINGULAR) & (_gap(w, w) > EPS_SINGULAR)
         singular = ~mixed
         fallback = singular.any()
-        if fallback and not np.isfinite(w).all():  # NaN fails both route tests
-            check_bloch(w)  # its first check names the coordinate
     for name, closed_form, singular_form in routes:
         if name not in metrics:
             continue

@@ -37,6 +37,10 @@ class OracleConfig:
                 f"rank_cutoff must be finite and non-negative, got {self.rank_cutoff!r}"
             )
 
+    def probe_step(self, phi: float) -> float:
+        """Step ``h = fd_step * max(1, |phi|)`` of the skew probes rho(phi -+ h)."""
+        return self.fd_step * max(1.0, abs(phi))
+
 
 def qfi_eigen_oracle(
     rho: np.ndarray, drho: np.ndarray, config: OracleConfig = OracleConfig()
@@ -81,7 +85,7 @@ def skew_sqrt_oracle(
     family: ParamFamily, phi: float, config: OracleConfig = OracleConfig()
 ) -> float:
     """Skew information 4 Tr((d sqrt(rho))^2) with d sqrt(rho) by central differences."""
-    h = config.fd_step * max(1.0, abs(phi))
+    h = config.probe_step(phi)
     left = family.state(phi - h).to_dense()
     right = family.state(phi + h).to_dense()
     return skew_from_spectra(eigh(left), eigh(right), h)
@@ -106,14 +110,14 @@ def family_oracles(
     Element k is, bit for bit, ``(qfi_eigen_oracle(rho, drho, config),
     skew_sqrt_oracle(family, phi, config))`` at the k-th point, with ``rho``
     and ``drho`` the family's dense state and tangent at ``phi``.  The
-    states rho(phi) and the skew probes rho(phi -+ h), with ``h = fd_step *
-    max(1, |phi|)``, go through one :func:`eigh_stack` call; each point is
-    then finished alone.  A probe that fails the eigensolver's Hermiticity
+    states rho(phi) and the skew probes rho(phi -+ h), with ``h`` from
+    :meth:`OracleConfig.probe_step`, go through one :func:`eigh_stack` call;
+    each point is then finished alone.  A probe that fails the eigensolver's Hermiticity
     test raises, naming (rho / left probe / right probe, point index).
     """
     states, tangents, steps = [[], [], []], [], []
     for family, phi in points:
-        h = config.fd_step * max(1.0, abs(phi))
+        h = config.probe_step(phi)
         for stack, x in zip(states, (phi, phi - h, phi + h)):
             stack.append(family.state(x).to_dense())
         drho = family.tangent_at(phi).to_dense()

@@ -362,6 +362,19 @@ class TestSpectralFallback:
         with pytest.raises(NotXFormError, match=r"^w\[2, 3\] is -inf, not finite$"):
             evaluate_stack((name,), bloch=w[1], tangent=dw[1])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["qfi", "skew"])
+    def test_infinite_weight_of_mixed_block_raises(self, name):
+        # Elements 0 and 3 are all mixed, and an infinite weight with a
+        # finite vector still tests as mixed: no block takes the fallback.
+        w, dw = edge_stack()
+        w, dw = w[[0, 3]], dw[[0, 3]]
+        w[1, 1, 0] = np.inf
+        with pytest.raises(NotXFormError, match=r"^element 1: w\[1, 0\] is inf, not finite$"):
+            evaluate_stack((name,), bloch=w, tangent=dw)
+        with pytest.raises(NotXFormError, match=r"^w\[1, 0\] is inf, not finite$"):
+            evaluate_stack((name,), bloch=w[1], tangent=dw[1])
+
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
 def test_grid_equals_scalar_pipeline(kind):

@@ -15,6 +15,70 @@ def random_hermitian(rng, n=8):
     return (m + m.conj().T) / 2.0
 
 
+def reference_eigh(matrix):
+    """The per-matrix cyclic Jacobi loop that ``eigh_stack`` must reproduce bit for bit."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
+    # A non-finite entry leaves a NaN or an infinity in A - A^dagger, so the
+    # finiteness check rides on the failure branch of this one comparison.
+    if not np.max(np.abs(a - a.conj().T)) <= linalg.HERMITICITY_TOL:
+        linalg.check_finite(a)
+        raise NotHermitianError("matrix is not Hermitian within 1e-12")
+
+    n = a.shape[0]
+    a = (a + a.conj().T) / 2.0
+    vec = np.eye(n, dtype=complex)
+
+    for _ in range(linalg.MAX_SWEEPS):
+        if linalg._offdiag_norm(a) <= linalg.OFFDIAG_TOL:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) == 0.0:
+                    continue
+                # Phase rotation makes the target entry real, then a plane
+                # rotation annihilates it.
+                phase = apq / abs(apq)
+                app = a[p, p].real
+                aqq = a[q, q].real
+                theta = 0.5 * np.arctan2(2.0 * abs(apq), app - aqq)
+                c = np.cos(theta)
+                s = np.sin(theta)
+
+                a[:, q] *= np.conj(phase)
+                a[q, :] *= phase
+                vec[:, q] *= np.conj(phase)
+
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p + s * col_q
+                a[:, q] = -s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p + s * row_q
+                a[q, :] = -s * row_p + c * row_q
+
+                vcol_p = vec[:, p].copy()
+                vcol_q = vec[:, q].copy()
+                vec[:, p] = c * vcol_p + s * vcol_q
+                vec[:, q] = -s * vcol_p + c * vcol_q
+
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+    else:
+        raise NotConvergedError(
+            f"Jacobi iteration on a {n}x{n} matrix did not converge in {linalg.MAX_SWEEPS} sweeps"
+        )
+
+    values = np.real(np.diag(a))
+    order = np.argsort(values, kind="stable")
+    return values[order], vec[:, order]
+
+
 class TestEigh:
     def test_diagonal_matrix_sorted_ascending(self):
         values, vectors = eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
@@ -102,32 +166,51 @@ class TestEigh:
         assert np.abs(vectors.conj().T @ vectors - np.eye(4)).max() < 1e-13
 
 
-def assert_stack_matches_eigh(matrices):
-    """Every element of ``eigh_stack`` equals ``eigh`` alone in raw bits."""
+def assert_matches_reference(matrices):
+    """``eigh`` and every ``eigh_stack`` element equal ``reference_eigh`` in raw bits.
+
+    Values, vectors and the vectors' strides; ``matrices`` is ``(..., k, k)``.
+    """
     values, vectors = eigh_stack(matrices)
     assert values.shape == matrices.shape[:-1] and vectors.shape == matrices.shape
     for index in np.ndindex(matrices.shape[:-2]):
-        alone_values, alone_vectors = eigh(matrices[index])
-        assert values[index].tobytes() == alone_values.tobytes(), index
-        assert vectors[index].tobytes() == alone_vectors.tobytes(), index
+        ref_values, ref_vectors = reference_eigh(matrices[index])
+        for got_values, got_vectors in (eigh(matrices[index]), (values[index], vectors[index])):
+            assert got_values.tobytes() == ref_values.tobytes(), index
+            assert got_vectors.tobytes() == ref_vectors.tobytes(), index
+            assert got_vectors.strides == ref_vectors.strides, index
 
 
 class TestEighStack:
-    """The stacked solver is eigh, element by element, bit for bit."""
+    """eigh and the stacked solver are the per-matrix reference, bit for bit."""
 
-    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("kind", list(ChannelKind))
     def test_kraus_images(self, kind, p):
         rng = np.random.default_rng(31)
-        dense = np.stack([random_xstate(rng).to_dense() for _ in range(12)])
-        assert_stack_matches_eigh(apply_kraus_dense(dense, kind, ChannelParam(p)))
+        dense = np.stack([random_xstate(rng).to_dense() for _ in range(30)])
+        assert_matches_reference(apply_kraus_dense(dense, kind, ChannelParam(p)))
+
+    def test_random_xstates(self):
+        rng = np.random.default_rng(35)
+        assert_matches_reference(np.stack([random_xstate(rng).to_dense() for _ in range(300)]))
+
+    def test_two_by_two_blocks(self):
+        # The four blocks of random X states, then rank-1 and zero blocks.
+        rng = np.random.default_rng(36)
+        dense = np.stack([random_xstate(rng).to_dense() for _ in range(100)])
+        rows = [[[i, i], [7 - i, 7 - i]] for i in range(4)]
+        cols = [[[i, 7 - i], [i, 7 - i]] for i in range(4)]
+        blocks = dense[:, rows, cols].reshape(-1, 2, 2)
+        pure = [np.outer(v, v.conj()) for v in rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))]
+        assert_matches_reference(np.concatenate([blocks, pure, np.zeros((1, 2, 2))]))
 
     def test_general_hermitian(self):
         rng = np.random.default_rng(32)
-        assert_stack_matches_eigh(np.stack([random_hermitian(rng) for _ in range(12)]))
+        assert_matches_reference(np.stack([random_hermitian(rng) for _ in range(24)]))
 
     def test_degenerate_spectrum_keeps_stable_order(self):
-        assert_stack_matches_eigh(np.stack([np.eye(8, dtype=complex) / 8.0] * 3))
+        assert_matches_reference(np.stack([np.eye(8, dtype=complex) / 8.0] * 3))
 
     def test_elements_converging_on_different_sweeps(self, monkeypatch):
         # A diagonal matrix needs no rotation, an X state two sweeps, a
@@ -139,7 +222,7 @@ class TestEighStack:
         near_diagonal = np.diag(np.arange(1.0, 9.0)).astype(complex) + 1e-3 * random_hermitian(rng)
         x_state = random_xstate(rng).to_dense()
         diagonal = np.diag([0.5, 0.25, 0.25, 0, 0, 0, 0, 0]).astype(complex)
-        assert_stack_matches_eigh(np.stack([general, near_diagonal, diagonal, x_state]))
+        assert_matches_reference(np.stack([general, near_diagonal, diagonal, x_state]))
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 5)
         eigh(near_diagonal)
         with pytest.raises(NotConvergedError):
@@ -147,9 +230,10 @@ class TestEighStack:
 
     def test_single_element_and_leading_axes(self):
         rng = np.random.default_rng(34)
-        assert_stack_matches_eigh(random_hermitian(rng)[None])
+        assert_matches_reference(random_hermitian(rng)[None])
         dense = np.stack([random_xstate(rng).to_dense() for _ in range(6)]).reshape(2, 3, 8, 8)
-        assert_stack_matches_eigh(dense)
+        assert_matches_reference(dense)
+        assert_matches_reference(random_xstate(rng).to_dense())  # no stack axes
 
     def test_empty_stack(self):
         values, vectors = eigh_stack(np.zeros((0, 8, 8), dtype=complex))
@@ -180,6 +264,26 @@ class TestEighStack:
             NotHermitianError, match=r"^element \(1, 0\): matrix is not Hermitian within 1e-12$"
         ):
             eigh_stack(matrices)
+
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("case", ["nan", "asymmetric", "no-sweeps"])
+    def test_one_matrix_errors_name_no_element(self, monkeypatch, case):
+        matrix = np.eye(8, dtype=complex) / 8.0
+        error = NotHermitianError
+        if case == "nan":
+            matrix[1, 6] = np.nan
+        elif case == "asymmetric":
+            matrix[0, 7] += 1e-11
+        else:
+            monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+            error = NotConvergedError
+        messages = set()
+        for solver in (reference_eigh, eigh, eigh_stack):
+            with pytest.raises(error) as info:
+                solver(matrix)
+            messages.add(str(info.value))
+        assert len(messages) == 1 and not messages.pop().startswith("element")
 
 
 class TestPsdSqrt:
