@@ -112,8 +112,9 @@ def family_oracles(
     and ``drho`` the family's dense state and tangent at ``phi``.  The
     states rho(phi) and the skew probes rho(phi -+ h), with ``h`` from
     :meth:`OracleConfig.probe_step`, go through one :func:`eigh_stack` call;
-    each point is then finished alone.  A probe that fails the eigensolver's Hermiticity
-    test raises, naming (rho / left probe / right probe, point index).
+    each point is then finished alone.  A probe that fails the eigensolver's
+    Hermiticity test raises, naming (rho / left probe / right probe, point
+    index).
     """
     states, tangents, steps = [[], [], []], [], []
     for family, phi in points:

@@ -202,7 +202,8 @@ class TestEighStack:
         rows = [[[i, i], [7 - i, 7 - i]] for i in range(4)]
         cols = [[[i, 7 - i], [i, 7 - i]] for i in range(4)]
         blocks = dense[:, rows, cols].reshape(-1, 2, 2)
-        pure = [np.outer(v, v.conj()) for v in rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))]
+        kets = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+        pure = [np.outer(v, v.conj()) for v in kets]
         assert_matches_reference(np.concatenate([blocks, pure, np.zeros((1, 2, 2))]))
 
     def test_general_hermitian(self):
