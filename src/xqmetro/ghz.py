@@ -28,14 +28,13 @@ from .channels import (
     apply_kraus_dense,
     damped_bloch_array,
 )
-from .errors import BadParameterError, NotConvergedError, XQMetroError
+from .errors import BadParameterError, XQMetroError
 from .metrics import ParamFamily, evaluate_stack
 
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.ghz.qfi_total.
 from .metrics import qfi_total  # noqa: F401
-from .linalg import eigh_stack
-from .oracle import OracleConfig, qfi_from_spectrum, skew_from_spectra
+from .oracle import OracleConfig, oracle_column
 from .xstate import (
     XState,
     XTangent,
@@ -347,97 +346,64 @@ def crosscheck_grid(
     grid in one :func:`ghz_grid` call.  Oracle values ride the dense Kraus
     route, one :func:`apply_kraus_dense` call per p over the stack of
     rho(q) for every q, the skew probes rho(q -+ h) with ``h`` from
-    :meth:`OracleConfig.probe_step`, and d rho.  Per p, one :func:`eigh_stack`
-    call then gives the spectra of rho and of both probes for every q, and
-    per point :func:`qfi_from_spectrum` finishes the Fisher information and
-    :func:`skew_from_spectra` the skew information; concurrence is the
-    pipeline's expression on the Kraus image of rho(q).  Every value is, bit
-    for bit, what the same point alone gives.
+    :meth:`OracleConfig.probe_step`, and d rho.  Per p, one
+    :func:`~xqmetro.oracle.oracle_column` call then gives the Fisher and
+    skew oracles for every q; concurrence is the pipeline's expression on
+    the Kraus image of rho(q).  Every value is, bit for bit, what the same
+    point alone gives.
 
     Every point is range-checked before any work, so a bad one raises
     :class:`BadParameterError`.  The Werner-GHZ inputs pass the checks of
     :class:`XState` as stacks, and so do the Kraus images of the states; a
     failure raises that check's error naming the element (which of rho,
-    left probe, right probe, then the q index).  The eigensolver's
-    Hermiticity test (1e-12) on the same stack raises
-    :class:`NotHermitianError` the same way, where a per-point oracle gave a
-    SINGULAR verdict; the Kraus image of a Hermitian state is Hermitian up
-    to rounding, so a completely positive and trace-preserving channel
-    fails none of these checks on an in-domain point.  Closed forms and
-    per-point oracle finishes run per metric: a singular-regime error there
-    is reported with NaNs and a SINGULAR verdict for that metric alone, and
-    an eigensolver that does not converge raises
-    :class:`NotConvergedError` instead.
+    left probe, right probe, then the q index).  The oracle column raises
+    the same way: the eigensolver's Hermiticity test (1e-12) with
+    :class:`NotHermitianError`, its sweep limit with
+    :class:`NotConvergedError`, and the finishes' spectrum tests with
+    :class:`NotPSDError` or :class:`TraceViolationError`.  The Kraus image
+    of a Hermitian state is Hermitian up to rounding, so a completely
+    positive and trace-preserving channel fails none of these on an
+    in-domain point.  Only the closed forms run per metric: a
+    singular-regime error there is reported with NaNs and a SINGULAR
+    verdict for that metric alone.
     """
     for q in q_values:
         for p in p_values:
             _check_point(q, p)
-    pipeline = {
-        name: values.tolist() for name, values in ghz_grid(kind, q_values, p_values).items()
-    }
+    pipeline = [values.tolist() for values in ghz_grid(kind, q_values, p_values).values()]
 
     # Oracle inputs: rho(q), then the skew probes rho(q - h) and rho(q + h),
     # as one (3, q) stack of states followed by d rho.
     steps = [config.probe_step(q) for q in q_values]
-    diag, anti = _werner_compact(
-        np.array(
-            [
-                q_values,
-                [q - h for q, h in zip(q_values, steps)],
-                [q + h for q, h in zip(q_values, steps)],
-            ],
-            dtype=float,
-        )
-    )
+    q, h = np.array(q_values, dtype=float), np.array(steps)
+    diag, anti = _werner_compact(np.array([q, q - h, q + h]))
     check_compact(diag, anti)
-    stack = np.concatenate(
-        [
-            dense_from_compact(diag, anti).reshape((-1, 8, 8)),
-            XTangent(_TANGENT_DIAG, _TANGENT_ANTI).to_dense()[None],
-        ]
-    )
+    tangent = XTangent(_TANGENT_DIAG, _TANGENT_ANTI).to_dense()
+    stack = np.concatenate([dense_from_compact(diag, anti).reshape((-1, 8, 8)), tangent[None]])
 
-    def check(pipeline_value, closed_fn, oracle_fn) -> MetricCheck:
+    def check(pipeline_value, closed_form, q, p, oracle_value) -> MetricCheck:
         try:
-            closed = closed_fn()
-            oracle_val = oracle_fn()
-        except NotConvergedError:
-            raise  # a solver failure, not a singular regime: never a verdict
+            closed = closed_form(kind, q, p)
         except (XQMetroError, ZeroDivisionError, FloatingPointError):
             return MetricCheck(float("nan"), float("nan"), float("nan"), Verdict.SINGULAR)
-        return MetricCheck(pipeline_value, closed, oracle_val, _verdict(pipeline_value, closed))
+        return MetricCheck(pipeline_value, closed, oracle_value, _verdict(pipeline_value, closed))
 
+    closed_forms = (closed_form_qfi, closed_form_skew, closed_form_concurrence)
     reports = [[None] * len(p_values) for _ in q_values]
     for j, p in enumerate(p_values):
         images = apply_kraus_dense(stack, kind, ChannelParam(p))
-        drho = images[-1]
         states = images[:-1].reshape(diag.shape[:-1] + (8, 8))
         kraus_diag, kraus_anti = compact_from_dense(states)
         # The eigen oracle reads the raw image of rho, as it does d rho; the
         # skew probes are rebuilt from their compact forms.
-        values, vectors = eigh_stack(
-            np.concatenate([states[:1], dense_from_compact(kraus_diag[1:], kraus_anti[1:])])
-        )
-        concurrence = evaluate_stack(
-            ("concurrence",), diag=kraus_diag[0], anti=kraus_anti[0]
-        )["concurrence"].tolist()
+        probes = dense_from_compact(kraus_diag[1:], kraus_anti[1:])
+        fisher, skew = oracle_column(np.concatenate([states[:1], probes]), images[-1], steps, config)
+        concurrence = evaluate_stack(("concurrence",), diag=kraus_diag[0], anti=kraus_anti[0])
+        oracle = (fisher.tolist(), skew.tolist(), concurrence["concurrence"].tolist())
         for i, q in enumerate(q_values):
-            qfi = check(
-                pipeline["qfi"][i][j],
-                lambda: closed_form_qfi(kind, q, p),
-                lambda: qfi_from_spectrum(values[0, i], vectors[0, i], drho, config),
-            )
-            skew = check(
-                pipeline["skew"][i][j],
-                lambda: closed_form_skew(kind, q, p),
-                lambda: skew_from_spectra(
-                    (values[1, i], vectors[1, i]), (values[2, i], vectors[2, i]), steps[i]
-                ),
-            )
-            conc = check(
-                pipeline["concurrence"][i][j],
-                lambda: closed_form_concurrence(kind, q, p),
-                lambda: concurrence[i],
-            )
-            reports[i][j] = CrosscheckReport(kind, q, p, qfi, skew, conc)
+            checks = [
+                check(route[i][j], closed_form, q, p, column[i])
+                for route, closed_form, column in zip(pipeline, closed_forms, oracle)
+            ]
+            reports[i][j] = CrosscheckReport(kind, q, p, *checks)
     return [report for row in reports for report in row]

@@ -89,7 +89,8 @@ def eigh_stack(matrices: np.ndarray) -> EigenDecomposition:
         raise NotHermitianError(f"expected a stack of square matrices, got shape {a.shape}")
     stack_shape, n = a.shape[:-2], a.shape[-1]
     a_dagger = a.conj().swapaxes(-1, -2)
-    hermitian = np.max(np.abs(a - a_dagger), axis=(-2, -1)) <= HERMITICITY_TOL
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite entry, named below
+        hermitian = np.max(np.abs(a - a_dagger), axis=(-2, -1)) <= HERMITICITY_TOL
     if not hermitian.all():
 
         def message(index) -> str:
@@ -176,16 +177,20 @@ def _rotate(a: np.ndarray, vec: np.ndarray, p: int, q: int) -> None:
 
 
 def sqrt_from_spectrum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix from its :func:`eigh` spectrum.
+    """Principal square roots of PSD Hermitian matrices from their :func:`eigh_stack` spectra.
 
+    ``values`` ``(..., k)`` and ``vectors`` ``(..., k, k)``; leading axes are
+    stack axes, and every element is, in raw bits, what it gives alone.
     Eigenvalues in ``[-1e-12, 0]`` are clamped to zero; anything lower raises
-    ``NotPSDError``.
+    ``NotPSDError``, naming the first such element (C order) for a stack.
     """
-    if values[0] < -PSD_CLAMP:
-        raise NotPSDError(f"eigenvalue {values[0]:.3e} below -1e-12")
+    lowest = values[..., 0]
+    flags = lowest < -PSD_CLAMP
+    if flags.any():
+        _fail(NotPSDError, flags, lambda i: f"eigenvalue {lowest[i]:.3e} below -1e-12")
     clamped = np.clip(values, 0.0, None)
-    root = (vectors * np.sqrt(clamped)) @ vectors.conj().T
-    return (root + root.conj().T) / 2.0
+    root = (vectors * np.sqrt(clamped)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    return (root + root.conj().swapaxes(-1, -2)) / 2.0
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -197,11 +202,16 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return sqrt_from_spectrum(*eigh(matrix))
 
 
+def diff_step(x: float, scale: float = 1e-6) -> float:
+    """Central-difference step ``scale * max(1, |x|)`` at ``x``."""
+    return scale * max(1.0, abs(x))
+
+
 def central_diff(func: Callable[[float], np.ndarray], x: float, step: float | None = None):
     """Symmetric difference quotient ``(f(x+h) - f(x-h)) / 2h``.
 
-    The default step is ``1e-6 * max(1, |x|)``; the error is O(h^2) for
-    smooth ``func``.
+    The default step is :func:`diff_step` ``(x)``, ``1e-6 * max(1, |x|)``;
+    the error is O(h^2) for smooth ``func``.
     """
-    h = step if step is not None else 1e-6 * max(1.0, abs(x))
+    h = step if step is not None else diff_step(x)
     return (func(x + h) - func(x - h)) / (2.0 * h)

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameterError, NotPSDError, TraceViolationError
-from .linalg import check_finite, eigh, eigh_stack, sqrt_from_spectrum
+from .linalg import check_finite, diff_step, eigh, eigh_stack, sqrt_from_spectrum
 from .metrics import ParamFamily
+from .xstate import _fail
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -39,7 +40,7 @@ class OracleConfig:
 
     def probe_step(self, phi: float) -> float:
         """Step ``h = fd_step * max(1, |phi|)`` of the skew probes rho(phi -+ h)."""
-        return self.fd_step * max(1.0, abs(phi))
+        return diff_step(phi, self.fd_step)
 
 
 def qfi_eigen_oracle(
@@ -55,29 +56,38 @@ def qfi_eigen_oracle(
     drho = np.asarray(drho, dtype=complex)
     check_finite(drho, "drho")
     values, vectors = eigh(rho)
-    return qfi_from_spectrum(values, vectors, drho, config)
+    return float(qfi_from_spectrum(values, vectors, drho, config))
 
 
 def qfi_from_spectrum(
     values: np.ndarray, vectors: np.ndarray, drho: np.ndarray, config: OracleConfig
-) -> float:
-    """The eigen oracle's Fisher sum from the state's spectrum ``(values, vectors)``.
+) -> np.ndarray:
+    """The eigen oracle's Fisher sums from spectra ``(values, vectors)``.
 
-    Raises :class:`NotPSDError` for an eigenvalue below -1e-12 and
-    :class:`TraceViolationError` for a trace off 1 by more than 1e-10.
+    Leading axes of ``values`` ``(..., n)`` and ``vectors`` ``(..., n, n)``
+    are stack axes; ``drho`` ``(..., n, n)`` broadcasts against them.  The
+    (i, j) terms are added in one order for the whole stack, so every
+    element is, in raw bits, what it gives alone.  Raises
+    :class:`NotPSDError` for an eigenvalue below -1e-12 and
+    :class:`TraceViolationError` for a trace off 1 by more than 1e-10,
+    naming the first such element (C order) of a stack.
     """
-    if values[0] < -PSD_TOL:
-        raise NotPSDError(f"state eigenvalue {values[0]:.3e} below -1e-12")
-    if abs(values.sum() - 1.0) > TRACE_TOL:
-        raise TraceViolationError(f"state trace {values.sum()!r} differs from 1")
-    overlap = vectors.conj().T @ drho @ vectors
-    n = values.size
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            denom = values[i] + values[j]
-            if denom > config.rank_cutoff:
-                total += 2.0 * abs(overlap[i, j]) ** 2 / denom
+    lowest = values[..., 0]
+    flags = lowest < -PSD_TOL
+    if flags.any():
+        _fail(NotPSDError, flags, lambda i: f"state eigenvalue {lowest[i]:.3e} below -1e-12")
+    trace = values.sum(axis=-1)
+    flags = abs(trace - 1.0) > TRACE_TOL
+    if flags.any():
+        _fail(TraceViolationError, flags, lambda i: f"state trace {trace[i]!r} differs from 1")
+    overlap = vectors.conj().swapaxes(-1, -2) @ drho @ vectors
+    # |<i|drho|j>| with a scalar complex abs's rounding (see linalg._rotate).
+    weight = 2.0 * np.float_power(np.hypot(overlap.real, overlap.imag), 2.0)
+    denom = values[..., :, None] + values[..., None, :]
+    terms = np.divide(weight, denom, out=np.zeros_like(denom), where=denom > config.rank_cutoff)
+    total = 0.0  # a masked pair adds 0.0, which leaves the sum's bits as they are
+    for i, j in np.ndindex(terms.shape[-2:]):
+        total = total + terms[..., i, j]
     return total
 
 
@@ -88,18 +98,42 @@ def skew_sqrt_oracle(
     h = config.probe_step(phi)
     left = family.state(phi - h).to_dense()
     right = family.state(phi + h).to_dense()
-    return skew_from_spectra(eigh(left), eigh(right), h)
+    return float(skew_from_spectra(eigh(left), eigh(right), h))
 
 
-def skew_from_spectra(left, right, h: float) -> float:
+def skew_from_spectra(left, right, h) -> np.ndarray:
     """Skew information from the spectra of dense states at ``phi - h`` and ``phi + h``.
 
-    ``left`` and ``right`` are ``(values, vectors)`` pairs.  The central
-    difference ``(sqrt(right) - sqrt(left)) / 2h`` stands for d sqrt(rho);
-    the result is 4 Tr((d sqrt(rho))^2).
+    ``left`` and ``right`` are ``(values, vectors)`` pairs whose leading
+    stack axes ``h`` matches.  The central difference
+    ``(sqrt(right) - sqrt(left)) / 2h`` stands for d sqrt(rho); the result
+    is 4 Tr((d sqrt(rho))^2), each element in raw bits what it gives alone.
     """
-    droot = (sqrt_from_spectrum(*right) - sqrt_from_spectrum(*left)) / (2.0 * h)
-    return float(np.real(np.trace(droot @ droot)) * 4.0)
+    step = 2.0 * np.asarray(h)[..., None, None]
+    droot = (sqrt_from_spectrum(*right) - sqrt_from_spectrum(*left)) / step
+    return np.real(np.trace(droot @ droot, axis1=-2, axis2=-1)) * 4.0
+
+
+def oracle_column(
+    states: np.ndarray, drho: np.ndarray, steps, config: OracleConfig = OracleConfig()
+):
+    """Fisher and skew oracles ``(fisher, skew)`` of many points from one :func:`eigh_stack`.
+
+    ``states`` ``(3, ..., 8, 8)`` stacks rho and the skew probes
+    rho(phi - h) and rho(phi + h); ``drho`` broadcasts against rho and
+    ``steps`` holds each point's ``h``.  Each element is, in raw bits, what
+    :func:`qfi_from_spectrum` and :func:`skew_from_spectra` give it alone.
+    Every failure raises naming (rho / left probe / right probe, point
+    index): the eigensolver's, a spectrum below -1e-12 or a trace of rho
+    off 1.
+    """
+    values, vectors = eigh_stack(states)
+    lowest = values[..., 0]
+    flags = lowest < -PSD_TOL
+    if flags.any():  # tested here, so that the failure names the probe as well
+        _fail(NotPSDError, flags, lambda i: f"state eigenvalue {lowest[i]:.3e} below -1e-12")
+    fisher = qfi_from_spectrum(values[:1], vectors[:1], drho, config)[0]
+    return fisher, skew_from_spectra((values[1], vectors[1]), (values[2], vectors[2]), steps)
 
 
 def family_oracles(
@@ -109,12 +143,10 @@ def family_oracles(
 
     Element k is, bit for bit, ``(qfi_eigen_oracle(rho, drho, config),
     skew_sqrt_oracle(family, phi, config))`` at the k-th point, with ``rho``
-    and ``drho`` the family's dense state and tangent at ``phi``.  The
-    states rho(phi) and the skew probes rho(phi -+ h), with ``h`` from
-    :meth:`OracleConfig.probe_step`, go through one :func:`eigh_stack` call;
-    each point is then finished alone.  A probe that fails the eigensolver's
-    Hermiticity test raises, naming (rho / left probe / right probe, point
-    index).
+    and ``drho`` the family's dense state and tangent at ``phi``.  Every
+    point goes through one :func:`oracle_column` call with its skew probes
+    rho(phi -+ h), ``h`` from :meth:`OracleConfig.probe_step`; a failure
+    there raises, naming (rho / left probe / right probe, point index).
     """
     states, tangents, steps = [[], [], []], [], []
     for family, phi in points:
@@ -127,13 +159,5 @@ def family_oracles(
         steps.append(h)
     if not tangents:
         return []
-    values, vectors = eigh_stack(np.array(states))
-    return [
-        (
-            qfi_from_spectrum(values[0, k], vectors[0, k], drho, config),
-            skew_from_spectra(
-                (values[1, k], vectors[1, k]), (values[2, k], vectors[2, k]), steps[k]
-            ),
-        )
-        for k, drho in enumerate(tangents)
-    ]
+    fisher, skew = oracle_column(np.array(states), np.array(tangents), steps, config)
+    return list(zip(fisher.tolist(), skew.tolist()))

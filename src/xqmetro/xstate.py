@@ -49,17 +49,6 @@ _DIAGONAL = tuple(range(8))
 _OFF_PATTERN = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
 _OFF_ENTRIES = np.argwhere(_OFF_PATTERN)  # (row, column), in the order m[..., _OFF_PATTERN] reads
 
-# All 64 triple Kronecker products s_a x s_b x s_c, flattened index a*16+b*4+c.
-PAULI_TRIPLES = np.stack(
-    [
-        np.kron(np.kron(PAULI[a], PAULI[b]), PAULI[c])
-        for a in range(4)
-        for b in range(4)
-        for c in range(4)
-    ]
-)
-PAULI_TRIPLES.setflags(write=False)
-
 # Tensor slots of the two diagonal sectors that an X state can populate.
 Z_EVEN_PATTERNS = ((0, 0, 0), (0, 3, 3), (3, 0, 3), (3, 3, 0))
 Z_ODD_PATTERNS = ((0, 0, 3), (0, 3, 0), (3, 0, 0), (3, 3, 3))
@@ -83,12 +72,12 @@ def _sector_matrix(axis: int, patterns) -> np.ndarray:
     Derived from w_a^j = Tr(rho @ eta_a^j) with rho = (1/8) sum T s x s x s;
     the entries come out exactly +-1.
     """
+    triples = [np.kron(np.kron(PAULI[a], PAULI[b]), PAULI[c]) for a, b, c in patterns]
     m = np.zeros((4, 4))
     for j in range(4):
         eta = _block_generator(j, axis)
-        for k, (a, b, c) in enumerate(patterns):
-            coeff = np.trace(PAULI_TRIPLES[a * 16 + b * 4 + c] @ eta) / 2.0
-            m[j, k] = round(coeff.real)
+        for k, triple in enumerate(triples):
+            m[j, k] = round((np.trace(triple @ eta) / 2.0).real)
     return m
 
 

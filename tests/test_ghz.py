@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xqmetro import ghz, linalg
+from xqmetro import ghz, linalg, oracle
 from xqmetro.channels import ChannelKind, apply_kraus, apply_kraus_dense
 from xqmetro.cli import _grid_axes
 from xqmetro.errors import (
@@ -338,14 +338,24 @@ class TestCrosscheckGrid:
         )
         assert where == (0.5, 0.3)
 
-    def test_singular_oracle_stays_local(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize(
+        "error, probe, scale",
+        [(NotPSDError, 2, None), (NotPSDError, 1, None), (TraceViolationError, 0, 1.1)],
+    )
+    def test_oracle_finish_failure_raises_naming_it(self, monkeypatch, error, probe, scale):
+        # The oracle finishes run over the whole column, outside the
+        # per-metric verdicts: a failure raises and names (probe, q index).
+        def broken(states):
+            values, vectors = linalg.eigh_stack(states)
+            if scale is None:
+                values[probe, 1, 0] = -1e-9
+            else:
+                values[probe, 1] *= scale
+            return values, vectors
 
-        def fifth_call(args):
-            calls.append(args)
-            return len(calls) == 5
-
-        self.assert_one_singular(monkeypatch, "skew_from_spectra", fifth_call, "skew")
+        monkeypatch.setattr(oracle, "eigh_stack", broken)
+        with pytest.raises(error, match=rf"^element \({probe}, 1\): state "):
+            crosscheck_grid(ChannelKind.PHASE_FLIP, self.Q, self.P)
 
     def test_bad_kraus_image_raises_naming_it(self, monkeypatch):
         # The stacked image checks raise where the per-point crosscheck gave a

@@ -137,7 +137,7 @@ class TestEigh:
         with pytest.raises(NotHermitianError):
             eigh(np.zeros((2, 3)))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(0, float("inf"))])
     @pytest.mark.parametrize("entry", [(2, 2), (1, 6)])
     def test_rejects_non_finite_entries(self, monkeypatch, bad, entry):
@@ -249,7 +249,7 @@ class TestEighStack:
             eigh_stack(matrices)
         assert str(stacked.value) == str(alone.value)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_element_named(self):
         matrices = np.stack([np.eye(8, dtype=complex) / 8.0] * 4)
         matrices[2, 1, 6] = np.nan
@@ -267,7 +267,7 @@ class TestEighStack:
             eigh_stack(matrices)
 
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", ["nan", "asymmetric", "no-sweeps"])
     def test_one_matrix_errors_name_no_element(self, monkeypatch, case):
         matrix = np.eye(8, dtype=complex) / 8.0

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from xqmetro import ghz
+from xqmetro.channels import ChannelKind
+from xqmetro.cli import _grid_axes
 from xqmetro.errors import (
     BadParameterError,
     NotHermitianError,
@@ -10,9 +13,51 @@ from xqmetro.errors import (
     TraceViolationError,
     XQMetroError,
 )
+from xqmetro.linalg import eigh_stack, sqrt_from_spectrum
 from xqmetro.metrics import ParamFamily, qfi_total, random_family, skew_total
-from xqmetro.oracle import OracleConfig, family_oracles, qfi_eigen_oracle, skew_sqrt_oracle
+from xqmetro.oracle import (
+    OracleConfig,
+    family_oracles,
+    oracle_column,
+    qfi_eigen_oracle,
+    qfi_from_spectrum,
+    skew_from_spectra,
+    skew_sqrt_oracle,
+)
 from xqmetro.xstate import XState, XTangent
+
+
+def reference_qfi_from_spectrum(values, vectors, drho, config):
+    """One spectrum, one (i, j) pair at a time: the per-point Fisher finish
+    that preceded the stacked one, kept as its reference."""
+    if values[0] < -1e-12:
+        raise NotPSDError(f"state eigenvalue {values[0]:.3e} below -1e-12")
+    if abs(values.sum() - 1.0) > 1e-10:
+        raise TraceViolationError(f"state trace {values.sum()!r} differs from 1")
+    overlap = vectors.conj().T @ drho @ vectors
+    n = values.size
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            denom = values[i] + values[j]
+            if denom > config.rank_cutoff:
+                total += 2.0 * abs(overlap[i, j]) ** 2 / denom
+    return total
+
+
+def reference_skew_from_spectra(left, right, h):
+    """One probe pair with one square root per probe: the per-point skew
+    finish that preceded the stacked one, kept as its reference."""
+
+    def root(values, vectors):
+        if values[0] < -1e-12:
+            raise NotPSDError(f"eigenvalue {values[0]:.3e} below -1e-12")
+        clamped = np.clip(values, 0.0, None)
+        root = (vectors * np.sqrt(clamped)) @ vectors.conj().T
+        return (root + root.conj().T) / 2.0
+
+    droot = (root(*right) - root(*left)) / (2.0 * h)
+    return float(np.real(np.trace(droot @ droot)) * 4.0)
 
 
 class TestQfiEigenOracle:
@@ -170,3 +215,161 @@ class TestFamilyOracles:
         )
         with pytest.raises(NotHermitianError, match=r"drho\[0, 0\]"):
             family_oracles([(family, 0.4), (broken, 0.4)])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def reference_column(states, drho, steps, config):
+    """Per-point reference finishes over the spectra of a (3, n) state stack."""
+    values, vectors = eigh_stack(states)
+    drho = np.broadcast_to(drho, vectors[0].shape)
+    fisher = [
+        reference_qfi_from_spectrum(values[0, k], vectors[0, k], drho[k], config)
+        for k in range(len(steps))
+    ]
+    skew = [
+        reference_skew_from_spectra(
+            (values[1, k], vectors[1, k]), (values[2, k], vectors[2, k]), steps[k]
+        )
+        for k in range(len(steps))
+    ]
+    return fisher, skew
+
+
+def assert_column_matches_reference(states, drho, steps, config):
+    """The stacked finishes and :func:`oracle_column` equal the per-point
+    references in raw bits."""
+    expected = reference_column(states, drho, steps, config)
+    values, vectors = eigh_stack(states)
+    finishes = (
+        qfi_from_spectrum(values[0], vectors[0], drho, config),
+        skew_from_spectra((values[1], vectors[1]), (values[2], vectors[2]), steps),
+    )
+    column = oracle_column(states, drho, steps, config)
+    for got in (finishes, column):
+        assert bits(got[0]) == bits(expected[0])
+        assert bits(got[1]) == bits(expected[1])
+
+
+class TestStackedFinish:
+    """The stacked Fisher and skew finishes equal the per-point loops they
+    replaced, in raw bits."""
+
+    @pytest.mark.parametrize(
+        "config", [OracleConfig(), OracleConfig(fd_step=1e-4), OracleConfig(rank_cutoff=0.0)]
+    )
+    def test_random_family_points(self, config):
+        rng = np.random.default_rng(87)
+        states, tangents, steps = [[], [], []], [], []
+        for _ in range(300):
+            family, phi = random_family(rng), float(rng.uniform(0.2, 0.8))
+            h = config.probe_step(phi)
+            for stack, x in zip(states, (phi, phi - h, phi + h)):
+                stack.append(family.state(x).to_dense())
+            tangents.append(family.tangent_at(phi).to_dense())
+            steps.append(h)
+        assert_column_matches_reference(np.array(states), np.array(tangents), steps, config)
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    @pytest.mark.parametrize("grid", [9, 17])
+    def test_crosscheck_inputs(self, monkeypatch, kind, grid):
+        seen = []
+
+        def checked(states, drho, steps, config):
+            assert_column_matches_reference(states, drho, steps, config)
+            seen.append(len(steps))
+            return oracle_column(states, drho, steps, config)
+
+        monkeypatch.setattr(ghz, "oracle_column", checked)
+        q_values, p_values = _grid_axes(grid)
+        ghz.crosscheck_grid(kind, [ghz.GHZ_QMIN] + q_values + [1.0], p_values + [1.0])
+        assert seen == [grid + 2] * (grid + 2)
+
+    @pytest.mark.parametrize("cutoff", [1e-12, 0.0, 1e-3])
+    def test_rank_deficient_states(self, cutoff):
+        # rho = U diag(lam) U^dagger with 1 to 7 zero eigenvalues: the
+        # solver returns them as +-1e-17-sized values, which the cutoff masks.
+        rng = np.random.default_rng(88)
+        states, tangents = [], []
+        for rank in [1, 2, 3, 4, 5, 6, 7] * 3:
+            lam = np.zeros(8)
+            lam[:rank] = rng.dirichlet(np.ones(rank))
+            g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            u, _ = np.linalg.qr(g)
+            states.append(u @ np.diag(lam) @ u.conj().T)
+            m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            tangents.append((m + m.conj().T) / 2.0)
+        states = np.array(states)
+        states = (states + states.conj().swapaxes(-1, -2)) / 2.0
+        n = len(states) // 3
+        stack = states[: 3 * n].reshape(3, n, 8, 8)
+        config = OracleConfig(rank_cutoff=cutoff)
+        values = eigh_stack(stack[0]).eigenvalues
+        assert ((values[:, :, None] + values[:, None, :]) <= cutoff).any()
+        assert_column_matches_reference(stack, np.array(tangents[:n]), [1e-6] * n, config)
+
+
+class TestFinishErrors:
+    """A stacked finish names the failing element; one matrix names none."""
+
+    SPECTRUM = np.full(8, 1.0 / 8.0)
+    VECTORS = np.eye(8, dtype=complex)
+
+    def stack(self, shape):
+        values = np.broadcast_to(self.SPECTRUM, shape + (8,)).copy()
+        vectors = np.broadcast_to(self.VECTORS, shape + (8, 8))
+        return values, vectors
+
+    def test_qfi_not_psd(self):
+        values, vectors = self.stack((2, 3))
+        values[1, 2, 0] = -1e-9
+        with pytest.raises(NotPSDError, match=r"^element \(1, 2\): state eigenvalue -1\.000e-09"):
+            qfi_from_spectrum(values, vectors, vectors, OracleConfig())
+        with pytest.raises(NotPSDError, match=r"^state eigenvalue -1\.000e-09 below -1e-12$"):
+            qfi_from_spectrum(values[1, 2], vectors[1, 2], vectors[1, 2], OracleConfig())
+
+    def test_qfi_trace(self):
+        values, vectors = self.stack((5,))
+        values[4] *= 1.1
+        with pytest.raises(TraceViolationError, match=r"^element 4: state trace"):
+            qfi_from_spectrum(values, vectors, vectors, OracleConfig())
+        with pytest.raises(TraceViolationError, match=r"^state trace np\.float64\("):
+            qfi_from_spectrum(values[4], vectors[4], vectors[4], OracleConfig())
+
+    def test_sqrt_not_psd(self):
+        values, vectors = self.stack((4,))
+        values[3, 0] = -1e-9
+        with pytest.raises(NotPSDError, match=r"^element 3: eigenvalue -1\.000e-09"):
+            sqrt_from_spectrum(values, vectors)
+        with pytest.raises(NotPSDError, match=r"^eigenvalue -1\.000e-09 below -1e-12$"):
+            sqrt_from_spectrum(values[3], vectors[3])
+        with pytest.raises(NotPSDError, match=r"^element 3: eigenvalue"):
+            skew_from_spectra(self.stack((4,)), (values, vectors), np.full(4, 1e-6))
+
+    def test_column_names_probe_and_point(self):
+        states = np.broadcast_to(np.eye(8, dtype=complex) / 8.0, (3, 4, 8, 8)).copy()
+        drho = np.zeros((8, 8), dtype=complex)
+        states[2, 1] = np.diag([0.25, 0.25, 0.25, 0.25 + 1e-9, -1e-9, 0.0, 0.0, 0.0])
+        with pytest.raises(NotPSDError, match=r"^element \(2, 1\): state eigenvalue -1\.000e-09"):
+            oracle_column(states, drho, [1e-6] * 4)
+        states[2, 1] = np.eye(8) / 8.0
+        states[0, 3] *= 1.1
+        with pytest.raises(TraceViolationError, match=r"^element \(0, 3\): state trace"):
+            oracle_column(states, drho, [1e-6] * 4)
+
+
+def test_tangent_step_is_the_probe_step():
+    # The central-difference tangent and the skew probes share one step.
+    fixed = XState(np.full(8, 1.0 / 8.0), np.zeros(4, dtype=complex))
+    for phi in (0.0, 0.4, -0.7, 2.5, -31.0):
+        calls = []
+
+        def state(x):
+            calls.append(x)
+            return fixed
+
+        ParamFamily(state=state).tangent_at(phi)
+        h = OracleConfig().probe_step(phi)
+        assert sorted(calls) == [phi - h, phi + h]

@@ -9,7 +9,7 @@ from xqmetro.xstate import (
     BLOCK_PAIRS,
     M_EVEN,
     M_ODD,
-    PAULI_TRIPLES,
+    PAULI,
     XState,
     XTangent,
     bloch_from_compact,
@@ -31,6 +31,17 @@ OMEGA1_PATTERNS = ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1))
 OMEGA1_SIGNS = ((1, -1, -1, -1), (1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1))
 OMEGA2_PATTERNS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2))
 OMEGA2_SIGNS = ((1, 1, 1, -1), (-1, 1, 1, 1), (1, -1, 1, 1), (-1, -1, 1, -1))
+
+
+# All 64 triple Kronecker products s_a x s_b x s_c, flattened index a*16+b*4+c.
+PAULI_TRIPLES = np.stack(
+    [
+        np.kron(np.kron(PAULI[a], PAULI[b]), PAULI[c])
+        for a in range(4)
+        for b in range(4)
+        for c in range(4)
+    ]
+)
 
 
 def correlation_tensor(state):
@@ -145,8 +156,6 @@ class TestCorrelationTensor:
 
 class TestBlockBloch:
     def test_matches_block_traces(self):
-        from xqmetro.xstate import PAULI
-
         rng = np.random.default_rng(25)
         for _ in range(200):
             state = random_xstate(rng)
