@@ -356,11 +356,11 @@ def crosscheck_grid(
     :class:`BadParameterError`.  The Werner-GHZ inputs pass the checks of
     :class:`XState` as stacks, and so do the Kraus images of the states; a
     failure raises that check's error naming the element (which of rho,
-    left probe, right probe, then the q index).  The oracle column raises
-    the same way: the eigensolver's Hermiticity test (1e-12) with
-    :class:`NotHermitianError`, its sweep limit with
-    :class:`NotConvergedError`, and the finishes' spectrum tests with
-    :class:`NotPSDError` or :class:`TraceViolationError`.  The Kraus image
+    left probe, right probe, then the q index).  So does the oracle column,
+    for the eigensolver's Hermiticity test (1e-12) with
+    :class:`NotHermitianError` and the finishes' spectrum tests with
+    :class:`NotPSDError` or :class:`TraceViolationError`; an eigensolver
+    out of sweeps raises :class:`NotConvergedError`.  The Kraus image
     of a Hermitian state is Hermitian up to rounding, so a completely
     positive and trace-preserving channel fails none of these on an
     in-domain point.  Only the closed forms run per metric: a
@@ -370,6 +370,7 @@ def crosscheck_grid(
     for q in q_values:
         for p in p_values:
             _check_point(q, p)
+    # qfi, skew, concurrence: the order of the CrosscheckReport fields.
     pipeline = [values.tolist() for values in ghz_grid(kind, q_values, p_values).values()]
 
     # Oracle inputs: rho(q), then the skew probes rho(q - h) and rho(q + h),
