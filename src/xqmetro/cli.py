@@ -33,7 +33,6 @@ from .channels import (
 from .errors import BadParameterError, XQMetroError
 from .ghz import (
     GHZ_QMIN,
-    CrosscheckReport,
     Verdict,
     crosscheck,
     crosscheck_grid,
@@ -207,108 +206,104 @@ def _grid_axes(grid: int) -> tuple[list[float], list[float]]:
     return q_values, p_values
 
 
-def run_validation(grid: int, seed: int) -> ValidationReport:
-    """Run every hard-invariant suite plus the GHZ crosscheck grid.
+def _max_error(errors) -> float:
+    """The largest error, 0.0 for none: NaN if any error is NaN, so its suite fails."""
+    return float(np.max(np.asarray(errors, dtype=float), initial=0.0))
 
-    Deterministic for fixed (grid, seed): corpora are drawn from
-    numpy.random.default_rng(seed) (the PCG64 generator).  Known deviations
-    of the depolarizing reference closed forms are reported as warnings and
-    do not affect the pass/fail outcome.
+
+def channel_route_errors(states, p_values) -> tuple[float, float]:
+    """Kraus completeness and Kraus-versus-Bloch route error on a corpus of states.
+
+    Per channel and p, both routes run over the whole corpus at once, and
+    every state passes the checks it would pass alone: check_bloch on the
+    input and the Bloch image, XState on both images, the dense X pattern on
+    the Kraus image; a failure names its element of the stack.
     """
-    if grid < 1:
-        raise BadParameterError(f"--grid: must be a positive integer, got {grid}")
-    rng = np.random.default_rng(seed)
-    p_probe = [float(p) for p in np.linspace(0.0, 1.0, 11)]
-    suites = []
-
-    err = 0.0
-    for kind in ChannelKind:
-        for p in p_probe:
-            ops = kraus_operators(kind, ChannelParam(p))
-            total = sum(op.conj().T @ op for op in ops)
-            err = max(err, float(np.abs(total - np.eye(2)).max()))
-    suites.append(SuiteResult("kraus-completeness", err, 1e-14))
-
-    # Both routes run over the whole corpus at once, and every state passes the
-    # checks it would pass alone: check_bloch on the input and the Bloch image,
-    # XState on both images, the dense X pattern on the Kraus image.  A
-    # failure names its element of the stack.
-    states = [random_xstate(rng) for _ in range(12 * grid)]
     diag = np.stack([state.diag for state in states])
     anti = np.stack([state.anti for state in states])
     bloch = bloch_from_compact(diag, anti)
     check_bloch(bloch)
     dense = dense_from_compact(diag, anti)
-    params = [ChannelParam(p) for p in p_probe]
-    err = 0.0
+    params = [ChannelParam(p) for p in p_values]
+    completeness, route = [], []
     for kind in ChannelKind:
         damped = damped_bloch_array(kind, bloch, params)
         check_bloch(damped)
         damped_diag, damped_anti = compact_from_bloch(damped)
         check_compact(damped_diag, damped_anti)
         for k, param in enumerate(params):
+            total = sum(op.conj().T @ op for op in kraus_operators(kind, param))
+            completeness.append(np.abs(total - np.eye(2)).max())
             kraus_diag, kraus_anti = compact_from_dense(apply_kraus_dense(dense, kind, param))
             via_kraus = dense_from_compact(kraus_diag, kraus_anti)
             via_bloch = dense_from_compact(damped_diag[k], damped_anti[k])
-            err = max(err, float(np.abs(via_kraus - via_bloch).max()))
-    suites.append(SuiteResult("channel-equivalence", err, 1e-12))
+            route.append(np.abs(via_kraus - via_bloch).max())
+    return _max_error(completeness), _max_error(route)
 
-    # Every (family, phi) point is drawn first; the oracles then take all of
-    # their spectra from one stacked eigensolver call.
-    points = []
-    for _ in range(6 * grid):
-        family = random_family(rng)
-        points.append((family, float(rng.uniform(0.2, 0.8))))
-    qfi_err = 0.0
-    skew_err = 0.0
-    for (family, phi), (qfi_oracle, skew_oracle) in zip(points, family_oracles(points)):
-        qfi_err = max(qfi_err, abs(qfi_total(family, phi) - qfi_oracle) / max(qfi_oracle, 1e-9))
-        skew_err = max(
-            skew_err, abs(skew_total(family, phi) - skew_oracle) / max(skew_oracle, 1e-9)
-        )
-    suites.append(SuiteResult("family-qfi-oracle", qfi_err, 1e-6))
-    suites.append(SuiteResult("family-skew-oracle", skew_err, 1e-5))
+
+def family_oracle_errors(points) -> tuple[float, float]:
+    """Largest Fisher and skew |pipeline - oracle| / max(oracle, 1e-9) over
+    ``(family, phi)`` points, the oracles from one :func:`family_oracles` call."""
+    oracle = np.reshape(family_oracles(points), (-1, 2))
+    pipeline = [(qfi_total(family, phi), skew_total(family, phi)) for family, phi in points]
+    errors = np.abs(np.reshape(pipeline, (-1, 2)) - oracle) / np.maximum(oracle, 1e-9)
+    return _max_error(errors[:, 0]), _max_error(errors[:, 1])
+
+
+def crosscheck_error(reports, metrics, delta: str) -> float:
+    """Largest ``delta`` (``"closed_form_delta"`` or ``"oracle_delta"``) of the
+    ``metrics`` (``"qfi"``, ``"skew"``, ``"concurrence"``) over non-singular checks."""
+    checks = [getattr(report, name) for report in reports for name in metrics]
+    return _max_error([getattr(c, delta) for c in checks if c.verdict is not Verdict.SINGULAR])
+
+
+def run_validation(grid: int, seed: int) -> ValidationReport:
+    """Run every hard-invariant suite plus the GHZ crosscheck grid.
+
+    Deterministic for fixed (grid, seed): 12 * grid states, then 6 * grid
+    (family, phi) points, are drawn from numpy.random.default_rng(seed) (the
+    PCG64 generator).  The acceptance gate calls the same suite functions.
+    Known deviations of the depolarizing reference closed forms are reported
+    as warnings and do not affect the pass/fail outcome.
+    """
+    if grid < 1:
+        raise BadParameterError(f"--grid: must be a positive integer, got {grid}")
+    if seed < 0:
+        raise BadParameterError(f"--seed: must be a non-negative integer, got {seed}")
+    rng = np.random.default_rng(seed)
+    states = [random_xstate(rng) for _ in range(12 * grid)]
+    completeness, route = channel_route_errors(states, np.linspace(0.0, 1.0, 11).tolist())
+    points = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(6 * grid)]
+    fisher, skew = family_oracle_errors(points)
 
     q_values, p_values = _grid_axes(grid)
-    reports: dict[ChannelKind, list[CrosscheckReport]] = {
-        kind: crosscheck_grid(kind, q_values, p_values) for kind in ChannelKind
-    }
-    singular = sum(
-        check.verdict is Verdict.SINGULAR
-        for kind_reports in reports.values()
-        for report in kind_reports
-        for check in (report.qfi, report.skew, report.concurrence)
+    reports = {kind: crosscheck_grid(kind, q_values, p_values) for kind in ChannelKind}
+    every = [report for kind_reports in reports.values() for report in kind_reports]
+    dephasing = reports[ChannelKind.PHASE_DAMPING] + reports[ChannelKind.PHASE_FLIP]
+    agree = crosscheck_error(dephasing, METRIC_NAMES, "closed_form_delta")
+    # A concurrence is at most 1, so its oracle_delta is the absolute difference.
+    qfi_err, skew_err, conc_err = (
+        crosscheck_error(every, (name,), "oracle_delta") for name in METRIC_NAMES
     )
-
-    agree_err = 0.0
-    for kind in (ChannelKind.PHASE_DAMPING, ChannelKind.PHASE_FLIP):
-        for report in reports[kind]:
-            for check in (report.qfi, report.skew, report.concurrence):
-                if check.verdict is not Verdict.SINGULAR:
-                    agree_err = max(agree_err, check.closed_form_delta)
-    suites.append(SuiteResult("ghz-closed-form-agreement", agree_err, 1e-8))
-
-    qfi_err = skew_err = conc_err = 0.0
-    for kind in ChannelKind:
-        for report in reports[kind]:
-            if report.qfi.verdict is not Verdict.SINGULAR:
-                qfi_err = max(qfi_err, report.qfi.oracle_delta)
-            if report.skew.verdict is not Verdict.SINGULAR:
-                skew_err = max(skew_err, report.skew.oracle_delta)
-            if report.concurrence.verdict is not Verdict.SINGULAR:
-                conc_err = max(conc_err, abs(report.concurrence.pipeline - report.concurrence.oracle))
-    suites.append(SuiteResult("ghz-qfi-oracle", qfi_err, 1e-6))
-    suites.append(SuiteResult("ghz-skew-oracle", skew_err, 1e-5))
-    suites.append(SuiteResult("ghz-concurrence-routes", conc_err, 1e-12))
+    suites = (
+        SuiteResult("kraus-completeness", completeness, 1e-14),
+        SuiteResult("channel-equivalence", route, 1e-12),
+        SuiteResult("family-qfi-oracle", fisher, 1e-6),
+        SuiteResult("family-skew-oracle", skew, 1e-5),
+        SuiteResult("ghz-closed-form-agreement", agree, 1e-8),
+        SuiteResult("ghz-qfi-oracle", qfi_err, 1e-6),
+        SuiteResult("ghz-skew-oracle", skew_err, 1e-5),
+        SuiteResult("ghz-concurrence-routes", conc_err, 1e-12),
+    )
+    singular = sum(getattr(r, m).verdict is Verdict.SINGULAR for r in every for m in METRIC_NAMES)
 
     dpc = reports[ChannelKind.DEPOLARIZING]
-    qfi_gap = max(check.qfi.closed_form_delta for check in dpc)
-    gap_mismatch = max(
-        abs(check.qfi.closed_form_delta - depolarizing_qfi_gap(check.q, check.p))
-        for check in dpc
+    gap_mismatch = _max_error(
+        [abs(check.qfi.closed_form_delta - depolarizing_qfi_gap(check.q, check.p)) for check in dpc]
     )
-    skew_gap = max(check.skew.closed_form_delta for check in dpc)
-    conc_gap = max(check.concurrence.closed_form_delta for check in dpc)
+    qfi_gap, skew_gap, conc_gap = (
+        crosscheck_error(dpc, (name,), "closed_form_delta") for name in METRIC_NAMES
+    )
     warnings = (
         "depolarizing Fisher information: the reference closed form's diagonal"
         " term reads 3S^4/(16(1-S^2+qS^2)) where pipeline and oracle give"
@@ -321,12 +316,12 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
         f" pipeline; max |pipeline-closed| = {conc_gap:.3e}",
     )
     notes = (
-        f"crosscheck points: {sum(len(v) for v in reports.values())}"
+        f"crosscheck points: {len(every)}"
         f" ({len(q_values)} q x {len(p_values)} p x 3 channels);"
         f" singular-verdict metrics: {singular}"
         " (pure blocks would route to the rank-aware spectral fallback)",
     )
-    return ValidationReport(grid, seed, tuple(suites), warnings, notes)
+    return ValidationReport(grid, seed, suites, warnings, notes)
 
 
 def render_ghz_point(kind: ChannelKind, q: float, p: float) -> str:
@@ -412,9 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise BadParameterError(f"--output: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,22 +11,16 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from xqmetro.channels import (
-    ChannelKind,
-    ChannelParam,
-    apply_kraus,
-    apply_kraus_dense,
-    damped_bloch_array,
-    kraus_operators,
+from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus, apply_kraus_dense
+from xqmetro.cli import (
+    METRIC_NAMES,
+    channel_route_errors,
+    crosscheck_error,
+    family_oracle_errors,
+    main,
+    run_validation,
 )
-from xqmetro.cli import main, run_validation
-from xqmetro.ghz import (
-    closed_form_concurrence,
-    closed_form_qfi,
-    closed_form_skew,
-    ghz_family,
-    werner_ghz,
-)
+from xqmetro.ghz import Verdict, closed_form_concurrence, crosscheck_grid, ghz_family, werner_ghz
 from xqmetro.linalg import psd_sqrt
 from xqmetro.metrics import (
     ParamFamily,
@@ -38,15 +32,7 @@ from xqmetro.metrics import (
     sld_block,
 )
 from xqmetro.oracle import qfi_eigen_oracle, skew_sqrt_oracle
-from xqmetro.xstate import (
-    XState,
-    bloch_from_compact,
-    check_compact,
-    compact_from_bloch,
-    dense_from_compact,
-    random_xstate,
-    xstate_from_dense,
-)
+from xqmetro.xstate import XState, random_xstate, xstate_from_dense
 
 Q_GRID = tuple(j / 10.0 for j in range(1, 10))
 P_GRID = tuple(j / 10.0 for j in range(10))
@@ -64,32 +50,16 @@ def report(capsys):
 
 
 @pytest.fixture(scope="module")
-def family_corpus():
+def family_errors():
     rng = default_rng(777)
-    return [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(200)]
+    corpus = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(200)]
+    return family_oracle_errors(corpus)
 
 
 def test_criterion_1_channel_route_equivalence(report):
     rng = default_rng(20260819)
     states = [random_xstate(rng) for _ in range(1000)]
-    diag = np.stack([state.diag for state in states])
-    anti = np.stack([state.anti for state in states])
-    dense = dense_from_compact(diag, anti)
-    bloch = bloch_from_compact(diag, anti)
-    params = [ChannelParam(float(p)) for p in np.linspace(0.0, 1.0, 11)]
-    completeness = 0.0
-    route_diff = 0.0
-    for kind in ChannelKind:
-        # The whole corpus through both routes at once; the Bloch route goes
-        # as apply_channel_compact takes it, with the checks XState makes.
-        damped_diag, damped_anti = compact_from_bloch(damped_bloch_array(kind, bloch, params))
-        check_compact(damped_diag, damped_anti)
-        for k, param in enumerate(params):
-            total = sum(op.conj().T @ op for op in kraus_operators(kind, param))
-            completeness = max(completeness, float(np.abs(total - np.eye(2)).max()))
-            via_kraus = apply_kraus_dense(dense, kind, param)
-            via_bloch = dense_from_compact(damped_diag[k], damped_anti[k])
-            route_diff = max(route_diff, float(np.abs(via_kraus - via_bloch).max()))
+    completeness, route_diff = channel_route_errors(states, np.linspace(0.0, 1.0, 11).tolist())
     ok = route_diff <= 1e-12 and completeness <= 1e-14
     report(
         "criterion-1",
@@ -101,14 +71,8 @@ def test_criterion_1_channel_route_equivalence(report):
     )
 
 
-def test_criterion_2_qfi_matches_eigen_oracle(report, family_corpus):
-    worst = 0.0
-    for family, phi in family_corpus:
-        rho = family.state(phi).to_dense()
-        drho = family.tangent_at(phi).to_dense()
-        oracle = qfi_eigen_oracle(rho, drho)
-        rel = abs(qfi_total(family, phi) - oracle) / max(oracle, 1e-9)
-        worst = max(worst, rel)
+def test_criterion_2_qfi_matches_eigen_oracle(report, family_errors):
+    worst, _ = family_errors
     report(
         "criterion-2",
         "qfi-eigen-oracle",
@@ -117,12 +81,8 @@ def test_criterion_2_qfi_matches_eigen_oracle(report, family_corpus):
     )
 
 
-def test_criterion_3_skew_matches_sqrt_oracle(report, family_corpus):
-    worst = 0.0
-    for family, phi in family_corpus:
-        oracle = skew_sqrt_oracle(family, phi)
-        rel = abs(skew_total(family, phi) - oracle) / max(oracle, 1e-9)
-        worst = max(worst, rel)
+def test_criterion_3_skew_matches_sqrt_oracle(report, family_errors):
+    _, worst = family_errors
     report(
         "criterion-3",
         "skew-sqrt-oracle",
@@ -132,23 +92,24 @@ def test_criterion_3_skew_matches_sqrt_oracle(report, family_corpus):
 
 
 def test_criterion_4_ghz_closed_forms_agree(report):
-    worst = 0.0
-    for kind in (ChannelKind.PHASE_DAMPING, ChannelKind.PHASE_FLIP):
-        for p in P_GRID:
-            family = ghz_family(kind, p)
-            for q in Q_GRID:
-                worst = max(worst, abs(closed_form_qfi(kind, q, p) - qfi_total(family, q)))
-                worst = max(worst, abs(closed_form_skew(kind, q, p) - skew_total(family, q)))
-                worst = max(
-                    worst,
-                    abs(closed_form_concurrence(kind, q, p) - concurrence_ghz_class(family.state(q))),
-                )
-    anchor_f = max(
-        abs(qfi_total(ghz_family(ChannelKind.PHASE_DAMPING, p), 1.0) - (3.0 + 4.0 * (1.0 - p) ** 6))
-        for p in P_GRID
+    reports = [
+        point
+        for kind in (ChannelKind.PHASE_DAMPING, ChannelKind.PHASE_FLIP)
+        for point in crosscheck_grid(kind, Q_GRID, P_GRID)
+    ]
+    worst = crosscheck_error(reports, METRIC_NAMES, "closed_form_delta")
+    singular = sum(
+        getattr(point, name).verdict is Verdict.SINGULAR
+        for point in reports
+        for name in METRIC_NAMES
     )
-    anchor_c = abs(closed_form_concurrence(ChannelKind.PHASE_DAMPING, 0.2, 0.1) - 0.4332)
-    ok = worst <= 1e-8 and anchor_f <= 1e-10 and anchor_c <= 1e-12
+    pdc = ChannelKind.PHASE_DAMPING
+    full_mixing = [
+        abs(qfi_total(ghz_family(pdc, p), 1.0) - (3.0 + 4.0 * (1.0 - p) ** 6)) for p in P_GRID
+    ]
+    anchor_f = float(np.max(full_mixing))
+    anchor_c = abs(closed_form_concurrence(pdc, 0.2, 0.1) - 0.4332)
+    ok = worst <= 1e-8 and singular == 0 and anchor_f <= 1e-10 and anchor_c <= 1e-12
     report(
         "criterion-4",
         "ghz-closed-form-agreement",
@@ -156,7 +117,8 @@ def test_criterion_4_ghz_closed_forms_agree(report):
         f"max |closed form - pipeline| {worst:.3e} (tol 1e-8) on phase-damping and "
         f"phase-flip grids q in {{0.1..0.9}} x p in {{0..0.9}}; "
         f"full-mixing Fisher anchor 3+4(1-p)^6 off by {anchor_f:.3e}; "
-        f"concurrence anchor 0.4332 off by {anchor_c:.3e}",
+        f"concurrence anchor 0.4332 off by {anchor_c:.3e}; "
+        f"singular verdicts {singular} (must be 0)",
     )
 
 

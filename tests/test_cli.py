@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from xqmetro import linalg
+from xqmetro import cli, ghz, linalg
 from xqmetro.channels import ChannelKind
 from xqmetro.cli import (
     CSV_HEADER,
@@ -330,6 +330,29 @@ class TestExitCodes:
         assert main(["ghz-point", "--channel", "pdc", "--q", "0.4", "--p", "0.25"]) == 0
         capsys.readouterr()
 
+    def test_negative_seed_exits_two_before_any_draw(self, monkeypatch, capsys):
+        def no_draw(seed):
+            raise AssertionError("drew a corpus")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        code = exit_code(["validate", "--grid", "1", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: --seed: must be a non-negative integer")
+        assert captured.out == ""
+
+    def test_output_into_missing_directory_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.csv"
+        code = exit_code(
+            ["sweep", "--channel", "pdc", "--q", "0.5", "--p", "0:0.9:4", "--output", str(target)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: --output: ")
+        assert str(target) in captured.err
+        assert "Traceback" not in captured.err
+        assert not target.parent.exists()
+
     def test_eigensolver_failure_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
         code = exit_code(["ghz-point", "--channel", "pdc", "--q", "0.4", "--p", "0.25"])
@@ -384,6 +407,45 @@ class TestValidation:
         first = run_validation(grid=2, seed=1).render()
         second = run_validation(grid=2, seed=1).render()
         assert first == second
+
+
+def assert_only_suites_fail(names, capsys):
+    report = run_validation(grid=2, seed=1)
+    failed = {suite.name for suite in report.suites if not suite.passed}
+    assert failed == set(names)
+    for suite in report.suites:
+        assert np.isnan(suite.max_error) == (suite.name in names)
+    code = main(["validate", "--grid", "2", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.endswith("result: FAIL\n")
+    for name in names:
+        assert any(line.startswith(name) and line.endswith("FAIL") for line in out.splitlines())
+
+
+class TestNaNFailsItsSuite:
+    """A NaN error fails its suite: no reduction may drop it."""
+
+    def test_nan_family_fisher(self, monkeypatch, capsys):
+        calls = []
+
+        def qfi_with_one_nan(family, phi):
+            # NaN at the third of the 6 * grid = 12 points of each run.
+            calls.append(phi)
+            return float("nan") if len(calls) % 12 == 3 else qfi_total(family, phi)
+
+        monkeypatch.setattr(cli, "qfi_total", qfi_with_one_nan)
+        assert_only_suites_fail(["family-qfi-oracle"], capsys)
+
+    def test_nan_crosscheck_pipeline_value(self, monkeypatch, capsys):
+        def grid_with_one_nan(kind, q_values, p_values, metrics=METRIC_NAMES):
+            values = ghz_grid(kind, q_values, p_values, metrics)
+            if kind is ChannelKind.PHASE_DAMPING:
+                values["skew"][1, 2] = np.nan
+            return values
+
+        monkeypatch.setattr(ghz, "ghz_grid", grid_with_one_nan)
+        assert_only_suites_fail(["ghz-closed-form-agreement", "ghz-skew-oracle"], capsys)
 
 
 class TestSubprocessDeterminism:
