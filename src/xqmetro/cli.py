@@ -124,14 +124,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     q_cells, p_cells, cells = _sweep_cells(spec)
     p_values = [float(cell) for cell in p_cells]
     rows = [
-        {
-            "channel": spec.channel.value,
-            "q": float(q),
-            "p": p,
-            "qfi": None,
-            "skew": None,
-            "concurrence": None,
-        }
+        {"channel": spec.channel.value, "q": float(q), "p": p, **dict.fromkeys(METRIC_NAMES)}
         for q in q_cells
         for p in p_values
     ]
@@ -217,7 +210,8 @@ def channel_route_errors(states, p_values) -> tuple[float, float]:
     Per channel and p, both routes run over the whole corpus at once, and
     every state passes the checks it would pass alone: check_bloch on the
     input and the Bloch image, XState on both images, the dense X pattern on
-    the Kraus image; a failure names its element of the stack.
+    the Kraus image; a failure names its element of the stack.  The route
+    error spans the raw 8x8 Kraus image, off-pattern entries included.
     """
     diag = np.stack([state.diag for state in states])
     anti = np.stack([state.anti for state in states])
@@ -234,8 +228,8 @@ def channel_route_errors(states, p_values) -> tuple[float, float]:
         for k, param in enumerate(params):
             total = sum(op.conj().T @ op for op in kraus_operators(kind, param))
             completeness.append(np.abs(total - np.eye(2)).max())
-            kraus_diag, kraus_anti = compact_from_dense(apply_kraus_dense(dense, kind, param))
-            via_kraus = dense_from_compact(kraus_diag, kraus_anti)
+            via_kraus = apply_kraus_dense(dense, kind, param)
+            compact_from_dense(via_kraus)
             via_bloch = dense_from_compact(damped_diag[k], damped_anti[k])
             route.append(np.abs(via_kraus - via_bloch).max())
     return _max_error(completeness), _max_error(route)
@@ -250,11 +244,9 @@ def family_oracle_errors(points) -> tuple[float, float]:
     return _max_error(errors[:, 0]), _max_error(errors[:, 1])
 
 
-def crosscheck_error(reports, metrics, delta: str) -> float:
-    """Largest ``delta`` (``"closed_form_delta"`` or ``"oracle_delta"``) of the
-    ``metrics`` (``"qfi"``, ``"skew"``, ``"concurrence"``) over non-singular checks."""
-    checks = [getattr(report, name) for report in reports for name in metrics]
-    return _max_error([getattr(c, delta) for c in checks if c.verdict is not Verdict.SINGULAR])
+def crosscheck_error(checks, delta) -> float:
+    """Largest ``delta(check)`` over the ``checks`` whose verdict is not singular."""
+    return _max_error([delta(c) for c in checks if c.verdict is not Verdict.SINGULAR])
 
 
 def run_validation(grid: int, seed: int) -> ValidationReport:
@@ -280,10 +272,13 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
     reports = {kind: crosscheck_grid(kind, q_values, p_values) for kind in ChannelKind}
     every = [report for kind_reports in reports.values() for report in kind_reports]
     dephasing = reports[ChannelKind.PHASE_DAMPING] + reports[ChannelKind.PHASE_FLIP]
-    agree = crosscheck_error(dephasing, METRIC_NAMES, "closed_form_delta")
-    # A concurrence is at most 1, so its oracle_delta is the absolute difference.
-    qfi_err, skew_err, conc_err = (
-        crosscheck_error(every, (name,), "oracle_delta") for name in METRIC_NAMES
+    agree = crosscheck_error(
+        [c for r in dephasing for c in r.checks], lambda c: c.closed_form_delta
+    )
+    qfi_err = crosscheck_error([r.qfi for r in every], lambda c: c.oracle_delta)
+    skew_err = crosscheck_error([r.skew for r in every], lambda c: c.oracle_delta)
+    conc_err = crosscheck_error(
+        [r.concurrence for r in every], lambda c: abs(c.pipeline - c.oracle)
     )
     suites = (
         SuiteResult("kraus-completeness", completeness, 1e-14),
@@ -295,15 +290,15 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
         SuiteResult("ghz-skew-oracle", skew_err, 1e-5),
         SuiteResult("ghz-concurrence-routes", conc_err, 1e-12),
     )
-    singular = sum(getattr(r, m).verdict is Verdict.SINGULAR for r in every for m in METRIC_NAMES)
+    singular = sum(c.verdict is Verdict.SINGULAR for r in every for c in r.checks)
 
     dpc = reports[ChannelKind.DEPOLARIZING]
     gap_mismatch = _max_error(
         [abs(check.qfi.closed_form_delta - depolarizing_qfi_gap(check.q, check.p)) for check in dpc]
     )
-    qfi_gap, skew_gap, conc_gap = (
-        crosscheck_error(dpc, (name,), "closed_form_delta") for name in METRIC_NAMES
-    )
+    qfi_gap = _max_error([check.qfi.closed_form_delta for check in dpc])
+    skew_gap = _max_error([check.skew.closed_form_delta for check in dpc])
+    conc_gap = _max_error([check.concurrence.closed_form_delta for check in dpc])
     warnings = (
         "depolarizing Fisher information: the reference closed form's diagonal"
         " term reads 3S^4/(16(1-S^2+qS^2)) where pipeline and oracle give"
@@ -328,11 +323,7 @@ def render_ghz_point(kind: ChannelKind, q: float, p: float) -> str:
     report = crosscheck(kind, q, p)
     lines = [f"ghz crosscheck  channel={kind.value}  q={_sig12(q)}  p={_sig12(p)}"]
     lines.append(f"{'metric':<13}{'pipeline':>18}{'closed form':>18}{'oracle':>18}  verdict")
-    for name, check in (
-        ("qfi", report.qfi),
-        ("skew", report.skew),
-        ("concurrence", report.concurrence),
-    ):
+    for name, check in zip(METRIC_NAMES, report.checks):
         lines.append(
             f"{name:<13}{_sig12(check.pipeline):>18}{_sig12(check.closed_form):>18}"
             f"{_sig12(check.oracle):>18}  {check.verdict.value}"
@@ -409,10 +400,14 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        handle = open(output, "w", encoding="utf-8")
     except OSError as exc:
         raise BadParameterError(f"--output: {exc}") from exc
+    try:
+        with handle:
+            handle.write(text)
+    except OSError as exc:
+        raise XQMetroError(f"--output: writing failed: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

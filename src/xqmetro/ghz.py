@@ -315,6 +315,11 @@ class CrosscheckReport:
     skew: MetricCheck
     concurrence: MetricCheck
 
+    @property
+    def checks(self) -> tuple[MetricCheck, MetricCheck, MetricCheck]:
+        """The qfi, skew and concurrence checks, in that order."""
+        return self.qfi, self.skew, self.concurrence
+
 
 def _verdict(pipeline: float, closed_form: float) -> Verdict:
     # A closed form that is NaN or infinite is undefined at the point (the

@@ -13,7 +13,6 @@ from numpy.random import default_rng
 
 from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus, apply_kraus_dense
 from xqmetro.cli import (
-    METRIC_NAMES,
     channel_route_errors,
     crosscheck_error,
     family_oracle_errors,
@@ -97,12 +96,9 @@ def test_criterion_4_ghz_closed_forms_agree(report):
         for kind in (ChannelKind.PHASE_DAMPING, ChannelKind.PHASE_FLIP)
         for point in crosscheck_grid(kind, Q_GRID, P_GRID)
     ]
-    worst = crosscheck_error(reports, METRIC_NAMES, "closed_form_delta")
-    singular = sum(
-        getattr(point, name).verdict is Verdict.SINGULAR
-        for point in reports
-        for name in METRIC_NAMES
-    )
+    checks = [check for point in reports for check in point.checks]
+    worst = crosscheck_error(checks, lambda check: check.closed_form_delta)
+    singular = sum(check.verdict is Verdict.SINGULAR for check in checks)
     pdc = ChannelKind.PHASE_DAMPING
     full_mixing = [
         abs(qfi_total(ghz_family(pdc, p), 1.0) - (3.0 + 4.0 * (1.0 - p) ** 6)) for p in P_GRID

@@ -1,30 +1,34 @@
 """Command-line interface: sweeps, validation, point reports, exit codes."""
 
 import csv
+import errno
 import io
 import itertools
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xqmetro import cli, ghz, linalg
-from xqmetro.channels import ChannelKind
+from xqmetro.channels import ChannelKind, apply_kraus_dense
 from xqmetro.cli import (
     CSV_HEADER,
     METRIC_NAMES,
     SweepSpec,
     build_parser,
+    channel_route_errors,
     main,
     render_csv,
     run_sweep,
     run_validation,
 )
 from xqmetro.errors import BadParameterError
-from xqmetro.ghz import GHZ_QMIN, ghz_family, ghz_grid
+from xqmetro.ghz import GHZ_QMIN, crosscheck_grid, ghz_family, ghz_grid
 from xqmetro.metrics import concurrence_ghz_class, qfi_total, skew_total
+from xqmetro.xstate import random_xstate
 
 
 def default_spec(**overrides):
@@ -353,6 +357,22 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert not target.parent.exists()
 
+    def test_output_write_failure_exits_one(self, monkeypatch, tmp_path, capsys):
+        # The path opens; the write fails, which is an I/O failure, not a bad flag.
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        target = tmp_path / "table.csv"
+        code = exit_code(
+            ["sweep", "--channel", "pdc", "--q", "0.5", "--p", "0:0.9:4", "--output", str(target)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: --output: writing failed: ")
+        assert "No space left on device" in captured.err
+
     def test_eigensolver_failure_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
         code = exit_code(["ghz-point", "--channel", "pdc", "--q", "0.4", "--p", "0.25"])
@@ -446,6 +466,51 @@ class TestNaNFailsItsSuite:
 
         monkeypatch.setattr(ghz, "ghz_grid", grid_with_one_nan)
         assert_only_suites_fail(["ghz-closed-form-agreement", "ghz-skew-oracle"], capsys)
+
+
+class TestSuiteErrorsAreNotSoftened:
+    """A deviation below what a check lets through still counts in the error."""
+
+    @pytest.mark.parametrize(
+        "row, col, leak",
+        [(0, 1, 1e-11), (2, 2, 1e-11j), (0, 7, 1e-11)],
+        ids=["off-pattern", "imaginary-diagonal", "unpaired-coherence"],
+    )
+    def test_kraus_leak_below_pattern_tolerance_fails_route_error(
+        self, monkeypatch, row, col, leak
+    ):
+        # The X pattern check passes a 1e-11 leak (its tolerance is 1e-10);
+        # the route error, held to 1e-12 by criterion 1 and
+        # channel-equivalence, must still see it.
+        def leaky(dense, kind, param):
+            image = apply_kraus_dense(dense, kind, param).copy()
+            image[..., row, col] += leak
+            return image
+
+        monkeypatch.setattr(cli, "apply_kraus_dense", leaky)
+        rng = np.random.default_rng(3)
+        states = [random_xstate(rng) for _ in range(4)]
+        _, route = channel_route_errors(states, [0.0, 0.5, 1.0])
+        assert route == pytest.approx(1e-11, rel=1e-3)
+        assert not route <= 1e-12
+
+    def test_concurrence_route_error_is_absolute(self, monkeypatch):
+        # Relative to an oracle value of 3, a 2.5e-12 gap would read below
+        # the suite's 1e-12 tolerance; the absolute gap fails it.
+        def grid_with_one_gap(kind, q_values, p_values):
+            reports = list(crosscheck_grid(kind, q_values, p_values))
+            if kind is ChannelKind.DEPOLARIZING:
+                gap = replace(reports[0].concurrence, pipeline=3.0 + 2.5e-12, oracle=3.0)
+                reports[0] = replace(reports[0], concurrence=gap)
+            return reports
+
+        monkeypatch.setattr(cli, "crosscheck_grid", grid_with_one_gap)
+        report = run_validation(grid=1, seed=0)
+        suites = {suite.name: suite for suite in report.suites}
+        assert {name for name, suite in suites.items() if not suite.passed} == {
+            "ghz-concurrence-routes"
+        }
+        assert suites["ghz-concurrence-routes"].max_error == pytest.approx(2.5e-12, rel=1e-3)
 
 
 class TestSubprocessDeterminism:

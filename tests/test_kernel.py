@@ -376,10 +376,7 @@ class TestSpectralFallback:
             evaluate_stack((name,), bloch=w[1], tangent=dw[1])
 
 
-@pytest.mark.parametrize("kind", list(ChannelKind))
-def test_grid_equals_scalar_pipeline(kind):
-    q_values = (GHZ_QMIN, 0.13, 0.5, 0.77, 1.0)
-    p_values = [float(p) for p in np.linspace(0.0, 1.0, GRID_P_BLOCK + 3)]
+def assert_grid_equals_scalar_pipeline(kind, q_values, p_values):
     grid = ghz_grid(kind, q_values, p_values)
     for j, p in enumerate(p_values):
         family = ghz_family(kind, p)
@@ -387,6 +384,23 @@ def test_grid_equals_scalar_pipeline(kind):
             assert grid["qfi"][i, j] == qfi_total(family, q)
             assert grid["skew"][i, j] == skew_total(family, q)
             assert grid["concurrence"][i, j] == concurrence_ghz_class(family.state(q))
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_grid_equals_scalar_pipeline(kind):
+    q_values = (GHZ_QMIN, 0.13, 0.5, 0.77, 1.0)
+    p_values = [float(p) for p in np.linspace(0.0, 1.0, GRID_P_BLOCK + 3)]
+    assert_grid_equals_scalar_pipeline(kind, q_values, p_values)
+
+
+@pytest.mark.parametrize("kind", [ChannelKind.PHASE_DAMPING, ChannelKind.PHASE_FLIP])
+def test_grid_equals_scalar_pipeline_on_acceptance_points(kind):
+    # Acceptance criterion 4 reads its pipeline values from ghz_grid (through
+    # crosscheck_grid) on q in {0.1..0.9} x p in {0..0.9}; the scalar route
+    # must give the same bits there.
+    q_values = tuple(j / 10.0 for j in range(1, 10))
+    p_values = tuple(j / 10.0 for j in range(10))
+    assert_grid_equals_scalar_pipeline(kind, q_values, p_values)
 
 
 def test_grid_evaluates_only_requested_metrics():
