@@ -115,30 +115,30 @@ def kraus_operators(kind: ChannelKind, param: ChannelParam) -> list[np.ndarray]:
 
 
 # Matrices per pass of :func:`apply_kraus_dense`; bounds its working set,
-# one (n, m^3, 8, 8) complex temporary (64 KiB per matrix for depolarizing).
+# one (n, m^3, 64) complex temporary (64 KiB per matrix for depolarizing).
 KRAUS_CHUNK = 4
 
 
 @lru_cache(maxsize=256)
 def _triple_kraus(kind: ChannelKind, p: float):
-    """Triple operators K_a x K_b x K_c as the gather tables of :func:`apply_kraus_dense`.
+    """Triple operators K_a x K_b x K_c as the per-row tables of :func:`apply_kraus_dense`.
 
     Every triple operator has at most one nonzero entry per row: operator k
     reads, for row r, column ``c_k[r]`` with value ``v_k[r]``.  A zero row
     reads its own column with value 0, so a non-finite input entry reaches
-    its own output entry (0 * nan is nan).  Returns the column indices
-    ``c[:, :, None]`` and ``c[:, None, :]`` and the values ``v[:, :, None]``
-    and ``conj(v)[:, None, :]``, each broadcasting to shape (m^3, 8, 8).
+    its own output entry (0 * nan is nan).  Returns ``c`` and ``v``, each of
+    shape (m^3, 8).  The caller builds its (m^3, 64) gather tables from them
+    on every call: they take microseconds, and caching them would hold 13x
+    the memory per entry.
     """
     ops = kraus_operators(kind, ChannelParam(p))
     kr = np.stack([np.kron(np.kron(a, b), c) for a in ops for b in ops for c in ops])
     nonzero = kr != 0
     cols = np.where(nonzero.any(axis=-1), np.argmax(nonzero, axis=-1), np.arange(8))
     values = np.take_along_axis(kr, cols[..., None], axis=-1)[..., 0]
-    tables = (cols[:, :, None], cols[:, None, :], values[:, :, None], values.conj()[:, None, :])
-    for table in tables:
+    for table in (cols, values):
         table.setflags(write=False)
-    return tables
+    return cols, values
 
 
 def apply_kraus_dense(matrix: np.ndarray, kind: ChannelKind, param: ChannelParam) -> np.ndarray:
@@ -147,20 +147,25 @@ def apply_kraus_dense(matrix: np.ndarray, kind: ChannelKind, param: ChannelParam
     Leading axes are stack axes, walked ``KRAUS_CHUNK`` matrices at a time.
     Every triple operator has at most one nonzero entry per row, real or
     imaginary, in column ``c[r]`` with value ``v[r]``, so ``(K M K^dag)[r, s]
-    = (v[r] M[c[r], c[s]]) conj(v[s])``: one gather of M, then two products,
-    then the Kraus sum in operator order.  Each entry comes out bit for bit
-    as the dense product ``(K @ M) @ K^dag`` gives it for finite input, and
-    each element as it would alone.
+    = (v[r] M[c[r], c[s]]) conj(v[s])``.  Each matrix is viewed as its 64
+    entries and gathered with one ``take`` at the flat index ``8 c[r] + c[s]``,
+    then multiplied by ``v[r]`` and then by ``conj(v[s])``, then the Kraus sum
+    runs in operator order.  Each entry comes out bit for bit as the dense
+    product ``(K @ M) @ K^dag`` gives it for finite input, and each element
+    as it would alone.
     """
-    rows, cols, left, right = _triple_kraus(kind, param.p)
+    cols, values = _triple_kraus(kind, param.p)
+    index = (8 * cols[:, :, None] + cols[:, None, :]).reshape(len(cols), 64)
+    left = np.repeat(values, 8, axis=1)  # v[r] at 8 r + s
+    right = np.tile(values.conj(), 8)  # conj(v[s]) at 8 r + s
     m = np.asarray(matrix, dtype=complex)
-    flat = m.reshape((-1, 8, 8))
+    flat = m.reshape((-1, 64))
     out = np.empty(flat.shape, dtype=complex)
     # A non-finite input entry stays non-finite at its output entries, for
     # the X-pattern check downstream to report; 0 * inf is not warned about.
     with np.errstate(invalid="ignore"):
         for start in range(0, len(flat), KRAUS_CHUNK):
-            terms = flat[start : start + KRAUS_CHUNK][:, rows, cols]
+            terms = flat[start : start + KRAUS_CHUNK].take(index, axis=1)
             terms *= left
             terms *= right
             terms.sum(axis=1, out=out[start : start + KRAUS_CHUNK])

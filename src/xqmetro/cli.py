@@ -17,7 +17,10 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -396,17 +399,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` to stdout, or to the file ``output`` names.
+
+    A target that is absent, or a regular file that ``open()`` could write,
+    is replaced atomically: the text goes to a temporary file in the
+    target's directory, renamed over the target once the write succeeded,
+    so a failed write leaves the old bytes and no stray file.  The new file
+    gets the mode ``open()`` would leave: the old file's, or 0o666 less the
+    umask.  Any other target (a device, a FIFO, ``/dev/stdout``) is written
+    in place, since a rename would replace the node itself.
+    """
     if output is None:
         sys.stdout.write(text)
         return
     try:
-        handle = open(output, "w", encoding="utf-8")
+        mode = os.stat(output).st_mode
+    except OSError:
+        mode = None  # absent, or unreachable: creating the temporary file says so
+    atomic = mode is None or (stat.S_ISREG(mode) and os.access(output, os.W_OK))
+    path = output
+    if atomic:
+        target = os.path.realpath(output)  # through a symlink, as open() writes
+        directory, name = os.path.split(target)
+        path = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        handle = open(path, "x" if atomic else "w", encoding="utf-8")
     except OSError as exc:
-        raise BadParameterError(f"--output: {exc}") from exc
+        shown = OSError(exc.errno, exc.strerror, output) if atomic else exc
+        raise BadParameterError(f"--output: {shown}") from exc
     try:
         with handle:
+            if atomic and mode is not None:
+                os.chmod(path, stat.S_IMODE(mode))
             handle.write(text)
+        if atomic:
+            os.replace(path, target)
     except OSError as exc:
+        if atomic:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise XQMetroError(f"--output: writing failed: {exc}") from exc
 
 

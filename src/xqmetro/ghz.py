@@ -286,6 +286,7 @@ class Verdict(enum.Enum):
     AGREE = "agree"
     CLOSED_FORM_DEVIATES = "closed-form-deviates"
     SINGULAR = "singular"
+    PIPELINE_NON_FINITE = "pipeline-non-finite"
 
 
 @dataclass(frozen=True)
@@ -322,6 +323,10 @@ class CrosscheckReport:
 
 
 def _verdict(pipeline: float, closed_form: float) -> Verdict:
+    # A NaN or infinite pipeline value is a fault of the pipeline, whatever
+    # the reference says; it is not singular, so validate still fails on it.
+    if not math.isfinite(pipeline):
+        return Verdict.PIPELINE_NON_FINITE
     # A closed form that is NaN or infinite is undefined at the point (the
     # depolarizing skew form at q = 1, p = 0), not a deviation.
     if not math.isfinite(closed_form):

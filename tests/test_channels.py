@@ -1,8 +1,12 @@
 """Decoherence channels: Kraus route vs closed-form block-Bloch route."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
+from xqmetro import channels, cli, ghz
 from xqmetro.channels import (
     KRAUS_CHUNK,
     ChannelKind,
@@ -122,10 +126,15 @@ class TestChannelAction:
                 assert abs(np.trace(out) - 1.0) < 1e-13
 
 
+@functools.lru_cache(maxsize=None)
+def _triple_operators(kind, p):
+    ops = kraus_operators(kind, ChannelParam(p))
+    return np.stack([np.kron(np.kron(a, b), c) for a in ops for b in ops for c in ops])
+
+
 def _kraus_alone(matrix, kind, param):
     """One matrix conjugated on its own: the per-matrix route the stack replaced."""
-    ops = kraus_operators(kind, param)
-    kr = np.stack([np.kron(np.kron(a, b), c) for a in ops for b in ops for c in ops])
+    kr = _triple_operators(kind, param.p)
     return np.einsum("kij,kmj->im", kr @ matrix, kr.conj())
 
 
@@ -174,6 +183,63 @@ class TestStackedKraus:
                 images = apply_kraus_dense(stack, kind, param)
                 with pytest.raises(NotXFormError, match=r"^element 1: "):
                     compact_from_dense(images)
+
+
+class TestValidateTraffic:
+    """Every stack ``validate --grid 9 --seed 1`` sends through the Kraus
+    route, held to each matrix alone in raw bits."""
+
+    @staticmethod
+    def checked_kraus(seen):
+        def checked(stack, kind, param):
+            images = apply_kraus_dense(stack, kind, param)
+            alone = [_kraus_alone(m, kind, param) for m in stack.reshape((-1, 8, 8))]
+            assert _same_bits(images, np.reshape(alone, images.shape)), (kind, param.p)
+            seen.append((kind, param.p))
+            return images
+
+        return checked
+
+    def test_channel_equivalence_corpus(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        states = [random_xstate(rng) for _ in range(108)]
+        p_values = np.linspace(0.0, 1.0, 11).tolist()
+        seen = []
+        monkeypatch.setattr(cli, "apply_kraus_dense", self.checked_kraus(seen))
+        cli.channel_route_errors(states, p_values)
+        assert seen == [(kind, p) for kind in ALL_KINDS for p in p_values]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_crosscheck_grid_p_axis(self, monkeypatch, kind):
+        q_values, p_values = cli._grid_axes(9)
+        seen = []
+        monkeypatch.setattr(ghz, "apply_kraus_dense", self.checked_kraus(seen))
+        ghz.crosscheck_grid(kind, q_values, p_values)
+        assert seen == [(kind, p) for p in p_values]
+
+
+class TestTripleKrausCache:
+    def test_cache_info_counts_hits_and_misses(self):
+        # perfbench reads these counters for its lookup and hit-ratio metrics.
+        param = ChannelParam(math.pi / 10.0)  # a p no other test uses
+        dense = np.eye(8, dtype=complex) / 8.0
+        before = channels._triple_kraus.cache_info()
+        apply_kraus_dense(dense, ChannelKind.DEPOLARIZING, param)
+        apply_kraus_dense(dense, ChannelKind.DEPOLARIZING, param)
+        after = channels._triple_kraus.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 1
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_entry_holds_at_most_24576_bytes(self, kind):
+        # The largest entry (depolarizing, 64 operators) held 24,576 bytes as
+        # broadcast gather tables; the per-call (m^3, 64) tables are not cached.
+        roots = {}
+        for table in channels._triple_kraus(kind, 0.3):
+            while isinstance(table.base, np.ndarray):
+                table = table.base
+            roots[id(table)] = table.nbytes
+        assert sum(roots.values()) <= 24_576
 
 
 class TestRouteEquivalence:

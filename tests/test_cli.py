@@ -5,6 +5,8 @@ import errno
 import io
 import itertools
 import json
+import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -264,6 +266,48 @@ class TestMainSweep:
         assert content.startswith("channel,q,p,")
         assert len(content.strip().split("\n")) == 4
 
+    SWEEP = ["sweep", "--channel", "pdc", "--q", "0.5", "--p", "0:0.9:4"]
+
+    def table(self, capsys):
+        assert main(self.SWEEP) == 0
+        return capsys.readouterr().out
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path, capsys):
+        target = tmp_path / "table.csv"
+        umask = os.umask(0o027)
+        try:
+            assert main(self.SWEEP + ["--output", str(target)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_text() == self.table(capsys)
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_replaced_file_keeps_its_mode_and_symlink(self, tmp_path, capsys):
+        target = tmp_path / "table.csv"
+        target.write_text("old table\n")
+        target.chmod(0o600)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(self.SWEEP + ["--output", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert target.read_text() == self.table(capsys)
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        # A rename would replace the FIFO node with a regular file.
+        fifo = tmp_path / "table.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(self.SWEEP + ["--output", str(fifo)]) == 0
+            written = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert written == self.table(capsys)
+
     def test_json_format(self, capsys):
         code = main(
             [
@@ -373,6 +417,36 @@ class TestExitCodes:
         assert captured.err.startswith("error: --output: writing failed: ")
         assert "No space left on device" in captured.err
 
+    def test_failed_write_keeps_old_bytes_and_no_stray_file(self, monkeypatch, tmp_path, capsys):
+        # Half the table reaches the disk, then the disk is full.
+        class HalfWritten:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(
+            cli, "open", lambda *args, **kwargs: HalfWritten(open(*args, **kwargs)), raising=False
+        )
+        target = tmp_path / "table.csv"
+        target.write_bytes(b"old table\n")
+        code = exit_code(
+            ["sweep", "--channel", "pdc", "--q", "0.5", "--p", "0:0.9:4", "--output", str(target)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --output: writing failed: ")
+        assert target.read_bytes() == b"old table\n"
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_eigensolver_failure_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
         code = exit_code(["ghz-point", "--channel", "pdc", "--q", "0.4", "--p", "0.25"])
@@ -399,6 +473,24 @@ class TestGhzPointCommand:
         skew = capsys.readouterr().out.split("\n")[3].split()
         assert skew[:3] == ["skew", "7", "nan"]
         assert skew[-1] == "singular"
+
+    def test_nan_pipeline_value_prints_pipeline_non_finite(self, monkeypatch, capsys):
+        # A NaN pipeline value is the pipeline's fault, not the reference's.
+        def grid_with_nan_skew(kind, q_values, p_values, metrics=METRIC_NAMES):
+            values = ghz_grid(kind, q_values, p_values, metrics)
+            values["skew"][0, 0] = np.nan
+            return values
+
+        monkeypatch.setattr(ghz, "ghz_grid", grid_with_nan_skew)
+        report = ghz.crosscheck(ChannelKind.PHASE_DAMPING, 0.4, 0.2)
+        assert report.skew.verdict is ghz.Verdict.PIPELINE_NON_FINITE
+        assert np.isnan(report.skew.pipeline)
+        assert report.skew.closed_form == pytest.approx(report.skew.oracle, rel=1e-6)
+        assert report.qfi.verdict is report.concurrence.verdict is ghz.Verdict.AGREE
+        assert main(["ghz-point", "--channel", "pdc", "--q", "0.4", "--p", "0.2"]) == 0
+        skew = capsys.readouterr().out.split("\n")[3].split()
+        assert skew[:2] == ["skew", "nan"]
+        assert skew[-1] == "pipeline-non-finite"
 
     def test_agreeing_point(self, capsys):
         main(["ghz-point", "--channel", "pfc", "--q", "0.3", "--p", "0.2"])
@@ -458,6 +550,7 @@ class TestNaNFailsItsSuite:
         assert_only_suites_fail(["family-qfi-oracle"], capsys)
 
     def test_nan_crosscheck_pipeline_value(self, monkeypatch, capsys):
+        # Its verdict is pipeline-non-finite, which the suites do not skip.
         def grid_with_one_nan(kind, q_values, p_values, metrics=METRIC_NAMES):
             values = ghz_grid(kind, q_values, p_values, metrics)
             if kind is ChannelKind.PHASE_DAMPING:
