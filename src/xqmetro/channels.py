@@ -131,8 +131,12 @@ def _triple_kraus(kind: ChannelKind, p: float):
     on every call: they take microseconds, and caching them would hold 13x
     the memory per entry.
     """
-    ops = kraus_operators(kind, ChannelParam(p))
-    kr = np.stack([np.kron(np.kron(a, b), c) for a in ops for b in ops for c in ops])
+    # K_a x K_b x K_c entry by entry as (a * b) * c, the products np.kron
+    # makes, for every (a, b, c) in operator order at once.
+    ops = np.stack(kraus_operators(kind, ChannelParam(p)))
+    m = len(ops)
+    pairs = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(m * m, 4, 4)
+    kr = (pairs[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(m**3, 8, 8)
     nonzero = kr != 0
     cols = np.where(nonzero.any(axis=-1), np.argmax(nonzero, axis=-1), np.arange(8))
     values = np.take_along_axis(kr, cols[..., None], axis=-1)[..., 0]

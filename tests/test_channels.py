@@ -231,6 +231,18 @@ class TestTripleKrausCache:
         assert after.hits - before.hits == 1
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_tables_read_the_kron_operators(self, kind):
+        # Column c[r] holds row r's one nonzero entry of np.kron's triple
+        # operator, and v[r] is that entry in raw bits.
+        for p in P_GRID + tuple(cli._grid_axes(9)[1]):
+            cols, values = channels._triple_kraus(kind, p)
+            kr = _triple_operators(kind, p)
+            assert _same_bits(values, np.take_along_axis(kr, cols[..., None], axis=-1)[..., 0])
+            rest = kr.copy()
+            np.put_along_axis(rest, cols[..., None], 0.0, axis=-1)
+            assert not rest.any()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_entry_holds_at_most_24576_bytes(self, kind):
         # The largest entry (depolarizing, 64 operators) held 24,576 bytes as
         # broadcast gather tables; the per-call (m^3, 64) tables are not cached.
