@@ -244,8 +244,9 @@ class TestTripleKrausCache:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_entry_holds_at_most_24576_bytes(self, kind):
-        # The largest entry (depolarizing, 64 operators) held 24,576 bytes as
-        # broadcast gather tables; the per-call (m^3, 64) tables are not cached.
+        # 24,576 bytes is the largest entry (depolarizing, 64 operators) when
+        # it held broadcast views; caching the per-call (m^3, 64) gather
+        # tables would take it to 163,840 bytes and move peak_rss_mib.
         roots = {}
         for table in channels._triple_kraus(kind, 0.3):
             while isinstance(table.base, np.ndarray):
