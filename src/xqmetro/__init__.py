@@ -54,7 +54,7 @@ from .metrics import (
     skew_total,
     sld_block,
 )
-from .oracle import OracleConfig, qfi_eigen_oracle, skew_sqrt_oracle
+from .oracle import qfi_eigen_oracle, skew_sqrt_oracle
 from .xstate import (
     XState,
     XTangent,
@@ -76,7 +76,6 @@ __all__ = [
     "NotHermitianError",
     "NotPSDError",
     "NotXFormError",
-    "OracleConfig",
     "ParamFamily",
     "SingularBlockError",
     "TraceViolationError",

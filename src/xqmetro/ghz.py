@@ -29,12 +29,13 @@ from .channels import (
     damped_bloch_array,
 )
 from .errors import BadParameterError, XQMetroError
+from .linalg import diff_step
 from .metrics import ParamFamily, evaluate_stack
 
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.ghz.qfi_total.
 from .metrics import qfi_total  # noqa: F401
-from .oracle import OracleConfig, oracle_column
+from .oracle import oracle_column
 from .xstate import (
     XState,
     XTangent,
@@ -336,27 +337,23 @@ def _verdict(pipeline: float, closed_form: float) -> Verdict:
     return Verdict.CLOSED_FORM_DEVIATES
 
 
-def crosscheck(
-    kind: ChannelKind, q: float, p: float, config: OracleConfig = OracleConfig()
-) -> CrosscheckReport:
+def crosscheck(kind: ChannelKind, q: float, p: float) -> CrosscheckReport:
     """Evaluate pipeline, reference closed form, and oracle at one grid point.
 
     The one-point view of :func:`crosscheck_grid`, which documents the routes
     and the error semantics.
     """
-    return crosscheck_grid(kind, [q], [p], config)[0]
+    return crosscheck_grid(kind, [q], [p])[0]
 
 
-def crosscheck_grid(
-    kind: ChannelKind, q_values, p_values, config: OracleConfig = OracleConfig()
-) -> list[CrosscheckReport]:
+def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> list[CrosscheckReport]:
     """Crosscheck every point of a (q, p) grid; reports in q-outer, p-inner order.
 
     Pipeline values ride the compact closed-form channel route, the whole
     grid in one :func:`ghz_grid` call.  Oracle values ride the dense Kraus
     route, one :func:`apply_kraus_dense` call per p over the stack of
-    rho(q) for every q, the skew probes rho(q -+ h) with ``h`` from
-    :meth:`OracleConfig.probe_step`, and d rho.  Per p, one
+    rho(q) for every q, the skew probes rho(q -+ h) with
+    ``h = diff_step(q)``, and d rho.  Per p, one
     :func:`~xqmetro.oracle.oracle_column` call then gives the Fisher and
     skew oracles for every q; concurrence is the pipeline's expression on
     the Kraus image of rho(q).  Every value is, bit for bit, what the same
@@ -373,9 +370,11 @@ def crosscheck_grid(
     out of sweeps raises :class:`NotConvergedError`.  The Kraus image
     of a Hermitian state is Hermitian up to rounding, so a completely
     positive and trace-preserving channel fails none of these on an
-    in-domain point.  Only the closed forms run per metric: a
-    singular-regime error there is reported with NaNs and a SINGULAR
-    verdict for that metric alone.
+    in-domain point.  Only the closed forms run per metric: one that raises
+    a singular-regime error is undefined at the point, so that metric's
+    closed form reads NaN and its verdict comes from the pipeline value as
+    everywhere else (SINGULAR, or PIPELINE_NON_FINITE for a NaN or infinite
+    one).
     """
     for q in q_values:
         for p in p_values:
@@ -385,7 +384,7 @@ def crosscheck_grid(
 
     # Oracle inputs: rho(q), then the skew probes rho(q - h) and rho(q + h),
     # as one (3, q) stack of states followed by d rho.
-    steps = [config.probe_step(q) for q in q_values]
+    steps = [diff_step(q) for q in q_values]
     q, h = np.array(q_values, dtype=float), np.array(steps)
     diag, anti = _werner_compact(np.array([q, q - h, q + h]))
     check_compact(diag, anti)
@@ -396,7 +395,7 @@ def crosscheck_grid(
         try:
             closed = closed_form(kind, q, p)
         except (XQMetroError, ZeroDivisionError, FloatingPointError):
-            return MetricCheck(float("nan"), float("nan"), float("nan"), Verdict.SINGULAR)
+            closed = float("nan")
         return MetricCheck(pipeline_value, closed, oracle_value, _verdict(pipeline_value, closed))
 
     closed_forms = (closed_form_qfi, closed_form_skew, closed_form_concurrence)
@@ -408,7 +407,7 @@ def crosscheck_grid(
         # The eigen oracle reads the raw image of rho, as it does d rho; the
         # skew probes are rebuilt from their compact forms.
         probes = dense_from_compact(kraus_diag[1:], kraus_anti[1:])
-        fisher, skew = oracle_column(np.concatenate([states[:1], probes]), images[-1], steps, config)
+        fisher, skew = oracle_column(np.concatenate([states[:1], probes]), images[-1], steps)
         concurrence = evaluate_stack(("concurrence",), diag=kraus_diag[0], anti=kraus_anti[0])
         oracle = (fisher.tolist(), skew.tolist(), concurrence["concurrence"].tolist())
         for i, q in enumerate(q_values):

@@ -24,6 +24,7 @@ HERMITICITY_TOL = 1e-12
 OFFDIAG_TOL = 1e-14
 PSD_CLAMP = 1e-12
 MAX_SWEEPS = 100
+FD_STEP = 1e-6
 
 
 class EigenDecomposition(NamedTuple):
@@ -202,16 +203,19 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return sqrt_from_spectrum(*eigh(matrix))
 
 
-def diff_step(x: float, scale: float = 1e-6) -> float:
-    """Central-difference step ``scale * max(1, |x|)`` at ``x``."""
-    return scale * max(1.0, abs(x))
+def diff_step(x: float) -> float:
+    """Central-difference step ``FD_STEP * max(1, |x|)`` at ``x``.
 
-
-def central_diff(func: Callable[[float], np.ndarray], x: float, step: float | None = None):
-    """Symmetric difference quotient ``(f(x+h) - f(x-h)) / 2h``.
-
-    The default step is :func:`diff_step` ``(x)``, ``1e-6 * max(1, |x|)``;
-    the error is O(h^2) for smooth ``func``.
+    The one step of the package: the central-difference tangent and the
+    skew oracle's probes rho(x -+ h) both take it.
     """
-    h = step if step is not None else diff_step(x)
+    return FD_STEP * max(1.0, abs(x))
+
+
+def central_diff(func: Callable[[float], np.ndarray], x: float):
+    """Symmetric difference quotient ``(f(x+h) - f(x-h)) / 2h``, ``h = diff_step(x)``.
+
+    The error is O(h^2) for smooth ``func``.
+    """
+    h = diff_step(x)
     return (func(x + h) - func(x - h)) / (2.0 * h)

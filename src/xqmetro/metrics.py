@@ -241,9 +241,11 @@ def evaluate_stack(
 class ParamFamily:
     """One-parameter family of X states ``phi -> rho(phi)``.
 
-    ``tangent`` supplies the analytic derivative as an :class:`XTangent`;
-    when absent, derivatives fall back to symmetric differences of the
-    compact components with step 1e-6 * max(1, |phi|).
+    ``tangent`` supplies the analytic derivative as an :class:`XTangent`
+    with shapes ``(8,)`` and ``(4,)`` (any other raises
+    :class:`NotXFormError`); when absent, derivatives fall back to
+    symmetric differences of the compact components with step
+    ``diff_step(phi)``, 1e-6 * max(1, |phi|).
     """
 
     state: Callable[[float], XState]
@@ -251,7 +253,14 @@ class ParamFamily:
 
     def tangent_at(self, phi: float) -> XTangent:
         if self.tangent is not None:
-            return self.tangent(phi)
+            tangent = self.tangent(phi)
+            shapes = np.shape(tangent.diag), np.shape(tangent.anti)
+            if shapes != ((8,), (4,)):
+                raise NotXFormError(
+                    f"at phi={phi!r}: tangent diag shape {shapes[0]} and anti shape"
+                    f" {shapes[1]}, expected (8,) and (4,)"
+                )
+            return tangent
         # Both differences probe the same two points: build each state once.
         state = lru_cache(maxsize=2)(self.state)
         diag = central_diff(lambda x: state(x).diag, phi)

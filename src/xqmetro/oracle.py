@@ -6,49 +6,25 @@ eigensolver and never touch the block closed forms they are used to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadParameterError, NotPSDError, TraceViolationError
+from .errors import NotPSDError, TraceViolationError
 from .linalg import check_finite, diff_step, eigh, eigh_stack, sqrt_from_spectrum
 from .metrics import ParamFamily
 from .xstate import _fail
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-10
+# Eigenpairs with lam_i + lam_j at or below this are null pairs.  It equals
+# metrics.RANK_CUTOFF but is not imported from there: the oracles stay
+# independent of the code they check.
+RANK_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Numerical knobs: finite-difference step scale and spectral rank cutoff.
-
-    ``fd_step`` must be finite and positive, ``rank_cutoff`` finite and
-    non-negative; anything else raises :class:`BadParameterError`.
-    """
-
-    fd_step: float = 1e-6
-    rank_cutoff: float = 1e-12
-
-    def __post_init__(self):
-        if not (np.isfinite(self.fd_step) and self.fd_step > 0.0):
-            raise BadParameterError(f"fd_step must be finite and positive, got {self.fd_step!r}")
-        if not (np.isfinite(self.rank_cutoff) and self.rank_cutoff >= 0.0):
-            raise BadParameterError(
-                f"rank_cutoff must be finite and non-negative, got {self.rank_cutoff!r}"
-            )
-
-    def probe_step(self, phi: float) -> float:
-        """Step ``h = fd_step * max(1, |phi|)`` of the skew probes rho(phi -+ h)."""
-        return diff_step(phi, self.fd_step)
-
-
-def qfi_eigen_oracle(
-    rho: np.ndarray, drho: np.ndarray, config: OracleConfig = OracleConfig()
-) -> float:
+def qfi_eigen_oracle(rho: np.ndarray, drho: np.ndarray) -> float:
     """Fisher information from the full eigendecomposition.
 
-    F = sum over eigenpairs with lam_i + lam_j > rank_cutoff of
+    F = sum over eigenpairs with lam_i + lam_j > RANK_CUTOFF of
     2 |<i| d rho |j>|^2 / (lam_i + lam_j).  A non-finite entry in ``rho`` or
     ``drho`` raises :class:`NotHermitianError` naming it.
     """
@@ -56,12 +32,10 @@ def qfi_eigen_oracle(
     drho = np.asarray(drho, dtype=complex)
     check_finite(drho, "drho")
     values, vectors = eigh(rho)
-    return float(qfi_from_spectrum(values, vectors, drho, config))
+    return float(qfi_from_spectrum(values, vectors, drho))
 
 
-def qfi_from_spectrum(
-    values: np.ndarray, vectors: np.ndarray, drho: np.ndarray, config: OracleConfig
-) -> np.ndarray:
+def qfi_from_spectrum(values: np.ndarray, vectors: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """The eigen oracle's Fisher sums from spectra ``(values, vectors)``.
 
     Leading axes of ``values`` ``(..., n)`` and ``vectors`` ``(..., n, n)``
@@ -84,18 +58,16 @@ def qfi_from_spectrum(
     # |<i|drho|j>| with a scalar complex abs's rounding (see linalg._rotate).
     weight = 2.0 * np.float_power(np.hypot(overlap.real, overlap.imag), 2.0)
     denom = values[..., :, None] + values[..., None, :]
-    terms = np.divide(weight, denom, out=np.zeros_like(denom), where=denom > config.rank_cutoff)
+    terms = np.divide(weight, denom, out=np.zeros_like(denom), where=denom > RANK_CUTOFF)
     total = 0.0  # a masked pair adds 0.0, which leaves the sum's bits as they are
     for i, j in np.ndindex(terms.shape[-2:]):
         total = total + terms[..., i, j]
     return total
 
 
-def skew_sqrt_oracle(
-    family: ParamFamily, phi: float, config: OracleConfig = OracleConfig()
-) -> float:
+def skew_sqrt_oracle(family: ParamFamily, phi: float) -> float:
     """Skew information 4 Tr((d sqrt(rho))^2) with d sqrt(rho) by central differences."""
-    h = config.probe_step(phi)
+    h = diff_step(phi)
     left = family.state(phi - h).to_dense()
     right = family.state(phi + h).to_dense()
     return float(skew_from_spectra(eigh(left), eigh(right), h))
@@ -114,9 +86,7 @@ def skew_from_spectra(left, right, h) -> np.ndarray:
     return np.real(np.trace(droot @ droot, axis1=-2, axis2=-1)) * 4.0
 
 
-def oracle_column(
-    states: np.ndarray, drho: np.ndarray, steps, config: OracleConfig = OracleConfig()
-):
+def oracle_column(states: np.ndarray, drho: np.ndarray, steps):
     """Fisher and skew oracles ``(fisher, skew)`` of many points from one :func:`eigh_stack`.
 
     ``states`` ``(3, ..., 8, 8)`` stacks rho and the skew probes
@@ -132,25 +102,23 @@ def oracle_column(
     flags = lowest < -PSD_TOL
     if flags.any():  # tested here, so that the failure names the probe as well
         _fail(NotPSDError, flags, lambda i: f"state eigenvalue {lowest[i]:.3e} below -1e-12")
-    fisher = qfi_from_spectrum(values[:1], vectors[:1], drho, config)[0]
+    fisher = qfi_from_spectrum(values[:1], vectors[:1], drho)[0]
     return fisher, skew_from_spectra((values[1], vectors[1]), (values[2], vectors[2]), steps)
 
 
-def family_oracles(
-    points, config: OracleConfig = OracleConfig()
-) -> list[tuple[float, float]]:
+def family_oracles(points) -> list[tuple[float, float]]:
     """Fisher and skew oracle values at many ``(family, phi)`` points at once.
 
-    Element k is, bit for bit, ``(qfi_eigen_oracle(rho, drho, config),
-    skew_sqrt_oracle(family, phi, config))`` at the k-th point, with ``rho``
-    and ``drho`` the family's dense state and tangent at ``phi``.  Every
-    point goes through one :func:`oracle_column` call with its skew probes
-    rho(phi -+ h), ``h`` from :meth:`OracleConfig.probe_step`; a failure
-    there raises, naming (rho / left probe / right probe, point index).
+    Element k is, bit for bit, ``(qfi_eigen_oracle(rho, drho),
+    skew_sqrt_oracle(family, phi))`` at the k-th point, with ``rho`` and
+    ``drho`` the family's dense state and tangent at ``phi``.  Every point
+    goes through one :func:`oracle_column` call with its skew probes
+    rho(phi -+ h), ``h = diff_step(phi)``; a failure there raises, naming
+    (rho / left probe / right probe, point index).
     """
     states, tangents, steps = [[], [], []], [], []
     for family, phi in points:
-        h = config.probe_step(phi)
+        h = diff_step(phi)
         for stack, x in zip(states, (phi, phi - h, phi + h)):
             stack.append(family.state(x).to_dense())
         drho = family.tangent_at(phi).to_dense()
@@ -159,5 +127,5 @@ def family_oracles(
         steps.append(h)
     if not tangents:
         return []
-    fisher, skew = oracle_column(np.array(states), np.array(tangents), steps, config)
+    fisher, skew = oracle_column(np.array(states), np.array(tangents), steps)
     return list(zip(fisher.tolist(), skew.tolist()))

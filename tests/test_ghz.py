@@ -5,7 +5,7 @@ import pytest
 
 from xqmetro import ghz, linalg, oracle
 from xqmetro.channels import ChannelKind, apply_kraus, apply_kraus_dense
-from xqmetro.cli import _grid_axes
+from xqmetro.cli import _grid_axes, run_validation
 from xqmetro.errors import (
     BadParameterError,
     NotConvergedError,
@@ -29,7 +29,7 @@ from xqmetro.ghz import (
     werner_ghz,
 )
 from xqmetro.metrics import ParamFamily, concurrence_ghz_class, qfi_total, skew_total
-from xqmetro.oracle import OracleConfig, qfi_eigen_oracle, skew_sqrt_oracle
+from xqmetro.oracle import qfi_eigen_oracle, skew_sqrt_oracle
 from xqmetro.xstate import XState, XTangent
 
 Q_GRID = tuple(j / 10.0 for j in range(1, 10))
@@ -223,7 +223,7 @@ class TestZeroCrossing:
                 assert any(v == 0.0 for v in values)
 
 
-def reference_crosscheck(kind, q, p, config=OracleConfig()):
+def reference_crosscheck(kind, q, p):
     """One point through scalar calls only: the per-point crosscheck that
     preceded :func:`crosscheck_grid`, kept as its reference (the Kraus
     family helper it used is inlined)."""
@@ -241,23 +241,26 @@ def reference_crosscheck(kind, q, p, config=OracleConfig()):
     def check(pipeline_fn, closed_fn, oracle_fn):
         try:
             pipeline = pipeline_fn()
-            closed = closed_fn()
             oracle_val = oracle_fn()
         except NotConvergedError:
             raise
         except (XQMetroError, ZeroDivisionError, FloatingPointError):
             return MetricCheck(float("nan"), float("nan"), float("nan"), Verdict.SINGULAR)
+        try:
+            closed = closed_fn()
+        except (XQMetroError, ZeroDivisionError, FloatingPointError):
+            closed = float("nan")  # undefined here; the verdict reads the pipeline
         return MetricCheck(pipeline, closed, oracle_val, ghz._verdict(pipeline, closed))
 
     qfi = check(
         lambda: qfi_total(family, q),
         lambda: closed_form_qfi(kind, q, p),
-        lambda: qfi_eigen_oracle(rho, drho, config),
+        lambda: qfi_eigen_oracle(rho, drho),
     )
     skew = check(
         lambda: skew_total(family, q),
         lambda: closed_form_skew(kind, q, p),
-        lambda: skew_sqrt_oracle(kraus_fam, q, config),
+        lambda: skew_sqrt_oracle(kraus_fam, q),
     )
     concurrence = check(
         lambda: concurrence_ghz_class(family.state(q)),
@@ -303,7 +306,8 @@ class TestCrosscheckGrid:
 
     def assert_one_singular(self, monkeypatch, name, failing, metric):
         """Patch ``ghz.<name>`` to raise NotPSDError where ``failing(args)``
-        holds; exactly one point's ``metric`` must turn SINGULAR."""
+        holds; exactly one point's ``metric`` must turn SINGULAR, with a NaN
+        closed form and the pipeline and oracle values of the clean run."""
         kind = ChannelKind.PHASE_FLIP
         clean = crosscheck_grid(kind, self.Q, self.P)
         original = getattr(ghz, name)
@@ -322,8 +326,8 @@ class TestCrosscheckGrid:
             for k, m in enumerate(METRICS):
                 if verdicts[k] is Verdict.SINGULAR:
                     singular.append((report.q, report.p, m))
-                    check = getattr(report, m)
-                    assert np.isnan([check.pipeline, check.closed_form, check.oracle]).all()
+                    assert np.isnan(getattr(report, m).closed_form)
+                    assert bits[k][::2] == clean_bits[k][::2]  # pipeline, oracle
                 else:
                     assert bits[k] == clean_bits[k] and verdicts[k] is clean_verdicts[k]
         assert len(singular) == 1 and singular[0][2] == metric
@@ -337,6 +341,34 @@ class TestCrosscheckGrid:
             "qfi",
         )
         assert where == (0.5, 0.3)
+
+    def test_nan_pipeline_at_raising_closed_form_fails_validate(self, monkeypatch):
+        # A closed form that raises used to turn the whole check into NaNs
+        # with a SINGULAR verdict, hiding a NaN pipeline value from validate.
+        kind = ChannelKind.PHASE_DAMPING
+        grid, closed = ghz.ghz_grid, ghz.closed_form_skew
+
+        def nan_grid(kind_, q_values, p_values):
+            values = grid(kind_, q_values, p_values)
+            if kind_ is kind:
+                values["skew"][list(q_values).index(0.5), list(p_values).index(0.0)] = np.nan
+            return values
+
+        def raising(kind_, q, p):
+            if (kind_, q, p) == (kind, 0.5, 0.0):
+                raise ZeroDivisionError("injected")
+            return closed(kind_, q, p)
+
+        monkeypatch.setattr(ghz, "ghz_grid", nan_grid)
+        monkeypatch.setattr(ghz, "closed_form_skew", raising)
+        check = crosscheck(kind, 0.5, 0.0).skew
+        assert check.verdict is Verdict.PIPELINE_NON_FINITE
+        assert np.isnan(check.pipeline) and np.isnan(check.closed_form)
+        assert check.oracle == crosscheck_grid(kind, [0.5], [0.3, 0.0])[1].skew.oracle
+        report = run_validation(1, 0)
+        assert not report.passed
+        failed = [suite.name for suite in report.suites if not suite.passed]
+        assert failed == ["ghz-closed-form-agreement", "ghz-skew-oracle"]
 
     @pytest.mark.parametrize(
         "error, probe, scale",

@@ -322,14 +322,16 @@ class TestCentralDiff:
         d = central_diff(lambda x: np.array([x**3]), 1.0)
         assert abs(d[0] - 3.0) < 1e-9
 
-    def test_second_order_convergence(self):
+    def test_second_order_convergence(self, monkeypatch):
         def f(x):
             return np.array([np.sin(3.0 * x)])
 
         x0 = 0.4
         exact = 3.0 * np.cos(3.0 * x0)
-        err_h = abs(central_diff(f, x0, step=1e-2)[0] - exact)
-        err_h2 = abs(central_diff(f, x0, step=5e-3)[0] - exact)
+        monkeypatch.setattr(linalg, "FD_STEP", 1e-2)
+        err_h = abs(central_diff(f, x0)[0] - exact)
+        monkeypatch.setattr(linalg, "FD_STEP", 5e-3)
+        err_h2 = abs(central_diff(f, x0)[0] - exact)
         assert 3.5 < err_h / err_h2 < 4.5
 
     def test_array_valued(self):

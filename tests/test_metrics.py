@@ -16,6 +16,7 @@ from xqmetro.metrics import (
     skew_total,
     sld_block,
 )
+from xqmetro.oracle import family_oracles
 from xqmetro.xstate import XState, XTangent
 
 
@@ -227,6 +228,29 @@ class TestNonFiniteTangent:
         same = with_tangent_entry(family, "diag", 3, family.tangent(0.5).diag[3])
         assert qfi_total(same, 0.5) == qfi_total(family, 0.5)
         assert skew_total(same, 0.5) == skew_total(family, 0.5)
+
+
+class TestTangentShape:
+    # numpy broadcasting raised ValueError on most of these and silently
+    # broadcast a 0-d diag; the analytic branch now names both shapes.
+    @pytest.mark.parametrize("total", [qfi_total, skew_total, "oracles"])
+    @pytest.mark.parametrize(
+        "diag, anti",
+        [((7,), (4,)), ((8,), (3,)), ((), (4,)), ((2, 8), (4,)), ((8,), (2, 4))],
+    )
+    def test_wrong_shape_raises_naming_both(self, total, diag, anti):
+        family = random_family(np.random.default_rng(71))
+        broken = ParamFamily(
+            state=family.state,
+            tangent=lambda phi: XTangent(np.zeros(diag), np.zeros(anti, dtype=complex)),
+        )
+        expected = f"at phi=0.5: tangent diag shape {diag} and anti shape {anti}, expected"
+        with pytest.raises(NotXFormError) as err:
+            if total == "oracles":
+                family_oracles([(broken, 0.5)])
+            else:
+                total(broken, 0.5)
+        assert str(err.value) == expected + " (8,) and (4,)"
 
 
 class TestConcurrence:

@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from xqmetro import ghz
+from xqmetro import ghz, linalg, metrics, oracle
 from xqmetro.channels import ChannelKind
 from xqmetro.cli import _grid_axes
 from xqmetro.errors import (
-    BadParameterError,
     NotHermitianError,
     NotPSDError,
     TraceViolationError,
     XQMetroError,
 )
-from xqmetro.linalg import eigh_stack, sqrt_from_spectrum
+from xqmetro.linalg import diff_step, eigh_stack, sqrt_from_spectrum
 from xqmetro.metrics import ParamFamily, qfi_total, random_family, skew_total
 from xqmetro.oracle import (
-    OracleConfig,
     family_oracles,
     oracle_column,
     qfi_eigen_oracle,
@@ -27,9 +25,10 @@ from xqmetro.oracle import (
 from xqmetro.xstate import XState, XTangent
 
 
-def reference_qfi_from_spectrum(values, vectors, drho, config):
+def reference_qfi_from_spectrum(values, vectors, drho):
     """One spectrum, one (i, j) pair at a time: the per-point Fisher finish
-    that preceded the stacked one, kept as its reference."""
+    that preceded the stacked one, kept as its reference.  It reads
+    ``oracle.RANK_CUTOFF`` at call time, so monkeypatches reach it."""
     if values[0] < -1e-12:
         raise NotPSDError(f"state eigenvalue {values[0]:.3e} below -1e-12")
     if abs(values.sum() - 1.0) > 1e-10:
@@ -40,7 +39,7 @@ def reference_qfi_from_spectrum(values, vectors, drho, config):
     for i in range(n):
         for j in range(n):
             denom = values[i] + values[j]
-            if denom > config.rank_cutoff:
+            if denom > oracle.RANK_CUTOFF:
                 total += 2.0 * abs(overlap[i, j]) ** 2 / denom
     return total
 
@@ -115,6 +114,22 @@ class TestQfiEigenOracle:
         value = qfi_eigen_oracle(np.diag(lam).astype(complex), np.diag(dlam).astype(complex))
         assert abs(value - (0.01 / 0.7 + 0.01 / 0.3)) < 1e-12
 
+    def test_rank_cutoff_controls_null_pairs(self, monkeypatch):
+        lam = np.array([1.0 - 1e-8, 1e-8])
+        dlam = np.array([1.0, -1.0])
+        rho, drho = np.diag(lam).astype(complex), np.diag(dlam).astype(complex)
+        loose = qfi_eigen_oracle(rho, drho)
+        monkeypatch.setattr(oracle, "RANK_CUTOFF", 1e-6)
+        strict = qfi_eigen_oracle(rho, drho)
+        # the tiny-eigenvalue diagonal term 1/1e-8 is excluded by the strict cutoff
+        assert loose > strict
+        assert abs(strict - (1.0 / (1.0 - 1e-8))) < 1e-6
+
+    def test_rank_cutoff_is_the_pipeline_value(self):
+        # Written out in each module, so that the oracles import no cutoff
+        # from the code they check; the two must still agree.
+        assert oracle.RANK_CUTOFF == metrics.RANK_CUTOFF == 1e-12
+
 
 class TestSkewSqrtOracle:
     def test_classical_family(self):
@@ -138,50 +153,14 @@ class TestSkewSqrtOracle:
             oracle = skew_sqrt_oracle(family, phi)
             assert abs(skew_total(family, phi) - oracle) / max(oracle, 1e-9) < 1e-5
 
-    def test_step_override(self):
+    def test_step_override(self, monkeypatch):
         rng = np.random.default_rng(84)
         family = random_family(rng)
-        coarse = skew_sqrt_oracle(family, 0.5, OracleConfig(fd_step=1e-4))
-        fine = skew_sqrt_oracle(family, 0.5, OracleConfig(fd_step=1e-6))
+        fine = skew_sqrt_oracle(family, 0.5)
+        monkeypatch.setattr(linalg, "FD_STEP", 1e-4)
+        coarse = skew_sqrt_oracle(family, 0.5)
+        assert coarse != fine
         assert abs(coarse - fine) / max(abs(fine), 1e-9) < 1e-4
-
-
-class TestOracleConfig:
-    def test_defaults(self):
-        config = OracleConfig()
-        assert config.fd_step == 1e-6
-        assert config.rank_cutoff == 1e-12
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_bad_fd_step(self, bad):
-        # fd_step = 0 made the skew oracle's central difference 0/0.
-        with pytest.raises(BadParameterError, match="fd_step"):
-            OracleConfig(fd_step=bad)
-
-    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf"), -float("inf")])
-    def test_rejects_bad_rank_cutoff(self, bad):
-        with pytest.raises(BadParameterError, match="rank_cutoff"):
-            OracleConfig(rank_cutoff=bad)
-
-    def test_zero_rank_cutoff_accepted(self):
-        assert OracleConfig(rank_cutoff=0.0).rank_cutoff == 0.0
-
-    def test_rank_cutoff_controls_null_pairs(self):
-        lam = np.array([1.0 - 1e-8, 1e-8])
-        dlam = np.array([1.0, -1.0])
-        strict = qfi_eigen_oracle(
-            np.diag(lam).astype(complex),
-            np.diag(dlam).astype(complex),
-            OracleConfig(rank_cutoff=1e-6),
-        )
-        loose = qfi_eigen_oracle(
-            np.diag(lam).astype(complex),
-            np.diag(dlam).astype(complex),
-            OracleConfig(rank_cutoff=1e-12),
-        )
-        # the tiny-eigenvalue diagonal term 1/1e-8 is excluded by the strict cutoff
-        assert loose > strict
-        assert abs(strict - (1.0 / (1.0 - 1e-8))) < 1e-6
 
 
 def _bits(value):
@@ -191,17 +170,18 @@ def _bits(value):
 class TestFamilyOracles:
     """The stacked oracle column gives every point what the point gives alone."""
 
-    @pytest.mark.parametrize("config", [OracleConfig(), OracleConfig(fd_step=1e-4)])
-    def test_bit_identical_to_per_family_oracles(self, config):
+    @pytest.mark.parametrize("fd_step", [1e-6, 1e-4])
+    def test_bit_identical_to_per_family_oracles(self, monkeypatch, fd_step):
+        monkeypatch.setattr(linalg, "FD_STEP", fd_step)
         rng = np.random.default_rng(85)
         points = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(40)]
-        got = family_oracles(points, config)
+        got = family_oracles(points)
         assert len(got) == len(points)
         for (family, phi), (qfi, skew) in zip(points, got):
             rho = family.state(phi).to_dense()
             drho = family.tangent_at(phi).to_dense()
-            assert _bits(qfi) == _bits(qfi_eigen_oracle(rho, drho, config))
-            assert _bits(skew) == _bits(skew_sqrt_oracle(family, phi, config))
+            assert _bits(qfi) == _bits(qfi_eigen_oracle(rho, drho))
+            assert _bits(skew) == _bits(skew_sqrt_oracle(family, phi))
 
     def test_no_points(self):
         assert family_oracles([]) == []
@@ -221,12 +201,12 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
-def reference_column(states, drho, steps, config):
+def reference_column(states, drho, steps):
     """Per-point reference finishes over the spectra of a (3, n) state stack."""
     values, vectors = eigh_stack(states)
     drho = np.broadcast_to(drho, vectors[0].shape)
     fisher = [
-        reference_qfi_from_spectrum(values[0, k], vectors[0, k], drho[k], config)
+        reference_qfi_from_spectrum(values[0, k], vectors[0, k], drho[k])
         for k in range(len(steps))
     ]
     skew = [
@@ -238,16 +218,16 @@ def reference_column(states, drho, steps, config):
     return fisher, skew
 
 
-def assert_column_matches_reference(states, drho, steps, config):
+def assert_column_matches_reference(states, drho, steps):
     """The stacked finishes and :func:`oracle_column` equal the per-point
     references in raw bits."""
-    expected = reference_column(states, drho, steps, config)
+    expected = reference_column(states, drho, steps)
     values, vectors = eigh_stack(states)
     finishes = (
-        qfi_from_spectrum(values[0], vectors[0], drho, config),
+        qfi_from_spectrum(values[0], vectors[0], drho),
         skew_from_spectra((values[1], vectors[1]), (values[2], vectors[2]), steps),
     )
-    column = oracle_column(states, drho, steps, config)
+    column = oracle_column(states, drho, steps)
     for got in (finishes, column):
         assert bits(got[0]) == bits(expected[0])
         assert bits(got[1]) == bits(expected[1])
@@ -257,30 +237,30 @@ class TestStackedFinish:
     """The stacked Fisher and skew finishes equal the per-point loops they
     replaced, in raw bits."""
 
-    @pytest.mark.parametrize(
-        "config", [OracleConfig(), OracleConfig(fd_step=1e-4), OracleConfig(rank_cutoff=0.0)]
-    )
-    def test_random_family_points(self, config):
+    @pytest.mark.parametrize("fd_step, cutoff", [(1e-6, 1e-12), (1e-4, 1e-12), (1e-6, 0.0)])
+    def test_random_family_points(self, monkeypatch, fd_step, cutoff):
+        monkeypatch.setattr(linalg, "FD_STEP", fd_step)
+        monkeypatch.setattr(oracle, "RANK_CUTOFF", cutoff)
         rng = np.random.default_rng(87)
         states, tangents, steps = [[], [], []], [], []
         for _ in range(300):
             family, phi = random_family(rng), float(rng.uniform(0.2, 0.8))
-            h = config.probe_step(phi)
+            h = diff_step(phi)
             for stack, x in zip(states, (phi, phi - h, phi + h)):
                 stack.append(family.state(x).to_dense())
             tangents.append(family.tangent_at(phi).to_dense())
             steps.append(h)
-        assert_column_matches_reference(np.array(states), np.array(tangents), steps, config)
+        assert_column_matches_reference(np.array(states), np.array(tangents), steps)
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
     @pytest.mark.parametrize("grid", [9, 17])
     def test_crosscheck_inputs(self, monkeypatch, kind, grid):
         seen = []
 
-        def checked(states, drho, steps, config):
-            assert_column_matches_reference(states, drho, steps, config)
+        def checked(states, drho, steps):
+            assert_column_matches_reference(states, drho, steps)
             seen.append(len(steps))
-            return oracle_column(states, drho, steps, config)
+            return oracle_column(states, drho, steps)
 
         monkeypatch.setattr(ghz, "oracle_column", checked)
         q_values, p_values = _grid_axes(grid)
@@ -288,7 +268,7 @@ class TestStackedFinish:
         assert seen == [grid + 2] * (grid + 2)
 
     @pytest.mark.parametrize("cutoff", [1e-12, 0.0, 1e-3])
-    def test_rank_deficient_states(self, cutoff):
+    def test_rank_deficient_states(self, monkeypatch, cutoff):
         # rho = U diag(lam) U^dagger with 1 to 7 zero eigenvalues: the
         # solver returns them as +-1e-17-sized values, which the cutoff masks.
         rng = np.random.default_rng(88)
@@ -305,10 +285,10 @@ class TestStackedFinish:
         states = (states + states.conj().swapaxes(-1, -2)) / 2.0
         n = len(states) // 3
         stack = states[: 3 * n].reshape(3, n, 8, 8)
-        config = OracleConfig(rank_cutoff=cutoff)
+        monkeypatch.setattr(oracle, "RANK_CUTOFF", cutoff)
         values = eigh_stack(stack[0]).eigenvalues
         assert ((values[:, :, None] + values[:, None, :]) <= cutoff).any()
-        assert_column_matches_reference(stack, np.array(tangents[:n]), [1e-6] * n, config)
+        assert_column_matches_reference(stack, np.array(tangents[:n]), [1e-6] * n)
 
 
 class TestFinishErrors:
@@ -326,17 +306,17 @@ class TestFinishErrors:
         values, vectors = self.stack((2, 3))
         values[1, 2, 0] = -1e-9
         with pytest.raises(NotPSDError, match=r"^element \(1, 2\): state eigenvalue -1\.000e-09"):
-            qfi_from_spectrum(values, vectors, vectors, OracleConfig())
+            qfi_from_spectrum(values, vectors, vectors)
         with pytest.raises(NotPSDError, match=r"^state eigenvalue -1\.000e-09 below -1e-12$"):
-            qfi_from_spectrum(values[1, 2], vectors[1, 2], vectors[1, 2], OracleConfig())
+            qfi_from_spectrum(values[1, 2], vectors[1, 2], vectors[1, 2])
 
     def test_qfi_trace(self):
         values, vectors = self.stack((5,))
         values[4] *= 1.1
         with pytest.raises(TraceViolationError, match=r"^element 4: state trace"):
-            qfi_from_spectrum(values, vectors, vectors, OracleConfig())
+            qfi_from_spectrum(values, vectors, vectors)
         with pytest.raises(TraceViolationError, match=r"^state trace np\.float64\("):
-            qfi_from_spectrum(values[4], vectors[4], vectors[4], OracleConfig())
+            qfi_from_spectrum(values[4], vectors[4], vectors[4])
 
     def test_sqrt_not_psd(self):
         values, vectors = self.stack((4,))
@@ -360,8 +340,11 @@ class TestFinishErrors:
             oracle_column(states, drho, [1e-6] * 4)
 
 
-def test_tangent_step_is_the_probe_step():
-    # The central-difference tangent and the skew probes share one step.
+@pytest.mark.parametrize("fd_step", [1e-6, 1e-3])
+def test_tangent_step_is_the_probe_step(monkeypatch, fd_step):
+    # The central-difference tangent and the skew probes read the same two
+    # states: both take linalg.diff_step, so one constant moves both.
+    monkeypatch.setattr(linalg, "FD_STEP", fd_step)
     fixed = XState(np.full(8, 1.0 / 8.0), np.zeros(4, dtype=complex))
     for phi in (0.0, 0.4, -0.7, 2.5, -31.0):
         calls = []
@@ -370,6 +353,10 @@ def test_tangent_step_is_the_probe_step():
             calls.append(x)
             return fixed
 
-        ParamFamily(state=state).tangent_at(phi)
-        h = OracleConfig().probe_step(phi)
-        assert sorted(calls) == [phi - h, phi + h]
+        family = ParamFamily(state=state)
+        family.tangent_at(phi)
+        tangent_points = sorted(calls)
+        calls.clear()
+        skew_sqrt_oracle(family, phi)
+        h = fd_step * max(1.0, abs(phi))
+        assert tangent_points == sorted(calls) == [phi - h, phi + h]
