@@ -6,7 +6,8 @@ Each channel is available on two deliberately separate routes:
   products of the single-qubit Kraus operators, with :func:`apply_kraus` its
   validated single-state view;
 * :func:`damped_bloch_array` — exact closed-form linear map on block Bloch
-  coordinates, built from the channel's per-qubit Bloch scaling factors, with
+  coordinates, built from the channel's per-qubit Bloch scaling factors and
+  the literal z-sector sign tables ``M_EVEN``/``M_ODD`` kept here, with
   :func:`apply_channel_compact` its single-state view.
 
 The two routes share no channel mathematics, so their agreement (tested to
@@ -23,16 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParameterError, BadProbabilityError
-from .xstate import (
-    M_EVEN,
-    M_ODD,
-    Z_EVEN_PATTERNS,
-    Z_ODD_PATTERNS,
-    XState,
-    bloch_from_compact,
-    compact_from_bloch,
-    xstate_from_dense,
-)
+from .xstate import XState, bloch_from_compact, compact_from_bloch, xstate_from_dense
 
 
 class ChannelKind(enum.Enum):
@@ -202,8 +194,18 @@ def bloch_damping_factors(kind: ChannelKind, param: ChannelParam) -> tuple[float
     raise BadParameterError(f"unknown channel kind {kind!r}")
 
 
-def _z_count(pattern) -> int:
-    return sum(1 for idx in pattern if idx == 3)
+# Sign tables of the two z sectors: w[j, 0] = (1/4) M_EVEN[j] @ t and
+# w[j, 3] = (1/4) M_ODD[j] @ t, where row j is block j and t lists the
+# correlation-tensor slots T[a, b, c] = Tr(rho @ s_a x s_b x s_c) (s_0 = I)
+# that an X state can populate in that sector.  The literals are the trace
+# definition worked out; tests/test_xstate.py derives them again from it.
+# Z_*_COUNTS[k] is the number of z indices of slot k.
+M_EVEN = np.array([[1, 1, 1, 1], [1, -1, -1, 1], [1, -1, 1, -1], [1, 1, -1, -1]], dtype=float)
+Z_EVEN_COUNTS = (0, 2, 2, 2)  # slots T[0,0,0], T[0,3,3], T[3,0,3], T[3,3,0]
+M_ODD = np.array([[1, 1, 1, 1], [-1, 1, 1, -1], [1, -1, 1, -1], [-1, -1, 1, 1]], dtype=float)
+Z_ODD_COUNTS = (1, 1, 1, 3)  # slots T[0,0,3], T[0,3,0], T[3,0,0], T[3,3,3]
+M_EVEN.setflags(write=False)
+M_ODD.setflags(write=False)
 
 
 def _sign_product(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -223,7 +225,8 @@ def damped_bloch_array(
     The transverse columns scale uniformly by ``transverse**3``.  When the
     longitudinal factor differs from one (depolarizing), the two z sectors
     mix across blocks: in tensor slots the map is diagonal, so in block
-    coordinates it is ``(1/4) M diag(fz**n_z) M.T``.
+    coordinates it is ``(1/4) M diag(fz**n_z) M.T``, with the literal sign
+    tables ``M_EVEN``/``M_ODD`` and z-index counts ``n_z`` of this module.
     """
     single = isinstance(param, ChannelParam)
     params = [param] if single else list(param)
@@ -238,9 +241,9 @@ def damped_bloch_array(
     out[..., 2] *= transverse
     mixing = [k for k, (_, fz) in enumerate(factors) if fz != 1.0]
     if mixing:
-        for m, patterns, col in ((M_EVEN, Z_EVEN_PATTERNS, 0), (M_ODD, Z_ODD_PATTERNS, 3)):
+        for m, counts, col in ((M_EVEN, Z_EVEN_COUNTS, 0), (M_ODD, Z_ODD_COUNTS, 3)):
             scale = np.array(
-                [[factors[k][1] ** _z_count(pattern) for pattern in patterns] for k in mixing]
+                [[factors[k][1] ** n_z for n_z in counts] for k in mixing]
             ).reshape((-1,) + (1,) * (w.ndim - 2) + (4,))
             out[mixing, ..., col] = 0.25 * _sign_product(
                 m, scale * _sign_product(m.T, out[mixing, ..., col])
@@ -248,8 +251,16 @@ def damped_bloch_array(
     return out[0] if single else out
 
 
+def _damped_compact(kind: ChannelKind, diag, anti, param):
+    """Compact ``(diag, anti)`` of the channel image, through the closed-form Bloch route.
+
+    ``diag`` (..., 8) and ``anti`` (..., 4) may be stacks; ``param`` is one
+    :class:`ChannelParam` or a sequence (see :func:`damped_bloch_array`).
+    No validation.
+    """
+    return compact_from_bloch(damped_bloch_array(kind, bloch_from_compact(diag, anti), param))
+
+
 def apply_channel_compact(state: XState, kind: ChannelKind, param: ChannelParam) -> XState:
     """Channel action through the compact closed-form route, returning a state."""
-    w = damped_bloch_array(kind, bloch_from_compact(state.diag, state.anti), param)
-    diag, anti = compact_from_bloch(w)
-    return XState(diag, anti)
+    return XState(*_damped_compact(kind, state.diag, state.anti, param))

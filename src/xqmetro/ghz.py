@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    ChannelKind,
-    ChannelParam,
-    apply_kraus_dense,
-    damped_bloch_array,
-)
+from .channels import ChannelKind, ChannelParam, _damped_compact, apply_kraus_dense
 from .errors import BadParameterError, XQMetroError
 from .linalg import diff_step
 from .metrics import ParamFamily, evaluate_stack
@@ -41,7 +36,6 @@ from .xstate import (
     XTangent,
     bloch_from_compact,
     check_compact,
-    compact_from_bloch,
     compact_from_dense,
     dense_from_compact,
 )
@@ -51,8 +45,15 @@ CLOSED_FORM_TOL = 1e-8
 
 
 def _werner_compact(q):
-    """Compact form of the Werner-GHZ state; array ``q`` gives a stack."""
+    """Compact form of the Werner-GHZ state; array ``q`` gives a stack.
+
+    Any finite ``q`` is accepted, so probes may step past [0, 1]; a NaN or
+    infinite one raises :class:`BadParameterError` naming the first.
+    """
     q = np.asarray(q, dtype=float)
+    finite = np.isfinite(q)
+    if not finite.all():
+        raise BadParameterError(f"q must be finite, got {float(q[~finite][0])}")
     diag = np.empty(q.shape + (8,))
     diag[...] = (q / 8.0)[..., None]
     diag[..., 0] = diag[..., 7] = (4.0 - 3.0 * q) / 8.0
@@ -78,15 +79,6 @@ def werner_ghz(q: float) -> XState:
     return XState(*_werner_compact(q))
 
 
-def _damped_compact(kind: ChannelKind, compact, param):
-    """Compact form of the channel image, through the closed-form Bloch route.
-
-    ``compact`` is a ``(diag, anti)`` pair, stacked or not; ``param`` is one
-    :class:`ChannelParam` or a sequence (see :func:`damped_bloch_array`).
-    """
-    return compact_from_bloch(damped_bloch_array(kind, bloch_from_compact(*compact), param))
-
-
 def ghz_family(kind: ChannelKind, p: float) -> ParamFamily:
     """Damped Werner-GHZ family in ``q`` through the closed-form channel route.
 
@@ -97,9 +89,9 @@ def ghz_family(kind: ChannelKind, p: float) -> ParamFamily:
     param = ChannelParam(p)
 
     def state(q: float) -> XState:
-        return XState(*_damped_compact(kind, _werner_compact(q), param))
+        return XState(*_damped_compact(kind, *_werner_compact(q), param))
 
-    tangent = XTangent(*_damped_compact(kind, (_TANGENT_DIAG, _TANGENT_ANTI), param))
+    tangent = XTangent(*_damped_compact(kind, _TANGENT_DIAG, _TANGENT_ANTI, param))
     return ParamFamily(state=state, tangent=lambda q: tangent)
 
 
@@ -121,11 +113,9 @@ def ghz_grid(
     out = {name: np.empty((len(werner[0]), len(params))) for name in metrics}
     for start in range(0, len(params), GRID_P_BLOCK):
         block = params[start : start + GRID_P_BLOCK]
-        diag, anti = _damped_compact(kind, werner, block)  # (p, q, 8), (p, q, 4)
+        diag, anti = _damped_compact(kind, *werner, block)  # (p, q, 8), (p, q, 4)
         check_compact(diag, anti)
-        tangent = bloch_from_compact(
-            *_damped_compact(kind, (_TANGENT_DIAG, _TANGENT_ANTI), block)
-        )
+        tangent = bloch_from_compact(*_damped_compact(kind, _TANGENT_DIAG, _TANGENT_ANTI, block))
         values = evaluate_stack(
             metrics,
             bloch=bloch_from_compact(diag, anti),

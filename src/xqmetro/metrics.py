@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import NotXFormError, SingularBlockError
+from .errors import BadParameterError, NotXFormError, SingularBlockError
 # eigh is unused here, but importable from this module: the benchmark's
 # tracer rebinds, and its self-test calls, xqmetro.metrics.eigh.
 from .linalg import central_diff, eigh  # noqa: F401
@@ -193,7 +193,8 @@ def evaluate_stack(
     ``"qfi"`` and ``"skew"`` read the Bloch coordinates ``bloch`` and their
     derivative ``tangent`` (shapes ``(..., 4, 4)`` that broadcast together);
     ``"concurrence"`` reads the compact state ``diag`` (..., 8), ``anti``
-    (..., 4).  Each result has the stack's shape.
+    (..., 4).  Each result has the stack's shape.  An unknown metric name, or
+    a metric without the inputs it reads, raises :class:`BadParameterError`.
 
     Mixed blocks (w0 > 1e-10 and gap(w, w) > 1e-10) take the closed forms of
     :func:`qfi_block_mixed` and :func:`skew_block` in one call per metric;
@@ -205,6 +206,13 @@ def evaluate_stack(
     :func:`skew_total` and :func:`concurrence_ghz_class` give for it alone,
     bit for bit: those are this kernel's single-state views.
     """
+    inputs = {"qfi": (bloch, tangent), "skew": (bloch, tangent), "concurrence": (diag, anti)}
+    for name in metrics:
+        if name not in inputs:
+            raise BadParameterError(f"unknown metric {name!r}; expected qfi, skew or concurrence")
+        if any(value is None for value in inputs[name]):
+            needs = "diag and anti" if name == "concurrence" else "bloch and tangent"
+            raise BadParameterError(f"metric {name!r} needs {needs}")
     out = {}
     # Built per call: a closed form rebound on the module (say, by a tracer)
     # is the one called.

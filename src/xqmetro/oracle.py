@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPSDError, TraceViolationError
+from .errors import NotHermitianError, NotPSDError, TraceViolationError
 from .linalg import check_finite, diff_step, eigh, eigh_stack, sqrt_from_spectrum
 from .metrics import ParamFamily
 from .xstate import _fail
@@ -26,10 +26,12 @@ def qfi_eigen_oracle(rho: np.ndarray, drho: np.ndarray) -> float:
 
     F = sum over eigenpairs with lam_i + lam_j > RANK_CUTOFF of
     2 |<i| d rho |j>|^2 / (lam_i + lam_j).  A non-finite entry in ``rho`` or
-    ``drho`` raises :class:`NotHermitianError` naming it.
+    ``drho``, or shapes that differ, raise :class:`NotHermitianError` naming them.
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
+    if drho.shape != rho.shape:
+        raise NotHermitianError(f"drho shape {drho.shape} differs from rho shape {rho.shape}")
     check_finite(drho, "drho")
     values, vectors = eigh(rho)
     return float(qfi_from_spectrum(values, vectors, drho))

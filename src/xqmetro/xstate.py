@@ -12,11 +12,6 @@ Conventions, fixed here once and tested:
   ``block = (w0*I + w1*sx + w2*sy + w3*sz) / 2`` in the block basis, i.e.
   ``w_a = Tr(block @ sigma_a)``.  Consequently ``w1 - i*w2`` equals twice the
   stored coherence and ``w0`` is the block's trace weight.
-* The z-sector sign matrices ``M_EVEN`` and ``M_ODD`` link the block
-  weights and z coordinates to the correlation-tensor slots
-  ``T[a, b, c] = Tr(rho @ s_a x s_b x s_c)`` (``s_0 = I``) of the two
-  diagonal sectors; they are derived programmatically below from the trace
-  definition (coefficients are exactly +-1/4).
 """
 
 from __future__ import annotations
@@ -48,43 +43,6 @@ _DIAGONAL = tuple(range(8))
 # Entries an X state leaves empty: all but the main diagonal and the anti-diagonal.
 _OFF_PATTERN = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
 _OFF_ENTRIES = np.argwhere(_OFF_PATTERN)  # (row, column), in the order m[..., _OFF_PATTERN] reads
-
-# Tensor slots of the two diagonal sectors that an X state can populate.
-Z_EVEN_PATTERNS = ((0, 0, 0), (0, 3, 3), (3, 0, 3), (3, 3, 0))
-Z_ODD_PATTERNS = ((0, 0, 3), (0, 3, 0), (3, 0, 0), (3, 3, 3))
-
-
-def _block_generator(block: int, axis: int) -> np.ndarray:
-    """8x8 embedding of sigma_axis into the given block, zero elsewhere."""
-    i, j = BLOCK_PAIRS[block]
-    out = np.zeros((8, 8), dtype=complex)
-    s = PAULI[axis]
-    out[i, i] = s[0, 0]
-    out[i, j] = s[0, 1]
-    out[j, i] = s[1, 0]
-    out[j, j] = s[1, 1]
-    return out
-
-
-def _sector_matrix(axis: int, patterns) -> np.ndarray:
-    """Sign matrix M with w[:, axis] = (1/4) M @ t[patterns].
-
-    Derived from w_a^j = Tr(rho @ eta_a^j) with rho = (1/8) sum T s x s x s;
-    the entries come out exactly +-1.
-    """
-    triples = [np.kron(np.kron(PAULI[a], PAULI[b]), PAULI[c]) for a, b, c in patterns]
-    m = np.zeros((4, 4))
-    for j in range(4):
-        eta = _block_generator(j, axis)
-        for k, triple in enumerate(triples):
-            m[j, k] = round((np.trace(triple @ eta) / 2.0).real)
-    return m
-
-
-M_EVEN = _sector_matrix(0, Z_EVEN_PATTERNS)
-M_ODD = _sector_matrix(3, Z_ODD_PATTERNS)
-for _m in (M_EVEN, M_ODD):
-    _m.setflags(write=False)
 
 
 @dataclass(frozen=True)

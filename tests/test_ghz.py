@@ -58,6 +58,19 @@ class TestWernerGhz:
         with pytest.raises(BadParameterError):
             werner_ghz(bad)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_family_rejects_non_finite_q(self, bad):
+        family = ghz_family(ChannelKind.DEPOLARIZING, 0.3)
+        calls = (
+            lambda: family.state(bad),
+            lambda: qfi_total(family, bad),
+            lambda: ghz.ghz_grid(ChannelKind.DEPOLARIZING, [0.5, bad], [0.3]),
+        )
+        for call in calls:
+            with pytest.raises(BadParameterError, match=f"^q must be finite, got {bad}$"):
+                call()
+
     def test_family_tangent_is_exact_derivative(self):
         family = ghz_family(ChannelKind.DEPOLARIZING, 0.3)
         h = 1e-6

@@ -12,7 +12,7 @@ import pytest
 
 from xqmetro import linalg, metrics
 from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense, damped_bloch_array
-from xqmetro.errors import BlockNotPSDError, NotXFormError, TraceViolationError
+from xqmetro.errors import BadParameterError, BlockNotPSDError, NotXFormError, TraceViolationError
 from xqmetro.ghz import GHZ_QMIN, GRID_P_BLOCK, ghz_family, ghz_grid
 from xqmetro.metrics import (
     EPS_SINGULAR,
@@ -127,6 +127,34 @@ class TestKernel:
     def test_only_requested_metrics(self):
         w, dw = edge_stack()
         assert set(evaluate_stack(("skew",), bloch=w, tangent=dw)) == {"skew"}
+
+    @pytest.mark.parametrize("name", ["fisher", "QFI", ""])
+    def test_unknown_metric_raises(self, name):
+        w, dw = edge_stack()
+        message = f"^unknown metric {name!r}; expected qfi, skew or concurrence$"
+        with pytest.raises(BadParameterError, match=message):
+            evaluate_stack(("qfi", name), bloch=w, tangent=dw)
+        with pytest.raises(BadParameterError, match=message):
+            ghz_grid(ChannelKind.DEPOLARIZING, [0.5], [0.3], metrics=(name,))
+
+    @pytest.mark.parametrize(
+        "name, given",
+        [
+            ("qfi", ()),
+            ("qfi", ("bloch",)),
+            ("skew", ("tangent",)),
+            ("concurrence", ()),
+            ("concurrence", ("diag",)),
+            ("concurrence", ("anti",)),
+        ],
+    )
+    def test_missing_input_raises(self, name, given):
+        w, dw = edge_stack()
+        state = random_xstate(np.random.default_rng(7))
+        inputs = {"bloch": w, "tangent": dw, "diag": state.diag, "anti": state.anti}
+        needs = "diag and anti" if name == "concurrence" else "bloch and tangent"
+        with pytest.raises(BadParameterError, match=f"^metric '{name}' needs {needs}$"):
+            evaluate_stack((name,), **{arg: inputs[arg] for arg in given})
 
 
 def _scalar_gap(w, v):

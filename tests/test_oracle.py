@@ -107,6 +107,11 @@ class TestQfiEigenOracle:
             qfi_eigen_oracle(np.eye(8, dtype=complex) / 8.0, drho)
         assert isinstance(info.value, XQMetroError)
 
+    def test_rejects_mismatched_shapes(self):
+        message = r"^drho shape \(4, 4\) differs from rho shape \(8, 8\)$"
+        with pytest.raises(NotHermitianError, match=message):
+            qfi_eigen_oracle(np.eye(8) / 8.0, np.zeros((4, 4)))
+
     def test_rank_deficient_state_skips_null_pairs(self):
         # Support-preserving motion on a rank-2 state: finite answer.
         lam = np.array([0.7, 0.3, 0.0, 0.0])

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from xqmetro.channels import M_EVEN, M_ODD, Z_EVEN_COUNTS, Z_ODD_COUNTS
 from xqmetro.errors import BlockNotPSDError, NotXFormError, TraceViolationError
 from xqmetro.ghz import werner_ghz
 from xqmetro.xstate import (
     BLOCK_PAIRS,
-    M_EVEN,
-    M_ODD,
     PAULI,
     XState,
     XTangent,
@@ -170,6 +169,9 @@ class TestBlockBloch:
     def test_sign_tables_frozen(self):
         np.testing.assert_array_equal(M_EVEN, OMEGA0_SIGNS)
         np.testing.assert_array_equal(M_ODD, OMEGA3_SIGNS)
+        assert Z_EVEN_COUNTS == tuple(pattern.count(3) for pattern in OMEGA0_PATTERNS)
+        assert Z_ODD_COUNTS == tuple(pattern.count(3) for pattern in OMEGA3_PATTERNS)
+        assert not M_EVEN.flags.writeable and not M_ODD.flags.writeable
         rng = np.random.default_rng(26)
         for _ in range(20):
             state = random_xstate(rng)
