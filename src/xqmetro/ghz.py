@@ -25,7 +25,7 @@ import numpy as np
 from .channels import ChannelKind, ChannelParam, _damped_compact, apply_kraus_dense
 from .errors import BadParameterError, XQMetroError
 from .linalg import diff_step
-from .metrics import ParamFamily, evaluate_stack
+from .metrics import ParamFamily, _check_names, evaluate_stack
 
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.ghz.qfi_total.
@@ -106,8 +106,9 @@ def ghz_grid(
     states take the same route to compact form and back to Bloch
     coordinates (that round trip is not exact), and every stack passes the
     checks of :class:`XState`.  The grid is evaluated in blocks of
-    ``GRID_P_BLOCK`` p values.
+    ``GRID_P_BLOCK`` p values.  Unknown metric names raise before any work.
     """
+    _check_names(metrics)
     params = [ChannelParam(float(p)) for p in p_values]
     werner = _werner_compact(np.asarray(q_values, dtype=float))
     out = {name: np.empty((len(werner[0]), len(params))) for name in metrics}

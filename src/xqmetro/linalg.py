@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NotConvergedError, NotHermitianError, NotPSDError
-from .xstate import _fail
+from .xstate import _fail, _first_failure
 
 HERMITICITY_TOL = 1e-12
 OFFDIAG_TOL = 1e-14
@@ -186,9 +186,9 @@ def sqrt_from_spectrum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     ``NotPSDError``, naming the first such element (C order) for a stack.
     """
     lowest = values[..., 0]
-    flags = lowest < -PSD_CLAMP
-    if flags.any():
-        _fail(NotPSDError, flags, lambda i: f"eigenvalue {lowest[i]:.3e} below -1e-12")
+    _first_failure(
+        (NotPSDError, lowest < -PSD_CLAMP, lambda i: f"eigenvalue {lowest[i]:.3e} below -1e-12")
+    )
     clamped = np.clip(values, 0.0, None)
     root = (vectors * np.sqrt(clamped)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
     return (root + root.conj().swapaxes(-1, -2)) / 2.0

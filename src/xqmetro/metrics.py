@@ -20,7 +20,6 @@ its single-state views, and ``ghz.ghz_grid`` hands it a whole sweep grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -36,8 +35,11 @@ from .xstate import (
     PAULI,
     XState,
     XTangent,
+    _fail,
+    _first_failure,
+    _not_finite,
     bloch_from_compact,
-    check_bloch,
+    check_compact,
 )
 
 EPS_SINGULAR = 1e-10
@@ -52,8 +54,14 @@ def _gap(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _require_mixed(w: np.ndarray, gap_ww: np.ndarray, message: str) -> None:
     singular = (w[..., 0] <= EPS_SINGULAR) | (gap_ww <= EPS_SINGULAR)
     if singular.any():
-        gap = np.asarray(gap_ww)[np.unravel_index(int(np.argmax(singular)), singular.shape)]
-        raise SingularBlockError(f"{message}, got gap {gap:.3e}")
+        _fail(SingularBlockError, singular, lambda i: f"{message}, got gap {gap_ww[i]:.3e}")
+
+
+def _check_names(metrics: Iterable[str]) -> None:
+    """Raise :class:`BadParameterError` for the first name that is not a kernel metric."""
+    for name in metrics:
+        if name not in ("qfi", "skew", "concurrence"):
+            raise BadParameterError(f"unknown metric {name!r}; expected qfi, skew or concurrence")
 
 
 def _float_if_single(value: np.ndarray):
@@ -191,25 +199,26 @@ def evaluate_stack(
     """The block kernel: metric totals over stacked X states.
 
     ``"qfi"`` and ``"skew"`` read the Bloch coordinates ``bloch`` and their
-    derivative ``tangent`` (shapes ``(..., 4, 4)`` that broadcast together);
-    ``"concurrence"`` reads the compact state ``diag`` (..., 8), ``anti``
-    (..., 4).  Each result has the stack's shape.  An unknown metric name, or
-    a metric without the inputs it reads, raises :class:`BadParameterError`.
+    derivative ``tangent`` (shapes that broadcast together to ``(..., 4,
+    4)``); ``"concurrence"`` reads the compact state ``diag`` (..., 8),
+    ``anti`` (..., 4).  Each result has the stack's shape.  An unknown metric
+    name, or a metric without the inputs it reads, raises
+    :class:`BadParameterError`.
 
     Mixed blocks (w0 > 1e-10 and gap(w, w) > 1e-10) take the closed forms of
     :func:`qfi_block_mixed` and :func:`skew_block` in one call per metric;
     every other block takes the rank-aware 2x2 spectral Fisher sum, in closed
     form over the block's eigenpairs, and the pure-limit skew stand-in, so no
-    mixed closed form ever sees a singular block.  A NaN/+-inf coordinate
-    raises :class:`NotXFormError`, worded as by :func:`check_bloch`.
+    mixed closed form ever sees a singular block.  Shapes that do not
+    broadcast as above, or a NaN/+-inf entry of an input a metric reads,
+    raise :class:`NotXFormError` naming both shapes or the first such entry.
     Each element's value equals the one :func:`qfi_total`,
     :func:`skew_total` and :func:`concurrence_ghz_class` give for it alone,
     bit for bit: those are this kernel's single-state views.
     """
+    _check_names(metrics)
     inputs = {"qfi": (bloch, tangent), "skew": (bloch, tangent), "concurrence": (diag, anti)}
     for name in metrics:
-        if name not in inputs:
-            raise BadParameterError(f"unknown metric {name!r}; expected qfi, skew or concurrence")
         if any(value is None for value in inputs[name]):
             needs = "diag and anti" if name == "concurrence" else "bloch and tangent"
             raise BadParameterError(f"metric {name!r} needs {needs}")
@@ -224,9 +233,17 @@ def evaluate_stack(
         w = np.asarray(bloch, dtype=float)
         dw = np.asarray(tangent, dtype=float)
         if w.shape != dw.shape:
-            w, dw = np.broadcast_arrays(w, dw)
-        if not np.isfinite(w).all():
-            check_bloch(w)  # its first check names the coordinate
+            try:
+                w, dw = np.broadcast_arrays(w, dw)
+            except ValueError:
+                pass  # the shapes stay apart and are named below
+        if w.shape != dw.shape or w.shape[-2:] != (4, 4):
+            raise NotXFormError(
+                "expected bloch and tangent that broadcast to (..., 4, 4),"
+                f" got shapes {np.shape(bloch)} and {np.shape(tangent)}"
+            )
+        if not (np.isfinite(w).all() and np.isfinite(dw).all()):
+            _first_failure(_not_finite("w", w, 2), _not_finite("tangent w", dw, 2))
         mixed = (w[..., 0] > EPS_SINGULAR) & (_gap(w, w) > EPS_SINGULAR)
         singular = ~mixed
         fallback = singular.any()
@@ -241,7 +258,11 @@ def evaluate_stack(
             blocks = closed_form(w, dw)
         out[name] = _block_sum(blocks)
     if "concurrence" in metrics:
-        out["concurrence"] = _concurrence(np.asarray(diag), np.asarray(anti))
+        diag, anti = np.asarray(diag), np.asarray(anti)
+        shaped = diag.shape[-1:] == (8,) and anti.shape == diag.shape[:-1] + (4,)
+        if not (shaped and np.isfinite(diag).all() and np.isfinite(anti).all()):
+            check_compact(diag, anti)  # its first checks: these shapes, then finite entries
+        out["concurrence"] = _concurrence(diag, anti)
     return out
 
 
@@ -283,23 +304,17 @@ class ParamFamily:
 def _total(name: str, family: ParamFamily, phi: float) -> float:
     """Metric ``name`` of the family at ``phi`` through the block kernel.
 
-    A non-finite result with a NaN or infinite tangent entry raises
-    :class:`NotXFormError` naming the first such entry; the check runs only
-    after a non-finite result, so a finite one costs a single test.
+    A NaN or infinite tangent entry raises :class:`NotXFormError` naming
+    ``phi`` and the first such entry, before the kernel runs.
     """
     w = family.bloch_at(phi)
     tangent = family.tangent_at(phi)
-    with np.errstate(invalid="ignore"):  # inf - inf of an infinite tangent: raised below
-        total = float(evaluate_stack((name,), bloch=w, tangent=tangent.to_bloch_array())[name])
-    if not math.isfinite(total):
-        for field, values in (("diag", tangent.diag), ("anti", tangent.anti)):
-            finite = np.isfinite(values)
-            if not finite.all():
-                k = int(np.argmin(finite))
-                raise NotXFormError(
-                    f"at phi={phi!r}: tangent {field}[{k}] is {values[k]}, not finite"
-                )
-    return total
+    if not (np.isfinite(tangent.diag).all() and np.isfinite(tangent.anti).all()):
+        _first_failure(
+            _not_finite(f"at phi={phi!r}: tangent diag", tangent.diag),
+            _not_finite(f"at phi={phi!r}: tangent anti", tangent.anti),
+        )
+    return float(evaluate_stack((name,), bloch=w, tangent=tangent.to_bloch_array())[name])
 
 
 def qfi_total(family: ParamFamily, phi: float) -> float:

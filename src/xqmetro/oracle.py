@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NotHermitianError, NotPSDError, TraceViolationError
 from .linalg import check_finite, diff_step, eigh, eigh_stack, sqrt_from_spectrum
 from .metrics import ParamFamily
-from .xstate import _fail
+from .xstate import _first_failure
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -48,14 +48,13 @@ def qfi_from_spectrum(values: np.ndarray, vectors: np.ndarray, drho: np.ndarray)
     :class:`TraceViolationError` for a trace off 1 by more than 1e-10,
     naming the first such element (C order) of a stack.
     """
-    lowest = values[..., 0]
-    flags = lowest < -PSD_TOL
-    if flags.any():
-        _fail(NotPSDError, flags, lambda i: f"state eigenvalue {lowest[i]:.3e} below -1e-12")
     trace = values.sum(axis=-1)
-    flags = abs(trace - 1.0) > TRACE_TOL
-    if flags.any():
-        _fail(TraceViolationError, flags, lambda i: f"state trace {trace[i]!r} differs from 1")
+    _first_failure(
+        (NotPSDError, values[..., 0] < -PSD_TOL,
+         lambda i: f"state eigenvalue {values[i][0]:.3e} below -1e-12"),
+        (TraceViolationError, abs(trace - 1.0) > TRACE_TOL,
+         lambda i: f"state trace {trace[i]!r} differs from 1"),
+    )
     overlap = vectors.conj().swapaxes(-1, -2) @ drho @ vectors
     # |<i|drho|j>| with a scalar complex abs's rounding (see linalg._rotate).
     weight = 2.0 * np.float_power(np.hypot(overlap.real, overlap.imag), 2.0)
@@ -100,10 +99,10 @@ def oracle_column(states: np.ndarray, drho: np.ndarray, steps):
     off 1.
     """
     values, vectors = eigh_stack(states)
-    lowest = values[..., 0]
-    flags = lowest < -PSD_TOL
-    if flags.any():  # tested here, so that the failure names the probe as well
-        _fail(NotPSDError, flags, lambda i: f"state eigenvalue {lowest[i]:.3e} below -1e-12")
+    _first_failure(  # tested here, so that the failure names the probe as well
+        (NotPSDError, values[..., 0] < -PSD_TOL,
+         lambda i: f"state eigenvalue {values[i][0]:.3e} below -1e-12"),
+    )
     fisher = qfi_from_spectrum(values[:1], vectors[:1], drho)[0]
     return fisher, skew_from_spectra((values[1], vectors[1]), (values[2], vectors[2]), steps)
 

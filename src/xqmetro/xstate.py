@@ -42,7 +42,6 @@ _LOWER = tuple(j for _, j in BLOCK_PAIRS)
 _DIAGONAL = tuple(range(8))
 # Entries an X state leaves empty: all but the main diagonal and the anti-diagonal.
 _OFF_PATTERN = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
-_OFF_ENTRIES = np.argwhere(_OFF_PATTERN)  # (row, column), in the order m[..., _OFF_PATTERN] reads
 
 
 @dataclass(frozen=True)
@@ -103,15 +102,36 @@ def dense_from_compact(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fail(error, flags: np.ndarray, message) -> None:
-    """Raise ``error`` for the first element (C order) whose flag is set.
+def _fail(error, flags: np.ndarray, message, entries: int = 0) -> None:
+    """Raise ``error`` for the first element (C order) whose flags are set.
 
-    ``message`` maps that element's index to the text; for a stack the
-    index is named in front of it.
+    The trailing ``entries`` axes of ``flags`` are entry axes: ``message``
+    gets the element's index, then one index per entry axis of that
+    element's first flagged entry.  For a stack, the element's index is
+    named in front of the text.
     """
-    index = tuple(int(k) for k in np.unravel_index(int(np.argmax(flags)), flags.shape))
+    first = tuple(int(k) for k in np.unravel_index(int(np.argmax(flags)), flags.shape))
+    index, entry = first[: len(first) - entries], first[len(first) - entries :]
     where = f"element {index[0] if len(index) == 1 else index}: " if index else ""
-    raise error(where + message(index))
+    raise error(where + message(index, *entry))
+
+
+def _first_failure(*rows) -> None:
+    """Raise for the first row ``(error, flags, message[, entries])`` that flags anything."""
+    for error, flags, message, *entries in rows:
+        if flags.any():
+            _fail(error, flags, message, *entries)
+
+
+def _not_finite(name: str, values, entries: int = 1):
+    """Row naming the first NaN/+-inf entry of ``values`` as ``name[...]``."""
+    values = np.asarray(values)
+    return (
+        NotXFormError,
+        ~np.isfinite(values),
+        lambda i, *k: f"{name}[{', '.join(map(str, k))}] is {values[i + k]}, not finite",
+        entries,
+    )
 
 
 def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:
@@ -143,31 +163,14 @@ def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:
     )
     if passed if passed.ndim == 0 else passed.all():
         return
-
-    for name, values in (("diag", diag), ("anti", anti)):
-        finite = np.isfinite(values)
-        if not finite.all():
-            _fail(
-                NotXFormError,
-                ~finite.all(axis=-1),
-                lambda i: f"{name}[{int(np.argmin(finite[i]))}] is"
-                f" {values[i][np.argmin(finite[i])]}, not finite",
-            )
-    flags = abs(trace - 1.0) > DIAG_TOL
-    if flags.any():
-        _fail(
-            TraceViolationError,
-            flags,
-            lambda i: f"trace {trace[i]!r} differs from 1 beyond 1e-12",
-        )
-    flags = lowest < -DIAG_TOL
-    if flags.any():
-        _fail(BlockNotPSDError, flags, lambda i: f"negative population {lowest[i]:.3e}")
-    flags = margin < -DIAG_TOL
-    _fail(
-        BlockNotPSDError,
-        flags.any(axis=-1),
-        lambda i: f"block {int(np.argmax(flags[i]))}: |coherence|^2 exceeds population product",
+    _first_failure(
+        _not_finite("diag", diag),
+        _not_finite("anti", anti),
+        (TraceViolationError, abs(trace - 1.0) > DIAG_TOL,
+         lambda i: f"trace {trace[i]!r} differs from 1 beyond 1e-12"),
+        (BlockNotPSDError, lowest < -DIAG_TOL, lambda i: f"negative population {lowest[i]:.3e}"),
+        (BlockNotPSDError, margin < -DIAG_TOL,
+         lambda _, k: f"block {k}: |coherence|^2 exceeds population product", 1),
     )
 
 
@@ -198,61 +201,36 @@ def compact_from_bloch(w: np.ndarray):
     return diag, anti
 
 
-def _x_components(m: np.ndarray):
-    """Compact components of dense matrices ``(..., 8, 8)``, X pattern checked.
+def compact_from_dense(matrix: np.ndarray):
+    """Validate dense matrices ``(..., 8, 8)`` as X states; return ``(diag, anti)``.
 
     The checks, in order: no entry off the X pattern beyond 1e-10 in
     magnitude, no imaginary part on the diagonal beyond 1e-10, and each
-    coherence pair conjugate to 1e-10; NaN fails the first two.  A failure
-    raises :class:`NotXFormError` for the first failing element, named as in
-    :func:`check_compact`, and names the first failing entry.
+    coherence pair conjugate to 1e-10 (else :class:`NotXFormError` naming the
+    first failing entry; NaN fails the first two), then :func:`check_compact`
+    on the compact components.  The first check that fails raises for the
+    first element (C order) it fails on and, for a stack, names its index.
     """
+    m = np.asarray(matrix, dtype=complex)
     if m.shape[-2:] != (8, 8):
         raise NotXFormError(f"expected 8x8 matrices, got shape {m.shape}")
     upper = m[..., _UPPER, _LOWER]
     lower = m[..., _LOWER, _UPPER]
     diagonal = m[..., _DIAGONAL, _DIAGONAL]
     with np.errstate(all="ignore"):  # non-finite pattern entries are caught by check_compact
-        off = np.abs(m[..., _OFF_PATTERN])
+        off = np.abs(m)
         unpaired = np.abs(upper - np.conj(lower)) > PATTERN_TOL
     imaginary = np.abs(diagonal.imag)
     # Both tests fail on NaN: the compact components drop these entries.
-    flags = ~(off.max(axis=-1) <= PATTERN_TOL)
-    if flags.any():
-
-        def off_pattern(i):
-            k = int(np.argmax(~(off[i] <= PATTERN_TOL)))
-            row, col = _OFF_ENTRIES[k]
-            return f"off-pattern entry [{row}, {col}] of magnitude {off[i][k]:.3e}"
-
-        _fail(NotXFormError, flags, off_pattern)
-    flags = ~(imaginary.max(axis=-1) <= PATTERN_TOL)
-    if flags.any():
-
-        def imaginary_diagonal(i):
-            k = int(np.argmax(~(imaginary[i] <= PATTERN_TOL)))
-            return f"diagonal entry [{k}, {k}] has imaginary part {imaginary[i][k]:.3e} beyond 1e-10"
-
-        _fail(NotXFormError, flags, imaginary_diagonal)
-    if unpaired.any():
-        _fail(
-            NotXFormError,
-            unpaired.any(axis=-1),
-            lambda i: f"block {int(np.argmax(unpaired[i]))}: coherence pair is not conjugate",
-        )
-    return diagonal.real, (upper + np.conj(lower)) / 2.0
-
-
-def compact_from_dense(matrix: np.ndarray):
-    """Validate dense matrices ``(..., 8, 8)`` as X states; return ``(diag, anti)``.
-
-    These are the checks of :func:`xstate_from_dense`, in its order: the X
-    pattern, then :func:`check_compact`.  The first check that fails raises
-    for the first element (C order) it fails on, with the error
-    :func:`xstate_from_dense` would raise and, for a stack, the element's
-    index named in the message.
-    """
-    diag, anti = _x_components(np.asarray(matrix, dtype=complex))
+    _first_failure(
+        (NotXFormError, _OFF_PATTERN & ~(off <= PATTERN_TOL),
+         lambda i, r, c: f"off-pattern entry [{r}, {c}] of magnitude {off[i][r, c]:.3e}", 2),
+        (NotXFormError, ~(imaginary <= PATTERN_TOL),
+         lambda i, k: f"diagonal entry [{k}, {k}] has imaginary part {imaginary[i][k]:.3e}"
+         " beyond 1e-10", 1),
+        (NotXFormError, unpaired, lambda _, k: f"block {k}: coherence pair is not conjugate", 1),
+    )
+    diag, anti = diagonal.real, (upper + np.conj(lower)) / 2.0
     check_compact(diag, anti)
     return diag, anti
 
@@ -271,7 +249,7 @@ def xstate_from_dense(matrix: np.ndarray) -> XState:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (8, 8):
         raise NotXFormError(f"expected an 8x8 matrix, got shape {m.shape}")
-    return XState(*_x_components(m))
+    return XState(*compact_from_dense(m))
 
 
 def check_bloch(w: np.ndarray) -> None:
@@ -297,26 +275,14 @@ def check_bloch(w: np.ndarray) -> None:
     bad_block = negative | too_long
     if finite.all() and not off_trace.any() and not bad_block.any():
         return
-
-    def not_finite(i):
-        j, a = np.unravel_index(int(np.argmin(np.isfinite(w[i]))), (4, 4))
-        return f"w[{j}, {a}] is {w[i][j, a]}, not finite"
-
-    def first_bad_block(i):
-        j = int(np.argmax(bad_block[i]))
-        if negative[i][j]:
-            return f"block {j}: negative weight {w[i][j, 0]:.3e}"
-        return f"block {j}: Bloch vector longer than weight"
-
-    if not finite.all():
-        _fail(NotXFormError, ~finite, not_finite)
-    if off_trace.any():
-        _fail(
-            TraceViolationError,
-            off_trace,
-            lambda i: f"block weights sum to {total[i]!r}, expected 1",
-        )
-    _fail(BlockNotPSDError, bad_block.any(axis=-1), first_bad_block)
+    _first_failure(
+        _not_finite("w", w, 2),
+        (TraceViolationError, off_trace,
+         lambda i: f"block weights sum to {total[i]!r}, expected 1"),
+        (BlockNotPSDError, bad_block,
+         lambda i, j: f"block {j}: negative weight {w[i][j, 0]:.3e}" if negative[i][j]
+         else f"block {j}: Bloch vector longer than weight", 1),
+    )
 
 
 def random_xstate(rng: np.random.Generator) -> XState:

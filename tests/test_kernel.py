@@ -7,12 +7,22 @@ point.  The closed-form spectral fallback is also held, at stated relative
 tolerances, to the Jacobi route it replaced and to 50-digit arithmetic.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from xqmetro import linalg, metrics
+from xqmetro import ghz, linalg, metrics, oracle
 from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense, damped_bloch_array
-from xqmetro.errors import BadParameterError, BlockNotPSDError, NotXFormError, TraceViolationError
+from xqmetro.errors import (
+    BadParameterError,
+    BlockNotPSDError,
+    NotHermitianError,
+    NotPSDError,
+    NotXFormError,
+    SingularBlockError,
+    TraceViolationError,
+)
 from xqmetro.ghz import GHZ_QMIN, GRID_P_BLOCK, ghz_family, ghz_grid
 from xqmetro.metrics import (
     EPS_SINGULAR,
@@ -404,6 +414,77 @@ class TestSpectralFallback:
             evaluate_stack((name,), bloch=w[1], tangent=dw[1])
 
 
+class TestKernelBoundary:
+    """The kernel checks the form of every input that a requested metric reads."""
+
+    @pytest.mark.parametrize(
+        "bloch, tangent",
+        [
+            (np.eye(4), np.zeros((3, 4))),
+            (np.ones((3, 4)), np.zeros((3, 4))),
+            (np.full((2, 4, 4), 0.25), np.zeros((3, 4, 4))),
+            (np.full((3, 4), 0.25), np.zeros(4)),
+            (np.full(4, 0.25), np.zeros(4)),
+        ],
+    )
+    def test_shapes_that_do_not_broadcast_raise(self, bloch, tangent):
+        message = (
+            r"^expected bloch and tangent that broadcast to \(\.\.\., 4, 4\),"
+            rf" got shapes {re.escape(str(bloch.shape))} and {re.escape(str(tangent.shape))}$"
+        )
+        for name in ("qfi", "skew"):
+            with pytest.raises(NotXFormError, match=message):
+                evaluate_stack((name,), bloch=bloch, tangent=tangent)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["qfi", "skew"])
+    def test_non_finite_tangent_raises(self, name):
+        w, dw = edge_stack()
+        dw[3, 2, 0] = np.inf
+        dw[3, 3, 1] = np.nan
+        text = r"tangent w\[2, 0\] is inf, not finite$"
+        with pytest.raises(NotXFormError, match=r"^element 3: " + text):
+            evaluate_stack((name,), bloch=w, tangent=dw)
+        with pytest.raises(NotXFormError, match="^" + text):
+            evaluate_stack((name,), bloch=w[3], tangent=dw[3])
+        # A tangent broadcast over the stack is named by the stack's element.
+        with pytest.raises(NotXFormError, match=r"^element 0: " + text):
+            evaluate_stack((name,), bloch=w, tangent=dw[3])
+
+    @pytest.mark.parametrize("diag, anti", [((7,), (4,)), ((8,), (3,)), ((2, 8), (3, 4))])
+    def test_concurrence_shapes_raise(self, diag, anti):
+        message = (
+            r"^expected stacks of 8 populations and 4 coherences,"
+            rf" got shapes {re.escape(str(diag))} and {re.escape(str(anti))}$"
+        )
+        with pytest.raises(NotXFormError, match=message):
+            evaluate_stack(("concurrence",), diag=np.full(diag, 0.125), anti=np.zeros(anti))
+
+    @pytest.mark.parametrize(
+        "field, value, text",
+        [("diag", np.nan, "nan"), ("diag", -np.inf, "-inf"), ("anti", complex(0, np.inf), "infj")],
+    )
+    def test_non_finite_concurrence_input_raises(self, field, value, text):
+        state = random_xstate(np.random.default_rng(7))
+        parts = {"diag": np.stack([state.diag] * 3), "anti": np.stack([state.anti] * 3)}
+        parts[field][1, 2] = value
+        message = rf"{field}\[2\] is {text}, not finite$"
+        with pytest.raises(NotXFormError, match=r"^element 1: " + message):
+            evaluate_stack(("concurrence",), **parts)
+        with pytest.raises(NotXFormError, match="^" + message):
+            evaluate_stack(("concurrence",), diag=parts["diag"][1], anti=parts["anti"][1])
+
+    @pytest.mark.parametrize("q_values, p_values", [([0.5], []), ([], []), ([], [0.3])])
+    def test_grid_checks_names_before_any_work(self, monkeypatch, q_values, p_values):
+        def no_work(*args):
+            raise AssertionError("ghz_grid built states before checking the metric names")
+
+        monkeypatch.setattr(ghz, "_werner_compact", no_work)
+        message = r"^unknown metric 'fisher'; expected qfi, skew or concurrence$"
+        with pytest.raises(BadParameterError, match=message):
+            ghz_grid(ChannelKind.DEPOLARIZING, q_values, p_values, metrics=("qfi", "fisher"))
+
+
 def assert_grid_equals_scalar_pipeline(kind, q_values, p_values):
     grid = ghz_grid(kind, q_values, p_values)
     for j, p in enumerate(p_values):
@@ -477,6 +558,15 @@ def _spoil(kind, diag, anti):
     return diag, anti
 
 
+# What XState raises on each spoiled state of the seed-17 stack, byte for byte.
+SPOIL_TEXT = {
+    "nan": "diag[3] is nan, not finite",
+    "trace": "trace np.float64(1.000000001) differs from 1 beyond 1e-12",
+    "negative": "negative population -1.000e-06",
+    "coherence": "block 1: |coherence|^2 exceeds population product",
+}
+
+
 @pytest.mark.parametrize("kind", ["nan", "trace", "negative", "coherence"])
 def test_stack_check_names_the_bad_element(kind):
     rng = np.random.default_rng(17)
@@ -487,6 +577,7 @@ def test_stack_check_names_the_bad_element(kind):
     bad = _spoil(kind, diag[1, 2], anti[1, 2])
     with pytest.raises((NotXFormError, TraceViolationError, BlockNotPSDError)) as alone:
         XState(*bad)
+    assert str(alone.value) == SPOIL_TEXT[kind]
     diag[1, 2], anti[1, 2] = bad
     with pytest.raises(type(alone.value)) as stacked:
         check_compact(diag, anti)
@@ -516,6 +607,16 @@ def _spoil_dense(kind, m):
     return m
 
 
+# What xstate_from_dense raises on each spoiled state of the seed-19 stack.
+DENSE_SPOIL_TEXT = {
+    "off-pattern": "off-pattern entry [1, 2] of magnitude 1.000e-06",
+    "imaginary-diagonal": "diagonal entry [3, 3] has imaginary part 1.000e-06 beyond 1e-10",
+    "conjugate-pair": "block 1: coherence pair is not conjugate",
+    "trace": "trace np.float64(1.0000000009999996) differs from 1 beyond 1e-12",
+    "negative-population": "negative population -1.000e-06",
+}
+
+
 @pytest.mark.parametrize(
     "kind, error",
     [
@@ -533,6 +634,7 @@ def test_dense_stack_check_names_the_bad_element(kind, error):
     bad = _spoil_dense(kind, dense[1, 2])
     with pytest.raises(error) as alone:
         xstate_from_dense(bad)
+    assert str(alone.value) == DENSE_SPOIL_TEXT[kind]
     dense[1, 2] = bad
     with pytest.raises(error) as stacked:
         compact_from_dense(dense)
@@ -576,6 +678,16 @@ def _spoil_bloch(kind, w):
     return w
 
 
+# What check_bloch raises on each spoiled state of the seed-21 stack.
+BLOCH_SPOIL_TEXT = {
+    "nan": "w[2, 3] is nan, not finite",
+    "inf": "w[1, 0] is inf, not finite",
+    "trace": "block weights sum to np.float64(1.000000001), expected 1",
+    "weight": "block 1: negative weight -1.000e-06",
+    "vector": "block 3: Bloch vector longer than weight",
+}
+
+
 @pytest.mark.parametrize(
     "kind, error",
     [
@@ -596,6 +708,7 @@ def test_bloch_stack_check_names_the_bad_element(kind, error):
     bad = _spoil_bloch(kind, w[1, 2])
     with pytest.raises(error) as alone:
         check_bloch(bad)
+    assert str(alone.value) == BLOCH_SPOIL_TEXT[kind]
     w[1, 2] = bad
     with pytest.raises(error) as stacked:
         check_bloch(w)
@@ -603,3 +716,151 @@ def test_bloch_stack_check_names_the_bad_element(kind, error):
     assert str(stacked.value) == f"element (1, 2): {alone.value}"
     with pytest.raises(error, match=r"^element 5: "):
         check_bloch(w.reshape(6, 4, 4))
+
+
+# Every stacked check names its first failing element in C order, then that
+# element's first failing entry.  Each input below fails at elements (0, 2)
+# and (1, 0) of a (2, 3) stack, (0, 2) at two entries and (1, 0) at an
+# earlier entry than either, so that naming the last element, the last
+# entry, or the stack's first failing entry gives another text.
+FIRST, LATER = (0, 2), (1, 0)
+
+
+def _first_failure_case(kind):
+    """``(check, args, error, message)`` for one stacked check, spoiled as above."""
+    rng = np.random.default_rng(23)
+    states = [random_xstate(rng) for _ in range(6)]
+    diag = np.stack([s.diag for s in states]).reshape(2, 3, 8)
+    anti = np.stack([s.anti for s in states]).reshape(2, 3, 4)
+    dense = dense_from_compact(diag, anti)
+    w = bloch_from_compact(diag, anti)
+    dw = np.zeros_like(w)
+    values = np.full((2, 3, 8), 1.0 / 8.0)
+    vectors = np.broadcast_to(np.eye(8, dtype=complex), (2, 3, 8, 8))
+    at = "element (0, 2): "
+    if kind == "compact-not-finite":
+        diag[FIRST + (3,)] = diag[FIRST + (5,)] = diag[LATER + (1,)] = np.nan
+        return check_compact, (diag, anti), NotXFormError, at + "diag[3] is nan, not finite"
+    if kind == "compact-coherence":
+        for index, k in ((FIRST, 1), (FIRST, 2), (LATER, 0)):
+            anti[index + (k,)] = 1.01 * np.sqrt(diag[index + (k,)] * diag[index + (7 - k,)])
+        text = "block 1: |coherence|^2 exceeds population product"
+        return check_compact, (diag, anti), BlockNotPSDError, at + text
+    if kind == "compact-trace":
+        diag[FIRST + (0,)] += 1e-9
+        diag[LATER + (0,)] += 1e-9
+        text = f"trace {diag.sum(axis=-1)[FIRST]!r} differs from 1 beyond 1e-12"
+        return check_compact, (diag, anti), TraceViolationError, at + text
+    if kind == "compact-negative":
+        for index, k, value in ((FIRST, 2, -1e-6), (LATER, 1, -2e-6)):
+            diag[index + (0,)] += diag[index + (k,)] - value
+            diag[index + (k,)] = value
+            anti[index] = 0.0
+        text = "negative population -1.000e-06"
+        return check_compact, (diag, anti), BlockNotPSDError, at + text
+    if kind == "dense-off-pattern":
+        dense[FIRST + (1, 2)] = dense[FIRST + (5, 6)] = dense[LATER + (0, 1)] = 1e-6
+        text = "off-pattern entry [1, 2] of magnitude 1.000e-06"
+        return compact_from_dense, (dense,), NotXFormError, at + text
+    if kind == "dense-imaginary-diagonal":
+        for index, k in ((FIRST, 3), (FIRST, 6), (LATER, 0)):
+            dense[index + (k, k)] += 1e-6j
+        text = "diagonal entry [3, 3] has imaginary part 1.000e-06 beyond 1e-10"
+        return compact_from_dense, (dense,), NotXFormError, at + text
+    if kind == "dense-conjugate-pair":
+        for index, k in ((FIRST, 1), (FIRST, 2), (LATER, 0)):
+            dense[index + (7 - k, k)] += 1e-6
+        text = "block 1: coherence pair is not conjugate"
+        return compact_from_dense, (dense,), NotXFormError, at + text
+    if kind == "bloch-not-finite":
+        w[FIRST + (2, 3)] = w[FIRST + (3, 1)] = w[LATER + (0, 2)] = np.nan
+        return check_bloch, (w,), NotXFormError, at + "w[2, 3] is nan, not finite"
+    if kind == "bloch-block":
+        for index, j in ((FIRST, 1), (FIRST, 3), (LATER, 0)):
+            w[index + (j, 1)] = 2.0 * w[index + (j, 0)]
+        text = "block 1: Bloch vector longer than weight"
+        return check_bloch, (w,), BlockNotPSDError, at + text
+    if kind == "kernel-bloch":
+        w[FIRST + (2, 3)] = w[FIRST + (3, 1)] = w[LATER + (0, 2)] = np.inf
+        return evaluate_stack, (("qfi",), w, dw), NotXFormError, at + "w[2, 3] is inf, not finite"
+    if kind == "kernel-tangent":
+        dw[FIRST + (2, 0)] = dw[FIRST + (3, 3)] = dw[LATER + (0, 1)] = np.inf
+        text = "tangent w[2, 0] is inf, not finite"
+        return evaluate_stack, (("skew",), w, dw), NotXFormError, at + text
+    if kind == "kernel-concurrence":
+        anti[FIRST + (1,)] = anti[FIRST + (3,)] = anti[LATER + (0,)] = np.nan
+        text = "anti[1] is (nan+0j), not finite"
+        return evaluate_stack, (("concurrence",), None, None, diag, anti), NotXFormError, at + text
+    if kind == "singular-block":  # each block is an element of a closed form's stack
+        for index, j in ((FIRST, 1), (FIRST, 3), (LATER, 0)):
+            w[index + (j,)] = [0.25, 0.25, 0.0, 0.0]
+        text = "mixed-block form needs w0 > 0 and w0^2 > |w|^2, got gap 0.000e+00"
+        return qfi_block_mixed, (w, w), SingularBlockError, "element (0, 2, 1): " + text
+    if kind == "tangent-of-family":
+        family = metrics.random_family(np.random.default_rng(70))
+
+        def tangent(phi):
+            exact = family.tangent(phi)
+            diag, anti = exact.diag.copy(), exact.anti.copy()
+            diag[3] = diag[5] = anti[0] = np.nan
+            return XTangent(diag, anti)
+
+        broken = ParamFamily(state=family.state, tangent=tangent)
+        text = "at phi=0.5: tangent diag[3] is nan, not finite"
+        return qfi_total, (broken, 0.5), NotXFormError, text
+    if kind == "sqrt-spectrum":
+        values[FIRST + (0,)], values[LATER + (0,)] = -1e-9, -2e-9
+        text = "eigenvalue -1.000e-09 below -1e-12"
+        return linalg.sqrt_from_spectrum, (values, vectors), NotPSDError, at + text
+    if kind == "oracle-spectrum":
+        values[FIRST + (0,)], values[LATER + (0,)] = -1e-9, -2e-9
+        text = "state eigenvalue -1.000e-09 below -1e-12"
+        return oracle.qfi_from_spectrum, (values, vectors, vectors), NotPSDError, at + text
+    if kind == "oracle-trace":
+        values[FIRST] *= 1.5
+        values[LATER] *= 2.0
+        text = "state trace np.float64(1.5) differs from 1"
+        return oracle.qfi_from_spectrum, (values, vectors, vectors), TraceViolationError, at + text
+    if kind == "oracle-column":
+        states = np.broadcast_to(np.eye(8, dtype=complex) / 8.0, (3, 3, 8, 8)).copy()
+        for index, low in ((FIRST, -1e-9), (LATER, -2e-9)):
+            states[index] = np.diag([0.25, 0.25, 0.25, 0.25 - low, low, 0.0, 0.0, 0.0])
+        text = "state eigenvalue -1.000e-09 below -1e-12"
+        return oracle.oracle_column, (states, np.zeros((8, 8)), [1e-6] * 3), NotPSDError, at + text
+    assert kind == "eigh-hermitian"
+    matrices = np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3, 3)).copy()
+    matrices[FIRST + (0, 1)] = matrices[LATER + (1, 0)] = 1.0
+    text = "matrix is not Hermitian within 1e-12"
+    return linalg.eigh_stack, (matrices,), NotHermitianError, at + text
+
+
+FIRST_FAILURE_KINDS = [
+    "compact-not-finite",
+    "compact-coherence",
+    "compact-trace",
+    "compact-negative",
+    "dense-off-pattern",
+    "dense-imaginary-diagonal",
+    "dense-conjugate-pair",
+    "bloch-not-finite",
+    "bloch-block",
+    "kernel-bloch",
+    "kernel-tangent",
+    "kernel-concurrence",
+    "singular-block",
+    "tangent-of-family",
+    "sqrt-spectrum",
+    "oracle-spectrum",
+    "oracle-trace",
+    "oracle-column",
+    "eigh-hermitian",
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", FIRST_FAILURE_KINDS)
+def test_check_names_the_first_bad_element_then_entry(kind):
+    check, args, error, message = _first_failure_case(kind)
+    with pytest.raises(error) as raised:
+        check(*args)
+    assert str(raised.value) == message

@@ -75,6 +75,23 @@ class TestBlockQfi:
         with pytest.raises(SingularBlockError):
             qfi_block_mixed(np.array([0.5, 0.5, 0.0, 0.0]), np.ones(4))
 
+    @pytest.mark.parametrize(
+        "block, text",
+        [
+            (qfi_block_mixed, "mixed-block form needs w0 > 0 and w0^2 > |w|^2"),
+            (skew_block, "skew closed form needs a strictly mixed block"),
+        ],
+        ids=["qfi", "skew"],
+    )
+    def test_singular_block_of_a_stack_is_named(self, block, text):
+        w = np.array([[0.5, 0.1, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(SingularBlockError) as stacked:
+            block(w, np.ones_like(w))
+        assert str(stacked.value) == f"element 1: {text}, got gap 0.000e+00"
+        with pytest.raises(SingularBlockError) as alone:
+            block(w[1], np.ones(4))
+        assert str(alone.value) == f"{text}, got gap 0.000e+00"
+
 
 class TestSld:
     def test_defining_equation_residual(self):
