@@ -42,7 +42,11 @@ from .ghz import (
     depolarizing_qfi_gap,
     ghz_grid,
 )
-from .metrics import qfi_total, random_family, skew_total
+from .metrics import evaluate_stack, random_family
+
+# Unused here, but importable from this module: the benchmark's tracer
+# self-test calls xqmetro.cli.qfi_total.
+from .metrics import qfi_total  # noqa: F401
 from .oracle import family_oracles
 from .xstate import (
     bloch_from_compact,
@@ -240,10 +244,22 @@ def channel_route_errors(states, p_values) -> tuple[float, float]:
 
 def family_oracle_errors(points) -> tuple[float, float]:
     """Largest Fisher and skew |pipeline - oracle| / max(oracle, 1e-9) over
-    ``(family, phi)`` points, the oracles from one :func:`family_oracles` call."""
+    ``(family, phi)`` points.
+
+    Each point's Bloch state and tangent are built once; one
+    :func:`evaluate_stack` call gives the pipeline column, each element in
+    raw bits what ``qfi_total`` / ``skew_total`` give alone, and one
+    :func:`family_oracles` call the oracle column.  A NaN or infinite
+    tangent raises :class:`NotXFormError` naming the point's index.
+    """
+    bloch = np.reshape([family.bloch_at(phi) for family, phi in points], (-1, 4, 4))
+    tangent = np.reshape(
+        [family.tangent_at(phi).to_bloch_array() for family, phi in points], (-1, 4, 4)
+    )
+    values = evaluate_stack(("qfi", "skew"), bloch=bloch, tangent=tangent)
+    pipeline = np.stack([values["qfi"], values["skew"]], axis=-1)
     oracle = np.reshape(family_oracles(points), (-1, 2))
-    pipeline = [(qfi_total(family, phi), skew_total(family, phi)) for family, phi in points]
-    errors = np.abs(np.reshape(pipeline, (-1, 2)) - oracle) / np.maximum(oracle, 1e-9)
+    errors = np.abs(pipeline - oracle) / np.maximum(oracle, 1e-9)
     return _max_error(errors[:, 0]), _max_error(errors[:, 1])
 
 

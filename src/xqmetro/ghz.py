@@ -342,34 +342,36 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> list[CrosscheckRep
 
     Pipeline values ride the compact closed-form channel route, the whole
     grid in one :func:`ghz_grid` call.  Oracle values ride the dense Kraus
-    route, one :func:`apply_kraus_dense` call per p over the stack of
-    rho(q) for every q, the skew probes rho(q -+ h) with
-    ``h = diff_step(q)``, and d rho.  Per p, one
-    :func:`~xqmetro.oracle.oracle_column` call then gives the Fisher and
-    skew oracles for every q; concurrence is the pipeline's expression on
-    the Kraus image of rho(q).  Every value is, bit for bit, what the same
-    point alone gives.
+    route, one :func:`apply_kraus_dense` call per p (the operators depend
+    on it) over the stack of rho(q) for every q, the skew probes rho(q -+ h)
+    with ``h = diff_step(q)``, and d rho.  The images of every p are then
+    stacked as (probe, p, q): one :func:`~xqmetro.oracle.oracle_column` call
+    gives the Fisher and skew oracles of the whole grid, and concurrence is
+    the pipeline's expression on the Kraus images of rho(q), one kernel
+    call.  Every value is, bit for bit, what the same point alone gives.
 
     Every point is range-checked before any work, so a bad one raises
     :class:`BadParameterError`.  The Werner-GHZ inputs pass the checks of
-    :class:`XState` as stacks, and so do the Kraus images of the states; a
-    failure raises that check's error naming the element (which of rho,
-    left probe, right probe, then the q index).  So does the oracle column,
-    for the eigensolver's Hermiticity test (1e-12) with
-    :class:`NotHermitianError` and the finishes' spectrum tests with
-    :class:`NotPSDError` or :class:`TraceViolationError`; an eigensolver
-    out of sweeps raises :class:`NotConvergedError`.  The Kraus image
-    of a Hermitian state is Hermitian up to rounding, so a completely
-    positive and trace-preserving channel fails none of these on an
-    in-domain point.  Only the closed forms run per metric: one that raises
-    a singular-regime error is undefined at the point, so that metric's
-    closed form reads NaN and its verdict comes from the pipeline value as
-    everywhere else (SINGULAR, or PIPELINE_NON_FINITE for a NaN or infinite
-    one).
+    :class:`XState` as a stack, a failure naming (rho / left probe / right
+    probe, q index); the Kraus images of the states do too, a failure
+    naming (probe, p index, q index).  So does the oracle column, for the
+    eigensolver's Hermiticity test (1e-12) with :class:`NotHermitianError`
+    and the finishes' spectrum tests with :class:`NotPSDError` or
+    :class:`TraceViolationError`; an eigensolver out of sweeps raises
+    :class:`NotConvergedError`.  Each stacked check names its first failing
+    element in C order, so probe by probe.  The Kraus image of a Hermitian
+    state is Hermitian up to rounding, so a completely positive and
+    trace-preserving channel fails none of these on an in-domain point.
+    Only the closed forms run per metric: one that raises a singular-regime
+    error is undefined at the point, so that metric's closed form reads NaN
+    and its verdict comes from the pipeline value as everywhere else
+    (SINGULAR, or PIPELINE_NON_FINITE for a NaN or infinite one).
     """
     for q in q_values:
         for p in p_values:
             _check_point(q, p)
+    if not (len(q_values) and len(p_values)):
+        return []
     # qfi, skew, concurrence: the order of the CrosscheckReport fields.
     pipeline = [values.tolist() for values in ghz_grid(kind, q_values, p_values).values()]
 
@@ -389,22 +391,29 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> list[CrosscheckRep
             closed = float("nan")
         return MetricCheck(pipeline_value, closed, oracle_value, _verdict(pipeline_value, closed))
 
+    # One Kraus image per p, then (probe, p, q) stacks of states and the
+    # (p, 1) stack of d rho, which broadcasts over q as the steps do.
+    images = np.stack([apply_kraus_dense(stack, kind, ChannelParam(p)) for p in p_values])
+    states = images[:, :-1].reshape((len(p_values),) + diag.shape[:-1] + (8, 8)).swapaxes(0, 1)
+    kraus_diag, kraus_anti = compact_from_dense(states)
+    # The eigen oracle reads the raw image of rho, as it does d rho; the
+    # skew probes are rebuilt from their compact forms.
+    probes = dense_from_compact(kraus_diag[1:], kraus_anti[1:])
+    fisher, skew = oracle_column(np.concatenate([states[:1], probes]), images[:, -1:], steps)
+    concurrence = evaluate_stack(("concurrence",), diag=kraus_diag[0], anti=kraus_anti[0])
+    oracle = [column.T.tolist() for column in (fisher, skew, concurrence["concurrence"])]
+
     closed_forms = (closed_form_qfi, closed_form_skew, closed_form_concurrence)
-    reports = [[None] * len(p_values) for _ in q_values]
-    for j, p in enumerate(p_values):
-        images = apply_kraus_dense(stack, kind, ChannelParam(p))
-        states = images[:-1].reshape(diag.shape[:-1] + (8, 8))
-        kraus_diag, kraus_anti = compact_from_dense(states)
-        # The eigen oracle reads the raw image of rho, as it does d rho; the
-        # skew probes are rebuilt from their compact forms.
-        probes = dense_from_compact(kraus_diag[1:], kraus_anti[1:])
-        fisher, skew = oracle_column(np.concatenate([states[:1], probes]), images[-1], steps)
-        concurrence = evaluate_stack(("concurrence",), diag=kraus_diag[0], anti=kraus_anti[0])
-        oracle = (fisher.tolist(), skew.tolist(), concurrence["concurrence"].tolist())
-        for i, q in enumerate(q_values):
-            checks = [
-                check(route[i][j], closed_form, q, p, column[i])
+    return [
+        CrosscheckReport(
+            kind,
+            q,
+            p,
+            *(
+                check(route[i][j], closed_form, q, p, column[i][j])
                 for route, closed_form, column in zip(pipeline, closed_forms, oracle)
-            ]
-            reports[i][j] = CrosscheckReport(kind, q, p, *checks)
-    return [report for row in reports for report in row]
+            ),
+        )
+        for i, q in enumerate(q_values)
+        for j, p in enumerate(p_values)
+    ]

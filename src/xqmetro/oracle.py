@@ -53,7 +53,7 @@ def qfi_from_spectrum(values: np.ndarray, vectors: np.ndarray, drho: np.ndarray)
         (NotPSDError, values[..., 0] < -PSD_TOL,
          lambda i: f"state eigenvalue {values[i][0]:.3e} below -1e-12"),
         (TraceViolationError, abs(trace - 1.0) > TRACE_TOL,
-         lambda i: f"state trace {trace[i]!r} differs from 1"),
+         lambda i: f"state trace {float(trace[i])!r} differs from 1"),
     )
     overlap = vectors.conj().swapaxes(-1, -2) @ drho @ vectors
     # |<i|drho|j>| with a scalar complex abs's rounding (see linalg._rotate).
@@ -91,12 +91,12 @@ def oracle_column(states: np.ndarray, drho: np.ndarray, steps):
     """Fisher and skew oracles ``(fisher, skew)`` of many points from one :func:`eigh_stack`.
 
     ``states`` ``(3, ..., 8, 8)`` stacks rho and the skew probes
-    rho(phi - h) and rho(phi + h); ``drho`` broadcasts against rho and
-    ``steps`` holds each point's ``h``.  Each element is, in raw bits, what
-    :func:`qfi_from_spectrum` and :func:`skew_from_spectra` give it alone.
-    Every failure raises naming (rho / left probe / right probe, point
-    index): the eigensolver's, a spectrum below -1e-12 or a trace of rho
-    off 1.
+    rho(phi - h) and rho(phi + h); ``drho`` broadcasts against rho, and
+    ``steps``, each point's ``h``, against rho's stack axes.  Each element
+    is, in raw bits, what :func:`qfi_from_spectrum` and
+    :func:`skew_from_spectra` give it alone.  Every failure raises naming
+    (rho / left probe / right probe, then the point's stack indices): the
+    eigensolver's, a spectrum below -1e-12 or a trace of rho off 1.
     """
     values, vectors = eigh_stack(states)
     _first_failure(  # tested here, so that the failure names the probe as well

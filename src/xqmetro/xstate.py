@@ -167,7 +167,7 @@ def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:
         _not_finite("diag", diag),
         _not_finite("anti", anti),
         (TraceViolationError, abs(trace - 1.0) > DIAG_TOL,
-         lambda i: f"trace {trace[i]!r} differs from 1 beyond 1e-12"),
+         lambda i: f"trace {float(trace[i])!r} differs from 1 beyond 1e-12"),
         (BlockNotPSDError, lowest < -DIAG_TOL, lambda i: f"negative population {lowest[i]:.3e}"),
         (BlockNotPSDError, margin < -DIAG_TOL,
          lambda _, k: f"block {k}: |coherence|^2 exceeds population product", 1),
@@ -255,8 +255,8 @@ def xstate_from_dense(matrix: np.ndarray) -> XState:
 def check_bloch(w: np.ndarray) -> None:
     """Validate block Bloch coordinates, one set or stacked: shape ``(..., 4, 4)``.
 
-    The checks, in order: finite coordinates (else :class:`NotXFormError`),
-    trace weights summing to one within 1e-12 (else
+    The checks, in order: the shape, then finite coordinates (else
+    :class:`NotXFormError`), trace weights summing to one within 1e-12 (else
     :class:`TraceViolationError`), then block by block a weight no lower than
     -1e-12 and ``w0^2 - |(w1, w2, w3)|^2 >= -1e-12`` (else
     :class:`BlockNotPSDError`).  The first check that fails raises for the
@@ -264,7 +264,7 @@ def check_bloch(w: np.ndarray) -> None:
     or block and, for a stack, the element's index.
     """
     if w.shape[-2:] != (4, 4):
-        raise BlockNotPSDError(f"expected coordinates of shape (..., 4, 4), got {w.shape}")
+        raise NotXFormError(f"expected coordinates of shape (..., 4, 4), got {w.shape}")
     with np.errstate(all="ignore"):  # non-finite input is reported below, not warned about
         total = w[..., 0, 0] + w[..., 1, 0] + w[..., 2, 0] + w[..., 3, 0]
         weight = w[..., 0]
@@ -278,7 +278,7 @@ def check_bloch(w: np.ndarray) -> None:
     _first_failure(
         _not_finite("w", w, 2),
         (TraceViolationError, off_trace,
-         lambda i: f"block weights sum to {total[i]!r}, expected 1"),
+         lambda i: f"block weights sum to {float(total[i])!r}, expected 1"),
         (BlockNotPSDError, bad_block,
          lambda i, j: f"block {j}: negative weight {w[i][j, 0]:.3e}" if negative[i][j]
          else f"block {j}: Bloch vector longer than weight", 1),

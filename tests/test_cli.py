@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xqmetro import cli, ghz, linalg
+from xqmetro import cli, ghz, linalg, oracle
 from xqmetro.channels import ChannelKind, apply_kraus_dense
 from xqmetro.cli import (
     CSV_HEADER,
@@ -27,10 +27,17 @@ from xqmetro.cli import (
     run_sweep,
     run_validation,
 )
-from xqmetro.errors import BadParameterError
+from xqmetro.errors import BadParameterError, NotXFormError
 from xqmetro.ghz import GHZ_QMIN, crosscheck_grid, ghz_family, ghz_grid
-from xqmetro.metrics import concurrence_ghz_class, qfi_total, skew_total
-from xqmetro.xstate import random_xstate
+from xqmetro.metrics import (
+    ParamFamily,
+    concurrence_ghz_class,
+    evaluate_stack,
+    qfi_total,
+    random_family,
+    skew_total,
+)
+from xqmetro.xstate import XTangent, random_xstate
 
 
 def default_spec(**overrides):
@@ -539,14 +546,13 @@ class TestNaNFailsItsSuite:
     """A NaN error fails its suite: no reduction may drop it."""
 
     def test_nan_family_fisher(self, monkeypatch, capsys):
-        calls = []
-
-        def qfi_with_one_nan(family, phi):
+        def qfi_with_one_nan(metrics, **inputs):
             # NaN at the third of the 6 * grid = 12 points of each run.
-            calls.append(phi)
-            return float("nan") if len(calls) % 12 == 3 else qfi_total(family, phi)
+            values = evaluate_stack(metrics, **inputs)
+            values["qfi"][2] = np.nan
+            return values
 
-        monkeypatch.setattr(cli, "qfi_total", qfi_with_one_nan)
+        monkeypatch.setattr(cli, "evaluate_stack", qfi_with_one_nan)
         assert_only_suites_fail(["family-qfi-oracle"], capsys)
 
     def test_nan_crosscheck_pipeline_value(self, monkeypatch, capsys):
@@ -559,6 +565,66 @@ class TestNaNFailsItsSuite:
 
         monkeypatch.setattr(ghz, "ghz_grid", grid_with_one_nan)
         assert_only_suites_fail(["ghz-closed-form-agreement", "ghz-skew-oracle"], capsys)
+
+
+class TestOneOracleColumnPerChannel:
+    """validate solves each oracle column once: one per channel, one for the
+    family corpus, and one kernel call for the family pipeline column."""
+
+    def test_one_column_and_one_eigensolve_per_channel(self, monkeypatch):
+        columns, solves = [], []
+
+        def spy(calls, function):
+            def spied(*args):
+                calls.append(np.shape(args[0])[:-2])
+                return function(*args)
+
+            return spied
+
+        column = spy(columns, oracle.oracle_column)
+        monkeypatch.setattr(ghz, "oracle_column", column)
+        monkeypatch.setattr(oracle, "oracle_column", column)
+        solve = spy(solves, linalg.eigh_stack)
+        monkeypatch.setattr(linalg, "eigh_stack", solve)
+        monkeypatch.setattr(oracle, "eigh_stack", solve)
+        assert run_validation(9, 1).passed
+        # The family corpus (6 * grid points), then each channel's
+        # (probe, p, q) grid of 10 p x 9 q.
+        expected = [(3, 54)] + [(3, 10, 9)] * 3
+        assert columns == expected
+        assert solves == expected
+
+    def test_family_pipeline_column_is_the_per_point_totals(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        points = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(40)]
+        seen = []
+
+        def kept(metrics, **inputs):
+            values = evaluate_stack(metrics, **inputs)
+            seen.append(values)
+            return values
+
+        monkeypatch.setattr(cli, "evaluate_stack", kept)
+        cli.family_oracle_errors(points)
+        assert len(seen) == 1
+        for name, total in (("qfi", qfi_total), ("skew", skew_total)):
+            expected = np.array([total(family, phi) for family, phi in points])
+            assert seen[0][name].tobytes() == expected.tobytes()
+
+    def test_non_finite_tangent_names_its_point(self):
+        rng = np.random.default_rng(92)
+        family = random_family(rng)
+        broken = ParamFamily(
+            state=family.state,
+            tangent=lambda phi: XTangent(np.full(8, np.nan), np.zeros(4, dtype=complex)),
+        )
+        with pytest.raises(
+            NotXFormError, match=r"^element 2: tangent w\[0, 0\] is nan, not finite$"
+        ):
+            cli.family_oracle_errors([(family, 0.3), (family, 0.5), (broken, 0.4)])
+
+    def test_no_family_points(self):
+        assert cli.family_oracle_errors([]) == (0.0, 0.0)
 
 
 class TestSuiteErrorsAreNotSoftened:

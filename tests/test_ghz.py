@@ -311,8 +311,10 @@ class TestCrosscheckGrid:
             assert report_bits(report) == report_bits(reference), (report.q, report.p)
 
     def test_empty_axis_gives_no_reports(self):
-        assert crosscheck_grid(ChannelKind.PHASE_DAMPING, [], [0.1]) == []
-        assert crosscheck_grid(ChannelKind.PHASE_DAMPING, [0.5], []) == []
+        for kind in ChannelKind:
+            assert crosscheck_grid(kind, [], [0.1, 0.2]) == []
+            assert crosscheck_grid(kind, [0.5, 0.7], []) == []
+            assert crosscheck_grid(kind, [], []) == []
 
     Q = (0.2, 0.5, 0.8)
     P = (0.0, 0.3, 0.6)
@@ -388,44 +390,51 @@ class TestCrosscheckGrid:
         [(NotPSDError, 2, None), (NotPSDError, 1, None), (TraceViolationError, 0, 1.1)],
     )
     def test_oracle_finish_failure_raises_naming_it(self, monkeypatch, error, probe, scale):
-        # The oracle finishes run over the whole column, outside the
-        # per-metric verdicts: a failure raises and names (probe, q index).
+        # The oracle finishes run over the whole grid's column, outside the
+        # per-metric verdicts: a failure raises and names (probe, p index,
+        # q index), here the third p and the second q.
         def broken(states):
             values, vectors = linalg.eigh_stack(states)
             if scale is None:
-                values[probe, 1, 0] = -1e-9
+                values[probe, 2, 1, 0] = -1e-9
             else:
-                values[probe, 1] *= scale
+                values[probe, 2, 1] *= scale
             return values, vectors
 
         monkeypatch.setattr(oracle, "eigh_stack", broken)
-        with pytest.raises(error, match=rf"^element \({probe}, 1\): state "):
+        text = "eigenvalue -1.000e-09 below -1e-12" if scale is None else "trace "
+        with pytest.raises(error, match=rf"^element \({probe}, 2, 1\): state {text}"):
             crosscheck_grid(ChannelKind.PHASE_FLIP, self.Q, self.P)
 
     def test_bad_kraus_image_raises_naming_it(self, monkeypatch):
         # The stacked image checks raise where the per-point crosscheck gave a
-        # SINGULAR verdict; the element is (rho / left / right probe, q index).
+        # SINGULAR verdict; the element is (rho / left / right probe, p index,
+        # q index).
         def leaky(stack, kind, param):
             images = apply_kraus_dense(stack, kind, param)
-            images[len(self.Q) + 2] *= 1.1  # left probe of the third q
+            if param.p == self.P[1]:
+                images[len(self.Q) + 2] *= 1.1  # left probe of the third q
             return images
 
         monkeypatch.setattr(ghz, "apply_kraus_dense", leaky)
-        with pytest.raises(TraceViolationError, match=r"^element \(1, 2\): trace"):
+        text = r"^element \(1, 1, 2\): trace 1\.1000000000000003 differs from 1 beyond 1e-12$"
+        with pytest.raises(TraceViolationError, match=text):
             crosscheck_grid(ChannelKind.PHASE_DAMPING, self.Q, self.P)
 
     def test_asymmetric_kraus_image_raises_naming_it(self, monkeypatch):
         # A 1e-11 asymmetry passes the 1e-10 X-pattern checks but not the
-        # eigensolver's 1e-12 Hermiticity test, which names (probe, q index)
-        # where the per-point oracle gave a SINGULAR verdict.
+        # eigensolver's 1e-12 Hermiticity test, which names (probe, p index,
+        # q index) where the per-point oracle gave a SINGULAR verdict.
         def leaky(stack, kind, param):
             images = apply_kraus_dense(stack, kind, param)
-            images[1, 0, 7] += 1e-11  # rho of the second q
+            if param.p == self.P[2]:
+                images[1, 0, 7] += 1e-11  # rho of the second q
             return images
 
         monkeypatch.setattr(ghz, "apply_kraus_dense", leaky)
         with pytest.raises(
-            NotHermitianError, match=r"^element \(0, 1\): matrix is not Hermitian within 1e-12$"
+            NotHermitianError,
+            match=r"^element \(0, 2, 1\): matrix is not Hermitian within 1e-12$",
         ):
             crosscheck_grid(ChannelKind.PHASE_DAMPING, self.Q, self.P)
 

@@ -561,7 +561,7 @@ def _spoil(kind, diag, anti):
 # What XState raises on each spoiled state of the seed-17 stack, byte for byte.
 SPOIL_TEXT = {
     "nan": "diag[3] is nan, not finite",
-    "trace": "trace np.float64(1.000000001) differs from 1 beyond 1e-12",
+    "trace": "trace 1.000000001 differs from 1 beyond 1e-12",
     "negative": "negative population -1.000e-06",
     "coherence": "block 1: |coherence|^2 exceeds population product",
 }
@@ -592,6 +592,36 @@ def test_stack_check_rejects_mismatched_shapes():
         check_compact(np.full((2, 8), 0.125), np.zeros((3, 4), dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (check_compact, (np.full((2, 7), 0.125), np.zeros((2, 4), dtype=complex))),
+        (compact_from_dense, (np.eye(4, dtype=complex) / 4.0,)),
+        (check_bloch, (np.zeros((2, 4, 3)),)),
+        (
+            lambda w, dw: evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw),
+            (np.zeros((2, 4, 3)), np.zeros((2, 4, 3))),
+        ),
+        (
+            lambda diag, anti: evaluate_stack(("concurrence",), diag=diag, anti=anti),
+            (np.full((2, 8), 0.125), np.zeros((2, 3), dtype=complex)),
+        ),
+    ],
+    ids=[
+        "check_compact",
+        "compact_from_dense",
+        "check_bloch",
+        "evaluate_stack-bloch",
+        "evaluate_stack-compact",
+    ],
+)
+def test_wrong_shape_raises_not_x_form(check, args):
+    # A shape a validator cannot read is not an X form; no state invariant
+    # (trace, positivity) is tested on it.
+    with pytest.raises(NotXFormError, match="shape"):
+        check(*args)
+
+
 def _spoil_dense(kind, m):
     m = m.copy()
     if kind == "off-pattern":
@@ -612,7 +642,7 @@ DENSE_SPOIL_TEXT = {
     "off-pattern": "off-pattern entry [1, 2] of magnitude 1.000e-06",
     "imaginary-diagonal": "diagonal entry [3, 3] has imaginary part 1.000e-06 beyond 1e-10",
     "conjugate-pair": "block 1: coherence pair is not conjugate",
-    "trace": "trace np.float64(1.0000000009999996) differs from 1 beyond 1e-12",
+    "trace": "trace 1.0000000009999996 differs from 1 beyond 1e-12",
     "negative-population": "negative population -1.000e-06",
 }
 
@@ -682,7 +712,7 @@ def _spoil_bloch(kind, w):
 BLOCH_SPOIL_TEXT = {
     "nan": "w[2, 3] is nan, not finite",
     "inf": "w[1, 0] is inf, not finite",
-    "trace": "block weights sum to np.float64(1.000000001), expected 1",
+    "trace": "block weights sum to 1.000000001, expected 1",
     "weight": "block 1: negative weight -1.000e-06",
     "vector": "block 3: Bloch vector longer than weight",
 }
@@ -749,7 +779,7 @@ def _first_failure_case(kind):
     if kind == "compact-trace":
         diag[FIRST + (0,)] += 1e-9
         diag[LATER + (0,)] += 1e-9
-        text = f"trace {diag.sum(axis=-1)[FIRST]!r} differs from 1 beyond 1e-12"
+        text = f"trace {float(diag.sum(axis=-1)[FIRST])!r} differs from 1 beyond 1e-12"
         return check_compact, (diag, anti), TraceViolationError, at + text
     if kind == "compact-negative":
         for index, k, value in ((FIRST, 2, -1e-6), (LATER, 1, -2e-6)):
@@ -819,7 +849,7 @@ def _first_failure_case(kind):
     if kind == "oracle-trace":
         values[FIRST] *= 1.5
         values[LATER] *= 2.0
-        text = "state trace np.float64(1.5) differs from 1"
+        text = "state trace 1.5 differs from 1"
         return oracle.qfi_from_spectrum, (values, vectors, vectors), TraceViolationError, at + text
     if kind == "oracle-column":
         states = np.broadcast_to(np.eye(8, dtype=complex) / 8.0, (3, 3, 8, 8)).copy()

@@ -207,20 +207,23 @@ def bits(values):
 
 
 def reference_column(states, drho, steps):
-    """Per-point reference finishes over the spectra of a (3, n) state stack."""
+    """Per-point reference finishes over the spectra of a (3, ...) state
+    stack, one point at a time in C order; each column has the stack's shape."""
     values, vectors = eigh_stack(states)
-    drho = np.broadcast_to(drho, vectors[0].shape)
+    shape = values.shape[1:-1]
+    drho = np.broadcast_to(drho, vectors.shape[1:])
+    steps = np.broadcast_to(steps, shape)
     fisher = [
-        reference_qfi_from_spectrum(values[0, k], vectors[0, k], drho[k])
-        for k in range(len(steps))
+        reference_qfi_from_spectrum(values[0][k], vectors[0][k], drho[k])
+        for k in np.ndindex(shape)
     ]
     skew = [
         reference_skew_from_spectra(
-            (values[1, k], vectors[1, k]), (values[2, k], vectors[2, k]), steps[k]
+            (values[1][k], vectors[1][k]), (values[2][k], vectors[2][k]), steps[k]
         )
-        for k in range(len(steps))
+        for k in np.ndindex(shape)
     ]
-    return fisher, skew
+    return np.reshape(fisher, shape), np.reshape(skew, shape)
 
 
 def assert_column_matches_reference(states, drho, steps):
@@ -264,13 +267,14 @@ class TestStackedFinish:
 
         def checked(states, drho, steps):
             assert_column_matches_reference(states, drho, steps)
-            seen.append(len(steps))
+            seen.append(states.shape[:-2])
             return oracle_column(states, drho, steps)
 
         monkeypatch.setattr(ghz, "oracle_column", checked)
         q_values, p_values = _grid_axes(grid)
         ghz.crosscheck_grid(kind, [ghz.GHZ_QMIN] + q_values + [1.0], p_values + [1.0])
-        assert seen == [grid + 2] * (grid + 2)
+        # One column for the channel: (rho / left / right probe, p, q).
+        assert seen == [(3, grid + 2, grid + 2)]
 
     @pytest.mark.parametrize("cutoff", [1e-12, 0.0, 1e-3])
     def test_rank_deficient_states(self, monkeypatch, cutoff):
@@ -320,7 +324,7 @@ class TestFinishErrors:
         values[4] *= 1.1
         with pytest.raises(TraceViolationError, match=r"^element 4: state trace"):
             qfi_from_spectrum(values, vectors, vectors)
-        with pytest.raises(TraceViolationError, match=r"^state trace np\.float64\("):
+        with pytest.raises(TraceViolationError, match=r"^state trace 1\.1 differs from 1$"):
             qfi_from_spectrum(values[4], vectors[4], vectors[4])
 
     def test_sqrt_not_psd(self):
