@@ -57,7 +57,7 @@ class ChannelParam:
 
     def __post_init__(self):
         if not np.isfinite(self.p) or not 0.0 <= self.p <= 1.0:
-            raise BadProbabilityError(f"p must lie in [0, 1], got {self.p!r}")
+            raise BadProbabilityError(f"p must lie in [0, 1], got {float(self.p)!r}")
 
     @property
     def survival(self) -> float:

@@ -47,7 +47,7 @@ from .metrics import evaluate_stack, random_family
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.cli.qfi_total.
 from .metrics import qfi_total  # noqa: F401
-from .oracle import family_oracles
+from .oracle import _family_column
 from .xstate import (
     bloch_from_compact,
     check_bloch,
@@ -246,19 +246,19 @@ def family_oracle_errors(points) -> tuple[float, float]:
     """Largest Fisher and skew |pipeline - oracle| / max(oracle, 1e-9) over
     ``(family, phi)`` points.
 
-    Each point's Bloch state and tangent are built once; one
-    :func:`evaluate_stack` call gives the pipeline column, each element in
-    raw bits what ``qfi_total`` / ``skew_total`` give alone, and one
-    :func:`family_oracles` call the oracle column.  A NaN or infinite
-    tangent raises :class:`NotXFormError` naming the point's index.
+    Each point's state and tangent at ``phi`` are built once and feed both
+    columns: one :func:`evaluate_stack` call gives the pipeline column, each
+    element in raw bits what ``qfi_total`` / ``skew_total`` give alone, and
+    one oracle column (:func:`oracle.family_oracles`) the other.  A NaN or
+    infinite tangent raises :class:`NotXFormError` naming the point's index.
     """
-    bloch = np.reshape([family.bloch_at(phi) for family, phi in points], (-1, 4, 4))
-    tangent = np.reshape(
-        [family.tangent_at(phi).to_bloch_array() for family, phi in points], (-1, 4, 4)
-    )
+    points = list(points)
+    built = [(family.state(phi), family.tangent_at(phi)) for family, phi in points]
+    bloch = np.reshape([bloch_from_compact(s.diag, s.anti) for s, _ in built], (-1, 4, 4))
+    tangent = np.reshape([t.to_bloch_array() for _, t in built], (-1, 4, 4))
     values = evaluate_stack(("qfi", "skew"), bloch=bloch, tangent=tangent)
     pipeline = np.stack([values["qfi"], values["skew"]], axis=-1)
-    oracle = np.reshape(family_oracles(points), (-1, 2))
+    oracle = np.reshape(_family_column(points, built), (-1, 2))
     errors = np.abs(pipeline - oracle) / np.maximum(oracle, 1e-9)
     return _max_error(errors[:, 0]), _max_error(errors[:, 1])
 

@@ -75,7 +75,7 @@ GRID_P_BLOCK = 8
 def werner_ghz(q: float) -> XState:
     """Werner-GHZ state ``q/8 I + (1-q)|GHZ><GHZ|`` for q in [0, 1]."""
     if not np.isfinite(q) or not 0.0 <= q <= 1.0:
-        raise BadParameterError(f"q must lie in [0, 1], got {q!r}")
+        raise BadParameterError(f"q must lie in [0, 1], got {float(q)!r}")
     return XState(*_werner_compact(q))
 
 
@@ -131,7 +131,7 @@ def ghz_grid(
 
 def _check_point(q: float, p: float) -> ChannelParam:
     if not np.isfinite(q) or not GHZ_QMIN <= q <= 1.0:
-        raise BadParameterError(f"closed forms need q in [{GHZ_QMIN}, 1], got {q!r}")
+        raise BadParameterError(f"closed forms need q in [{GHZ_QMIN}, 1], got {float(q)!r}")
     return ChannelParam(p)
 
 

@@ -13,9 +13,13 @@ pure-limit stand-in ``4 Tr((d rho)^2)`` (skew information): the mixed closed
 forms see only mixed blocks, and no route calls an eigensolver.
 
 Every closed form works on stacked arrays.  :func:`evaluate_stack` is the one
-kernel that routes blocks and sums them over any stack of states;
+kernel that routes blocks and sums them over any stack of states, in two
+parts: a checked boundary (metric names, the inputs each metric reads, their
+shapes and finite entries) and one core that routes, runs the closed forms
+and sums, checking nothing.  ``ghz.ghz_grid`` hands it a whole sweep grid.
 :func:`qfi_total`, :func:`skew_total` and :func:`concurrence_ghz_class` are
-its single-state views, and ``ghz.ghz_grid`` hands it a whole sweep grid.
+its single-state views: they check each input once, skip what an
+:class:`XState` was validated for when built, and call the core directly.
 """
 
 from __future__ import annotations
@@ -181,14 +185,6 @@ def _concurrence(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     return 2.0 * np.where(excess > 0.0, excess, 0.0)
 
 
-def _block_sum(blocks: np.ndarray) -> np.ndarray:
-    """Sum over the block axis, in block order."""
-    total = 0.0
-    for j in range(4):
-        total = total + blocks[..., j]
-    return total
-
-
 def evaluate_stack(
     metrics: Iterable[str],
     bloch: np.ndarray | None = None,
@@ -216,19 +212,22 @@ def evaluate_stack(
     :func:`skew_total` and :func:`concurrence_ghz_class` give for it alone,
     bit for bit: those are this kernel's single-state views.
     """
+    return _kernel(metrics, *_checked_inputs(metrics, bloch, tangent, diag, anti))
+
+
+def _checked_inputs(metrics, bloch, tangent, diag, anti):
+    """The kernel's boundary: every check of :func:`evaluate_stack`, in its order.
+
+    Returns the arrays :func:`_kernel` reads, ``(w, dw, diag, anti)``; an
+    input no requested metric reads is passed on unchecked.
+    """
     _check_names(metrics)
     inputs = {"qfi": (bloch, tangent), "skew": (bloch, tangent), "concurrence": (diag, anti)}
     for name in metrics:
         if any(value is None for value in inputs[name]):
             needs = "diag and anti" if name == "concurrence" else "bloch and tangent"
             raise BadParameterError(f"metric {name!r} needs {needs}")
-    out = {}
-    # Built per call: a closed form rebound on the module (say, by a tracer)
-    # is the one called.
-    routes = (
-        ("qfi", qfi_block_mixed, _qfi_blocks_spectral),
-        ("skew", skew_block, _skew_block_singular),
-    )
+    w = dw = None
     if "qfi" in metrics or "skew" in metrics:
         w = np.asarray(bloch, dtype=float)
         dw = np.asarray(tangent, dtype=float)
@@ -244,24 +243,43 @@ def evaluate_stack(
             )
         if not (np.isfinite(w).all() and np.isfinite(dw).all()):
             _first_failure(_not_finite("w", w, 2), _not_finite("tangent w", dw, 2))
-        mixed = (w[..., 0] > EPS_SINGULAR) & (_gap(w, w) > EPS_SINGULAR)
-        singular = ~mixed
-        fallback = singular.any()
-    for name, closed_form, singular_form in routes:
-        if name not in metrics:
-            continue
-        if fallback:
-            blocks = np.empty(mixed.shape)
-            blocks[mixed] = closed_form(w[mixed], dw[mixed])
-            blocks[singular] = singular_form(w[singular], dw[singular])
-        else:
-            blocks = closed_form(w, dw)
-        out[name] = _block_sum(blocks)
     if "concurrence" in metrics:
         diag, anti = np.asarray(diag), np.asarray(anti)
         shaped = diag.shape[-1:] == (8,) and anti.shape == diag.shape[:-1] + (4,)
         if not (shaped and np.isfinite(diag).all() and np.isfinite(anti).all()):
             check_compact(diag, anti)  # its first checks: these shapes, then finite entries
+    return w, dw, diag, anti
+
+
+def _kernel(metrics, w, dw, diag, anti) -> dict[str, np.ndarray]:
+    """The kernel's core: route the blocks, run the closed forms, sum the blocks.
+
+    Reads only inputs that passed :func:`_checked_inputs`, or that hold
+    what it checks by construction, and checks nothing itself.
+    """
+    out = {}
+    if "qfi" in metrics or "skew" in metrics:
+        mixed = (w[..., 0] > EPS_SINGULAR) & (_gap(w, w) > EPS_SINGULAR)
+        fallback = not mixed.all()
+    # Looked up per call: a closed form rebound on the module (say, by a
+    # tracer) is the one called.
+    for name, closed_form, singular_form in (
+        ("qfi", qfi_block_mixed, _qfi_blocks_spectral),
+        ("skew", skew_block, _skew_block_singular),
+    ):
+        if name not in metrics:
+            continue
+        if fallback:
+            singular = ~mixed
+            blocks = np.empty(mixed.shape)
+            blocks[mixed] = closed_form(w[mixed], dw[mixed])
+            blocks[singular] = singular_form(w[singular], dw[singular])
+        else:
+            blocks = closed_form(w, dw)
+        # Bit for bit ((((0.0 + b0) + b1) + b2) + b3): numpy adds fewer than 8
+        # terms in sequence, and initial=0.0 turns -0.0 into 0.0 as 0.0 + b0 does.
+        out[name] = np.add.reduce(blocks, axis=-1, initial=0.0)
+    if "concurrence" in metrics:
         out["concurrence"] = _concurrence(diag, anti)
     return out
 
@@ -297,24 +315,48 @@ class ParamFamily:
         return XTangent(diag, anti)
 
     def bloch_at(self, phi: float) -> np.ndarray:
+        """Bloch coordinates ``(4, 4)`` of the state at ``phi``.
+
+        An :class:`XState` was validated when built.  Any other state gets
+        the kernel's checks here: shapes other than ``(8,)`` and ``(4,)``,
+        or a NaN or infinite coordinate, raise :class:`NotXFormError` naming
+        ``phi``.
+        """
         s = self.state(phi)
-        return bloch_from_compact(s.diag, s.anti)
+        if isinstance(s, XState):
+            return bloch_from_compact(s.diag, s.anti)
+        shapes = np.shape(s.diag), np.shape(s.anti)
+        if shapes != ((8,), (4,)):
+            raise NotXFormError(
+                f"at phi={phi!r}: state diag shape {shapes[0]} and anti shape"
+                f" {shapes[1]}, expected (8,) and (4,)"
+            )
+        w = bloch_from_compact(s.diag, s.anti)
+        if not np.isfinite(w).all():
+            _first_failure(_not_finite(f"at phi={phi!r}: w", w, 2))
+        return w
 
 
 def _total(name: str, family: ParamFamily, phi: float) -> float:
-    """Metric ``name`` of the family at ``phi`` through the block kernel.
+    """Metric ``name`` of the family at ``phi`` through the kernel's core.
 
-    A NaN or infinite tangent entry raises :class:`NotXFormError` naming
-    ``phi`` and the first such entry, before the kernel runs.
+    The state comes checked from :meth:`ParamFamily.bloch_at`.  The tangent
+    is checked once, on the Bloch array the core reads: a NaN or infinite
+    entry raises :class:`NotXFormError` naming ``phi`` and the first such
+    compact entry, or the first Bloch entry if only the Bloch form
+    overflows.  A complex ``diag`` is also checked in compact form.
     """
     w = family.bloch_at(phi)
     tangent = family.tangent_at(phi)
-    if not (np.isfinite(tangent.diag).all() and np.isfinite(tangent.anti).all()):
+    dw = tangent.to_bloch_array()
+    # The Bloch form drops the imaginary part of a complex diag: check it there.
+    if np.iscomplexobj(tangent.diag) or not np.isfinite(dw).all():
         _first_failure(
             _not_finite(f"at phi={phi!r}: tangent diag", tangent.diag),
             _not_finite(f"at phi={phi!r}: tangent anti", tangent.anti),
+            _not_finite("tangent w", dw, 2),
         )
-    return float(evaluate_stack((name,), bloch=w, tangent=tangent.to_bloch_array())[name])
+    return float(_kernel((name,), w, dw, None, None)[name])
 
 
 def qfi_total(family: ParamFamily, phi: float) -> float:
@@ -332,7 +374,11 @@ def concurrence_ghz_class(state: XState) -> float:
 
     C = 2 max(0, |rho_18| - sqrt(rho_22 rho_77) - sqrt(rho_33 rho_66)
                  - sqrt(rho_44 rho_55)).
+    An :class:`XState` goes straight to the core's closed form; any other
+    state is checked as :func:`evaluate_stack` checks it.
     """
+    if isinstance(state, XState):
+        return float(_concurrence(state.diag, state.anti))
     return float(
         evaluate_stack(("concurrence",), diag=state.diag, anti=state.anti)["concurrence"]
     )

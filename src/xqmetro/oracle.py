@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NotHermitianError, NotPSDError, TraceViolationError
 from .linalg import check_finite, diff_step, eigh, eigh_stack, sqrt_from_spectrum
 from .metrics import ParamFamily
-from .xstate import _first_failure
+from .xstate import _first_failure, _not_finite, dense_from_compact
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -115,18 +115,28 @@ def family_oracles(points) -> list[tuple[float, float]]:
     ``drho`` the family's dense state and tangent at ``phi``.  Every point
     goes through one :func:`oracle_column` call with its skew probes
     rho(phi -+ h), ``h = diff_step(phi)``; a failure there raises, naming
-    (rho / left probe / right probe, point index).
+    (rho / left probe / right probe, point index).  A NaN or infinite
+    tangent entry raises :class:`NotXFormError` naming the point's index
+    and the entry.
     """
-    states, tangents, steps = [[], [], []], [], []
-    for family, phi in points:
-        h = diff_step(phi)
-        for stack, x in zip(states, (phi, phi - h, phi + h)):
-            stack.append(family.state(x).to_dense())
-        drho = family.tangent_at(phi).to_dense()
-        check_finite(drho, "drho")
-        tangents.append(drho)
-        steps.append(h)
-    if not tangents:
+    points = list(points)
+    return _family_column(points, [(f.state(phi), f.tangent_at(phi)) for f, phi in points])
+
+
+def _family_column(points, built) -> list[tuple[float, float]]:
+    """:func:`family_oracles` at points whose state and tangent at ``phi`` are
+    built: ``built[k]`` is the k-th point's ``(XState, XTangent)`` pair."""
+    if not points:
         return []
-    fisher, skew = oracle_column(np.array(states), np.array(tangents), steps)
+    states, steps = [[], [], []], []
+    for (family, phi), (state, _) in zip(points, built):
+        h = diff_step(phi)
+        for stack, rho in zip(states, (state, family.state(phi - h), family.state(phi + h))):
+            stack.append(rho.to_dense())
+        steps.append(h)
+    diag = np.array([tangent.diag for _, tangent in built])
+    anti = np.array([tangent.anti for _, tangent in built])
+    _first_failure(_not_finite("tangent diag", diag), _not_finite("tangent anti", anti))
+    drho = dense_from_compact(diag, anti)
+    fisher, skew = oracle_column(np.array(states), drho, steps)
     return list(zip(fisher.tolist(), skew.tolist()))

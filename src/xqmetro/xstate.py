@@ -150,8 +150,8 @@ def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:
             f" got shapes {diag.shape} and {anti.shape}"
         )
     with np.errstate(all="ignore"):  # non-finite input is reported below, not warned about
-        trace = diag.sum(axis=-1)
-        lowest = diag.min(axis=-1)
+        trace = np.add.reduce(diag, axis=-1)
+        lowest = np.minimum.reduce(diag, axis=-1)
         # BLOCK_PAIRS pairs population k with population 7 - k.
         margin = diag[..., :4] * diag[..., :3:-1] - np.float_power(
             np.hypot(anti.real, anti.imag), 2.0
@@ -159,7 +159,7 @@ def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:
     # Every comparison fails on NaN, and a non-finite entry leaves a NaN or
     # an infinity in one of the three.
     passed = (abs(trace - 1.0) <= DIAG_TOL) & (lowest >= -DIAG_TOL) & (
-        margin.min(axis=-1) >= -DIAG_TOL
+        np.minimum.reduce(margin, axis=-1) >= -DIAG_TOL
     )
     if passed if passed.ndim == 0 else passed.all():
         return

@@ -44,6 +44,11 @@ class TestChannelParam:
         with pytest.raises(BadProbabilityError):
             ChannelParam(bad)
 
+    def test_numpy_p_named_as_a_float(self):
+        with pytest.raises(BadProbabilityError) as err:
+            ChannelParam(np.float64(1.2))
+        assert str(err.value) == "p must lie in [0, 1], got 1.2"
+
     def test_unknown_label_rejected(self):
         with pytest.raises(BadParameterError):
             ChannelKind.from_label("amplitude")

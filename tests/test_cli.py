@@ -611,6 +611,50 @@ class TestOneOracleColumnPerChannel:
             expected = np.array([total(family, phi) for family, phi in points])
             assert seen[0][name].tobytes() == expected.tobytes()
 
+    def test_each_point_is_built_once(self):
+        rng = np.random.default_rng(93)
+        calls = {"state": 0, "tangent": 0}
+
+        def counted(family):
+            def state(phi):
+                calls["state"] += 1
+                return family.state(phi)
+
+            def tangent(phi):
+                calls["tangent"] += 1
+                return family.tangent(phi)
+
+            return ParamFamily(state=state, tangent=tangent)
+
+        points = [(counted(random_family(rng)), float(rng.uniform(0.2, 0.8))) for _ in range(54)]
+        cli.family_oracle_errors(points)
+        # One state and one tangent at phi feed both columns; the skew
+        # probes add the states at phi - h and phi + h.
+        assert calls == {"state": 3 * 54, "tangent": 54}
+
+    def test_family_oracle_column_is_the_per_point_oracles(self, monkeypatch):
+        rng = np.random.default_rng(94)
+        points = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(12)]
+        seen, family_column = [], cli._family_column
+
+        def kept(*args):
+            column = family_column(*args)
+            seen.append(column)
+            return column
+
+        monkeypatch.setattr(cli, "_family_column", kept)
+        cli.family_oracle_errors(points)
+        expected = [
+            (
+                oracle.qfi_eigen_oracle(
+                    family.state(phi).to_dense(), family.tangent_at(phi).to_dense()
+                ),
+                oracle.skew_sqrt_oracle(family, phi),
+            )
+            for family, phi in points
+        ]
+        assert np.array(seen[0]).tobytes() == np.array(expected).tobytes()
+
     def test_non_finite_tangent_names_its_point(self):
         rng = np.random.default_rng(92)
         family = random_family(rng)

@@ -58,6 +58,11 @@ class TestWernerGhz:
         with pytest.raises(BadParameterError):
             werner_ghz(bad)
 
+    def test_numpy_q_named_as_a_float(self):
+        with pytest.raises(BadParameterError) as err:
+            werner_ghz(np.float64(1.5))
+        assert str(err.value) == "q must lie in [0, 1], got 1.5"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_family_rejects_non_finite_q(self, bad):
@@ -460,3 +465,15 @@ class TestCrosscheckGrid:
         monkeypatch.setattr(ghz, "apply_kraus_dense", no_work)
         with pytest.raises(BadParameterError):
             crosscheck_grid(ChannelKind.PHASE_DAMPING, q_values, p_values)
+
+    @pytest.mark.parametrize(
+        "q_values, p_values, text",
+        [
+            (np.array([1.5]), [0.1], "closed forms need q in [0.001, 1], got 1.5"),
+            ([0.5], np.linspace(0.0, 1.2, 2), "p must lie in [0, 1], got 1.2"),
+        ],
+    )
+    def test_numpy_point_named_as_a_float(self, q_values, p_values, text):
+        with pytest.raises(BadParameterError) as err:
+            crosscheck_grid(ChannelKind.PHASE_DAMPING, q_values, p_values)
+        assert str(err.value) == text

@@ -1,5 +1,7 @@
 """Block-level and total Fisher information, skew information, concurrence."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from xqmetro.metrics import (
     ParamFamily,
     block_matrix,
     concurrence_ghz_class,
+    evaluate_stack,
     qfi_block_mixed,
     qfi_total,
     random_family,
@@ -17,7 +20,7 @@ from xqmetro.metrics import (
     sld_block,
 )
 from xqmetro.oracle import family_oracles
-from xqmetro.xstate import XState, XTangent
+from xqmetro.xstate import BLOCK_PAIRS, XState, XTangent
 
 
 def random_mixed_block(rng):
@@ -268,6 +271,131 @@ class TestTangentShape:
             else:
                 total(broken, 0.5)
         assert str(err.value) == expected + " (8,) and (4,)"
+
+
+class UncheckedState(NamedTuple):
+    """A state-like object that, unlike :class:`XState`, was never validated."""
+
+    diag: np.ndarray
+    anti: np.ndarray
+
+
+def rank_one_family(rng):
+    """Analytic family whose block 1 keeps |coherence|^2 = population product."""
+    d0 = 0.05 + 0.6 * rng.dirichlet(np.ones(8))
+    d1 = 0.05 + 0.6 * rng.dirichlet(np.ones(8))
+    fraction = np.array([0.4, 1.0, 0.7, 0.2])
+    theta, rate = rng.uniform(0.0, 6.0, 4), rng.uniform(-2.0, 2.0, 4)
+    rows, cols = [i for i, _ in BLOCK_PAIRS], [j for _, j in BLOCK_PAIRS]
+
+    def parts(phi):
+        diag = (1.0 - phi) * d0 + phi * d1
+        return diag, diag[rows] * diag[cols], np.exp(1j * (theta + rate * phi))
+
+    def state(phi):
+        diag, prod, phase = parts(phi)
+        return XState(diag, fraction * np.sqrt(prod) * phase)
+
+    def tangent(phi):
+        diag, prod, phase = parts(phi)
+        slope = d1 - d0
+        dprod = slope[rows] * diag[cols] + diag[rows] * slope[cols]
+        radius = fraction * np.sqrt(prod)
+        dradius = fraction * dprod / (2.0 * np.sqrt(prod))
+        return XTangent(slope, (dradius + 1j * rate * radius) * phase)
+
+    return ParamFamily(state=state, tangent=tangent)
+
+
+class TestCheckedBoundary:
+    """The scalar views check each input once and then enter the kernel's
+    core; these pin what that boundary still guarantees."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("total", [qfi_total, skew_total])
+    def test_finite_tangent_overflowing_in_bloch_form_is_named(self, total):
+        family = random_family(np.random.default_rng(72))
+
+        def tangent(phi):
+            diag = family.tangent(phi).diag.copy()
+            diag[0] = diag[7] = 1.7e308
+            return XTangent(diag, family.tangent(phi).anti)
+
+        with pytest.raises(NotXFormError) as err:
+            total(ParamFamily(state=family.state, tangent=tangent), 0.5)
+        assert str(err.value) == "tangent w[0, 0] is inf, not finite"
+
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+    @pytest.mark.parametrize("total", [qfi_total, skew_total])
+    def test_nan_imaginary_part_of_a_complex_tangent_diag_is_named(self, total):
+        # The Bloch form keeps only the real part of the diag, which is finite.
+        family = random_family(np.random.default_rng(75))
+
+        def tangent(phi):
+            diag = family.tangent(phi).diag.astype(complex)
+            diag[4] += complex(0.0, np.nan)
+            return XTangent(diag, family.tangent(phi).anti)
+
+        with pytest.raises(NotXFormError, match=r"^at phi=0\.5: tangent diag\[4\] is .*nanj"):
+            total(ParamFamily(state=family.state, tangent=tangent), 0.5)
+
+    @pytest.mark.parametrize("total", [qfi_total, skew_total])
+    def test_unchecked_state_with_nan_population_raises(self, total):
+        family = random_family(np.random.default_rng(73))
+
+        def state(phi):
+            diag = family.state(phi).diag.copy()
+            diag[2] = np.nan
+            return UncheckedState(diag, family.state(phi).anti)
+
+        with pytest.raises(NotXFormError, match=r"w\[2, 0\] is nan, not finite$"):
+            total(ParamFamily(state=state, tangent=family.tangent), 0.5)
+
+    @pytest.mark.parametrize("total", [qfi_total, skew_total])
+    def test_unchecked_state_with_wrong_shape_raises(self, total):
+        family = random_family(np.random.default_rng(76))
+
+        def state(phi):
+            return UncheckedState(family.state(phi).diag[:7], family.state(phi).anti)
+
+        with pytest.raises(NotXFormError) as err:
+            total(ParamFamily(state=state, tangent=family.tangent), 0.5)
+        assert str(err.value) == (
+            "at phi=0.5: state diag shape (7,) and anti shape (4,), expected (8,) and (4,)"
+        )
+
+    def test_concurrence_of_unchecked_state_with_wrong_shape_raises(self):
+        state = UncheckedState(np.full(7, 1.0 / 7.0), np.zeros(4, dtype=complex))
+        with pytest.raises(NotXFormError) as err:
+            concurrence_ghz_class(state)
+        assert str(err.value) == (
+            "expected stacks of 8 populations and 4 coherences, got shapes (7,) and (4,)"
+        )
+
+    @pytest.mark.parametrize("kind", ["analytic", "no-tangent", "rank-1"])
+    def test_scalar_views_are_kernel_elements_in_raw_bits(self, kind):
+        rng = np.random.default_rng(74)
+        points = []
+        for _ in range(12):
+            family = rank_one_family(rng) if kind == "rank-1" else random_family(rng)
+            if kind == "no-tangent":
+                family = ParamFamily(state=family.state)
+            points.append((family, float(rng.uniform(0.2, 0.8))))
+        states = [family.state(phi) for family, phi in points]
+        values = evaluate_stack(
+            ("qfi", "skew", "concurrence"),
+            bloch=np.array([family.bloch_at(phi) for family, phi in points]),
+            tangent=np.array([family.tangent_at(phi).to_bloch_array() for family, phi in points]),
+            diag=np.array([s.diag for s in states]),
+            anti=np.array([s.anti for s in states]),
+        )
+        views = {
+            "qfi": [qfi_total(family, phi) for family, phi in points],
+            "skew": [skew_total(family, phi) for family, phi in points],
+            "concurrence": [concurrence_ghz_class(s) for s in states],
+        }
+        for name, scalars in views.items():
+            assert values[name].tobytes() == np.array(scalars).tobytes(), name
 
 
 class TestConcurrence:

@@ -9,6 +9,7 @@ from xqmetro.cli import _grid_axes
 from xqmetro.errors import (
     NotHermitianError,
     NotPSDError,
+    NotXFormError,
     TraceViolationError,
     XQMetroError,
 )
@@ -191,15 +192,24 @@ class TestFamilyOracles:
     def test_no_points(self):
         assert family_oracles([]) == []
 
-    def test_non_finite_tangent_named(self):
+    @pytest.mark.parametrize(
+        "field, text",
+        [("diag", "tangent diag[0] is nan"), ("anti", "tangent anti[2] is (nan+0j)")],
+    )
+    def test_non_finite_tangent_names_its_point(self, field, text):
         rng = np.random.default_rng(86)
         family = random_family(rng)
-        broken = ParamFamily(
-            state=family.state,
-            tangent=lambda phi: XTangent(np.full(8, np.nan), np.zeros(4, dtype=complex)),
-        )
-        with pytest.raises(NotHermitianError, match=r"drho\[0, 0\]"):
-            family_oracles([(family, 0.4), (broken, 0.4)])
+
+        def tangent(phi):
+            parts = family.tangent(phi)._asdict()
+            parts[field] = parts[field].copy()
+            parts[field][2 if field == "anti" else 0] = np.nan
+            return XTangent(**parts)
+
+        broken = ParamFamily(state=family.state, tangent=tangent)
+        with pytest.raises(NotXFormError) as err:
+            family_oracles([(family, 0.4), (family, 0.6), (broken, 0.4)])
+        assert str(err.value) == f"element 2: {text}, not finite"
 
 
 def bits(values):
