@@ -23,6 +23,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -106,15 +107,19 @@ class SweepSpec:
             raise BadParameterError(f"--format: must be csv or json, got {self.fmt!r}")
 
 
+def _sweep_grid(spec: SweepSpec) -> tuple[list[float], dict[str, np.ndarray]]:
+    """The sweep's p values, and one :func:`ghz_grid` call's metric arrays."""
+    p_values = np.linspace(spec.p_start, spec.p_stop, spec.p_count).tolist()
+    return p_values, ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics)
+
+
 def _sweep_cells(spec: SweepSpec) -> tuple[list[str], list[str], dict[str, list[str]]]:
     """The sweep's values as 12-significant-digit text, each formatted once.
 
-    One :func:`ghz_grid` call gives the requested metrics over the whole
-    grid.  Returns the q cells (one per q), the p cells (one per p) and the
-    cells of each requested metric, flattened q outer, p inner.
+    Returns the q cells (one per q), the p cells (one per p) and the cells
+    of each requested metric, flattened q outer, p inner.
     """
-    p_values = np.linspace(spec.p_start, spec.p_stop, spec.p_count).tolist()
-    grid = ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics)
+    p_values, grid = _sweep_grid(spec)
     cells = {
         name: [f"{x:.12g}" for x in values.ravel().tolist()] for name, values in grid.items()
     }
@@ -144,18 +149,21 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 def render_csv(spec: SweepSpec) -> str:
     """The sweep as CSV: a header, then one line per (q, p), q outer, p inner.
 
-    Every value is formatted once (:func:`_sweep_cells`) and each line fills
-    one ``%s`` template, with an empty cell per metric not requested.  No
+    Each q and p is formatted once, and every metric value by one ``%`` over
+    the line template repeated per line: ``%.12g`` (the text of
+    ``f"{x:.12g}"``) per requested metric, an empty cell per other one.  No
     field needs quoting: they are numbers, empty cells and the channel label.
     """
-    q_cells, p_cells, cells = _sweep_cells(spec)
-    template = f"{spec.channel.value},%s,%s"
-    template += "".join(",%s" if name in cells else "," for name in METRIC_NAMES) + "\n"
-    columns = [cells[name] for name in METRIC_NAMES if name in cells]
+    p_values, grid = _sweep_grid(spec)
+    q_cells = [f"{q:.12g}" for q in spec.q_values]
+    p_cells = [f"{p:.12g}" for p in p_values]
+    line = f"{spec.channel.value},%s,%s"
+    line += "".join(",%.12g" if name in grid else "," for name in METRIC_NAMES) + "\n"
+    columns = [grid[name].ravel().tolist() for name in METRIC_NAMES if name in grid]
     q_column = [q for q in q_cells for _ in p_cells]
     p_column = p_cells * len(q_cells)
-    lines = [template % row for row in zip(q_column, p_column, *columns)]
-    return ",".join(CSV_HEADER) + "\n" + "".join(lines)
+    fields = tuple(chain.from_iterable(zip(q_column, p_column, *columns)))
+    return ",".join(CSV_HEADER) + "\n" + (line * len(q_column)) % fields
 
 
 def render_json(rows: list[dict]) -> str:

@@ -22,10 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelParam, _damped_compact, apply_kraus_dense
+from .channels import (
+    ChannelKind,
+    ChannelParam,
+    _damped_compact,
+    apply_kraus_dense,
+    damped_bloch_array,
+)
 from .errors import BadParameterError, XQMetroError
 from .linalg import diff_step
-from .metrics import ParamFamily, _check_names, evaluate_stack
+from .metrics import ParamFamily, _check_names, _kernel, evaluate_stack
 
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.ghz.qfi_total.
@@ -36,6 +42,7 @@ from .xstate import (
     XTangent,
     bloch_from_compact,
     check_compact,
+    compact_from_bloch,
     compact_from_dense,
     dense_from_compact,
 )
@@ -107,22 +114,29 @@ def ghz_grid(
     coordinates (that round trip is not exact), and every stack passes the
     checks of :class:`XState`.  The grid is evaluated in blocks of
     ``GRID_P_BLOCK`` p values.  Unknown metric names raise before any work.
+
+    The Werner states' Bloch coordinates and the damped constant tangent
+    (every p) are made once.  Each block's states pass :func:`check_compact`
+    and go straight to the kernel's core with the tangent ``(p, 1, 4, 4)``
+    un-broadcast: checked compact stacks and the damped tangent are finite,
+    so :func:`evaluate_stack`'s boundary would find nothing.
     """
     _check_names(metrics)
     params = [ChannelParam(float(p)) for p in p_values]
-    werner = _werner_compact(np.asarray(q_values, dtype=float))
-    out = {name: np.empty((len(werner[0]), len(params))) for name in metrics}
+    werner = bloch_from_compact(*_werner_compact(np.asarray(q_values, dtype=float)))
+    out = {name: np.empty((len(werner), len(params))) for name in metrics}
+    tangent = bloch_from_compact(*_damped_compact(kind, _TANGENT_DIAG, _TANGENT_ANTI, params))
     for start in range(0, len(params), GRID_P_BLOCK):
         block = params[start : start + GRID_P_BLOCK]
-        diag, anti = _damped_compact(kind, *werner, block)  # (p, q, 8), (p, q, 4)
+        # (p, q, 8), (p, q, 4)
+        diag, anti = compact_from_bloch(damped_bloch_array(kind, werner, block))
         check_compact(diag, anti)
-        tangent = bloch_from_compact(*_damped_compact(kind, _TANGENT_DIAG, _TANGENT_ANTI, block))
-        values = evaluate_stack(
+        values = _kernel(
             metrics,
-            bloch=bloch_from_compact(diag, anti),
-            tangent=tangent[:, None],
-            diag=diag,
-            anti=anti,
+            bloch_from_compact(diag, anti),
+            tangent[start : start + len(block), None],
+            diag,
+            anti,
         )
         for name, value in values.items():
             out[name][:, start : start + len(block)] = value.T

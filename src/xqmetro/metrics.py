@@ -16,10 +16,11 @@ Every closed form works on stacked arrays.  :func:`evaluate_stack` is the one
 kernel that routes blocks and sums them over any stack of states, in two
 parts: a checked boundary (metric names, the inputs each metric reads, their
 shapes and finite entries) and one core that routes, runs the closed forms
-and sums, checking nothing.  ``ghz.ghz_grid`` hands it a whole sweep grid.
-:func:`qfi_total`, :func:`skew_total` and :func:`concurrence_ghz_class` are
-its single-state views: they check each input once, skip what an
-:class:`XState` was validated for when built, and call the core directly.
+and sums, checking nothing.  The callers that check their own inputs call
+the core directly: ``ghz.ghz_grid``, with a whole sweep grid's stacks, and
+:func:`qfi_total`, :func:`skew_total` and :func:`concurrence_ghz_class`,
+the kernel's single-state views, which check each input once and skip what
+an :class:`XState` was validated for when built.
 """
 
 from __future__ import annotations
@@ -255,12 +256,17 @@ def _kernel(metrics, w, dw, diag, anti) -> dict[str, np.ndarray]:
     """The kernel's core: route the blocks, run the closed forms, sum the blocks.
 
     Reads only inputs that passed :func:`_checked_inputs`, or that hold
-    what it checks by construction, and checks nothing itself.
+    what it checks by construction, and checks nothing itself.  ``dw`` may
+    be a tangent that broadcasts to ``w``'s shape: the closed forms
+    broadcast it, so its tangent-only terms are computed once per tangent,
+    and the fallback branch broadcasts it before masking blocks.
     """
     out = {}
     if "qfi" in metrics or "skew" in metrics:
         mixed = (w[..., 0] > EPS_SINGULAR) & (_gap(w, w) > EPS_SINGULAR)
         fallback = not mixed.all()
+        if fallback and dw.shape != w.shape:
+            dw = np.broadcast_to(dw, w.shape)
     # Looked up per call: a closed form rebound on the module (say, by a
     # tracer) is the one called.
     for name, closed_form, singular_form in (
@@ -292,7 +298,11 @@ class ParamFamily:
     with shapes ``(8,)`` and ``(4,)`` (any other raises
     :class:`NotXFormError`); when absent, derivatives fall back to
     symmetric differences of the compact components with step
-    ``diff_step(phi)``, 1e-6 * max(1, |phi|).
+    ``diff_step(phi)``, 1e-6 * max(1, |phi|).  A Hermitian tangent has a
+    real diagonal: a complex ``diag`` with a NaN/+-inf entry or a nonzero
+    imaginary part raises :class:`NotXFormError` naming ``phi`` and the
+    entry, and one whose imaginary parts are all zero is returned as its
+    real part.
     """
 
     state: Callable[[float], XState]
@@ -307,6 +317,14 @@ class ParamFamily:
                     f"at phi={phi!r}: tangent diag shape {shapes[0]} and anti shape"
                     f" {shapes[1]}, expected (8,) and (4,)"
                 )
+            if np.iscomplexobj(tangent.diag):
+                diag = np.asarray(tangent.diag)
+                _first_failure(
+                    _not_finite(f"at phi={phi!r}: tangent diag", diag),
+                    (NotXFormError, diag.imag != 0.0,
+                     lambda _, k: f"at phi={phi!r}: tangent diag[{k}] is {diag[k]}, not real", 1),
+                )
+                tangent = XTangent(diag.real, tangent.anti)
             return tangent
         # Both differences probe the same two points: build each state once.
         state = lru_cache(maxsize=2)(self.state)
@@ -340,17 +358,17 @@ class ParamFamily:
 def _total(name: str, family: ParamFamily, phi: float) -> float:
     """Metric ``name`` of the family at ``phi`` through the kernel's core.
 
-    The state comes checked from :meth:`ParamFamily.bloch_at`.  The tangent
+    The state comes checked from :meth:`ParamFamily.bloch_at`, and the
+    tangent's diag real from :meth:`ParamFamily.tangent_at`.  The tangent
     is checked once, on the Bloch array the core reads: a NaN or infinite
     entry raises :class:`NotXFormError` naming ``phi`` and the first such
     compact entry, or the first Bloch entry if only the Bloch form
-    overflows.  A complex ``diag`` is also checked in compact form.
+    overflows.
     """
     w = family.bloch_at(phi)
     tangent = family.tangent_at(phi)
     dw = tangent.to_bloch_array()
-    # The Bloch form drops the imaginary part of a complex diag: check it there.
-    if np.iscomplexobj(tangent.diag) or not np.isfinite(dw).all():
+    if not np.isfinite(dw).all():
         _first_failure(
             _not_finite(f"at phi={phi!r}: tangent diag", tangent.diag),
             _not_finite(f"at phi={phi!r}: tangent anti", tangent.anti),

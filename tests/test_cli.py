@@ -234,6 +234,47 @@ class TestOnePassBytes:
         assert mismatched == []
 
 
+def per_cell_csv(spec):
+    """Reference CSV: every cell formatted on its own with ``f"{x:.12g}"``."""
+    p_values = np.linspace(spec.p_start, spec.p_stop, spec.p_count).tolist()
+    grid = ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics)
+    lines = [",".join(CSV_HEADER)]
+    for i, q in enumerate(spec.q_values):
+        for j, p in enumerate(p_values):
+            metrics = [f"{grid[name][i, j]:.12g}" if name in grid else "" for name in METRIC_NAMES]
+            lines.append(",".join([spec.channel.value, f"{q:.12g}", f"{p:.12g}", *metrics]))
+    return "\n".join(lines) + "\n"
+
+
+METRIC_SUBSETS = [
+    subset for k in range(1, 4) for subset in itertools.combinations(METRIC_NAMES, k)
+]
+
+
+class TestCsvFormatPass:
+    """render_csv formats q and p once each and every metric value with
+    ``%.12g`` in one ``%`` over the repeated line template: the bytes of a
+    per-cell ``f"{x:.12g}"`` rendering."""
+
+    @pytest.mark.parametrize("metrics", METRIC_SUBSETS, ids=",".join)
+    @pytest.mark.parametrize("channel", ["pdc", "dpc", "pfc"])
+    def test_matches_per_cell_reference(self, channel, metrics):
+        # GATE_Q holds GHZ_QMIN and 1; the p grid holds 0 and 1.
+        spec = SweepSpec(ChannelKind.from_label(channel), metrics, GATE_Q, 0.0, 1.0, 37)
+        text = render_csv(spec)
+        assert text.count("\n") == 1 + len(GATE_Q) * 37
+        assert first_difference(text, per_cell_csv(spec)) is None
+
+    def test_percent_format_is_the_format_spec(self):
+        rng = np.random.default_rng(1213)
+        values = (10.0 ** rng.uniform(-300.0, 300.0, 20_000)).tolist()
+        values += (rng.uniform(0.0, 1.0, 2_000) * sys.float_info.min).tolist()
+        values += rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64).tolist()
+        values += [0.0, 5e-324, sys.float_info.max, float("inf"), float("nan"), GHZ_QMIN]
+        values += [-x for x in values]
+        assert [x for x in values if "%.12g" % x != f"{x:.12g}"] == []
+
+
 class TestMainSweep:
     def test_csv_to_stdout(self, capsys):
         code = main(

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from xqmetro import ghz, linalg, metrics, oracle
+from xqmetro import channels, ghz, linalg, metrics, oracle
 from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense, damped_bloch_array
 from xqmetro.errors import (
     BadParameterError,
@@ -515,6 +515,72 @@ def test_grid_equals_scalar_pipeline_on_acceptance_points(kind):
 def test_grid_evaluates_only_requested_metrics():
     grid = ghz_grid(ChannelKind.DEPOLARIZING, (0.5,), (0.0, 0.5), metrics=("concurrence",))
     assert set(grid) == {"concurrence"} and grid["concurrence"].shape == (1, 2)
+
+
+def checked_grid(kind, q_values, p_values):
+    """The grid through evaluate_stack's checked boundary, block by block,
+    with the damped tangent made per block and broadcast over q."""
+    params = [ChannelParam(p) for p in p_values]
+    werner = ghz._werner_compact(np.asarray(q_values, dtype=float))
+    out = {name: np.empty((len(q_values), len(params))) for name in METRICS}
+    for start in range(0, len(params), GRID_P_BLOCK):
+        block = params[start : start + GRID_P_BLOCK]
+        diag, anti = ghz._damped_compact(kind, *werner, block)
+        check_compact(diag, anti)
+        w = bloch_from_compact(diag, anti)
+        tangent = ghz._damped_compact(kind, ghz._TANGENT_DIAG, ghz._TANGENT_ANTI, block)
+        dw = np.broadcast_to(bloch_from_compact(*tangent)[:, None], w.shape)
+        values = evaluate_stack(METRICS, bloch=w, tangent=dw, diag=diag, anti=anti)
+        for name, value in values.items():
+            out[name][:, start : start + len(block)] = value.T
+    return out
+
+
+class TestGridPath:
+    """ghz_grid checks its stacks once, damps the tangent once for every p and
+    hands the kernel's core the tangent un-broadcast: the same bits as the
+    checked route, and less of the same work."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_equals_checked_route_in_raw_bits(self, kind, monkeypatch):
+        # At q = 0 three blocks have zero weight (at p = 0 on every channel):
+        # the core's fallback branch broadcasts the (p, 1, 4, 4) tangent over q.
+        fallback = []
+        spectral = metrics._qfi_blocks_spectral
+
+        def spy(w, dw):
+            fallback.append(len(w))
+            return spectral(w, dw)
+
+        monkeypatch.setattr(metrics, "_qfi_blocks_spectral", spy)
+        q_values, p_values = (0.0, GHZ_QMIN, 0.5, 1.0), (0.0, 0.5, 1.0)
+        grid = ghz_grid(kind, q_values, p_values)
+        assert sum(fallback) >= 3
+        reference = checked_grid(kind, q_values, p_values)
+        for name in METRICS:
+            assert grid[name].tobytes() == reference[name].tobytes(), name
+
+    @pytest.mark.parametrize("count", [0, 1, GRID_P_BLOCK, GRID_P_BLOCK + 1, 51])
+    def test_checks_nothing_twice_and_damps_the_tangent_once(self, count, monkeypatch):
+        calls = {"checked": 0, "damped": 0}
+        checked, damped = metrics._checked_inputs, damped_bloch_array
+
+        def count_checked(*args):
+            calls["checked"] += 1
+            return checked(*args)
+
+        def count_damped(*args):
+            calls["damped"] += 1
+            return damped(*args)
+
+        monkeypatch.setattr(metrics, "_checked_inputs", count_checked)
+        # ghz calls it directly and through channels._damped_compact.
+        monkeypatch.setattr(ghz, "damped_bloch_array", count_damped)
+        monkeypatch.setattr(channels, "damped_bloch_array", count_damped)
+        p_values = np.linspace(0.0, 1.0, count).tolist()
+        ghz_grid(ChannelKind.DEPOLARIZING, (GHZ_QMIN, 0.5, 1.0), p_values)
+        assert calls == {"checked": 0, "damped": -(-count // GRID_P_BLOCK) + 1}
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))

@@ -5,6 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from xqmetro.cli import family_oracle_errors
 from xqmetro.errors import NotXFormError, SingularBlockError
 from xqmetro.linalg import psd_sqrt
 from xqmetro.metrics import (
@@ -325,7 +326,7 @@ class TestCheckedBoundary:
             total(ParamFamily(state=family.state, tangent=tangent), 0.5)
         assert str(err.value) == "tangent w[0, 0] is inf, not finite"
 
-    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+    @pytest.mark.filterwarnings("error")  # named before any ComplexWarning
     @pytest.mark.parametrize("total", [qfi_total, skew_total])
     def test_nan_imaginary_part_of_a_complex_tangent_diag_is_named(self, total):
         # The Bloch form keeps only the real part of the diag, which is finite.
@@ -396,6 +397,61 @@ class TestCheckedBoundary:
         }
         for name, scalars in views.items():
             assert values[name].tobytes() == np.array(scalars).tobytes(), name
+
+
+def with_complex_diag(family, k, imaginary):
+    """The family with a complex tangent diag: ``imaginary`` added at entry ``k``."""
+
+    def tangent(phi):
+        exact = family.tangent(phi)
+        diag = exact.diag.astype(complex)
+        diag[k] += imaginary
+        return XTangent(diag, exact.anti)
+
+    return ParamFamily(state=family.state, tangent=tangent)
+
+
+COMPLEX_DIAG_ROUTES = {
+    "qfi_total": qfi_total,
+    "skew_total": skew_total,
+    "family_oracles": lambda family, phi: family_oracles([(family, phi)]),
+    "family_oracle_errors": lambda family, phi: family_oracle_errors([(family, phi)]),
+}
+
+
+class TestComplexTangentDiag:
+    """A Hermitian tangent has a real diagonal.  The pipeline and the oracle
+    column reject a complex diag with a nonzero imaginary part alike (the
+    pipeline's Bloch form used to drop it, while the oracles kept it in a
+    non-Hermitian d rho), and take one whose imaginary parts are zero as
+    its real part."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("route", COMPLEX_DIAG_ROUTES)
+    @pytest.mark.parametrize(
+        "seed, k, imaginary, text",
+        [(1, 0, 0.3j, r"0\.3j"), (70, 5, -1e-17j, r"\(-0\.19788660607908484-1e-17j\)")],
+    )
+    def test_nonzero_imaginary_part_raises_on_every_route(self, route, seed, k, imaginary, text):
+        family = with_complex_diag(random_family(np.random.default_rng(seed)), k, imaginary)
+        message = rf"^at phi=0\.5: tangent diag\[{k}\] is {text}, not real$"
+        with pytest.raises(NotXFormError, match=message):
+            COMPLEX_DIAG_ROUTES[route](family, 0.5)
+
+    @pytest.mark.filterwarnings("error")  # no ComplexWarning either
+    @pytest.mark.parametrize("route", COMPLEX_DIAG_ROUTES)
+    @pytest.mark.parametrize("imaginary", [0j, complex(0.0, -0.0)])
+    def test_zero_imaginary_part_keeps_the_real_diags_bits(self, route, imaginary):
+        family = random_family(np.random.default_rng(70))
+        value = COMPLEX_DIAG_ROUTES[route](with_complex_diag(family, 3, imaginary), 0.5)
+        expected = COMPLEX_DIAG_ROUTES[route](family, 0.5)
+        assert np.array(value).tobytes() == np.array(expected).tobytes()
+
+    def test_real_tangent_is_returned_as_given(self):
+        family = random_family(np.random.default_rng(70))
+        tangent = family.tangent(0.5)
+        same = ParamFamily(state=family.state, tangent=lambda phi: tangent)
+        assert same.tangent_at(0.5) is tangent
 
 
 class TestConcurrence:
