@@ -4,14 +4,14 @@ Computes quantum Fisher information, Wigner-Yanase skew information, and
 GHZ-class concurrence for three-qubit X states evolving under phase-damping,
 depolarizing, and phase-flip channels.  The core pipeline works in per-block
 Bloch coordinates (four 2x2 blocks); every closed form is crosscheckable
-against full-matrix brute-force oracles.
+against full-matrix brute-force oracles.  Channels act on stacks of states
+through two independent routes, dense Kraus conjugation and Bloch damping;
+every printed number comes from the block closed forms or the oracles.
 """
 
 from .channels import (
     ChannelKind,
     ChannelParam,
-    apply_channel_compact,
-    apply_kraus,
     apply_kraus_dense,
     bloch_damping_factors,
     damped_bloch_array,
@@ -52,7 +52,6 @@ from .metrics import (
     random_family,
     skew_block,
     skew_total,
-    sld_block,
 )
 from .oracle import qfi_eigen_oracle, skew_sqrt_oracle
 from .xstate import (
@@ -83,8 +82,6 @@ __all__ = [
     "XQMetroError",
     "XState",
     "XTangent",
-    "apply_channel_compact",
-    "apply_kraus",
     "apply_kraus_dense",
     "bloch_damping_factors",
     "central_diff",
@@ -109,7 +106,6 @@ __all__ = [
     "skew_block",
     "skew_sqrt_oracle",
     "skew_total",
-    "sld_block",
     "werner_ghz",
     "xstate_from_dense",
 ]

@@ -1,14 +1,14 @@
 """Single-qubit decoherence channels applied independently to all three qubits.
 
-Each channel is available on two deliberately separate routes:
+Each channel is available on two deliberately separate routes, both over
+stacks:
 
 * :func:`apply_kraus_dense` — dense 8x8 conjugation by triple Kronecker
-  products of the single-qubit Kraus operators, with :func:`apply_kraus` its
-  validated single-state view;
+  products of the single-qubit Kraus operators;
 * :func:`damped_bloch_array` — exact closed-form linear map on block Bloch
   coordinates, built from the channel's per-qubit Bloch scaling factors and
-  the literal z-sector sign tables ``M_EVEN``/``M_ODD`` kept here, with
-  :func:`apply_channel_compact` its single-state view.
+  the literal z-sector sign tables ``M_EVEN``/``M_ODD`` kept here; its
+  compact composition ``_damped_compact`` is the one ``ghz`` reuses.
 
 The two routes share no channel mathematics, so their agreement (tested to
 1e-12 elementwise) is a real check rather than a tautology.
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParameterError, BadProbabilityError
-from .xstate import XState, bloch_from_compact, compact_from_bloch, xstate_from_dense
+from .xstate import bloch_from_compact, compact_from_bloch
 
 
 class ChannelKind(enum.Enum):
@@ -168,15 +168,6 @@ def apply_kraus_dense(matrix: np.ndarray, kind: ChannelKind, param: ChannelParam
     return out.reshape(m.shape)
 
 
-def apply_kraus(state: XState, kind: ChannelKind, param: ChannelParam) -> XState:
-    """Apply the channel to all three qubits via the dense Kraus route.
-
-    The result is validated (X pattern, trace, block positivity), never
-    assumed.
-    """
-    return xstate_from_dense(apply_kraus_dense(state.to_dense(), kind, param))
-
-
 def bloch_damping_factors(kind: ChannelKind, param: ChannelParam) -> tuple[float, float]:
     """Per-qubit Bloch scalings ``(transverse, longitudinal)`` of the channel.
 
@@ -259,8 +250,3 @@ def _damped_compact(kind: ChannelKind, diag, anti, param):
     No validation.
     """
     return compact_from_bloch(damped_bloch_array(kind, bloch_from_compact(diag, anti), param))
-
-
-def apply_channel_compact(state: XState, kind: ChannelKind, param: ChannelParam) -> XState:
-    """Channel action through the compact closed-form route, returning a state."""
-    return XState(*_damped_compact(kind, state.diag, state.anti, param))

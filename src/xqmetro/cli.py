@@ -48,7 +48,7 @@ from .metrics import evaluate_stack, random_family
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.cli.qfi_total.
 from .metrics import qfi_total  # noqa: F401
-from .oracle import _family_column
+from .oracle import family_oracles
 from .xstate import (
     bloch_from_compact,
     check_bloch,
@@ -113,36 +113,25 @@ def _sweep_grid(spec: SweepSpec) -> tuple[list[float], dict[str, np.ndarray]]:
     return p_values, ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics)
 
 
-def _sweep_cells(spec: SweepSpec) -> tuple[list[str], list[str], dict[str, list[str]]]:
-    """The sweep's values as 12-significant-digit text, each formatted once.
-
-    Returns the q cells (one per q), the p cells (one per p) and the cells
-    of each requested metric, flattened q outer, p inner.
-    """
-    p_values, grid = _sweep_grid(spec)
-    cells = {
-        name: [f"{x:.12g}" for x in values.ravel().tolist()] for name, values in grid.items()
-    }
-    return [f"{q:.12g}" for q in spec.q_values], [f"{p:.12g}" for p in p_values], cells
-
-
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the requested metrics on the (q, p) grid, q outer, p inner.
 
     Values come from the trusted pipeline (closed-form channel route plus
     analytic d/dq), evaluated over the whole grid by :func:`ghz_grid` and
-    rounded to 12 significant digits; metrics not requested are None.
+    rounded to 12 significant digits, ``float(f"{x:.12g}")``, the numbers
+    the CSV cells print; metrics not requested are None.
     """
-    q_cells, p_cells, cells = _sweep_cells(spec)
-    p_values = [float(cell) for cell in p_cells]
+    p_values, grid = _sweep_grid(spec)
+    q_values = [float(f"{q:.12g}") for q in spec.q_values]
+    p_values = [float(f"{p:.12g}") for p in p_values]
     rows = [
-        {"channel": spec.channel.value, "q": float(q), "p": p, **dict.fromkeys(METRIC_NAMES)}
-        for q in q_cells
+        {"channel": spec.channel.value, "q": q, "p": p, **dict.fromkeys(METRIC_NAMES)}
+        for q in q_values
         for p in p_values
     ]
-    for name, column in cells.items():
-        for row, cell in zip(rows, column):
-            row[name] = float(cell)
+    for name, values in grid.items():
+        for row, x in zip(rows, values.ravel().tolist()):
+            row[name] = float(f"{x:.12g}")
     return rows
 
 
@@ -257,16 +246,22 @@ def family_oracle_errors(points) -> tuple[float, float]:
     Each point's state and tangent at ``phi`` are built once and feed both
     columns: one :func:`evaluate_stack` call gives the pipeline column, each
     element in raw bits what ``qfi_total`` / ``skew_total`` give alone, and
-    one oracle column (:func:`oracle.family_oracles`) the other.  A NaN or
-    infinite tangent raises :class:`NotXFormError` naming the point's index.
+    one :func:`oracle.family_oracles` call the other.  Every failure names
+    the point's index: a point that cannot be built prefixes ``element k: ``
+    to its error's text, and each column names its failing element.
     """
     points = list(points)
-    built = [(family.state(phi), family.tangent_at(phi)) for family, phi in points]
+    built = []
+    for k, (family, phi) in enumerate(points):
+        try:
+            built.append((family.state(phi), family.tangent_at(phi)))
+        except XQMetroError as exc:
+            raise type(exc)(f"element {k}: {exc}") from exc
     bloch = np.reshape([bloch_from_compact(s.diag, s.anti) for s, _ in built], (-1, 4, 4))
     tangent = np.reshape([t.to_bloch_array() for _, t in built], (-1, 4, 4))
     values = evaluate_stack(("qfi", "skew"), bloch=bloch, tangent=tangent)
     pipeline = np.stack([values["qfi"], values["skew"]], axis=-1)
-    oracle = np.reshape(_family_column(points, built), (-1, 2))
+    oracle = np.reshape(family_oracles(points, built), (-1, 2))
     errors = np.abs(pipeline - oracle) / np.maximum(oracle, 1e-9)
     return _max_error(errors[:, 0]), _max_error(errors[:, 1])
 

@@ -113,7 +113,9 @@ def ghz_grid(
     states take the same route to compact form and back to Bloch
     coordinates (that round trip is not exact), and every stack passes the
     checks of :class:`XState`.  The grid is evaluated in blocks of
-    ``GRID_P_BLOCK`` p values.  Unknown metric names raise before any work.
+    ``GRID_P_BLOCK`` p values.  Unknown metric names raise before any
+    work; then a NaN or infinite q, and a q outside [0, 1] with the text of
+    :func:`werner_ghz`, raise before any channel or kernel work.
 
     The Werner states' Bloch coordinates and the damped constant tangent
     (every p) are made once.  Each block's states pass :func:`check_compact`
@@ -123,7 +125,11 @@ def ghz_grid(
     """
     _check_names(metrics)
     params = [ChannelParam(float(p)) for p in p_values]
-    werner = bloch_from_compact(*_werner_compact(np.asarray(q_values, dtype=float)))
+    q = np.asarray(q_values, dtype=float)
+    werner = bloch_from_compact(*_werner_compact(q))
+    outside = (q < 0.0) | (q > 1.0)
+    if outside.any():
+        raise BadParameterError(f"q must lie in [0, 1], got {float(q[outside][0])!r}")
     out = {name: np.empty((len(werner), len(params))) for name in metrics}
     tangent = bloch_from_compact(*_damped_compact(kind, _TANGENT_DIAG, _TANGENT_ANTI, params))
     for start in range(0, len(params), GRID_P_BLOCK):

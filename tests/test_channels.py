@@ -11,8 +11,6 @@ from xqmetro.channels import (
     KRAUS_CHUNK,
     ChannelKind,
     ChannelParam,
-    apply_channel_compact,
-    apply_kraus,
     apply_kraus_dense,
     bloch_damping_factors,
     damped_bloch_array,
@@ -20,6 +18,7 @@ from xqmetro.channels import (
 )
 from xqmetro.errors import BadParameterError, BadProbabilityError, NotXFormError
 from xqmetro.ghz import werner_ghz
+from reference import apply_channel_compact, apply_kraus
 from xqmetro.xstate import (
     XState,
     bloch_from_compact,

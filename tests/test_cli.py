@@ -676,14 +676,14 @@ class TestOneOracleColumnPerChannel:
     def test_family_oracle_column_is_the_per_point_oracles(self, monkeypatch):
         rng = np.random.default_rng(94)
         points = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(12)]
-        seen, family_column = [], cli._family_column
+        seen, family_column = [], cli.family_oracles
 
         def kept(*args):
             column = family_column(*args)
             seen.append(column)
             return column
 
-        monkeypatch.setattr(cli, "_family_column", kept)
+        monkeypatch.setattr(cli, "family_oracles", kept)
         cli.family_oracle_errors(points)
         expected = [
             (
@@ -707,6 +707,20 @@ class TestOneOracleColumnPerChannel:
             NotXFormError, match=r"^element 2: tangent w\[0, 0\] is nan, not finite$"
         ):
             cli.family_oracle_errors([(family, 0.3), (family, 0.5), (broken, 0.4)])
+
+    def test_complex_tangent_names_its_point(self):
+        # Two points at one phi: only the index tells them apart.
+        family = random_family(np.random.default_rng(95))
+
+        def tangent(phi):
+            exact = family.tangent(phi)
+            return XTangent(exact.diag + np.array([0.0, 0.3j] + [0.0] * 6), exact.anti)
+
+        broken = ParamFamily(state=family.state, tangent=tangent)
+        with pytest.raises(NotXFormError) as err:
+            cli.family_oracle_errors([(family, 0.5), (broken, 0.5)])
+        entry = tangent(0.5).diag[1]
+        assert str(err.value) == f"element 1: at phi=0.5: tangent diag[1] is {entry}, not real"
 
     def test_no_family_points(self):
         assert cli.family_oracle_errors([]) == (0.0, 0.0)

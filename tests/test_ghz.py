@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from reference import apply_kraus
 from xqmetro import ghz, linalg, oracle
-from xqmetro.channels import ChannelKind, apply_kraus, apply_kraus_dense
+from xqmetro.channels import ChannelKind, apply_kraus_dense
 from xqmetro.cli import _grid_axes, run_validation
 from xqmetro.errors import (
     BadParameterError,
@@ -62,6 +63,16 @@ class TestWernerGhz:
         with pytest.raises(BadParameterError) as err:
             werner_ghz(np.float64(1.5))
         assert str(err.value) == "q must lie in [0, 1], got 1.5"
+
+    @pytest.mark.parametrize("bad, text", [(2.0, "2.0"), (-0.25, "-0.25")])
+    def test_grid_names_q_out_of_range_before_any_work(self, monkeypatch, bad, text):
+        def no_work(*args):
+            raise AssertionError("ghz_grid damped states before checking q")
+
+        monkeypatch.setattr(ghz, "damped_bloch_array", no_work)
+        monkeypatch.setattr(ghz, "_damped_compact", no_work)
+        with pytest.raises(BadParameterError, match=rf"^q must lie in \[0, 1\], got {text}$"):
+            ghz.ghz_grid(ChannelKind.PHASE_DAMPING, [0.5, bad], [0.3])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

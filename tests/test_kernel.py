@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from reference import block_matrix
 from xqmetro import channels, ghz, linalg, metrics, oracle
 from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense, damped_bloch_array
 from xqmetro.errors import (
@@ -28,7 +29,6 @@ from xqmetro.metrics import (
     EPS_SINGULAR,
     RANK_CUTOFF,
     ParamFamily,
-    block_matrix,
     concurrence_ghz_class,
     evaluate_stack,
     qfi_block_mixed,

