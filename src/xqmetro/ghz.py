@@ -75,8 +75,10 @@ _TANGENT_DIAG.setflags(write=False)
 _TANGENT_ANTI = np.array([-0.5, 0.0, 0.0, 0.0], dtype=complex)
 _TANGENT_ANTI.setflags(write=False)
 
-# p values per kernel call in :func:`ghz_grid`; bounds the grid's working set.
-GRID_P_BLOCK = 8
+# (q, p) points per kernel pass in :func:`ghz_grid`.  A pass pays a fixed
+# cost of about 100 numpy calls, and its working set grows by about 0.9 KiB
+# per point: the budget bounds the working set, not the p count.
+GRID_POINTS = 1000
 
 
 def werner_ghz(q: float) -> XState:
@@ -112,16 +114,19 @@ def ghz_grid(
     ``concurrence_ghz_class`` give on ``ghz_family(kind, p_j)`` at ``q_i``:
     states take the same route to compact form and back to Bloch
     coordinates (that round trip is not exact), and every stack passes the
-    checks of :class:`XState`.  The grid is evaluated in blocks of
-    ``GRID_P_BLOCK`` p values.  Unknown metric names raise before any
+    checks of :class:`XState`.  Unknown metric names raise before any
     work; then a NaN or infinite q, and a q outside [0, 1] with the text of
     :func:`werner_ghz`, raise before any channel or kernel work.
 
-    The Werner states' Bloch coordinates and the damped constant tangent
-    (every p) are made once.  Each block's states pass :func:`check_compact`
-    and go straight to the kernel's core with the tangent ``(p, 1, 4, 4)``
-    un-broadcast: checked compact stacks and the damped tangent are finite,
-    so :func:`evaluate_stack`'s boundary would find nothing.
+    The p axis is walked in the fewest contiguous passes of at most
+    ``max(1, GRID_POINTS // len(q_values))`` p values, split evenly (51 p
+    over 40 q run as 17 + 17 + 17).  Every kernel operation is elementwise
+    or per block row, so the split moves no bit.  The Werner states' Bloch
+    coordinates and the damped constant tangent (every p) are made once.
+    Each pass's states pass :func:`check_compact` and go straight to the
+    kernel's core with the tangent ``(p, 1, 4, 4)`` un-broadcast: checked
+    compact stacks and the damped tangent are finite, so
+    :func:`evaluate_stack`'s boundary would find nothing.
     """
     _check_names(metrics)
     params = [ChannelParam(float(p)) for p in p_values]
@@ -132,20 +137,18 @@ def ghz_grid(
         raise BadParameterError(f"q must lie in [0, 1], got {float(q[outside][0])!r}")
     out = {name: np.empty((len(werner), len(params))) for name in metrics}
     tangent = bloch_from_compact(*_damped_compact(kind, _TANGENT_DIAG, _TANGENT_ANTI, params))
-    for start in range(0, len(params), GRID_P_BLOCK):
-        block = params[start : start + GRID_P_BLOCK]
+    width = max(1, GRID_POINTS // max(1, len(werner)))
+    passes = -(-len(params) // width)
+    stops = [len(params) * k // passes for k in range(1, passes + 1)]
+    for start, stop in zip([0, *stops], stops):
         # (p, q, 8), (p, q, 4)
-        diag, anti = compact_from_bloch(damped_bloch_array(kind, werner, block))
+        diag, anti = compact_from_bloch(damped_bloch_array(kind, werner, params[start:stop]))
         check_compact(diag, anti)
         values = _kernel(
-            metrics,
-            bloch_from_compact(diag, anti),
-            tangent[start : start + len(block), None],
-            diag,
-            anti,
+            metrics, bloch_from_compact(diag, anti), tangent[start:stop, None], diag, anti
         )
         for name, value in values.items():
-            out[name][:, start : start + len(block)] = value.T
+            out[name][:, start:stop] = value.T
     return out
 
 

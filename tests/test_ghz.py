@@ -5,7 +5,7 @@ import pytest
 
 from reference import apply_kraus
 from xqmetro import ghz, linalg, oracle
-from xqmetro.channels import ChannelKind, apply_kraus_dense
+from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense
 from xqmetro.cli import _grid_axes, run_validation
 from xqmetro.errors import (
     BadParameterError,
@@ -27,11 +27,18 @@ from xqmetro.ghz import (
     crosscheck_grid,
     depolarizing_qfi_gap,
     ghz_family,
+    ghz_grid,
     werner_ghz,
 )
-from xqmetro.metrics import ParamFamily, concurrence_ghz_class, qfi_total, skew_total
+from xqmetro.metrics import (
+    ParamFamily,
+    concurrence_ghz_class,
+    evaluate_stack,
+    qfi_total,
+    skew_total,
+)
 from xqmetro.oracle import qfi_eigen_oracle, skew_sqrt_oracle
-from xqmetro.xstate import XState, XTangent
+from xqmetro.xstate import XState, XTangent, compact_from_dense, dense_from_compact
 
 Q_GRID = tuple(j / 10.0 for j in range(1, 10))
 P_GRID = tuple(j / 10.0 for j in range(10))
@@ -250,6 +257,60 @@ class TestZeroCrossing:
                 ]
                 assert values[0] > 0.0 or q >= 0.75  # entangled at low noise
                 assert any(v == 0.0 for v in values)
+
+
+def kraus_concurrence(kind, q_values, p_values):
+    """Concurrence over (q, p) through the dense Kraus image of each Werner state."""
+    dense = dense_from_compact(*ghz._werner_compact(np.asarray(q_values, dtype=float)))
+    out = np.empty((len(q_values), len(p_values)))
+    for j, p in enumerate(p_values):
+        diag, anti = compact_from_dense(apply_kraus_dense(dense, kind, ChannelParam(p)))
+        out[:, j] = evaluate_stack(("concurrence",), diag=diag, anti=anti)["concurrence"]
+    return out
+
+
+class TestConcurrenceAnchors:
+    """GHZ-class concurrence of the Werner-GHZ line against its closed forms,
+    on the compact route (``ghz_grid``) and on the Kraus route."""
+
+    TOL = 1e-15
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_undamped_line(self, kind):
+        # C = max(0, 1 - 7q/4): genuinely entangled iff q < 4/7.
+        q = np.linspace(0.0, 1.0, 1001)
+        expected = np.maximum(0.0, 1.0 - 7.0 * q / 4.0)
+        grid = ghz_grid(kind, q, [0.0], metrics=("concurrence",))["concurrence"][:, 0]
+        assert np.abs(grid - expected).max() <= self.TOL
+        assert np.abs(kraus_concurrence(kind, q, [0.0])[:, 0] - expected).max() <= self.TOL
+
+    @pytest.mark.parametrize("kind", [ChannelKind.PHASE_DAMPING, ChannelKind.PHASE_FLIP])
+    def test_dephased_line(self, kind):
+        # C = max(0, |c|^3 (1 - q) - 3q/4) with c = s (pdc) or 2s - 1 (pfc).
+        q, p = np.linspace(0.0, 1.0, 201), np.linspace(0.0, 1.0, 101)
+        s = 1.0 - p
+        c = s if kind is ChannelKind.PHASE_DAMPING else 2.0 * s - 1.0
+        expected = np.maximum(0.0, np.abs(c) ** 3 * (1.0 - q[:, None]) - 0.75 * q[:, None])
+        grid = ghz_grid(kind, q, p, metrics=("concurrence",))["concurrence"]
+        assert np.abs(grid - expected).max() <= self.TOL
+        assert np.abs(kraus_concurrence(kind, q, p) - expected).max() <= self.TOL
+
+
+class TestClassicalFamily:
+    """On the paper's q-family all three channels are unital and the noise
+    part stays I/8, so rho(q) and its tangent commute: skew equals Fisher."""
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_skew_equals_fisher(self, kind):
+        q, p = np.linspace(GHZ_QMIN, 1.0, 30), np.linspace(0.0, 1.0, 41)
+        grid = ghz_grid(kind, q, p, metrics=("qfi", "skew"))
+        fisher, skew = grid["qfi"], grid["skew"]
+        assert np.all(np.abs(skew - fisher) <= 1e-14 * fisher)
+
+    def test_fully_depolarized_is_flat(self):
+        # At p = 1 every q gives I/8 and the tangent vanishes.
+        grid = ghz_grid(ChannelKind.DEPOLARIZING, np.linspace(GHZ_QMIN, 1.0, 30), [1.0])
+        assert np.all(grid["qfi"] == 0.0) and np.all(grid["skew"] == 0.0)
 
 
 def reference_crosscheck(kind, q, p):

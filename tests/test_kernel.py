@@ -8,6 +8,7 @@ tolerances, to the Jacobi route it replaced and to 50-digit arithmetic.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from xqmetro.errors import (
     SingularBlockError,
     TraceViolationError,
 )
-from xqmetro.ghz import GHZ_QMIN, GRID_P_BLOCK, ghz_family, ghz_grid
+from xqmetro.ghz import GHZ_QMIN, ghz_family, ghz_grid
 from xqmetro.metrics import (
     EPS_SINGULAR,
     RANK_CUTOFF,
@@ -496,9 +497,11 @@ def assert_grid_equals_scalar_pipeline(kind, q_values, p_values):
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
-def test_grid_equals_scalar_pipeline(kind):
+def test_grid_equals_scalar_pipeline(kind, monkeypatch):
     q_values = (GHZ_QMIN, 0.13, 0.5, 0.77, 1.0)
-    p_values = [float(p) for p in np.linspace(0.0, 1.0, GRID_P_BLOCK + 3)]
+    p_values = [float(p) for p in np.linspace(0.0, 1.0, 11)]
+    # At most four p values per pass: the 11 p values run in 3 passes.
+    monkeypatch.setattr(ghz, "GRID_POINTS", 4 * len(q_values))
     assert_grid_equals_scalar_pipeline(kind, q_values, p_values)
 
 
@@ -517,14 +520,14 @@ def test_grid_evaluates_only_requested_metrics():
     assert set(grid) == {"concurrence"} and grid["concurrence"].shape == (1, 2)
 
 
-def checked_grid(kind, q_values, p_values):
-    """The grid through evaluate_stack's checked boundary, block by block,
-    with the damped tangent made per block and broadcast over q."""
+def checked_grid(kind, q_values, p_values, width=2):
+    """The grid through evaluate_stack's checked boundary, ``width`` p values
+    at a time, with the damped tangent made per block and broadcast over q."""
     params = [ChannelParam(p) for p in p_values]
     werner = ghz._werner_compact(np.asarray(q_values, dtype=float))
     out = {name: np.empty((len(q_values), len(params))) for name in METRICS}
-    for start in range(0, len(params), GRID_P_BLOCK):
-        block = params[start : start + GRID_P_BLOCK]
+    for start in range(0, len(params), width):
+        block = params[start : start + width]
         diag, anti = ghz._damped_compact(kind, *werner, block)
         check_compact(diag, anti)
         w = bloch_from_compact(diag, anti)
@@ -555,14 +558,19 @@ class TestGridPath:
 
         monkeypatch.setattr(metrics, "_qfi_blocks_spectral", spy)
         q_values, p_values = (0.0, GHZ_QMIN, 0.5, 1.0), (0.0, 0.5, 1.0)
+        # One p value per pass: both routes span more than one pass.
+        monkeypatch.setattr(ghz, "GRID_POINTS", len(q_values))
         grid = ghz_grid(kind, q_values, p_values)
         assert sum(fallback) >= 3
         reference = checked_grid(kind, q_values, p_values)
         for name in METRICS:
             assert grid[name].tobytes() == reference[name].tobytes(), name
 
-    @pytest.mark.parametrize("count", [0, 1, GRID_P_BLOCK, GRID_P_BLOCK + 1, 51])
-    def test_checks_nothing_twice_and_damps_the_tangent_once(self, count, monkeypatch):
+    # 40 q values give passes of at most GRID_POINTS // 40 = 25 p values.
+    @pytest.mark.parametrize(
+        "count, passes", [(0, 0), (1, 1), (25, 1), (26, 2), (51, 3), (52, 3)]
+    )
+    def test_checks_nothing_twice_and_damps_the_tangent_once(self, count, passes, monkeypatch):
         calls = {"checked": 0, "damped": 0}
         checked, damped = metrics._checked_inputs, damped_bloch_array
 
@@ -579,8 +587,35 @@ class TestGridPath:
         monkeypatch.setattr(ghz, "damped_bloch_array", count_damped)
         monkeypatch.setattr(channels, "damped_bloch_array", count_damped)
         p_values = np.linspace(0.0, 1.0, count).tolist()
-        ghz_grid(ChannelKind.DEPOLARIZING, (GHZ_QMIN, 0.5, 1.0), p_values)
-        assert calls == {"checked": 0, "damped": -(-count // GRID_P_BLOCK) + 1}
+        ghz_grid(ChannelKind.DEPOLARIZING, np.linspace(GHZ_QMIN, 1.0, 40), p_values)
+        # One damping per pass and one for the tangent of every p.
+        assert calls == {"checked": 0, "damped": passes + 1}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    @pytest.mark.parametrize("names", [METRICS, ("concurrence",)])
+    def test_pass_size_moves_no_bit(self, kind, names, monkeypatch):
+        # q = 0 takes the fallback route at p = 0; 1 point per pass gives 21
+        # one-p passes, 30 gives 7 + 7 + 7, the default and 10**9 one pass.
+        q_values, p_values = (0.0, GHZ_QMIN, 0.5, 1.0), np.linspace(0.0, 1.0, 21).tolist()
+        reference = ghz_grid(kind, q_values, p_values, metrics=names)
+        for budget in (1, 30, 10**9):
+            monkeypatch.setattr(ghz, "GRID_POINTS", budget)
+            grid = ghz_grid(kind, q_values, p_values, metrics=names)
+            for name in names:
+                assert grid[name].tobytes() == reference[name].tobytes(), (budget, name)
+
+    def test_working_set_is_bounded_by_grid_points(self):
+        # 1,000 q x 11 p: one-p passes of 1,000 points.  Passes of eight p
+        # values peaked at ~9 MiB here; the output arrays alone take 0.26 MiB.
+        q_values, p_values = np.linspace(0.0, 1.0, 1000), np.linspace(0.0, 1.0, 11).tolist()
+        tracemalloc.start()
+        try:
+            ghz_grid(ChannelKind.DEPOLARIZING, q_values, p_values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
