@@ -43,7 +43,7 @@ from .ghz import (
     depolarizing_qfi_gap,
     ghz_grid,
 )
-from .metrics import evaluate_stack, random_family
+from .metrics import METRIC_NAMES, evaluate_stack, random_family
 
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.cli.qfi_total.
@@ -51,7 +51,6 @@ from .metrics import qfi_total  # noqa: F401
 from .oracle import family_oracles
 from .xstate import (
     bloch_from_compact,
-    check_bloch,
     check_compact,
     compact_from_bloch,
     compact_from_dense,
@@ -59,8 +58,7 @@ from .xstate import (
     random_xstate,
 )
 
-METRIC_NAMES = ("qfi", "skew", "concurrence")
-CSV_HEADER = ("channel", "q", "p", "qfi", "skew", "concurrence")
+CSV_HEADER = ("channel", "q", "p", *METRIC_NAMES)
 
 
 def _sig12(value: float) -> str:
@@ -212,21 +210,21 @@ def channel_route_errors(states, p_values) -> tuple[float, float]:
     """Kraus completeness and Kraus-versus-Bloch route error on a corpus of states.
 
     Per channel and p, both routes run over the whole corpus at once, and
-    every state passes the checks it would pass alone: check_bloch on the
-    input and the Bloch image, XState on both images, the dense X pattern on
-    the Kraus image; a failure names its element of the stack.  The route
-    error spans the raw 8x8 Kraus image, off-pattern entries included.
+    every state passes the checks it would pass alone: :func:`check_compact`
+    (the checks of XState) on the input and on both images, the dense X
+    pattern on the Kraus image; a failure names its element of the stack.
+    The route error spans the raw 8x8 Kraus image, off-pattern entries
+    included.
     """
     diag = np.stack([state.diag for state in states])
     anti = np.stack([state.anti for state in states])
+    check_compact(diag, anti)
     bloch = bloch_from_compact(diag, anti)
-    check_bloch(bloch)
     dense = dense_from_compact(diag, anti)
     params = [ChannelParam(p) for p in p_values]
     completeness, route = [], []
     for kind in ChannelKind:
         damped = damped_bloch_array(kind, bloch, params)
-        check_bloch(damped)
         damped_diag, damped_anti = compact_from_bloch(damped)
         check_compact(damped_diag, damped_anti)
         for k, param in enumerate(params):
@@ -396,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--metrics",
         type=str,
-        default="qfi,skew,concurrence",
-        help="comma-separated subset of qfi,skew,concurrence",
+        default=",".join(METRIC_NAMES),
+        help=f"comma-separated subset of {','.join(METRIC_NAMES)}",
     )
     sweep.add_argument("--q", type=_parse_q_list, required=True, help="comma-separated q values")
     sweep.add_argument(

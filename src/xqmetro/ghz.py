@@ -31,7 +31,7 @@ from .channels import (
 )
 from .errors import BadParameterError, XQMetroError
 from .linalg import diff_step
-from .metrics import ParamFamily, _check_names, _kernel, evaluate_stack
+from .metrics import METRIC_NAMES, ParamFamily, _check_names, _kernel, evaluate_stack
 
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.ghz.qfi_total.
@@ -104,9 +104,15 @@ def ghz_family(kind: ChannelKind, p: float) -> ParamFamily:
     return ParamFamily(state=state, tangent=lambda q: tangent)
 
 
-def ghz_grid(
-    kind: ChannelKind, q_values, p_values, metrics=("qfi", "skew", "concurrence")
-) -> dict[str, np.ndarray]:
+def _axis(name: str, values) -> np.ndarray:
+    """``values`` as a float array; :class:`BadParameterError` unless one-dimensional."""
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1:
+        raise BadParameterError(f"{name} must be one-dimensional, got shape {axis.shape}")
+    return axis
+
+
+def ghz_grid(kind: ChannelKind, q_values, p_values, metrics=METRIC_NAMES) -> dict[str, np.ndarray]:
     """Pipeline metrics of the damped Werner-GHZ family over a whole (q, p) grid.
 
     Returns ``{metric: array of shape (len(q_values), len(p_values))}``.
@@ -115,8 +121,9 @@ def ghz_grid(
     states take the same route to compact form and back to Bloch
     coordinates (that round trip is not exact), and every stack passes the
     checks of :class:`XState`.  Unknown metric names raise before any
-    work; then a NaN or infinite q, and a q outside [0, 1] with the text of
-    :func:`werner_ghz`, raise before any channel or kernel work.
+    work, then a q or p axis that is not one-dimensional; then a NaN or
+    infinite q, and a q outside [0, 1] with the text of :func:`werner_ghz`,
+    raise before any channel or kernel work.
 
     The p axis is walked in the fewest contiguous passes of at most
     ``max(1, GRID_POINTS // len(q_values))`` p values, split evenly (51 p
@@ -129,15 +136,15 @@ def ghz_grid(
     :func:`evaluate_stack`'s boundary would find nothing.
     """
     _check_names(metrics)
-    params = [ChannelParam(float(p)) for p in p_values]
-    q = np.asarray(q_values, dtype=float)
+    q = _axis("q_values", q_values)
+    params = [ChannelParam(p) for p in _axis("p_values", p_values).tolist()]
     werner = bloch_from_compact(*_werner_compact(q))
     outside = (q < 0.0) | (q > 1.0)
     if outside.any():
         raise BadParameterError(f"q must lie in [0, 1], got {float(q[outside][0])!r}")
-    out = {name: np.empty((len(werner), len(params))) for name in metrics}
+    out = {name: np.empty((len(q), len(params))) for name in metrics}
     tangent = bloch_from_compact(*_damped_compact(kind, _TANGENT_DIAG, _TANGENT_ANTI, params))
-    width = max(1, GRID_POINTS // max(1, len(werner)))
+    width = max(1, GRID_POINTS // max(1, len(q)))
     passes = -(-len(params) // width)
     stops = [len(params) * k // passes for k in range(1, passes + 1)]
     for start, stop in zip([0, *stops], stops):
@@ -373,11 +380,11 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> list[CrosscheckRep
     the pipeline's expression on the Kraus images of rho(q), one kernel
     call.  Every value is, bit for bit, what the same point alone gives.
 
-    Every point is range-checked before any work, so a bad one raises
-    :class:`BadParameterError`.  The Werner-GHZ inputs pass the checks of
-    :class:`XState` as a stack, a failure naming (rho / left probe / right
-    probe, q index); the Kraus images of the states do too, a failure
-    naming (probe, p index, q index).  So does the oracle column, for the
+    A q or p axis that is not one-dimensional, and then every point, is
+    checked before any work, so a bad one raises :class:`BadParameterError`.
+    The Werner-GHZ inputs pass the checks of :class:`XState` as a stack, a
+    failure naming (rho / left probe / right probe, q index); the Kraus
+    images of the states do too, a failure naming (probe, p index, q index).  So does the oracle column, for the
     eigensolver's Hermiticity test (1e-12) with :class:`NotHermitianError`
     and the finishes' spectrum tests with :class:`NotPSDError` or
     :class:`TraceViolationError`; an eigensolver out of sweeps raises
@@ -390,6 +397,8 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> list[CrosscheckRep
     and its verdict comes from the pipeline value as everywhere else
     (SINGULAR, or PIPELINE_NON_FINITE for a NaN or infinite one).
     """
+    _axis("q_values", q_values)
+    _axis("p_values", p_values)
     for q in q_values:
         for p in p_values:
             _check_point(q, p)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NotConvergedError, NotHermitianError, NotPSDError
-from .xstate import _fail, _first_failure
+from .xstate import _first_failure, _not_finite
 
 HERMITICITY_TOL = 1e-12
 OFFDIAG_TOL = 1e-14
@@ -38,15 +38,6 @@ def _offdiag_norm(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of the off-diagonal part of each matrix ``(..., k, k)``."""
     off = np.where(np.eye(a.shape[-1], dtype=bool), 0.0, a)
     return np.sqrt(np.sum(np.abs(off) ** 2, axis=(-2, -1)))
-
-
-def check_finite(matrix: np.ndarray, name: str = "matrix") -> None:
-    """Raise :class:`NotHermitianError` naming the NaN/+-inf entries of ``matrix``."""
-    bad = np.argwhere(~np.isfinite(matrix))
-    if len(bad):
-        shown = ", ".join(f"{name}[{i}, {j}] = {matrix[i, j]}" for i, j in bad[:4])
-        more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
-        raise NotHermitianError(f"non-finite entries: {shown}{more}")
 
 
 def eigh(matrix: np.ndarray) -> EigenDecomposition:
@@ -78,9 +69,10 @@ def eigh_stack(matrices: np.ndarray) -> EigenDecomposition:
     Raises
     ------
     NotHermitianError
-        If an element has ``max |A - A^dagger|`` above ``1e-12`` or a NaN or
-        infinite entry (the message names the non-finite entries); for a
-        stack, the message names the first such element (C order) in front.
+        If an element has a NaN or infinite entry, naming the first one as
+        ``matrix[r, c]``, or else ``max |A - A^dagger|`` above ``1e-12``;
+        the first check that fails raises for the first element (C order) it
+        fails on, and for a stack names that element in front.
     NotConvergedError
         If ``MAX_SWEEPS`` sweeps leave an element's off-diagonal norm above
         ``1e-14``.
@@ -93,17 +85,12 @@ def eigh_stack(matrices: np.ndarray) -> EigenDecomposition:
     with np.errstate(invalid="ignore"):  # inf - inf: a non-finite entry, named below
         hermitian = np.max(np.abs(a - a_dagger), axis=(-2, -1)) <= HERMITICITY_TOL
     if not hermitian.all():
-
-        def message(index) -> str:
-            # A non-finite entry leaves a NaN or an infinity in A - A^dagger,
-            # so the finiteness check rides on this failure branch.
-            try:
-                check_finite(a[index])
-            except NotHermitianError as exc:
-                return str(exc)
-            return "matrix is not Hermitian within 1e-12"
-
-        _fail(NotHermitianError, ~hermitian, message)
+        # A non-finite entry leaves a NaN or an infinity in A - A^dagger,
+        # so the finiteness check rides on this failure branch.
+        _first_failure(
+            _not_finite("matrix", a, 2, NotHermitianError),
+            (NotHermitianError, ~hermitian, lambda i: "matrix is not Hermitian within 1e-12"),
+        )
     a = ((a + a_dagger) / 2.0).reshape((-1, n, n))
     vec = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
 

@@ -50,6 +50,8 @@ from .xstate import (
 
 EPS_SINGULAR = 1e-10
 RANK_CUTOFF = 1e-12
+# The kernel's metrics, in the order of every table and report column.
+METRIC_NAMES = ("qfi", "skew", "concurrence")
 
 
 def _gap(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -66,7 +68,7 @@ def _require_mixed(w: np.ndarray, gap_ww: np.ndarray, message: str) -> None:
 def _check_names(metrics: Iterable[str]) -> None:
     """Raise :class:`BadParameterError` for the first name that is not a kernel metric."""
     for name in metrics:
-        if name not in ("qfi", "skew", "concurrence"):
+        if name not in METRIC_NAMES:
             raise BadParameterError(f"unknown metric {name!r}; expected qfi, skew or concurrence")
 
 

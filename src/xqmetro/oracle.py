@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotHermitianError, NotPSDError, TraceViolationError
-from .linalg import check_finite, diff_step, eigh, eigh_stack, sqrt_from_spectrum
+from .linalg import diff_step, eigh, eigh_stack, sqrt_from_spectrum
 from .metrics import ParamFamily
 from .xstate import _first_failure, _not_finite, dense_from_compact
 
@@ -32,7 +32,7 @@ def qfi_eigen_oracle(rho: np.ndarray, drho: np.ndarray) -> float:
     drho = np.asarray(drho, dtype=complex)
     if drho.shape != rho.shape:
         raise NotHermitianError(f"drho shape {drho.shape} differs from rho shape {rho.shape}")
-    check_finite(drho, "drho")
+    _first_failure(_not_finite("drho", drho, 2, NotHermitianError))
     values, vectors = eigh(rho)
     return float(qfi_from_spectrum(values, vectors, drho))
 

@@ -113,11 +113,11 @@ def _first_failure(*rows) -> None:
             _fail(error, flags, message, *entries)
 
 
-def _not_finite(name: str, values, entries: int = 1):
-    """Row naming the first NaN/+-inf entry of ``values`` as ``name[...]``."""
+def _not_finite(name: str, values, entries: int = 1, error=NotXFormError):
+    """Row raising ``error``, naming the first NaN/+-inf entry of ``values`` as ``name[...]``."""
     values = np.asarray(values)
     return (
-        NotXFormError,
+        error,
         ~np.isfinite(values),
         lambda i, *k: f"{name}[{', '.join(map(str, k))}] is {values[i + k]}, not finite",
         entries,
@@ -182,7 +182,11 @@ def bloch_from_compact(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
 
 
 def compact_from_bloch(w: np.ndarray):
-    """Inverse of :func:`bloch_from_compact`; returns ``(diag, anti)`` arrays."""
+    """Inverse of :func:`bloch_from_compact`; returns ``(diag, anti)`` arrays.
+
+    Bloch coordinates hold a state iff their compact form passes
+    :func:`check_compact`: the package has no second validator for them.
+    """
     w = np.asarray(w)
     diag = np.empty(w.shape[:-2] + (8,))
     diag[..., :4] = (w[..., 0] + w[..., 3]) / 2.0
@@ -240,39 +244,6 @@ def xstate_from_dense(matrix: np.ndarray) -> XState:
     if m.shape != (8, 8):
         raise NotXFormError(f"expected an 8x8 matrix, got shape {m.shape}")
     return XState(*compact_from_dense(m))
-
-
-def check_bloch(w: np.ndarray) -> None:
-    """Validate block Bloch coordinates, one set or stacked: shape ``(..., 4, 4)``.
-
-    The checks, in order: the shape, then finite coordinates (else
-    :class:`NotXFormError`), trace weights summing to one within 1e-12 (else
-    :class:`TraceViolationError`), then block by block a weight no lower than
-    -1e-12 and ``w0^2 - |(w1, w2, w3)|^2 >= -1e-12`` (else
-    :class:`BlockNotPSDError`).  The first check that fails raises for the
-    first element (C order) it fails on, naming the first failing coordinate
-    or block and, for a stack, the element's index.
-    """
-    if w.shape[-2:] != (4, 4):
-        raise NotXFormError(f"expected coordinates of shape (..., 4, 4), got {w.shape}")
-    with np.errstate(all="ignore"):  # non-finite input is reported below, not warned about
-        total = w[..., 0, 0] + w[..., 1, 0] + w[..., 2, 0] + w[..., 3, 0]
-        weight = w[..., 0]
-        negative = weight < -DIAG_TOL
-        too_long = np.float_power(weight, 2.0) - np.square(w[..., 1:]).sum(axis=-1) < -DIAG_TOL
-    finite = np.isfinite(w).all(axis=(-2, -1))
-    off_trace = abs(total - 1.0) > DIAG_TOL
-    bad_block = negative | too_long
-    if finite.all() and not off_trace.any() and not bad_block.any():
-        return
-    _first_failure(
-        _not_finite("w", w, 2),
-        (TraceViolationError, off_trace,
-         lambda i: f"block weights sum to {float(total[i])!r}, expected 1"),
-        (BlockNotPSDError, bad_block,
-         lambda i, j: f"block {j}: negative weight {w[i][j, 0]:.3e}" if negative[i][j]
-         else f"block {j}: Bloch vector longer than weight", 1),
-    )
 
 
 def random_xstate(rng: np.random.Generator) -> XState:

@@ -22,7 +22,7 @@ from reference import apply_channel_compact, apply_kraus
 from xqmetro.xstate import (
     XState,
     bloch_from_compact,
-    check_bloch,
+    check_compact,
     compact_from_bloch,
     compact_from_dense,
     random_xstate,
@@ -270,7 +270,7 @@ class TestRouteEquivalence:
                     param = ChannelParam(p)
                     via_kraus = apply_kraus(state, kind, param).to_dense()
                     image = damped_bloch_array(kind, w, param)
-                    check_bloch(image)
+                    check_compact(*compact_from_bloch(image))
                     via_bloch = XState(*compact_from_bloch(image)).to_dense()
                     assert np.abs(via_kraus - via_bloch).max() <= 1e-12
 
@@ -294,7 +294,7 @@ class TestRouteEquivalence:
             param = ChannelParam(p)
             a = apply_kraus(state, ChannelKind.DEPOLARIZING, param).to_dense()
             image = damped_bloch_array(ChannelKind.DEPOLARIZING, w, param)
-            check_bloch(image)
+            check_compact(*compact_from_bloch(image))
             b = XState(*compact_from_bloch(image)).to_dense()
             assert np.abs(a - b).max() <= 1e-13
 
@@ -314,7 +314,7 @@ class TestBlochFactors:
         for kind in ALL_KINDS:
             for p in (0.1, 0.4, 0.9):
                 out = damped_bloch_array(kind, w, ChannelParam(p))
-                check_bloch(out)
+                check_compact(*compact_from_bloch(out))
                 for j in range(4):
                     assert (
                         np.linalg.norm(out[j, 1:]) <= np.linalg.norm(w[j, 1:]) + 1e-12
@@ -330,7 +330,7 @@ class TestBlochFactors:
         out = damped_bloch_array(
             ChannelKind.DEPOLARIZING, bloch_from_compact(state.diag, state.anti), ChannelParam(p)
         )
-        check_bloch(out)
+        check_compact(*compact_from_bloch(out))
         assert abs(out[0, 0] - (1.0 + 3.0 * s**2 * (1.0 - q)) / 4.0) < 1e-13
         for j in (1, 2, 3):
             assert abs(out[j, 0] - (1.0 - s**2 * (1.0 - q)) / 4.0) < 1e-13

@@ -313,6 +313,68 @@ class TestClassicalFamily:
         assert np.all(grid["qfi"] == 0.0) and np.all(grid["skew"] == 0.0)
 
 
+class TestChannelRanking:
+    """The abstract: phase damping and phase flip "generally allow for better
+    parameter estimation" than depolarizing."""
+
+    def test_depolarizing_never_beats_phase_damping(self):
+        # 100 q x the 51 p <= 1/2 of a 101-point p grid.  Measured: never
+        # above, and equal only at p = 0.  F_dpc > F_pfc on 4.4% of this grid
+        # (p in [0.01, 0.1]), by up to 0.258: the README records that as the
+        # measured "generally"; it is not asserted.
+        q, p = np.linspace(GHZ_QMIN, 1.0, 100), np.linspace(0.0, 1.0, 101)[:51]
+        pdc = ghz_grid(ChannelKind.PHASE_DAMPING, q, p, metrics=("qfi", "skew"))
+        dpc = ghz_grid(ChannelKind.DEPOLARIZING, q, p, metrics=("qfi", "skew"))
+        for name in ("qfi", "skew"):
+            assert np.all(dpc[name] <= pdc[name] * (1.0 + 1e-12)), name
+
+
+class TestDataProcessing:
+    """Each channel is a semigroup in its damping factor: s composes
+    multiplicatively for pdc and dpc, 2s - 1 for pfc.  F, S and C are
+    monotone under channels, so none may rise as that factor shrinks."""
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_no_metric_rises_as_the_channel_damps_more(self, kind):
+        # 60 q x 401 p; measured worst rise: 3.9e-16 relative, 3.6e-15 absolute.
+        q, p = np.linspace(GHZ_QMIN, 1.0, 60), np.linspace(0.0, 1.0, 401)
+        order = np.arange(len(p))  # along p: the factor s = 1 - p shrinks
+        if kind is ChannelKind.PHASE_FLIP:  # the factor is 2s - 1 = 1 - 2p
+            order = np.argsort(-np.abs(1.0 - 2.0 * p), kind="stable")
+        for name, values in ghz_grid(kind, q, p).items():
+            values = values[:, order]
+            rise = values[:, 1:] - values[:, :-1]
+            assert np.all(rise <= 1e-12 * np.abs(values[:, :-1])), name
+
+
+class TestGridAxes:
+    """A q or p axis that is not one-dimensional is named before any work."""
+
+    @pytest.mark.parametrize("grid", [ghz_grid, crosscheck_grid], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "q_values, p_values, text",
+        [
+            (0.5, [0.3], "q_values must be one-dimensional, got shape ()"),
+            ([[0.2, 0.5]], [0.3], "q_values must be one-dimensional, got shape (1, 2)"),
+            ([0.5], 0.3, "p_values must be one-dimensional, got shape ()"),
+            ([0.5], [[0.1], [0.3]], "p_values must be one-dimensional, got shape (2, 1)"),
+        ],
+        ids=["scalar-q", "2d-q", "scalar-p", "2d-p"],
+    )
+    def test_axis_must_be_one_dimensional(self, monkeypatch, grid, q_values, p_values, text):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the axes were checked")
+
+        for name in ("_check_point", "_werner_compact", "_damped_compact", "apply_kraus_dense"):
+            monkeypatch.setattr(ghz, name, no_work)
+        with pytest.raises(BadParameterError) as err:
+            grid(ChannelKind.PHASE_DAMPING, q_values, p_values)
+        assert str(err.value) == text
+        if grid is ghz_grid:  # after the metric names
+            with pytest.raises(BadParameterError, match="^unknown metric 'fisher'"):
+                grid(ChannelKind.PHASE_DAMPING, q_values, p_values, ("fisher",))
+
+
 def reference_crosscheck(kind, q, p):
     """One point through scalar calls only: the per-point crosscheck that
     preceded :func:`crosscheck_grid`, kept as its reference (the Kraus

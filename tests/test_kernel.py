@@ -42,7 +42,6 @@ from xqmetro.xstate import (
     XState,
     XTangent,
     bloch_from_compact,
-    check_bloch,
     check_compact,
     compact_from_bloch,
     compact_from_dense,
@@ -698,7 +697,6 @@ def test_stack_check_rejects_mismatched_shapes():
     [
         (check_compact, (np.full((2, 7), 0.125), np.zeros((2, 4), dtype=complex))),
         (compact_from_dense, (np.eye(4, dtype=complex) / 4.0,)),
-        (check_bloch, (np.zeros((2, 4, 3)),)),
         (
             lambda w, dw: evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw),
             (np.zeros((2, 4, 3)), np.zeros((2, 4, 3))),
@@ -711,7 +709,6 @@ def test_stack_check_rejects_mismatched_shapes():
     ids=[
         "check_compact",
         "compact_from_dense",
-        "check_bloch",
         "evaluate_stack-bloch",
         "evaluate_stack-compact",
     ],
@@ -794,61 +791,6 @@ def test_dense_stack_conversions_match_each_state_alone():
         assert np.array_equal(back_anti[index], alone.anti)
 
 
-def _spoil_bloch(kind, w):
-    w = w.copy()
-    if kind == "nan":
-        w[2, 3] = np.nan
-    elif kind == "inf":
-        w[1, 0] = np.inf
-    elif kind == "trace":
-        w[0, 0] += 1e-9
-    elif kind == "weight":  # block 1 negative, weight moved to block 0
-        w[0, 0], w[1] = w[0, 0] + w[1, 0] + 1e-6, [-1e-6, 0.0, 0.0, 0.0]
-    else:  # Bloch vector of block 3 longer than its weight
-        w[3, 1] = 1.01 * w[3, 0]
-    return w
-
-
-# What check_bloch raises on each spoiled state of the seed-21 stack.
-BLOCH_SPOIL_TEXT = {
-    "nan": "w[2, 3] is nan, not finite",
-    "inf": "w[1, 0] is inf, not finite",
-    "trace": "block weights sum to 1.000000001, expected 1",
-    "weight": "block 1: negative weight -1.000e-06",
-    "vector": "block 3: Bloch vector longer than weight",
-}
-
-
-@pytest.mark.parametrize(
-    "kind, error",
-    [
-        ("nan", NotXFormError),
-        ("inf", NotXFormError),
-        ("trace", TraceViolationError),
-        ("weight", BlockNotPSDError),
-        ("vector", BlockNotPSDError),
-    ],
-)
-def test_bloch_stack_check_names_the_bad_element(kind, error):
-    rng = np.random.default_rng(21)
-    states = [random_xstate(rng) for _ in range(6)]
-    w = bloch_from_compact(
-        np.stack([s.diag for s in states]), np.stack([s.anti for s in states])
-    ).reshape(2, 3, 4, 4)
-    check_bloch(w)
-    bad = _spoil_bloch(kind, w[1, 2])
-    with pytest.raises(error) as alone:
-        check_bloch(bad)
-    assert str(alone.value) == BLOCH_SPOIL_TEXT[kind]
-    w[1, 2] = bad
-    with pytest.raises(error) as stacked:
-        check_bloch(w)
-    assert type(stacked.value) is type(alone.value)
-    assert str(stacked.value) == f"element (1, 2): {alone.value}"
-    with pytest.raises(error, match=r"^element 5: "):
-        check_bloch(w.reshape(6, 4, 4))
-
-
 # Every stacked check names its first failing element in C order, then that
 # element's first failing entry.  Each input below fails at elements (0, 2)
 # and (1, 0) of a (2, 3) stack, (0, 2) at two entries and (1, 0) at an
@@ -903,14 +845,6 @@ def _first_failure_case(kind):
             dense[index + (7 - k, k)] += 1e-6
         text = "block 1: coherence pair is not conjugate"
         return compact_from_dense, (dense,), NotXFormError, at + text
-    if kind == "bloch-not-finite":
-        w[FIRST + (2, 3)] = w[FIRST + (3, 1)] = w[LATER + (0, 2)] = np.nan
-        return check_bloch, (w,), NotXFormError, at + "w[2, 3] is nan, not finite"
-    if kind == "bloch-block":
-        for index, j in ((FIRST, 1), (FIRST, 3), (LATER, 0)):
-            w[index + (j, 1)] = 2.0 * w[index + (j, 0)]
-        text = "block 1: Bloch vector longer than weight"
-        return check_bloch, (w,), BlockNotPSDError, at + text
     if kind == "kernel-bloch":
         w[FIRST + (2, 3)] = w[FIRST + (3, 1)] = w[LATER + (0, 2)] = np.inf
         return evaluate_stack, (("qfi",), w, dw), NotXFormError, at + "w[2, 3] is inf, not finite"
@@ -958,8 +892,15 @@ def _first_failure_case(kind):
             states[index] = np.diag([0.25, 0.25, 0.25, 0.25 - low, low, 0.0, 0.0, 0.0])
         text = "state eigenvalue -1.000e-09 below -1e-12"
         return oracle.oracle_column, (states, np.zeros((8, 8)), [1e-6] * 3), NotPSDError, at + text
-    assert kind == "eigh-hermitian"
     matrices = np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3, 3)).copy()
+    if kind == "eigh-not-finite":
+        matrices[FIRST + (1, 2)] = matrices[FIRST + (2, 0)] = matrices[LATER + (0, 1)] = np.nan
+        # Element (0, 1), earlier in C order, is only not Hermitian: the
+        # non-finite row reports first, as in every other validator.
+        matrices[0, 1, 0, 1] = 1.0
+        text = "matrix[1, 2] is (nan+0j), not finite"
+        return linalg.eigh_stack, (matrices,), NotHermitianError, at + text
+    assert kind == "eigh-hermitian"
     matrices[FIRST + (0, 1)] = matrices[LATER + (1, 0)] = 1.0
     text = "matrix is not Hermitian within 1e-12"
     return linalg.eigh_stack, (matrices,), NotHermitianError, at + text
@@ -973,8 +914,6 @@ FIRST_FAILURE_KINDS = [
     "dense-off-pattern",
     "dense-imaginary-diagonal",
     "dense-conjugate-pair",
-    "bloch-not-finite",
-    "bloch-block",
     "kernel-bloch",
     "kernel-tangent",
     "kernel-concurrence",
@@ -984,6 +923,7 @@ FIRST_FAILURE_KINDS = [
     "oracle-spectrum",
     "oracle-trace",
     "oracle-column",
+    "eigh-not-finite",
     "eigh-hermitian",
 ]
 

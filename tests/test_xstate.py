@@ -12,7 +12,7 @@ from xqmetro.xstate import (
     XState,
     XTangent,
     bloch_from_compact,
-    check_bloch,
+    check_compact,
     compact_from_bloch,
     random_xstate,
     xstate_from_dense,
@@ -220,12 +220,31 @@ class TestBlockBloch:
             w = bloch_from_compact(state.diag, state.anti)
             assert abs(w[:, 0].sum() - 1.0) < 1e-12
 
+    # Bloch coordinates are validated through their compact form.
     def test_block_bloch_validates(self):
         w = np.zeros((4, 4))
         w[:, 0] = 0.25
         w[0, 1] = 0.5  # |vec| exceeds w0
         with pytest.raises(BlockNotPSDError):
-            check_bloch(w)
+            check_compact(*compact_from_bloch(w))
+
+    def test_compact_check_accepts_the_bloch_cone(self):
+        # w0 >= |(w1, w2, w3)| holds iff both populations are >= 0 and their
+        # product is >= |coherence|^2: the compact check accepts exactly the
+        # Bloch cone, away from its 1e-12 tolerance band.
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            weight = (0.1 + rng.dirichlet(np.ones(4))) / 1.4  # every weight >= 1/14
+            direction = rng.normal(size=(4, 3))
+            direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+            inside = rng.random(4) < 0.8
+            ratio = np.where(inside, rng.uniform(0.0, 0.999, 4), rng.uniform(1.001, 1.5, 4))
+            w = np.concatenate([weight[:, None], (weight * ratio)[:, None] * direction], axis=1)
+            if inside.all():
+                check_compact(*compact_from_bloch(w))
+            else:
+                with pytest.raises(BlockNotPSDError):
+                    check_compact(*compact_from_bloch(w))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", [0, 1, 2, 3])
@@ -233,8 +252,11 @@ class TestBlockBloch:
         w = np.zeros((4, 4))
         w[:, 0] = 0.25
         w[2, column] = value
-        with pytest.raises(NotXFormError, match=rf"^w\[2, {column}\] is .*not finite"):
-            check_bloch(w)
+        name = "diag" if column in (0, 3) else "anti"  # w0 and w3 set populations 2 and 5
+        with np.errstate(invalid="ignore"):  # 1j * inf
+            diag, anti = compact_from_bloch(w)
+        with pytest.raises(NotXFormError, match=rf"^{name}\[2\] is .*not finite"):
+            check_compact(diag, anti)
 
 
 class TestXTangent:
