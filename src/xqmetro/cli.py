@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import stat
@@ -43,7 +44,7 @@ from .ghz import (
     depolarizing_qfi_gap,
     ghz_grid,
 )
-from .metrics import METRIC_NAMES, evaluate_stack, random_family
+from .metrics import METRIC_NAMES, _check_names, _xstate, evaluate_stack, random_family
 
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.cli.qfi_total.
@@ -65,65 +66,21 @@ def _sig12(value: float) -> str:
     return f"{value:.12g}"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep request: channel, metric subset, q list, inclusive p grid."""
-
-    channel: ChannelKind
-    metrics: tuple[str, ...]
-    q_values: tuple[float, ...]
-    p_start: float
-    p_stop: float
-    p_count: int
-    fmt: str = "csv"
-    output: str | None = None
-
-    def __post_init__(self) -> None:
-        for name in self.metrics:
-            if name not in METRIC_NAMES:
-                raise BadParameterError(
-                    f"--metrics: unknown metric {name!r}; choose from {', '.join(METRIC_NAMES)}"
-                )
-        if not self.metrics:
-            raise BadParameterError("--metrics: at least one metric is required")
-        if not self.q_values:
-            raise BadParameterError("--q: at least one value is required")
-        for q in self.q_values:
-            if not np.isfinite(q) or not GHZ_QMIN <= q <= 1.0:
-                raise BadParameterError(f"--q: values must lie in [{GHZ_QMIN}, 1], got {q!r}")
-        if self.p_count < 2:
-            raise BadParameterError(f"--p: count must be at least 2, got {self.p_count}")
-        if not (
-            np.isfinite(self.p_start)
-            and np.isfinite(self.p_stop)
-            and 0.0 <= self.p_start <= self.p_stop <= 1.0
-        ):
-            raise BadParameterError(
-                f"--p: need 0 <= start <= stop <= 1, got {self.p_start!r}:{self.p_stop!r}"
-            )
-        if self.fmt not in ("csv", "json"):
-            raise BadParameterError(f"--format: must be csv or json, got {self.fmt!r}")
-
-
-def _sweep_grid(spec: SweepSpec) -> tuple[list[float], dict[str, np.ndarray]]:
-    """The sweep's p values, and one :func:`ghz_grid` call's metric arrays."""
-    p_values = np.linspace(spec.p_start, spec.p_stop, spec.p_count).tolist()
-    return p_values, ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics)
-
-
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the requested metrics on the (q, p) grid, q outer, p inner.
+def run_sweep(kind: ChannelKind, metrics, q_values, p_values) -> list[dict]:
+    """Evaluate ``metrics`` of channel ``kind`` on the (q, p) grid, q outer, p inner.
 
     Values come from the trusted pipeline (closed-form channel route plus
     analytic d/dq), evaluated over the whole grid by :func:`ghz_grid` and
     rounded to 12 significant digits, ``float(f"{x:.12g}")``, the numbers
-    the CSV cells print; metrics not requested are None.
+    the CSV cells print; metrics not requested are None.  The arguments are
+    what the ``sweep`` flags parse to, and :func:`ghz_grid` checks them as it
+    checks any caller's.
     """
-    p_values, grid = _sweep_grid(spec)
-    q_values = [float(f"{q:.12g}") for q in spec.q_values]
+    grid = ghz_grid(kind, q_values, p_values, metrics)
+    q_values = [float(f"{q:.12g}") for q in q_values]
     p_values = [float(f"{p:.12g}") for p in p_values]
     rows = [
-        {"channel": spec.channel.value, "q": q, "p": p, **dict.fromkeys(METRIC_NAMES)}
+        {"channel": kind.value, "q": q, "p": p, **dict.fromkeys(METRIC_NAMES)}
         for q in q_values
         for p in p_values
     ]
@@ -133,7 +90,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def render_csv(spec: SweepSpec) -> str:
+def render_csv(kind: ChannelKind, metrics, q_values, p_values) -> str:
     """The sweep as CSV: a header, then one line per (q, p), q outer, p inner.
 
     Each q and p is formatted once, and every metric value by one ``%`` over
@@ -141,10 +98,10 @@ def render_csv(spec: SweepSpec) -> str:
     ``f"{x:.12g}"``) per requested metric, an empty cell per other one.  No
     field needs quoting: they are numbers, empty cells and the channel label.
     """
-    p_values, grid = _sweep_grid(spec)
-    q_cells = [f"{q:.12g}" for q in spec.q_values]
+    grid = ghz_grid(kind, q_values, p_values, metrics)
+    q_cells = [f"{q:.12g}" for q in q_values]
     p_cells = [f"{p:.12g}" for p in p_values]
-    line = f"{spec.channel.value},%s,%s"
+    line = f"{kind.value},%s,%s"
     line += "".join(",%.12g" if name in grid else "," for name in METRIC_NAMES) + "\n"
     columns = [grid[name].ravel().tolist() for name in METRIC_NAMES if name in grid]
     q_column = [q for q in q_cells for _ in p_cells]
@@ -252,7 +209,8 @@ def family_oracle_errors(points) -> tuple[float, float]:
     built = []
     for k, (family, phi) in enumerate(points):
         try:
-            built.append((family.state(phi), family.tangent_at(phi)))
+            state = _xstate(family.state(phi), f"at phi={phi!r}: ")
+            built.append((state, family.tangent_at(phi)))
         except XQMetroError as exc:
             raise type(exc)(f"element {k}: {exc}") from exc
     bloch = np.reshape([bloch_from_compact(s.diag, s.anti) for s, _ in built], (-1, 4, 4))
@@ -351,35 +309,64 @@ def render_ghz_point(kind: ChannelKind, q: float, p: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flag_type(parse):
+    """The argparse ``type=`` of ``parse``: a ``ValueError`` or :class:`XQMetroError`
+    it raises becomes argparse's ``argument --flag: ...`` line and exit status 2."""
+
+    @functools.wraps(parse)
+    def checked(text: str):
+        try:
+            return parse(text)
+        except (ValueError, XQMetroError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return checked
+
+
+@_flag_type
 def _parse_channel(text: str) -> ChannelKind:
-    try:
-        return ChannelKind.from_label(text)
-    except XQMetroError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return ChannelKind.from_label(text)
 
 
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+@_flag_type
+def _parse_metrics(text: str) -> tuple[str, ...]:
+    names = tuple(piece.strip() for piece in text.split(",") if piece.strip())
+    _check_names(names)
+    if not names:
+        raise BadParameterError("at least one metric is required")
+    return names
+
+
+@_flag_type
+def _parse_q(text: str) -> float:
+    q = float(text)
+    if not GHZ_QMIN <= q <= 1.0:  # False for NaN and +-inf too
+        raise BadParameterError(f"q must lie in [{GHZ_QMIN}, 1], got {q!r}")
+    return q
 
 
 def _parse_q_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(piece) for piece in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+    return tuple(_parse_q(piece) for piece in text.split(","))
 
 
-def _parse_p_grid(text: str) -> tuple[float, float, int]:
-    pieces = text.split(":")
-    if len(pieces) != 3:
-        raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}")
+@_flag_type
+def _parse_p(text: str) -> float:
+    return ChannelParam(float(text)).p
+
+
+@_flag_type
+def _parse_p_grid(text: str) -> list[float]:
+    """``start:stop:count``, 0 <= start <= stop <= 1 and count >= 2: the inclusive p grid."""
     try:
-        return float(pieces[0]), float(pieces[1]), int(pieces[2])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}") from exc
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise BadParameterError(f"expected start:stop:count, got {text!r}") from None
+    if count < 2:
+        raise BadParameterError(f"count must be at least 2, got {count}")
+    if not 0.0 <= start <= stop <= 1.0:  # False for NaN and +-inf too
+        raise BadParameterError(f"need 0 <= start <= stop <= 1, got {start!r}:{stop!r}")
+    return np.linspace(start, stop, count).tolist()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--channel", type=_parse_channel, required=True, help="pdc, dpc, or pfc")
     sweep.add_argument(
         "--metrics",
-        type=str,
-        default=",".join(METRIC_NAMES),
+        type=_parse_metrics,
+        default=METRIC_NAMES,
         help=f"comma-separated subset of {','.join(METRIC_NAMES)}",
     )
     sweep.add_argument("--q", type=_parse_q_list, required=True, help="comma-separated q values")
@@ -410,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     point = sub.add_parser("ghz-point", help="pipeline / closed form / oracle at one point")
     point.add_argument("--channel", type=_parse_channel, required=True, help="pdc, dpc, or pfc")
-    point.add_argument("--q", type=_parse_float, required=True)
-    point.add_argument("--p", type=_parse_float, required=True)
+    point.add_argument("--q", type=_parse_q, required=True)
+    point.add_argument("--p", type=_parse_p, required=True)
     return parser
 
 
@@ -463,18 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "sweep":
-            spec = SweepSpec(
-                channel=args.channel,
-                metrics=tuple(piece.strip() for piece in args.metrics.split(",") if piece.strip()),
-                q_values=args.q,
-                p_start=args.p[0],
-                p_stop=args.p[1],
-                p_count=args.p[2],
-                fmt=args.format,
-                output=args.output,
-            )
-            text = render_csv(spec) if spec.fmt == "csv" else render_json(run_sweep(spec))
-            _emit(text, spec.output)
+            sweep = (args.channel, args.metrics, args.q, args.p)
+            text = render_csv(*sweep) if args.format == "csv" else render_json(run_sweep(*sweep))
+            _emit(text, args.output)
             return 0
         if args.command == "validate":
             report = run_validation(args.grid, args.seed)

@@ -21,8 +21,8 @@ shapes and finite entries) and one core that routes, runs the closed forms
 and sums, checking nothing.  The callers that check their own inputs call
 the core directly: ``ghz.ghz_grid``, with a whole sweep grid's stacks, and
 :func:`qfi_total`, :func:`skew_total` and :func:`concurrence_ghz_class`,
-the kernel's single-state views, which check each input once and skip what
-an :class:`XState` was validated for when built.
+the kernel's single-state views, which take only :class:`XState` states,
+validated when built, and check each tangent once.
 """
 
 from __future__ import annotations
@@ -269,6 +269,12 @@ def _kernel(metrics, w, dw, diag, anti) -> dict[str, np.ndarray]:
     return out
 
 
+def _xstate(state, where: str = "") -> XState:
+    if not isinstance(state, XState):
+        raise NotXFormError(f"{where}expected an XState, got {type(state).__name__}")
+    return state
+
+
 @dataclass(frozen=True)
 class ParamFamily:
     """One-parameter family of X states ``phi -> rho(phi)``.
@@ -314,24 +320,11 @@ class ParamFamily:
     def bloch_at(self, phi: float) -> np.ndarray:
         """Bloch coordinates ``(4, 4)`` of the state at ``phi``.
 
-        An :class:`XState` was validated when built.  Any other state gets
-        the kernel's checks here: shapes other than ``(8,)`` and ``(4,)``,
-        or a NaN or infinite coordinate, raise :class:`NotXFormError` naming
-        ``phi``.
+        The state must be an :class:`XState`, validated when built: any other
+        object raises :class:`NotXFormError` naming ``phi`` and its type.
         """
-        s = self.state(phi)
-        if isinstance(s, XState):
-            return bloch_from_compact(s.diag, s.anti)
-        shapes = np.shape(s.diag), np.shape(s.anti)
-        if shapes != ((8,), (4,)):
-            raise NotXFormError(
-                f"at phi={phi!r}: state diag shape {shapes[0]} and anti shape"
-                f" {shapes[1]}, expected (8,) and (4,)"
-            )
-        w = bloch_from_compact(s.diag, s.anti)
-        if not np.isfinite(w).all():
-            _first_failure(_not_finite(f"at phi={phi!r}: w", w, 2))
-        return w
+        s = _xstate(self.state(phi), f"at phi={phi!r}: ")
+        return bloch_from_compact(s.diag, s.anti)
 
 
 def _total(name: str, family: ParamFamily, phi: float) -> float:
@@ -371,14 +364,11 @@ def concurrence_ghz_class(state: XState) -> float:
 
     C = 2 max(0, |rho_18| - sqrt(rho_22 rho_77) - sqrt(rho_33 rho_66)
                  - sqrt(rho_44 rho_55)).
-    An :class:`XState` goes straight to the core's closed form; any other
-    state is checked as :func:`evaluate_stack` checks it.
+    Any state but an :class:`XState` raises :class:`NotXFormError` naming
+    its type.
     """
-    if isinstance(state, XState):
-        return float(_concurrence(state.diag, state.anti))
-    return float(
-        evaluate_stack(("concurrence",), diag=state.diag, anti=state.anti)["concurrence"]
-    )
+    state = _xstate(state)
+    return float(_concurrence(state.diag, state.anti))
 
 
 def random_family(rng: np.random.Generator) -> ParamFamily:

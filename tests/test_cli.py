@@ -19,7 +19,6 @@ from xqmetro.channels import ChannelKind, apply_kraus_dense
 from xqmetro.cli import (
     CSV_HEADER,
     METRIC_NAMES,
-    SweepSpec,
     build_parser,
     channel_route_errors,
     main,
@@ -40,54 +39,56 @@ from xqmetro.metrics import (
 from xqmetro.xstate import XTangent, random_xstate
 
 
-def default_spec(**overrides):
-    base = dict(
-        channel=ChannelKind.PHASE_DAMPING,
-        metrics=("qfi", "skew", "concurrence"),
-        q_values=(0.2, 0.5),
-        p_start=0.0,
-        p_stop=0.9,
-        p_count=4,
-    )
-    base.update(overrides)
-    return SweepSpec(**base)
+def sweep(
+    kind=ChannelKind.PHASE_DAMPING, metrics=METRIC_NAMES, q_values=(0.2, 0.5), p_grid=(0.0, 0.9, 4)
+):
+    """Arguments of run_sweep and render_csv, as the sweep flags parse to them."""
+    return kind, metrics, q_values, np.linspace(*p_grid).tolist()
 
 
-class TestSweepSpec:
+SWEEP_ARGV = ["sweep", "--channel", "pdc", "--q", "0.2,0.5", "--p", "0:0.9:4"]
+
+
+class TestSweepFlags:
+    """Each sweep flag's argparse type parses and checks it once: a bad
+    value exits 2 on argparse's ``argument --flag:`` line."""
+
     def test_accepts_valid(self):
-        spec = default_spec()
-        assert spec.p_count == 4
+        args = build_parser().parse_args(SWEEP_ARGV + ["--metrics", " skew , qfi,"])
+        assert (args.channel, args.metrics, args.q, args.p) == sweep(metrics=("skew", "qfi"))
 
     @pytest.mark.parametrize(
-        "overrides, field",
+        "flag, value, text",
         [
-            (dict(metrics=("qfi", "entropy")), "--metrics"),
-            (dict(metrics=()), "--metrics"),
-            (dict(q_values=(0.0, 0.5)), "--q"),
-            (dict(q_values=(0.5, 1.2)), "--q"),
-            (dict(q_values=()), "--q"),
-            (dict(p_start=-0.1), "--p"),
-            (dict(p_stop=1.1), "--p"),
-            (dict(p_start=0.8, p_stop=0.2), "--p"),
-            (dict(p_count=1), "--p"),
-            (dict(fmt="xml"), "--format"),
+            ("--metrics", "qfi,entropy", "unknown metric 'entropy'"),
+            ("--metrics", "", "at least one metric is required"),
+            ("--q", "0.0,0.5", "q must lie in [0.001, 1], got 0.0"),
+            ("--q", "0.5,1.2", "q must lie in [0.001, 1], got 1.2"),
+            ("--q", "", "could not convert string to float: ''"),
+            ("--p", "-0.1:0.9:4", "need 0 <= start <= stop <= 1, got -0.1:0.9"),
+            ("--p", "0:1.1:4", "need 0 <= start <= stop <= 1, got 0.0:1.1"),
+            ("--p", "0.8:0.2:4", "need 0 <= start <= stop <= 1, got 0.8:0.2"),
+            ("--p", "0:0.9:1", "count must be at least 2, got 1"),
+            ("--format", "xml", "invalid choice: 'xml'"),
         ],
     )
-    def test_rejects_and_names_field(self, overrides, field):
-        with pytest.raises(BadParameterError) as err:
-            default_spec(**overrides)
-        assert field in str(err.value)
+    def test_rejects_and_names_flag(self, flag, value, text, capsys):
+        code = exit_code(SWEEP_ARGV + [f"{flag}={value}"])
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert code == 2
+        assert last.startswith(f"xqmetro sweep: error: argument {flag}: ")
+        assert text in last
 
 
 class TestRunSweep:
     def test_row_order_and_count(self):
-        rows = run_sweep(default_spec())
+        rows = run_sweep(*sweep())
         assert len(rows) == 8
         assert [r["q"] for r in rows] == [0.2] * 4 + [0.5] * 4
         assert [r["p"] for r in rows[:4]] == [0.0, 0.3, 0.6, 0.9]
 
     def test_values_match_library(self):
-        rows = run_sweep(default_spec(q_values=(0.3,), p_count=3))
+        rows = run_sweep(*sweep(q_values=(0.3,), p_grid=(0.0, 0.9, 3)))
         family = ghz_family(ChannelKind.PHASE_DAMPING, 0.45)
         mid = rows[1]
         assert mid["p"] == 0.45
@@ -96,25 +97,19 @@ class TestRunSweep:
         assert abs(mid["concurrence"] - concurrence_ghz_class(family.state(0.3))) < 1e-9
 
     def test_absent_metrics_are_none(self):
-        rows = run_sweep(default_spec(metrics=("qfi",)))
+        rows = run_sweep(*sweep(metrics=("qfi",)))
         assert rows[0]["skew"] is None and rows[0]["concurrence"] is None
 
     def test_depolarizing_concurrence_monotone(self):
-        spec = default_spec(
-            channel=ChannelKind.DEPOLARIZING,
-            q_values=(0.2,),
-            p_start=0.0,
-            p_stop=1.0,
-            p_count=11,
-        )
-        conc = [row["concurrence"] for row in run_sweep(spec)]
+        spec = sweep(ChannelKind.DEPOLARIZING, q_values=(0.2,), p_grid=(0.0, 1.0, 11))
+        conc = [row["concurrence"] for row in run_sweep(*spec)]
         assert all(b <= a + 1e-12 for a, b in zip(conc, conc[1:]))
         assert conc[-1] == 0.0
 
 
 class TestRendering:
     def test_csv_header_and_digits(self):
-        text = render_csv(default_spec())
+        text = render_csv(*sweep())
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(CSV_HEADER)
         assert lines[0] == "channel,q,p,qfi,skew,concurrence"
@@ -127,13 +122,13 @@ class TestRendering:
             assert len(mantissa.split("e")[0]) <= 12
 
     def test_csv_blank_cells_for_absent_metrics(self):
-        line = render_csv(default_spec(metrics=("skew",))).strip().split("\n")[1]
+        line = render_csv(*sweep(metrics=("skew",))).strip().split("\n")[1]
         cells = line.split(",")
         assert cells[3] == "" and cells[5] == ""
         assert cells[4] != ""
 
     def test_json_mirrors_csv(self):
-        rows = run_sweep(default_spec(metrics=("qfi",)))
+        rows = run_sweep(*sweep(metrics=("qfi",)))
         payload = json.loads(json.dumps(rows))
         assert payload[0]["skew"] is None
         assert payload[0]["qfi"] == rows[0]["qfi"]
@@ -143,17 +138,16 @@ def _sig12(value):
     return f"{value:.12g}"
 
 
-def two_pass_rows(spec):
+def two_pass_rows(kind, metrics, q_values, p_values):
     """Reference sweep rows: every value rounded through ``float(_sig12(x))``."""
-    p_values = [float(p) for p in np.linspace(spec.p_start, spec.p_stop, spec.p_count)]
     grid = {
         name: values.tolist()
-        for name, values in ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics).items()
+        for name, values in ghz_grid(kind, q_values, p_values, metrics).items()
     }
     rows = []
-    for i, q in enumerate(float(_sig12(q)) for q in spec.q_values):
+    for i, q in enumerate(float(_sig12(q)) for q in q_values):
         for j, p in enumerate(float(_sig12(p)) for p in p_values):
-            row = {"channel": spec.channel.value, "q": q, "p": p}
+            row = {"channel": kind.value, "q": q, "p": p}
             row.update(dict.fromkeys(METRIC_NAMES))
             for name, values in grid.items():
                 row[name] = float(_sig12(values[i][j]))
@@ -209,8 +203,8 @@ class TestOnePassBytes:
         q_text = ",".join(repr(q) for q in GATE_Q)
         argv = ["sweep", "--channel", channel, "--metrics", ",".join(metrics), "--q", q_text]
         assert main(argv + ["--p", "0:1:37", "--format", fmt, "--output", str(out)]) == 0
-        spec = SweepSpec(ChannelKind.from_label(channel), metrics, GATE_Q, 0.0, 1.0, 37)
-        rows = two_pass_rows(spec)
+        kind = ChannelKind.from_label(channel)
+        rows = two_pass_rows(*sweep(kind, metrics, GATE_Q, (0.0, 1.0, 37)))
         expected = two_pass_csv(rows) if fmt == "csv" else json.dumps(rows, indent=2) + "\n"
         assert first_difference(out.read_text(encoding="utf-8"), expected) is None
 
@@ -234,15 +228,14 @@ class TestOnePassBytes:
         assert mismatched == []
 
 
-def per_cell_csv(spec):
+def per_cell_csv(kind, metrics, q_values, p_values):
     """Reference CSV: every cell formatted on its own with ``f"{x:.12g}"``."""
-    p_values = np.linspace(spec.p_start, spec.p_stop, spec.p_count).tolist()
-    grid = ghz_grid(spec.channel, spec.q_values, p_values, spec.metrics)
+    grid = ghz_grid(kind, q_values, p_values, metrics)
     lines = [",".join(CSV_HEADER)]
-    for i, q in enumerate(spec.q_values):
+    for i, q in enumerate(q_values):
         for j, p in enumerate(p_values):
-            metrics = [f"{grid[name][i, j]:.12g}" if name in grid else "" for name in METRIC_NAMES]
-            lines.append(",".join([spec.channel.value, f"{q:.12g}", f"{p:.12g}", *metrics]))
+            cells = [f"{grid[name][i, j]:.12g}" if name in grid else "" for name in METRIC_NAMES]
+            lines.append(",".join([kind.value, f"{q:.12g}", f"{p:.12g}", *cells]))
     return "\n".join(lines) + "\n"
 
 
@@ -260,10 +253,10 @@ class TestCsvFormatPass:
     @pytest.mark.parametrize("channel", ["pdc", "dpc", "pfc"])
     def test_matches_per_cell_reference(self, channel, metrics):
         # GATE_Q holds GHZ_QMIN and 1; the p grid holds 0 and 1.
-        spec = SweepSpec(ChannelKind.from_label(channel), metrics, GATE_Q, 0.0, 1.0, 37)
-        text = render_csv(spec)
+        spec = sweep(ChannelKind.from_label(channel), metrics, GATE_Q, (0.0, 1.0, 37))
+        text = render_csv(*spec)
         assert text.count("\n") == 1 + len(GATE_Q) * 37
-        assert first_difference(text, per_cell_csv(spec)) is None
+        assert first_difference(text, per_cell_csv(*spec)) is None
 
     def test_percent_format_is_the_format_spec(self):
         rng = np.random.default_rng(1213)
@@ -419,8 +412,26 @@ class TestExitCodes:
         code = exit_code(["sweep", "--channel", "pdc", "--q", "2.0", "--p", "0:0.9:4"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith("error:")
-        assert "--q" in captured.err
+        assert captured.err.splitlines()[-1] == (
+            "xqmetro sweep: error: argument --q: q must lie in [0.001, 1], got 2.0"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value, text",
+        [
+            ("--q", "0.0005", "q must lie in [0.001, 1], got 0.0005"),
+            ("--p", "1.5", "p must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_ghz_point_range_error_names_flag(self, flag, value, text, capsys):
+        argv = ["ghz-point", "--channel", "pdc", "--q", "0.4", "--p", "0.25", flag, value]
+        code = exit_code(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines()[-1] == (
+            f"xqmetro ghz-point: error: argument {flag}: {text}"
+        )
+        assert captured.out == ""
 
     def test_success_exit_zero(self, capsys):
         assert main(["ghz-point", "--channel", "pdc", "--q", "0.4", "--p", "0.25"]) == 0
@@ -708,6 +719,14 @@ class TestOneOracleColumnPerChannel:
         ):
             cli.family_oracle_errors([(family, 0.3), (family, 0.5), (broken, 0.4)])
 
+    def test_state_that_is_not_an_xstate_names_its_point(self):
+        family = random_family(np.random.default_rng(96))
+        dense = ParamFamily(state=lambda phi: family.state(phi).to_dense(), tangent=family.tangent)
+        with pytest.raises(
+            NotXFormError, match=r"^element 1: at phi=0\.4: expected an XState, got ndarray$"
+        ):
+            cli.family_oracle_errors([(family, 0.3), (dense, 0.4)])
+
     def test_complex_tangent_names_its_point(self):
         # Two points at one phi: only the index tells them apart.
         family = random_family(np.random.default_rng(95))
@@ -796,7 +815,7 @@ class TestParser:
         args = build_parser().parse_args(
             ["sweep", "--channel", "pdc", "--q", "0.5", "--p", "0:0.9:4"]
         )
-        assert args.metrics == "qfi,skew,concurrence"
+        assert args.metrics == ("qfi", "skew", "concurrence")
         assert args.format == "csv"
 
     def test_validate_defaults(self):

@@ -273,7 +273,8 @@ class TestTangentShape:
 
 
 class UncheckedState(NamedTuple):
-    """A state-like object that, unlike :class:`XState`, was never validated."""
+    """A state-like object that, unlike :class:`XState`, was never validated:
+    the metrics reject it."""
 
     diag: np.ndarray
     anti: np.ndarray
@@ -338,38 +339,25 @@ class TestCheckedBoundary:
         with pytest.raises(NotXFormError, match=r"^at phi=0\.5: tangent diag\[4\] is .*nanj"):
             total(ParamFamily(state=family.state, tangent=tangent), 0.5)
 
+    @pytest.mark.parametrize(
+        "form, name",
+        [(lambda s: UncheckedState(s.diag, s.anti), "UncheckedState"), (XState.to_dense, "ndarray")],
+        ids=["unchecked", "dense"],
+    )
     @pytest.mark.parametrize("total", [qfi_total, skew_total])
-    def test_unchecked_state_with_nan_population_raises(self, total):
+    def test_family_state_that_is_not_an_xstate_raises(self, total, form, name):
+        # A valid state's entries, but not an XState.
         family = random_family(np.random.default_rng(73))
-
-        def state(phi):
-            diag = family.state(phi).diag.copy()
-            diag[2] = np.nan
-            return UncheckedState(diag, family.state(phi).anti)
-
-        with pytest.raises(NotXFormError, match=r"w\[2, 0\] is nan, not finite$"):
-            total(ParamFamily(state=state, tangent=family.tangent), 0.5)
-
-    @pytest.mark.parametrize("total", [qfi_total, skew_total])
-    def test_unchecked_state_with_wrong_shape_raises(self, total):
-        family = random_family(np.random.default_rng(76))
-
-        def state(phi):
-            return UncheckedState(family.state(phi).diag[:7], family.state(phi).anti)
-
+        broken = ParamFamily(state=lambda phi: form(family.state(phi)), tangent=family.tangent)
         with pytest.raises(NotXFormError) as err:
-            total(ParamFamily(state=state, tangent=family.tangent), 0.5)
-        assert str(err.value) == (
-            "at phi=0.5: state diag shape (7,) and anti shape (4,), expected (8,) and (4,)"
-        )
+            total(broken, 0.5)
+        assert str(err.value) == f"at phi=0.5: expected an XState, got {name}"
 
-    def test_concurrence_of_unchecked_state_with_wrong_shape_raises(self):
-        state = UncheckedState(np.full(7, 1.0 / 7.0), np.zeros(4, dtype=complex))
+    def test_concurrence_of_a_state_that_is_not_an_xstate_raises(self):
+        state = UncheckedState(np.full(8, 1.0 / 8.0), np.zeros(4, dtype=complex))
         with pytest.raises(NotXFormError) as err:
             concurrence_ghz_class(state)
-        assert str(err.value) == (
-            "expected stacks of 8 populations and 4 coherences, got shapes (7,) and (4,)"
-        )
+        assert str(err.value) == "expected an XState, got UncheckedState"
 
     @pytest.mark.parametrize("kind", ["analytic", "no-tangent", "rank-1"])
     def test_scalar_views_are_kernel_elements_in_raw_bits(self, kind):

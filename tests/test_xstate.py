@@ -253,8 +253,7 @@ class TestBlockBloch:
         w[:, 0] = 0.25
         w[2, column] = value
         name = "diag" if column in (0, 3) else "anti"  # w0 and w3 set populations 2 and 5
-        with np.errstate(invalid="ignore"):  # 1j * inf
-            diag, anti = compact_from_bloch(w)
+        diag, anti = compact_from_bloch(w)
         with pytest.raises(NotXFormError, match=rf"^{name}\[2\] is .*not finite"):
             check_compact(diag, anti)
 
