@@ -30,7 +30,6 @@ from .errors import (
     XQMetroError,
 )
 from .ghz import (
-    CrosscheckReport,
     MetricCheck,
     Verdict,
     closed_form_concurrence,
@@ -69,7 +68,6 @@ __all__ = [
     "BlockNotPSDError",
     "ChannelKind",
     "ChannelParam",
-    "CrosscheckReport",
     "MetricCheck",
     "NotConvergedError",
     "NotHermitianError",

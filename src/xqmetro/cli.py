@@ -216,15 +216,18 @@ def family_oracle_errors(points) -> tuple[float, float]:
     bloch = np.reshape([bloch_from_compact(s.diag, s.anti) for s, _ in built], (-1, 4, 4))
     tangent = np.reshape([t.to_bloch_array() for _, t in built], (-1, 4, 4))
     values = evaluate_stack(("qfi", "skew"), bloch=bloch, tangent=tangent)
-    pipeline = np.stack([values["qfi"], values["skew"]], axis=-1)
-    oracle = np.reshape(family_oracles(points, built), (-1, 2))
-    errors = np.abs(pipeline - oracle) / np.maximum(oracle, 1e-9)
-    return _max_error(errors[:, 0]), _max_error(errors[:, 1])
+    fisher, skew = (
+        _max_error(np.abs(values[name] - column) / np.maximum(column, 1e-9))
+        for name, column in zip(("qfi", "skew"), family_oracles(points, built))
+    )
+    return fisher, skew
 
 
 def crosscheck_error(checks, delta) -> float:
-    """Largest ``delta(check)`` over the ``checks`` whose verdict is not singular."""
-    return _max_error([delta(c) for c in checks if c.verdict is not Verdict.SINGULAR])
+    """Largest element of ``delta(check)`` over ``checks`` where the verdict is not singular."""
+    return _max_error(
+        np.concatenate([delta(check)[check.verdict != Verdict.SINGULAR] for check in checks])
+    )
 
 
 def run_validation(grid: int, seed: int) -> ValidationReport:
@@ -247,16 +250,17 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
     fisher, skew = family_oracle_errors(points)
 
     q_values, p_values = _grid_axes(grid)
-    reports = {kind: crosscheck_grid(kind, q_values, p_values) for kind in ChannelKind}
-    every = [report for kind_reports in reports.values() for report in kind_reports]
-    dephasing = reports[ChannelKind.PHASE_DAMPING] + reports[ChannelKind.PHASE_FLIP]
+    grids = {kind: crosscheck_grid(kind, q_values, p_values) for kind in ChannelKind}
+    across = {name: [checks[name] for checks in grids.values()] for name in METRIC_NAMES}
+    dephasing = [ChannelKind.PHASE_DAMPING, ChannelKind.PHASE_FLIP]
     agree = crosscheck_error(
-        [c for r in dephasing for c in r.checks], lambda c: c.closed_form_delta
+        [check for kind in dephasing for check in grids[kind].values()],
+        lambda check: check.closed_form_delta,
     )
-    qfi_err = crosscheck_error([r.qfi for r in every], lambda c: c.oracle_delta)
-    skew_err = crosscheck_error([r.skew for r in every], lambda c: c.oracle_delta)
+    qfi_err = crosscheck_error(across["qfi"], lambda check: check.oracle_delta)
+    skew_err = crosscheck_error(across["skew"], lambda check: check.oracle_delta)
     conc_err = crosscheck_error(
-        [r.concurrence for r in every], lambda c: abs(c.pipeline - c.oracle)
+        across["concurrence"], lambda check: np.abs(check.pipeline - check.oracle)
     )
     suites = (
         SuiteResult("kraus-completeness", completeness, 1e-14),
@@ -268,15 +272,13 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
         SuiteResult("ghz-skew-oracle", skew_err, 1e-5),
         SuiteResult("ghz-concurrence-routes", conc_err, 1e-12),
     )
-    singular = sum(c.verdict is Verdict.SINGULAR for r in every for c in r.checks)
+    verdicts = np.concatenate([check.verdict for checks in across.values() for check in checks])
+    singular = np.count_nonzero(verdicts == Verdict.SINGULAR)
 
-    dpc = reports[ChannelKind.DEPOLARIZING]
-    gap_mismatch = _max_error(
-        [abs(check.qfi.closed_form_delta - depolarizing_qfi_gap(check.q, check.p)) for check in dpc]
-    )
-    qfi_gap = _max_error([check.qfi.closed_form_delta for check in dpc])
-    skew_gap = _max_error([check.skew.closed_form_delta for check in dpc])
-    conc_gap = _max_error([check.concurrence.closed_form_delta for check in dpc])
+    dpc = grids[ChannelKind.DEPOLARIZING]
+    gap = np.array([[depolarizing_qfi_gap(q, p) for p in p_values] for q in q_values])
+    gap_mismatch = _max_error(np.abs(dpc["qfi"].closed_form_delta - gap))
+    qfi_gap, skew_gap, conc_gap = (_max_error(check.closed_form_delta) for check in dpc.values())
     warnings = (
         "depolarizing Fisher information: the reference closed form's diagonal"
         " term reads 3S^4/(16(1-S^2+qS^2)) where pipeline and oracle give"
@@ -289,7 +291,7 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
         f" pipeline; max |pipeline-closed| = {conc_gap:.3e}",
     )
     notes = (
-        f"crosscheck points: {len(every)}"
+        f"crosscheck points: {len(grids) * len(q_values) * len(p_values)}"
         f" ({len(q_values)} q x {len(p_values)} p x 3 channels);"
         f" singular-verdict metrics: {singular}"
         " (pure blocks would route to the rank-aware spectral fallback)",
@@ -298,10 +300,10 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
 
 
 def render_ghz_point(kind: ChannelKind, q: float, p: float) -> str:
-    report = crosscheck(kind, q, p)
+    checks = crosscheck(kind, q, p)
     lines = [f"ghz crosscheck  channel={kind.value}  q={_sig12(q)}  p={_sig12(p)}"]
     lines.append(f"{'metric':<13}{'pipeline':>18}{'closed form':>18}{'oracle':>18}  verdict")
-    for name, check in zip(METRIC_NAMES, report.checks):
+    for name, check in checks.items():
         lines.append(
             f"{name:<13}{_sig12(check.pipeline):>18}{_sig12(check.closed_form):>18}"
             f"{_sig12(check.oracle):>18}  {check.verdict.value}"

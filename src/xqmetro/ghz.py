@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -311,37 +311,22 @@ class Verdict(enum.Enum):
     PIPELINE_NON_FINITE = "pipeline-non-finite"
 
 
-@dataclass(frozen=True)
-class MetricCheck:
-    """One metric compared across the three routes at a grid point."""
+class MetricCheck(NamedTuple):
+    """One metric compared across the three routes: arrays over a (q, p) grid,
+    or their elements at one point."""
 
-    pipeline: float
-    closed_form: float
-    oracle: float
-    verdict: Verdict
-
-    @property
-    def closed_form_delta(self) -> float:
-        return abs(self.pipeline - self.closed_form)
+    pipeline: np.ndarray
+    closed_form: np.ndarray
+    oracle: np.ndarray
+    verdict: np.ndarray  # of Verdict members
 
     @property
-    def oracle_delta(self) -> float:
-        return abs(self.pipeline - self.oracle) / max(abs(self.oracle), 1.0)
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    kind: ChannelKind
-    q: float
-    p: float
-    qfi: MetricCheck
-    skew: MetricCheck
-    concurrence: MetricCheck
+    def closed_form_delta(self) -> np.ndarray:
+        return np.abs(self.pipeline - self.closed_form)
 
     @property
-    def checks(self) -> tuple[MetricCheck, MetricCheck, MetricCheck]:
-        """The qfi, skew and concurrence checks, in that order."""
-        return self.qfi, self.skew, self.concurrence
+    def oracle_delta(self) -> np.ndarray:
+        return np.abs(self.pipeline - self.oracle) / np.maximum(np.abs(self.oracle), 1.0)
 
 
 def _verdict(pipeline: float, closed_form: float) -> Verdict:
@@ -358,17 +343,25 @@ def _verdict(pipeline: float, closed_form: float) -> Verdict:
     return Verdict.CLOSED_FORM_DEVIATES
 
 
-def crosscheck(kind: ChannelKind, q: float, p: float) -> CrosscheckReport:
+def crosscheck(kind: ChannelKind, q: float, p: float) -> dict[str, MetricCheck]:
     """Evaluate pipeline, reference closed form, and oracle at one grid point.
 
     The one-point view of :func:`crosscheck_grid`, which documents the routes
-    and the error semantics.
+    and the error semantics: each field is that grid's element ``[0, 0]``.
     """
-    return crosscheck_grid(kind, [q], [p])[0]
+    return {
+        name: MetricCheck._make(field[0, 0] for field in check)
+        for name, check in crosscheck_grid(kind, [q], [p]).items()
+    }
 
 
-def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> list[CrosscheckReport]:
-    """Crosscheck every point of a (q, p) grid; reports in q-outer, p-inner order.
+def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCheck]:
+    """Crosscheck every point of a (q, p) grid, one :class:`MetricCheck` per metric.
+
+    Returns ``{metric: MetricCheck}`` keyed and ordered by ``METRIC_NAMES``;
+    each field is an array of shape ``(len(q_values), len(p_values))``, and
+    ``verdict`` an object array of :class:`Verdict` members.  An empty axis
+    gives empty arrays.
 
     Pipeline values ride the compact closed-form channel route, the whole
     grid in one :func:`ghz_grid` call.  Oracle values ride the dense Kraus
@@ -384,28 +377,33 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> list[CrosscheckRep
     checked before any work, so a bad one raises :class:`BadParameterError`.
     The Werner-GHZ inputs pass the checks of :class:`XState` as a stack, a
     failure naming (rho / left probe / right probe, q index); the Kraus
-    images of the states do too, a failure naming (probe, p index, q index).  So does the oracle column, for the
-    eigensolver's Hermiticity test (1e-12) with :class:`NotHermitianError`
-    and the finishes' spectrum tests with :class:`NotPSDError` or
-    :class:`TraceViolationError`; an eigensolver out of sweeps raises
-    :class:`NotConvergedError`.  Each stacked check names its first failing
-    element in C order, so probe by probe.  The Kraus image of a Hermitian
-    state is Hermitian up to rounding, so a completely positive and
-    trace-preserving channel fails none of these on an in-domain point.
-    Only the closed forms run per metric: one that raises a singular-regime
-    error is undefined at the point, so that metric's closed form reads NaN
-    and its verdict comes from the pipeline value as everywhere else
-    (SINGULAR, or PIPELINE_NON_FINITE for a NaN or infinite one).
+    images of the states do too, a failure naming (probe, p index, q index).
+    So does the oracle column, for the eigensolver's Hermiticity test
+    (1e-12) with :class:`NotHermitianError` and the finishes' spectrum tests
+    with :class:`NotPSDError` or :class:`TraceViolationError`; an
+    eigensolver out of sweeps raises :class:`NotConvergedError`.  Each
+    stacked check names its first failing element in C order, so probe by
+    probe.  The Kraus image of a Hermitian state is Hermitian up to
+    rounding, so a completely positive and trace-preserving channel fails
+    none of these on an in-domain point.  Only the closed forms run per
+    point: one that raises a singular-regime error is undefined at the
+    point, so that metric's closed form reads NaN and its verdict comes from
+    the pipeline value as everywhere else (SINGULAR, or PIPELINE_NON_FINITE
+    for a NaN or infinite one).
     """
     _axis("q_values", q_values)
     _axis("p_values", p_values)
     for q in q_values:
         for p in p_values:
             _check_point(q, p)
-    if not (len(q_values) and len(p_values)):
-        return []
-    # qfi, skew, concurrence: the order of the CrosscheckReport fields.
-    pipeline = [values.tolist() for values in ghz_grid(kind, q_values, p_values).values()]
+    shape = (len(q_values), len(p_values))
+    if not all(shape):
+        empty = np.empty(shape)
+        return {
+            name: MetricCheck(empty, empty, empty, np.empty(shape, dtype=object))
+            for name in METRIC_NAMES
+        }
+    pipeline = ghz_grid(kind, q_values, p_values)
 
     # Oracle inputs: rho(q), then the skew probes rho(q - h) and rho(q + h),
     # as one (3, q) stack of states followed by d rho.
@@ -415,13 +413,6 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> list[CrosscheckRep
     check_compact(diag, anti)
     tangent = XTangent(_TANGENT_DIAG, _TANGENT_ANTI).to_dense()
     stack = np.concatenate([dense_from_compact(diag, anti).reshape((-1, 8, 8)), tangent[None]])
-
-    def check(pipeline_value, closed_form, q, p, oracle_value) -> MetricCheck:
-        try:
-            closed = closed_form(kind, q, p)
-        except (XQMetroError, ZeroDivisionError, FloatingPointError):
-            closed = float("nan")
-        return MetricCheck(pipeline_value, closed, oracle_value, _verdict(pipeline_value, closed))
 
     # One Kraus image per p, then (probe, p, q) stacks of states and the
     # (p, 1) stack of d rho, which broadcasts over q as the steps do.
@@ -433,19 +424,20 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> list[CrosscheckRep
     probes = dense_from_compact(kraus_diag[1:], kraus_anti[1:])
     fisher, skew = oracle_column(np.concatenate([states[:1], probes]), images[:, -1:], steps)
     concurrence = evaluate_stack(("concurrence",), diag=kraus_diag[0], anti=kraus_anti[0])
-    oracle = [column.T.tolist() for column in (fisher, skew, concurrence["concurrence"])]
+    oracle = {"qfi": fisher.T, "skew": skew.T, "concurrence": concurrence["concurrence"].T}
 
+    # Looked up per call, so that a rebound closed form is the one that runs.
     closed_forms = (closed_form_qfi, closed_form_skew, closed_form_concurrence)
-    return [
-        CrosscheckReport(
-            kind,
-            q,
-            p,
-            *(
-                check(route[i][j], closed_form, q, p, column[i][j])
-                for route, closed_form, column in zip(pipeline, closed_forms, oracle)
-            ),
-        )
-        for i, q in enumerate(q_values)
-        for j, p in enumerate(p_values)
-    ]
+    checks = {}
+    for name, closed_form in zip(METRIC_NAMES, closed_forms):
+        closed = np.empty(shape)
+        verdict = np.empty(shape, dtype=object)
+        for i, q in enumerate(q_values):
+            for j, p in enumerate(p_values):
+                try:
+                    closed[i, j] = closed_form(kind, q, p)
+                except (XQMetroError, ZeroDivisionError, FloatingPointError):
+                    closed[i, j] = np.nan
+                verdict[i, j] = _verdict(pipeline[name][i, j], closed[i, j])
+        checks[name] = MetricCheck(pipeline[name], closed, oracle[name], verdict)
+    return checks

@@ -107,20 +107,21 @@ def oracle_column(states: np.ndarray, drho: np.ndarray, steps):
     return fisher, skew_from_spectra((values[1], vectors[1]), (values[2], vectors[2]), steps)
 
 
-def family_oracles(points, built) -> list[tuple[float, float]]:
-    """Fisher and skew oracle values at many ``(family, phi)`` points at once.
+def family_oracles(points, built) -> tuple[np.ndarray, np.ndarray]:
+    """Fisher and skew oracle columns ``(fisher, skew)`` at many ``(family, phi)`` points.
 
     ``built[k]`` is the k-th point's ``(XState, XTangent)`` pair at ``phi``.
-    Element k is, bit for bit, ``(qfi_eigen_oracle(rho, drho),
-    skew_sqrt_oracle(family, phi))`` at the k-th point, with ``rho`` and
-    ``drho`` the dense forms of that pair.  Every point goes through one
-    :func:`oracle_column` call with its skew probes rho(phi -+ h),
-    ``h = diff_step(phi)``; a failure there raises, naming (rho / left
-    probe / right probe, point index).  A NaN or infinite tangent entry
-    raises :class:`NotXFormError` naming the point's index and the entry.
+    Element k of the columns is, bit for bit, ``qfi_eigen_oracle(rho, drho)``
+    and ``skew_sqrt_oracle(family, phi)`` at the k-th point, with ``rho`` and
+    ``drho`` the dense forms of that pair; no points give empty columns.
+    Every point goes through one :func:`oracle_column` call with its skew
+    probes rho(phi -+ h), ``h = diff_step(phi)``; a failure there raises,
+    naming (rho / left probe / right probe, point index).  A NaN or infinite
+    tangent entry raises :class:`NotXFormError` naming the point's index and
+    the entry.
     """
     if not points:
-        return []
+        return np.empty(0), np.empty(0)
     states, steps = [[], [], []], []
     for (family, phi), (state, _) in zip(points, built):
         h = diff_step(phi)
@@ -131,5 +132,4 @@ def family_oracles(points, built) -> list[tuple[float, float]]:
     anti = np.array([tangent.anti for _, tangent in built])
     _first_failure(_not_finite("tangent diag", diag), _not_finite("tangent anti", anti))
     drho = dense_from_compact(diag, anti)
-    fisher, skew = oracle_column(np.array(states), drho, steps)
-    return list(zip(fisher.tolist(), skew.tolist()))
+    return oracle_column(np.array(states), drho, steps)

@@ -191,8 +191,9 @@ def compact_from_bloch(w: np.ndarray):
     diag = np.empty(w.shape[:-2] + (8,))
     diag[..., :4] = (w[..., 0] + w[..., 3]) / 2.0
     diag[..., :3:-1] = (w[..., 0] - w[..., 3]) / 2.0
-    with np.errstate(invalid="ignore"):  # 1j * inf: a non-finite entry, named by check_compact
-        anti = (w[..., 1] - 1j * w[..., 2]) / 2.0
+    anti = np.empty(w.shape[:-2] + (4,), dtype=complex)
+    anti.real = w[..., 1] / 2.0  # apart, so an infinite entry stays infinite
+    anti.imag = -w[..., 2] / 2.0
     return diag, anti
 
 

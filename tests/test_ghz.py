@@ -1,5 +1,7 @@
 """Damped Werner-GHZ family: reference closed forms vs pipeline vs oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from xqmetro.errors import (
 )
 from xqmetro.ghz import (
     GHZ_QMIN,
-    CrosscheckReport,
     MetricCheck,
     Verdict,
     closed_form_concurrence,
@@ -179,11 +180,11 @@ class TestDepolarizingDeviation:
 
     def test_pipeline_oracle_agreement_despite_deviation(self):
         report = crosscheck(ChannelKind.DEPOLARIZING, 0.3, 0.2)
-        assert report.qfi.verdict is Verdict.CLOSED_FORM_DEVIATES
-        assert report.qfi.oracle_delta < 1e-6
-        assert report.skew.verdict is Verdict.CLOSED_FORM_DEVIATES
-        assert report.skew.oracle_delta < 1e-5
-        assert report.concurrence.verdict is Verdict.CLOSED_FORM_DEVIATES
+        assert report["qfi"].verdict is Verdict.CLOSED_FORM_DEVIATES
+        assert report["qfi"].oracle_delta < 1e-6
+        assert report["skew"].verdict is Verdict.CLOSED_FORM_DEVIATES
+        assert report["skew"].oracle_delta < 1e-5
+        assert report["concurrence"].verdict is Verdict.CLOSED_FORM_DEVIATES
 
     def test_monotone_non_increasing_in_noise(self):
         p_values = np.linspace(0.0, 0.9, 19)
@@ -205,22 +206,22 @@ class TestCrosscheck:
     def test_healthy_channels_agree(self):
         for kind in (ChannelKind.PHASE_DAMPING, ChannelKind.PHASE_FLIP):
             report = crosscheck(kind, 0.4, 0.25)
-            for check in (report.qfi, report.skew, report.concurrence):
+            for check in report.values():
                 assert check.verdict is Verdict.AGREE
                 assert check.closed_form_delta <= 1e-8
 
     def test_oracle_columns_populated(self):
         report = crosscheck(ChannelKind.PHASE_DAMPING, 0.4, 0.25)
-        assert report.qfi.oracle_delta < 1e-9
-        assert report.skew.oracle_delta < 1e-5
-        assert abs(report.concurrence.pipeline - report.concurrence.oracle) < 1e-12
+        assert report["qfi"].oracle_delta < 1e-9
+        assert report["skew"].oracle_delta < 1e-5
+        assert abs(report["concurrence"].pipeline - report["concurrence"].oracle) < 1e-12
 
     def test_near_singular_interior_point(self):
         report = crosscheck(ChannelKind.PHASE_DAMPING, 1e-3, 0.3)
-        for check in (report.qfi, report.skew, report.concurrence):
+        for check in report.values():
             assert check.verdict is not Verdict.SINGULAR
-        assert report.qfi.closed_form_delta <= 1e-8
-        assert report.qfi.oracle_delta < 1e-6
+        assert report["qfi"].closed_form_delta <= 1e-8
+        assert report["qfi"].oracle_delta < 1e-6
 
     def test_rejects_invalid_point(self):
         with pytest.raises(BadParameterError):
@@ -230,12 +231,12 @@ class TestCrosscheck:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_closed_form_is_singular(self):
         report = crosscheck(ChannelKind.DEPOLARIZING, 1.0, 0.0)
-        assert np.isnan(report.skew.closed_form)
-        assert report.skew.verdict is Verdict.SINGULAR
-        assert report.skew.pipeline == 7.0
-        assert abs(report.skew.oracle - 7.0) < 1e-8
-        assert report.qfi.verdict is Verdict.CLOSED_FORM_DEVIATES
-        assert report.concurrence.verdict is Verdict.AGREE
+        assert np.isnan(report["skew"].closed_form)
+        assert report["skew"].verdict is Verdict.SINGULAR
+        assert report["skew"].pipeline == 7.0
+        assert abs(report["skew"].oracle - 7.0) < 1e-8
+        assert report["qfi"].verdict is Verdict.CLOSED_FORM_DEVIATES
+        assert report["concurrence"].verdict is Verdict.AGREE
 
 
 class TestZeroCrossing:
@@ -419,15 +420,22 @@ def reference_crosscheck(kind, q, p):
         lambda: closed_form_concurrence(kind, q, p),
         lambda: concurrence_ghz_class(kraus_fam.state(q)),
     )
-    return CrosscheckReport(kind, q, p, qfi, skew, concurrence)
+    return {"qfi": qfi, "skew": skew, "concurrence": concurrence}
 
 
 METRICS = ("qfi", "skew", "concurrence")
 
 
+def point(checks, i, j):
+    """Element ``[i, j]`` of each of a grid's checks, as a one-point report."""
+    return {
+        name: MetricCheck._make(field[i, j] for field in check) for name, check in checks.items()
+    }
+
+
 def report_bits(report):
-    """Raw bits of every value of a report, and its verdicts."""
-    checks = [getattr(report, name) for name in METRICS]
+    """Raw bits of every value of a one-point report, and its verdicts."""
+    checks = [report[name] for name in METRICS]
     values = np.array(
         [[check.pipeline, check.closed_form, check.oracle] for check in checks]
     )
@@ -442,18 +450,34 @@ class TestCrosscheckGrid:
         q_values, p_values = _grid_axes(9)
         q_values = [GHZ_QMIN] + q_values + [1.0]
         p_values = p_values + [1.0]
-        reports = crosscheck_grid(kind, q_values, p_values)
-        assert [(r.q, r.p) for r in reports] == [(q, p) for q in q_values for p in p_values]
-        for report in reports:
-            assert report.kind is kind
-            reference = reference_crosscheck(kind, report.q, report.p)
-            assert report_bits(report) == report_bits(reference), (report.q, report.p)
+        checks = crosscheck_grid(kind, q_values, p_values)
+        assert tuple(checks) == METRICS
+        for check in checks.values():
+            assert [field.shape for field in check] == [(len(q_values), len(p_values))] * 4
+            assert check.verdict.dtype == object
+        for i, q in enumerate(q_values):
+            for j, p in enumerate(p_values):
+                reference = reference_crosscheck(kind, q, p)
+                assert report_bits(point(checks, i, j)) == report_bits(reference), (q, p)
 
-    def test_empty_axis_gives_no_reports(self):
+    def test_one_point_view_is_the_grid_element(self):
+        q_values, p_values = (0.2, 0.5), (0.0, 0.3, 1.0)
         for kind in ChannelKind:
-            assert crosscheck_grid(kind, [], [0.1, 0.2]) == []
-            assert crosscheck_grid(kind, [0.5, 0.7], []) == []
-            assert crosscheck_grid(kind, [], []) == []
+            checks = crosscheck_grid(kind, q_values, p_values)
+            for i, q in enumerate(q_values):
+                for j, p in enumerate(p_values):
+                    one = crosscheck(kind, q, p)
+                    assert tuple(one) == METRICS
+                    assert report_bits(one) == report_bits(point(checks, i, j))
+
+    def test_empty_axis_gives_empty_arrays(self):
+        for kind in ChannelKind:
+            for q_values, p_values in (([], [0.1, 0.2]), ([0.5, 0.7], []), ([], [])):
+                checks = crosscheck_grid(kind, q_values, p_values)
+                assert tuple(checks) == METRICS
+                for check in checks.values():
+                    assert [field.shape for field in check] == [(len(q_values), len(p_values))] * 4
+                    assert check.verdict.dtype == object
 
     Q = (0.2, 0.5, 0.8)
     P = (0.0, 0.3, 0.6)
@@ -472,15 +496,16 @@ class TestCrosscheckGrid:
             return original(*args)
 
         monkeypatch.setattr(ghz, name, patched)
-        reports = crosscheck_grid(kind, self.Q, self.P)
+        checks = crosscheck_grid(kind, self.Q, self.P)
         singular = []
-        for report, reference in zip(reports, clean):
+        for (i, q), (j, p) in itertools.product(enumerate(self.Q), enumerate(self.P)):
+            report = point(checks, i, j)
             bits, verdicts = report_bits(report)
-            clean_bits, clean_verdicts = report_bits(reference)
+            clean_bits, clean_verdicts = report_bits(point(clean, i, j))
             for k, m in enumerate(METRICS):
                 if verdicts[k] is Verdict.SINGULAR:
-                    singular.append((report.q, report.p, m))
-                    assert np.isnan(getattr(report, m).closed_form)
+                    singular.append((q, p, m))
+                    assert np.isnan(report[m].closed_form)
                     assert bits[k][::2] == clean_bits[k][::2]  # pipeline, oracle
                 else:
                     assert bits[k] == clean_bits[k] and verdicts[k] is clean_verdicts[k]
@@ -515,10 +540,10 @@ class TestCrosscheckGrid:
 
         monkeypatch.setattr(ghz, "ghz_grid", nan_grid)
         monkeypatch.setattr(ghz, "closed_form_skew", raising)
-        check = crosscheck(kind, 0.5, 0.0).skew
+        check = crosscheck(kind, 0.5, 0.0)["skew"]
         assert check.verdict is Verdict.PIPELINE_NON_FINITE
         assert np.isnan(check.pipeline) and np.isnan(check.closed_form)
-        assert check.oracle == crosscheck_grid(kind, [0.5], [0.3, 0.0])[1].skew.oracle
+        assert check.oracle == crosscheck_grid(kind, [0.5], [0.3, 0.0])["skew"].oracle[0, 1]
         report = run_validation(1, 0)
         assert not report.passed
         failed = [suite.name for suite in report.suites if not suite.passed]

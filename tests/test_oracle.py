@@ -182,16 +182,16 @@ class TestFamilyOracles:
         monkeypatch.setattr(linalg, "FD_STEP", fd_step)
         rng = np.random.default_rng(85)
         points = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(40)]
-        got = family_oracles_at(points)
-        assert len(got) == len(points)
-        for (family, phi), (qfi, skew) in zip(points, got):
+        fisher, skew_column = family_oracles_at(points)
+        assert fisher.shape == skew_column.shape == (len(points),)
+        for (family, phi), qfi, skew in zip(points, fisher, skew_column):
             rho = family.state(phi).to_dense()
             drho = family.tangent_at(phi).to_dense()
             assert _bits(qfi) == _bits(qfi_eigen_oracle(rho, drho))
             assert _bits(skew) == _bits(skew_sqrt_oracle(family, phi))
 
     def test_no_points(self):
-        assert family_oracles_at([]) == []
+        assert [column.shape for column in family_oracles_at([])] == [(0,), (0,)]
 
     @pytest.mark.parametrize(
         "field, text",

@@ -257,6 +257,21 @@ class TestBlockBloch:
         with pytest.raises(NotXFormError, match=rf"^{name}\[2\] is .*not finite"):
             check_compact(diag, anti)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "column, value, text",
+        [(2, np.inf, "-infj"), (2, -np.inf, "infj"), (1, np.inf, "(inf+0j)")],
+    )
+    def test_infinite_coordinate_is_named_as_infinite(self, column, value, text):
+        # The real and imaginary parts of a coherence are set apart, so an
+        # infinite w1 or w2 does not come out as (nan+nanj).
+        state = werner_ghz(0.3)
+        w = bloch_from_compact(state.diag, state.anti)
+        w[2, column] = value
+        with pytest.raises(NotXFormError) as err:
+            check_compact(*compact_from_bloch(w))
+        assert str(err.value) == f"anti[2] is {text}, not finite"
+
 
 class TestXTangent:
     def test_dense_matches_compact_embedding(self):
