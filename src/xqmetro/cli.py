@@ -213,9 +213,9 @@ def family_oracle_errors(points) -> tuple[float, float]:
             built.append((state, family.tangent_at(phi)))
         except XQMetroError as exc:
             raise type(exc)(f"element {k}: {exc}") from exc
-    bloch = np.reshape([bloch_from_compact(s.diag, s.anti) for s, _ in built], (-1, 4, 4))
-    tangent = np.reshape([t.to_bloch_array() for _, t in built], (-1, 4, 4))
-    values = evaluate_stack(("qfi", "skew"), bloch=bloch, tangent=tangent)
+    parts = [(s.diag, s.anti, t.diag, t.anti) for s, t in built]
+    stacks = [np.reshape([p[k] for p in parts], (-1, n)) for k, n in enumerate((8, 4, 8, 4))]
+    values = evaluate_stack(("qfi", "skew"), *stacks)
     fisher, skew = (
         _max_error(np.abs(values[name] - column) / np.maximum(column, 1e-9))
         for name, column in zip(("qfi", "skew"), family_oracles(points, built))
@@ -332,8 +332,7 @@ def _parse_channel(text: str) -> ChannelKind:
 
 @_flag_type
 def _parse_metrics(text: str) -> tuple[str, ...]:
-    names = tuple(piece.strip() for piece in text.split(",") if piece.strip())
-    _check_names(names)
+    names = _check_names(piece.strip() for piece in text.split(",") if piece.strip())
     if not names:
         raise BadParameterError("at least one metric is required")
     return names

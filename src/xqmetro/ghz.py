@@ -135,7 +135,7 @@ def ghz_grid(kind: ChannelKind, q_values, p_values, metrics=METRIC_NAMES) -> dic
     compact stacks and the damped tangent are finite, so
     :func:`evaluate_stack`'s boundary would find nothing.
     """
-    _check_names(metrics)
+    metrics = _check_names(metrics)
     q = _axis("q_values", q_values)
     params = [ChannelParam(p) for p in _axis("p_values", p_values).tolist()]
     werner = bloch_from_compact(*_werner_compact(q))
@@ -423,7 +423,7 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
     # skew probes are rebuilt from their compact forms.
     probes = dense_from_compact(kraus_diag[1:], kraus_anti[1:])
     fisher, skew = oracle_column(np.concatenate([states[:1], probes]), images[:, -1:], steps)
-    concurrence = evaluate_stack(("concurrence",), diag=kraus_diag[0], anti=kraus_anti[0])
+    concurrence = evaluate_stack(("concurrence",), kraus_diag[0], kraus_anti[0])
     oracle = {"qfi": fisher.T, "skew": skew.T, "concurrence": concurrence["concurrence"].T}
 
     # Looked up per call, so that a rebound closed form is the one that runs.

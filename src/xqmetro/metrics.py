@@ -6,8 +6,8 @@ with the Minkowski-signature contractions
 
     gap(w, v)   = w0*v0 - w1*v1 - w2*v2 - w3*v3.
 
-Mixed blocks (``gap(w, w) > 1e-10``) use closed forms; blocks at or beyond the
-purity boundary take the rank-aware 2x2 spectral sum, closed over the block
+Mixed blocks (``w0 > 1e-10`` and ``gap(w, w) > 1e-10``) use closed forms;
+the other blocks take the rank-aware 2x2 spectral sum, closed over the block
 eigenvalues ``(w0 +- |w|)/2`` (Fisher information), or the documented
 pure-limit stand-in ``4 Tr((d rho)^2)`` (skew information): the mixed closed
 forms see only mixed blocks, and no route calls an eigensolver.  Every
@@ -16,13 +16,15 @@ matrix or its symmetric logarithmic derivative.
 
 Every closed form works on stacked arrays.  :func:`evaluate_stack` is the one
 kernel that routes blocks and sums them over any stack of states, in two
-parts: a checked boundary (metric names, the inputs each metric reads, their
-shapes and finite entries) and one core that routes, runs the closed forms
-and sums, checking nothing.  The callers that check their own inputs call
-the core directly: ``ghz.ghz_grid``, with a whole sweep grid's stacks, and
-:func:`qfi_total`, :func:`skew_total` and :func:`concurrence_ghz_class`,
-the kernel's single-state views, which take only :class:`XState` states,
-validated when built, and check each tangent once.
+parts: a checked boundary, which checks compact stacks of states (with
+:func:`check_compact`, the package's one definition of a state) and of
+tangents and converts them to Bloch form, and one core that routes, runs
+the closed forms and sums, checking nothing.  The callers that check their
+own inputs call the core directly: ``ghz.ghz_grid``, with a whole sweep
+grid's stacks, and :func:`qfi_total`, :func:`skew_total` and
+:func:`concurrence_ghz_class`, the kernel's single-state views, which take
+only :class:`XState` states, validated when built, and check each tangent
+once.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from .xstate import (
     BLOCK_PAIRS,
     XState,
     XTangent,
+    _check_tangent,
     _fail,
-    _first_failure,
-    _not_finite,
     bloch_from_compact,
     check_compact,
 )
@@ -65,11 +66,13 @@ def _require_mixed(w: np.ndarray, gap_ww: np.ndarray, message: str) -> None:
         _fail(SingularBlockError, singular, lambda i: f"{message}, got gap {gap_ww[i]:.3e}")
 
 
-def _check_names(metrics: Iterable[str]) -> None:
-    """Raise :class:`BadParameterError` for the first name that is not a kernel metric."""
+def _check_names(metrics: Iterable[str]) -> tuple[str, ...]:
+    """The names as a tuple; the first unknown name raises :class:`BadParameterError`."""
+    metrics = tuple(metrics)
     for name in metrics:
         if name not in METRIC_NAMES:
             raise BadParameterError(f"unknown metric {name!r}; expected qfi, skew or concurrence")
+    return metrics
 
 
 def _float_if_single(value: np.ndarray):
@@ -167,76 +170,59 @@ def _concurrence(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
 
 def evaluate_stack(
     metrics: Iterable[str],
-    bloch: np.ndarray | None = None,
-    tangent: np.ndarray | None = None,
-    diag: np.ndarray | None = None,
-    anti: np.ndarray | None = None,
+    diag: np.ndarray,
+    anti: np.ndarray,
+    tangent_diag: np.ndarray | None = None,
+    tangent_anti: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """The block kernel: metric totals over stacked X states.
 
-    ``"qfi"`` and ``"skew"`` read the Bloch coordinates ``bloch`` and their
-    derivative ``tangent`` (shapes that broadcast together to ``(..., 4,
-    4)``); ``"concurrence"`` reads the compact state ``diag`` (..., 8),
-    ``anti`` (..., 4).  Each result has the stack's shape.  An unknown metric
-    name, or a metric without the inputs it reads, raises
-    :class:`BadParameterError`.
+    Takes compact stacks: the states ``diag`` (..., 8), ``anti`` (..., 4)
+    and their tangent ``(tangent_diag, tangent_anti)``, which broadcasts to
+    the states' shapes and which ``"concurrence"`` does not read.  Each
+    result has the stack's shape, and each element is, bit for bit, what
+    :func:`qfi_total`, :func:`skew_total` and :func:`concurrence_ghz_class`
+    (this kernel's single-state views) give for it alone.
 
-    Mixed blocks (w0 > 1e-10 and gap(w, w) > 1e-10) take the closed forms of
-    :func:`qfi_block_mixed` and :func:`skew_block` in one call per metric;
-    every other block takes the rank-aware 2x2 spectral Fisher sum, in closed
-    form over the block's eigenpairs, and the pure-limit skew stand-in, so no
-    mixed closed form ever sees a singular block.  Shapes that do not
-    broadcast as above, or a NaN/+-inf entry of an input a metric reads,
-    raise :class:`NotXFormError` naming both shapes or the first such entry.
-    Each element's value equals the one :func:`qfi_total`,
-    :func:`skew_total` and :func:`concurrence_ghz_class` give for it alone,
-    bit for bit: those are this kernel's single-state views.
+    The boundary, in order: an unknown metric name raises
+    :class:`BadParameterError`; the states pass :func:`check_compact` (the
+    errors :class:`XState` raises, naming the element); a tangent that does
+    not broadcast raises :class:`NotXFormError` naming the shapes, and
+    :func:`~xqmetro.xstate._check_tangent` names its first bad entry; then
+    ``"qfi"`` or ``"skew"`` without a tangent raises
+    :class:`BadParameterError`.  A tangent need not have trace 0: central
+    differences of states that each hold trace 1 to 1e-12 give traces up to
+    about 1e-6 at h = 1e-6.
     """
-    return _kernel(metrics, *_checked_inputs(metrics, bloch, tangent, diag, anti))
-
-
-def _checked_inputs(metrics, bloch, tangent, diag, anti):
-    """The kernel's boundary: every check of :func:`evaluate_stack`, in its order.
-
-    Returns the arrays :func:`_kernel` reads, ``(w, dw, diag, anti)``; an
-    input no requested metric reads is passed on unchecked.
-    """
-    _check_names(metrics)
-    inputs = {"qfi": (bloch, tangent), "skew": (bloch, tangent), "concurrence": (diag, anti)}
-    for name in metrics:
-        if any(value is None for value in inputs[name]):
-            needs = "diag and anti" if name == "concurrence" else "bloch and tangent"
-            raise BadParameterError(f"metric {name!r} needs {needs}")
+    metrics = _check_names(metrics)
+    diag, anti = np.asarray(diag, dtype=float), np.asarray(anti, dtype=complex)
+    check_compact(diag, anti)
     w = dw = None
-    if "qfi" in metrics or "skew" in metrics:
-        w = np.asarray(bloch, dtype=float)
-        dw = np.asarray(tangent, dtype=float)
-        if w.shape != dw.shape:
-            try:
-                w, dw = np.broadcast_arrays(w, dw)
-            except ValueError:
-                pass  # the shapes stay apart and are named below
-        if w.shape != dw.shape or w.shape[-2:] != (4, 4):
+    if tangent_diag is not None and tangent_anti is not None:
+        try:
+            tangent_diag = np.broadcast_to(tangent_diag, diag.shape)
+            tangent_anti = np.broadcast_to(tangent_anti, anti.shape)
+        except ValueError:
             raise NotXFormError(
-                "expected bloch and tangent that broadcast to (..., 4, 4),"
-                f" got shapes {np.shape(bloch)} and {np.shape(tangent)}"
-            )
-        if not (np.isfinite(w).all() and np.isfinite(dw).all()):
-            _first_failure(_not_finite("w", w, 2), _not_finite("tangent w", dw, 2))
-    if "concurrence" in metrics:
-        diag, anti = np.asarray(diag), np.asarray(anti)
-        shaped = diag.shape[-1:] == (8,) and anti.shape == diag.shape[:-1] + (4,)
-        if not (shaped and np.isfinite(diag).all() and np.isfinite(anti).all()):
-            check_compact(diag, anti)  # its first checks: these shapes, then finite entries
-    return w, dw, diag, anti
+                f"expected a tangent that broadcasts to shapes {diag.shape} and {anti.shape},"
+                f" got shapes {np.shape(tangent_diag)} and {np.shape(tangent_anti)}"
+            ) from None
+        w = bloch_from_compact(diag, anti)
+        with np.errstate(all="ignore"):  # a non-finite or overflowing entry is named below
+            dw = bloch_from_compact(tangent_diag.real, tangent_anti)
+        if np.iscomplexobj(tangent_diag) or not np.isfinite(dw).all():
+            _check_tangent(tangent_diag, tangent_anti, dw)
+    elif "qfi" in metrics or "skew" in metrics:
+        raise BadParameterError("metrics 'qfi' and 'skew' need tangent_diag and tangent_anti")
+    return _kernel(metrics, w, dw, diag, anti)
 
 
 def _kernel(metrics, w, dw, diag, anti) -> dict[str, np.ndarray]:
     """The kernel's core: route the blocks, run the closed forms, sum the blocks.
 
-    Reads only inputs that passed :func:`_checked_inputs`, or that hold
-    what it checks by construction, and checks nothing itself.  ``dw`` may
-    be a tangent that broadcasts to ``w``'s shape: the closed forms
+    Reads only inputs that passed :func:`evaluate_stack`'s boundary, or that
+    hold what it checks by construction, and checks nothing.  ``dw`` may be
+    a tangent that broadcasts to ``w``'s shape: the closed forms
     broadcast it, so its tangent-only terms are computed once per tangent,
     and the fallback branch broadcasts it before masking blocks.
     """
@@ -284,10 +270,9 @@ class ParamFamily:
     :class:`NotXFormError`); when absent, derivatives fall back to
     symmetric differences of the compact components with step
     ``diff_step(phi)``, 1e-6 * max(1, |phi|).  A Hermitian tangent has a
-    real diagonal: a complex ``diag`` with a NaN/+-inf entry or a nonzero
-    imaginary part raises :class:`NotXFormError` naming ``phi`` and the
-    entry, and one whose imaginary parts are all zero is returned as its
-    real part.
+    real diagonal: a complex ``diag`` raises :class:`NotXFormError` from
+    :func:`~xqmetro.xstate._check_tangent`, naming ``phi``, unless its
+    imaginary parts are all zero; then it is returned as its real part.
     """
 
     state: Callable[[float], XState]
@@ -303,13 +288,8 @@ class ParamFamily:
                     f" {shapes[1]}, expected (8,) and (4,)"
                 )
             if np.iscomplexobj(tangent.diag):
-                diag = np.asarray(tangent.diag)
-                _first_failure(
-                    _not_finite(f"at phi={phi!r}: tangent diag", diag),
-                    (NotXFormError, diag.imag != 0.0,
-                     lambda _, k: f"at phi={phi!r}: tangent diag[{k}] is {diag[k]}, not real", 1),
-                )
-                tangent = XTangent(diag.real, tangent.anti)
+                _check_tangent(tangent.diag, tangent.anti, where=f"at phi={phi!r}: ")
+                tangent = XTangent(np.asarray(tangent.diag).real, tangent.anti)
             return tangent
         # Both differences probe the same two points: build each state once.
         state = lru_cache(maxsize=2)(self.state)
@@ -332,20 +312,16 @@ def _total(name: str, family: ParamFamily, phi: float) -> float:
 
     The state comes checked from :meth:`ParamFamily.bloch_at`, and the
     tangent's diag real from :meth:`ParamFamily.tangent_at`.  The tangent
-    is checked once, on the Bloch array the core reads: a NaN or infinite
-    entry raises :class:`NotXFormError` naming ``phi`` and the first such
-    compact entry, or the first Bloch entry if only the Bloch form
-    overflows.
+    is tested once, on the Bloch array the core reads; only a failure runs
+    :func:`~xqmetro.xstate._check_tangent`, which names ``phi`` and the
+    first NaN/+-inf compact entry, or the first Bloch entry if only the
+    Bloch form overflows.
     """
     w = family.bloch_at(phi)
     tangent = family.tangent_at(phi)
     dw = tangent.to_bloch_array()
     if not np.isfinite(dw).all():
-        _first_failure(
-            _not_finite(f"at phi={phi!r}: tangent diag", tangent.diag),
-            _not_finite(f"at phi={phi!r}: tangent anti", tangent.anti),
-            _not_finite("tangent w", dw, 2),
-        )
+        _check_tangent(tangent.diag, tangent.anti, dw, f"at phi={phi!r}: ")
     return float(_kernel((name,), w, dw, None, None)[name])
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NotHermitianError, NotPSDError, TraceViolationError
 from .linalg import diff_step, eigh, eigh_stack, sqrt_from_spectrum
 from .metrics import ParamFamily
-from .xstate import _first_failure, _not_finite, dense_from_compact
+from .xstate import _check_tangent, _first_failure, _not_finite, dense_from_compact
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -130,6 +130,6 @@ def family_oracles(points, built) -> tuple[np.ndarray, np.ndarray]:
         steps.append(h)
     diag = np.array([tangent.diag for _, tangent in built])
     anti = np.array([tangent.anti for _, tangent in built])
-    _first_failure(_not_finite("tangent diag", diag), _not_finite("tangent anti", anti))
+    _check_tangent(diag, anti)
     drho = dense_from_compact(diag, anti)
     return oracle_column(np.array(states), drho, steps)

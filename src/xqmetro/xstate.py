@@ -66,7 +66,12 @@ class XState:
 
 
 class XTangent(NamedTuple):
-    """Derivative of an X-state family: same layout as XState, no constraints."""
+    """Derivative of an X-state family: same layout as XState.
+
+    Checked by :func:`_check_tangent`.  Its trace need not be 0: central
+    differences of states that each hold trace 1 to 1e-12 give traces up to
+    about 1e-6 at h = 1e-6.
+    """
 
     diag: np.ndarray
     anti: np.ndarray
@@ -122,6 +127,24 @@ def _not_finite(name: str, values, entries: int = 1, error=NotXFormError):
         lambda i, *k: f"{name}[{', '.join(map(str, k))}] is {values[i + k]}, not finite",
         entries,
     )
+
+
+def _check_tangent(diag, anti, w=None, where: str = "") -> None:
+    """The one tangent check, one or stacked: ``diag`` (..., 8), ``anti`` (..., 4).
+
+    Raises :class:`NotXFormError` for the first of: a NaN/+-inf entry of
+    ``diag``, then of ``anti`` (named ``tangent diag[k]``, ``tangent
+    anti[k]`` after ``where``), a ``diag`` entry that is not real, then a
+    NaN/+-inf entry of the Bloch form ``w``, if given (``tangent w[j, a]``).
+    """
+    diag = np.asarray(diag)
+    rows = [_not_finite(f"{where}tangent diag", diag), _not_finite(f"{where}tangent anti", anti)]
+    if np.iscomplexobj(diag):
+        rows.append((NotXFormError, diag.imag != 0.0,
+                     lambda i, k: f"{where}tangent diag[{k}] is {diag[i + (k,)]}, not real", 1))
+    if w is not None:
+        rows.append(_not_finite("tangent w", w, 2))
+    _first_failure(*rows)
 
 
 def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:

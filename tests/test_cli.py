@@ -597,9 +597,9 @@ class TestNaNFailsItsSuite:
     """A NaN error fails its suite: no reduction may drop it."""
 
     def test_nan_family_fisher(self, monkeypatch, capsys):
-        def qfi_with_one_nan(metrics, **inputs):
+        def qfi_with_one_nan(*args):
             # NaN at the third of the 6 * grid = 12 points of each run.
-            values = evaluate_stack(metrics, **inputs)
+            values = evaluate_stack(*args)
             values["qfi"][2] = np.nan
             return values
 
@@ -650,8 +650,8 @@ class TestOneOracleColumnPerChannel:
         points = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(40)]
         seen = []
 
-        def kept(metrics, **inputs):
-            values = evaluate_stack(metrics, **inputs)
+        def kept(*args):
+            values = evaluate_stack(*args)
             seen.append(values)
             return values
 
@@ -714,7 +714,7 @@ class TestOneOracleColumnPerChannel:
             tangent=lambda phi: XTangent(np.full(8, np.nan), np.zeros(4, dtype=complex)),
         )
         with pytest.raises(
-            NotXFormError, match=r"^element 2: tangent w\[0, 0\] is nan, not finite$"
+            NotXFormError, match=r"^element 2: tangent diag\[0\] is nan, not finite$"
         ):
             cli.family_oracle_errors([(family, 0.3), (family, 0.5), (broken, 0.4)])
 

@@ -266,7 +266,7 @@ def kraus_concurrence(kind, q_values, p_values):
     out = np.empty((len(q_values), len(p_values)))
     for j, p in enumerate(p_values):
         diag, anti = compact_from_dense(apply_kraus_dense(dense, kind, ChannelParam(p)))
-        out[:, j] = evaluate_stack(("concurrence",), diag=diag, anti=anti)["concurrence"]
+        out[:, j] = evaluate_stack(("concurrence",), diag, anti)["concurrence"]
     return out
 
 

@@ -61,12 +61,14 @@ def _block_with_gap(weight, gap, rng):
 
 
 def edge_stack():
-    """Five 4-block states, each carrying one kind of block the kernel routes.
+    """Five unit-trace 4-block states, each carrying one kind of block the
+    kernel routes, and their tangents: ``(diag, anti, tangent_diag, tangent_anti)``.
 
     Element 0 is all mixed; element 1 holds a rank-1 block, element 2 a
     zero-weight block, and elements 3 and 4 blocks whose gap sits just above
     (1e-9) and just below (1e-11) the 1e-10 switch between closed form and
-    fallback.
+    fallback.  Each element's ordinary mixed blocks are scaled to give it
+    trace 1; the four blocks above keep their gaps and routes.
     """
     rng = np.random.default_rng(2024)
     w = np.empty((5, 4, 4))
@@ -78,12 +80,24 @@ def edge_stack():
     w[3, 0] = _block_with_gap(0.5, 1e-9, rng)
     w[4, 3] = _block_with_gap(0.5, 1e-11, rng)
     dw = 0.1 * rng.normal(size=(5, 4, 4))
-    return w, dw
+    special = np.zeros((5, 4), dtype=bool)
+    special[1, 2] = special[2, 1] = special[3, 0] = special[4, 3] = True
+    weight = w[..., 0]
+    scale = (1.0 - np.sum(weight, axis=-1, where=special)) / np.sum(weight, axis=-1, where=~special)
+    w *= np.where(special, 1.0, scale[:, None])[..., None]
+    return (*compact_from_bloch(w), *compact_from_bloch(dw))
+
+
+def edge_bloch():
+    """Bloch forms ``(w, dw)`` of :func:`edge_stack`, as the kernel reads them."""
+    diag, anti, tangent_diag, tangent_anti = edge_stack()
+    return bloch_from_compact(diag, anti), bloch_from_compact(tangent_diag, tangent_anti)
 
 
 class TestKernel:
     def test_edge_stack_routes(self):
-        w, _ = edge_stack()
+        check_compact(*edge_stack()[:2])
+        w, _ = edge_bloch()
         gap = w[..., 0] ** 2 - np.sum(w[..., 1:] ** 2, axis=-1)
         mixed = (w[..., 0] > EPS_SINGULAR) & (gap > EPS_SINGULAR)
         assert mixed[0].all() and mixed[3].all()
@@ -92,79 +106,105 @@ class TestKernel:
 
     @pytest.mark.filterwarnings("error")
     def test_each_element_equals_itself_alone(self):
-        w, dw = edge_stack()
-        diag, anti = compact_from_bloch(w)
+        stack = edge_stack()
         with np.errstate(all="raise"):
-            stacked = evaluate_stack(METRICS, bloch=w, tangent=dw, diag=diag, anti=anti)
-            for n in range(len(w)):
-                alone = evaluate_stack(
-                    METRICS, bloch=w[n], tangent=dw[n], diag=diag[n], anti=anti[n]
-                )
+            stacked = evaluate_stack(METRICS, *stack)
+            for n in range(5):
+                alone = evaluate_stack(METRICS, *(part[n] for part in stack))
                 for name in METRICS:
                     assert np.isfinite(stacked[name][n])
                     assert stacked[name][n] == alone[name], (name, n)
 
     @pytest.mark.filterwarnings("error")
     def test_stack_shape_and_tangent_broadcast(self):
-        w, dw = edge_stack()
-        grid = np.stack([w, w[::-1]])  # (2, 5, 4, 4)
+        diag, anti, tangent_diag, tangent_anti = edge_stack()
+        grid = np.stack([diag, diag[::-1]]), np.stack([anti, anti[::-1]])  # (2, 5, 8), (2, 5, 4)
+        tangent = tangent_diag[0], tangent_anti[0]
         with np.errstate(all="raise"):
-            out = evaluate_stack(("qfi", "skew"), bloch=grid, tangent=dw[0])
+            out = evaluate_stack(("qfi", "skew"), *grid, *tangent)
             for name in ("qfi", "skew"):
                 assert out[name].shape == (2, 5)
                 for i in range(2):
                     for n in range(5):
-                        alone = evaluate_stack((name,), bloch=grid[i, n], tangent=dw[0])
+                        alone = evaluate_stack((name,), grid[0][i, n], grid[1][i, n], *tangent)
                         assert out[name][i, n] == alone[name]
 
-    def test_totals_are_single_state_views(self):
-        w, dw = edge_stack()
-        state = XState(*compact_from_bloch(w[0] / w[0, :, 0].sum()))
+    @pytest.mark.parametrize("n", range(5))
+    def test_totals_are_single_state_views(self, n):
+        diag, anti, tangent_diag, tangent_anti = edge_stack()
+        state = XState(diag[n], anti[n])
         family = ParamFamily(
-            state=lambda phi: state, tangent=lambda phi: XTangent(*compact_from_bloch(dw[0]))
+            state=lambda phi: state, tangent=lambda phi: XTangent(tangent_diag[n], tangent_anti[n])
         )
-        out = evaluate_stack(
-            METRICS,
-            bloch=family.bloch_at(0.0),
-            tangent=family.tangent_at(0.0).to_bloch_array(),
-            diag=state.diag,
-            anti=state.anti,
-        )
+        out = evaluate_stack(METRICS, state.diag, state.anti, *family.tangent_at(0.0))
         assert qfi_total(family, 0.0) == out["qfi"]
         assert skew_total(family, 0.0) == out["skew"]
         assert concurrence_ghz_class(state) == out["concurrence"]
 
     def test_only_requested_metrics(self):
-        w, dw = edge_stack()
-        assert set(evaluate_stack(("skew",), bloch=w, tangent=dw)) == {"skew"}
+        assert set(evaluate_stack(("skew",), *edge_stack())) == {"skew"}
+
+    def test_a_generator_of_names_is_read_once(self):
+        # The names were checked by consuming the generator, and then the
+        # kernel looped over an empty one and returned {}.
+        out = evaluate_stack((name for name in ["qfi"]), *edge_stack())
+        assert set(out) == {"qfi"}
+        names = (name for name in ["qfi"])
+        assert set(ghz_grid(ChannelKind.DEPOLARIZING, [0.5], [0.3], metrics=names)) == {"qfi"}
 
     @pytest.mark.parametrize("name", ["fisher", "QFI", ""])
     def test_unknown_metric_raises(self, name):
-        w, dw = edge_stack()
         message = f"^unknown metric {name!r}; expected qfi, skew or concurrence$"
         with pytest.raises(BadParameterError, match=message):
-            evaluate_stack(("qfi", name), bloch=w, tangent=dw)
+            evaluate_stack(("qfi", name), *edge_stack())
         with pytest.raises(BadParameterError, match=message):
             ghz_grid(ChannelKind.DEPOLARIZING, [0.5], [0.3], metrics=(name,))
 
-    @pytest.mark.parametrize(
-        "name, given",
-        [
-            ("qfi", ()),
-            ("qfi", ("bloch",)),
-            ("skew", ("tangent",)),
-            ("concurrence", ()),
-            ("concurrence", ("diag",)),
-            ("concurrence", ("anti",)),
-        ],
-    )
-    def test_missing_input_raises(self, name, given):
-        w, dw = edge_stack()
-        state = random_xstate(np.random.default_rng(7))
-        inputs = {"bloch": w, "tangent": dw, "diag": state.diag, "anti": state.anti}
-        needs = "diag and anti" if name == "concurrence" else "bloch and tangent"
-        with pytest.raises(BadParameterError, match=f"^metric '{name}' needs {needs}$"):
-            evaluate_stack((name,), **{arg: inputs[arg] for arg in given})
+    @pytest.mark.parametrize("names", [("qfi",), ("skew",), ("concurrence", "skew")])
+    def test_qfi_and_skew_need_a_tangent(self, names):
+        diag, anti, tangent_diag, tangent_anti = edge_stack()
+        message = r"^metrics 'qfi' and 'skew' need tangent_diag and tangent_anti$"
+        for half in ((), (tangent_diag,), (None, tangent_anti)):
+            with pytest.raises(BadParameterError, match=message):
+                evaluate_stack(names, diag, anti, *half)
+
+    def test_concurrence_needs_no_tangent(self):
+        stack = edge_stack()
+        alone = evaluate_stack(("concurrence",), *stack[:2])["concurrence"]
+        assert alone.tobytes() == evaluate_stack(METRICS, *stack)["concurrence"].tobytes()
+
+    def test_boundary_order(self):
+        # Names, then the state, then the tangent, then a missing tangent.
+        diag, anti, tangent_diag, tangent_anti = edge_stack()
+        tangent_diag[0, 0] = np.nan
+        with pytest.raises(BadParameterError, match="^unknown metric 'fisher'"):
+            evaluate_stack(("fisher",), 3.0 * diag, anti, tangent_diag, tangent_anti)
+        with pytest.raises(TraceViolationError, match="^element 0: trace "):
+            evaluate_stack(("qfi",), 3.0 * diag, anti, tangent_diag, tangent_anti)
+        with pytest.raises(TraceViolationError, match="^element 0: trace "):
+            evaluate_stack(("qfi",), 3.0 * diag, anti)
+        with pytest.raises(NotXFormError, match=r"^element 0: tangent diag\[0\] is nan"):
+            evaluate_stack(("concurrence",), diag, anti, tangent_diag, tangent_anti)
+
+
+def test_a_werner_state_times_three_is_not_a_state():
+    # Through Bloch stacks, 3x the state's read qfi 1.318 where the state
+    # reads 3.955, and w[1, 1] = 0.5 > w0 gave finite F and S, with no error.
+    state = ghz.werner_ghz(0.3)
+    tangent = ghz._TANGENT_DIAG, ghz._TANGENT_ANTI
+    w = bloch_from_compact(state.diag, state.anti)
+    w[1, 1] = 0.5
+    for parts, error, text in (
+        ((3.0 * state.diag, 3.0 * state.anti), TraceViolationError,
+         "trace 3.0 differs from 1 beyond 1e-12"),
+        (compact_from_bloch(w), BlockNotPSDError,
+         "block 1: |coherence|^2 exceeds population product"),
+    ):
+        with pytest.raises(error) as alone:
+            XState(*parts)
+        with pytest.raises(error) as raised:
+            evaluate_stack(("qfi", "skew"), *parts, *tangent)
+        assert str(raised.value) == str(alone.value) == text  # one state: no element named
 
 
 def _scalar_gap(w, v):
@@ -255,18 +295,19 @@ def test_kernel_reproduces_the_scalar_loop():
     for index in np.ndindex(count, 4):
         assert blocks[0][index] == reference_qfi_block(w[index], dw[index]), index
         assert blocks[1][index] == reference_skew_block(w[index], dw[index]), index
-    out = evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw)
+    # Blocks whose weights do not sum to 1 are not states: the core takes them.
+    out = metrics._kernel(("qfi", "skew"), w, dw, None, None)
     for n in range(count):
         assert (out["qfi"][n], out["skew"][n]) == reference_totals(w[n], dw[n]), n
-    w, dw = edge_stack()
-    out = evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw)
+    w, dw = edge_bloch()
+    out = evaluate_stack(("qfi", "skew"), *edge_stack())
     for n in range(len(w)):
         assert (out["qfi"][n], out["skew"][n]) == reference_totals(w[n], dw[n]), n
     # GHZ-like states, so that most concurrences are not clamped to zero.
     diag = rng.dirichlet(np.r_[20.0, np.ones(6), 20.0], size=count)
     anti = np.sqrt(diag[:, :4] * diag[:, :3:-1]) * rng.uniform(0.5, 1.0, size=(count, 4))
     anti = anti * np.exp(2j * np.pi * rng.uniform(size=(count, 4)))
-    out = evaluate_stack(("concurrence",), diag=diag, anti=anti)["concurrence"]
+    out = metrics._kernel(("concurrence",), None, None, diag, anti)["concurrence"]
     assert np.count_nonzero(out) > count // 2
     for n in range(count):
         assert out[n] == reference_concurrence(diag[n], anti[n]), n
@@ -330,8 +371,8 @@ class TestSpectralFallback:
     def test_edge_stack_matches_the_jacobi_route(self):
         # Element 4's gap = 1e-11 block has w0 - r ~ 1e-11, known to ~1e-16
         # absolute on either route: both are ~1e-5 off exact arithmetic there.
-        w, dw = edge_stack()
-        out = evaluate_stack(("qfi",), bloch=w, tangent=dw)["qfi"]
+        w, dw = edge_bloch()
+        out = evaluate_stack(("qfi",), *edge_stack())["qfi"]
         for n, tolerance in enumerate((1e-13, 1e-13, 1e-13, 1e-13, 1e-5)):
             jacobi = 0.0
             for a, da in zip(w[n], dw[n]):
@@ -377,8 +418,7 @@ class TestSpectralFallback:
     def test_pipeline_calls_no_eigensolver(self, monkeypatch):
         families = (rank1_family(), zero_population_family())
         totals = [(qfi_total(f, 0.4), skew_total(f, 0.4)) for f in families]
-        w, dw = edge_stack()
-        stacked = evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw)
+        stacked = evaluate_stack(("qfi", "skew"), *edge_stack())
 
         def forbidden(*args):
             raise AssertionError("the block kernel called an eigensolver")
@@ -386,93 +426,95 @@ class TestSpectralFallback:
         for module, name in ((linalg, "eigh"), (linalg, "eigh_stack"), (metrics, "eigh")):
             monkeypatch.setattr(module, name, forbidden)
         assert [(qfi_total(f, 0.4), skew_total(f, 0.4)) for f in families] == totals
-        again = evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw)
+        again = evaluate_stack(("qfi", "skew"), *edge_stack())
         for name in ("qfi", "skew"):
             assert np.array_equal(again[name], stacked[name])
-
-    @pytest.mark.parametrize("name", ["qfi", "skew"])
-    def test_non_finite_coordinate_raises(self, name):
-        w, dw = edge_stack()
-        w[1, 2, 3] = np.nan
-        with pytest.raises(NotXFormError, match=r"^element 1: w\[2, 3\] is nan, not finite$"):
-            evaluate_stack((name,), bloch=w, tangent=dw)
-        w[1, 2, 3] = -np.inf
-        with pytest.raises(NotXFormError, match=r"^w\[2, 3\] is -inf, not finite$"):
-            evaluate_stack((name,), bloch=w[1], tangent=dw[1])
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("name", ["qfi", "skew"])
-    def test_infinite_weight_of_mixed_block_raises(self, name):
-        # Elements 0 and 3 are all mixed, and an infinite weight with a
-        # finite vector still tests as mixed: no block takes the fallback.
-        w, dw = edge_stack()
-        w, dw = w[[0, 3]], dw[[0, 3]]
-        w[1, 1, 0] = np.inf
-        with pytest.raises(NotXFormError, match=r"^element 1: w\[1, 0\] is inf, not finite$"):
-            evaluate_stack((name,), bloch=w, tangent=dw)
-        with pytest.raises(NotXFormError, match=r"^w\[1, 0\] is inf, not finite$"):
-            evaluate_stack((name,), bloch=w[1], tangent=dw[1])
 
 
 class TestKernelBoundary:
     """The kernel checks the form of every input that a requested metric reads."""
 
     @pytest.mark.parametrize(
-        "bloch, tangent",
-        [
-            (np.eye(4), np.zeros((3, 4))),
-            (np.ones((3, 4)), np.zeros((3, 4))),
-            (np.full((2, 4, 4), 0.25), np.zeros((3, 4, 4))),
-            (np.full((3, 4), 0.25), np.zeros(4)),
-            (np.full(4, 0.25), np.zeros(4)),
-        ],
+        "tangent_diag, tangent_anti",
+        [((3, 8), (3, 4)), ((5, 8), (5, 3)), ((5, 7), (5, 4)), ((2, 5, 8), (2, 5, 4)), ((2,), (4,))],
     )
-    def test_shapes_that_do_not_broadcast_raise(self, bloch, tangent):
+    def test_tangent_shapes_that_do_not_broadcast_raise(self, tangent_diag, tangent_anti):
+        diag, anti, _, _ = edge_stack()
         message = (
-            r"^expected bloch and tangent that broadcast to \(\.\.\., 4, 4\),"
-            rf" got shapes {re.escape(str(bloch.shape))} and {re.escape(str(tangent.shape))}$"
+            r"^expected a tangent that broadcasts to shapes \(5, 8\) and \(5, 4\), got shapes"
+            rf" {re.escape(str(tangent_diag))} and {re.escape(str(tangent_anti))}$"
         )
-        for name in ("qfi", "skew"):
+        tangent = np.zeros(tangent_diag), np.zeros(tangent_anti, dtype=complex)
+        for name in METRICS:
             with pytest.raises(NotXFormError, match=message):
-                evaluate_stack((name,), bloch=bloch, tangent=tangent)
+                evaluate_stack((name,), diag, anti, *tangent)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", ["qfi", "skew"])
     def test_non_finite_tangent_raises(self, name):
-        w, dw = edge_stack()
-        dw[3, 2, 0] = np.inf
-        dw[3, 3, 1] = np.nan
-        text = r"tangent w\[2, 0\] is inf, not finite$"
+        diag, anti, tangent_diag, tangent_anti = edge_stack()
+        tangent_diag[3, 2] = np.inf
+        tangent_diag[3, 6] = np.nan
+        tangent_anti[3, 0] = np.nan
+        text = r"tangent diag\[2\] is inf, not finite$"
         with pytest.raises(NotXFormError, match=r"^element 3: " + text):
-            evaluate_stack((name,), bloch=w, tangent=dw)
+            evaluate_stack((name,), diag, anti, tangent_diag, tangent_anti)
         with pytest.raises(NotXFormError, match="^" + text):
-            evaluate_stack((name,), bloch=w[3], tangent=dw[3])
+            evaluate_stack((name,), diag[3], anti[3], tangent_diag[3], tangent_anti[3])
         # A tangent broadcast over the stack is named by the stack's element.
         with pytest.raises(NotXFormError, match=r"^element 0: " + text):
-            evaluate_stack((name,), bloch=w, tangent=dw[3])
+            evaluate_stack((name,), diag, anti, tangent_diag[3], tangent_anti[3])
+        tangent_diag[3] = 0.0
+        with pytest.raises(NotXFormError, match=r"^element 3: tangent anti\[0\] is \(nan\+0j\)"):
+            evaluate_stack((name,), diag, anti, tangent_diag, tangent_anti)
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_tangent_diag(self):
+        stack = edge_stack()
+        diag, anti, tangent_diag, tangent_anti = stack
+        complex_diag = tangent_diag.astype(complex)
+        same = evaluate_stack(METRICS, diag, anti, complex_diag, tangent_anti)
+        expected = evaluate_stack(METRICS, *stack)
+        for name in METRICS:
+            assert same[name].tobytes() == expected[name].tobytes()
+        complex_diag[2, 4] += 0.3j
+        with pytest.raises(NotXFormError) as err:
+            evaluate_stack(("qfi",), diag, anti, complex_diag, tangent_anti)
+        assert str(err.value) == f"element 2: tangent diag[4] is {complex_diag[2, 4]}, not real"
+
+    @pytest.mark.filterwarnings("error")
+    def test_tangent_overflowing_in_bloch_form_raises(self):
+        diag, anti, tangent_diag, tangent_anti = edge_stack()
+        tangent_diag[1, 0] = tangent_diag[1, 7] = 1.7e308
+        with pytest.raises(NotXFormError) as err:
+            evaluate_stack(("skew",), diag, anti, tangent_diag, tangent_anti)
+        assert str(err.value) == "element 1: tangent w[0, 0] is inf, not finite"
 
     @pytest.mark.parametrize("diag, anti", [((7,), (4,)), ((8,), (3,)), ((2, 8), (3, 4))])
-    def test_concurrence_shapes_raise(self, diag, anti):
+    def test_state_shapes_raise(self, diag, anti):
         message = (
             r"^expected stacks of 8 populations and 4 coherences,"
             rf" got shapes {re.escape(str(diag))} and {re.escape(str(anti))}$"
         )
         with pytest.raises(NotXFormError, match=message):
-            evaluate_stack(("concurrence",), diag=np.full(diag, 0.125), anti=np.zeros(anti))
+            evaluate_stack(("concurrence",), np.full(diag, 0.125), np.zeros(anti))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", METRICS)
     @pytest.mark.parametrize(
         "field, value, text",
         [("diag", np.nan, "nan"), ("diag", -np.inf, "-inf"), ("anti", complex(0, np.inf), "infj")],
     )
-    def test_non_finite_concurrence_input_raises(self, field, value, text):
+    def test_non_finite_state_entry_raises(self, name, field, value, text):
         state = random_xstate(np.random.default_rng(7))
         parts = {"diag": np.stack([state.diag] * 3), "anti": np.stack([state.anti] * 3)}
         parts[field][1, 2] = value
+        tangent = np.zeros(8), np.zeros(4, dtype=complex)
         message = rf"{field}\[2\] is {text}, not finite$"
         with pytest.raises(NotXFormError, match=r"^element 1: " + message):
-            evaluate_stack(("concurrence",), **parts)
+            evaluate_stack((name,), parts["diag"], parts["anti"], *tangent)
         with pytest.raises(NotXFormError, match="^" + message):
-            evaluate_stack(("concurrence",), diag=parts["diag"][1], anti=parts["anti"][1])
+            evaluate_stack((name,), parts["diag"][1], parts["anti"][1], *tangent)
 
     @pytest.mark.parametrize("q_values, p_values", [([0.5], []), ([], []), ([], [0.3])])
     def test_grid_checks_names_before_any_work(self, monkeypatch, q_values, p_values):
@@ -521,18 +563,16 @@ def test_grid_evaluates_only_requested_metrics():
 
 def checked_grid(kind, q_values, p_values, width=2):
     """The grid through evaluate_stack's checked boundary, ``width`` p values
-    at a time, with the damped tangent made per block and broadcast over q."""
+    at a time, with the damped tangent made per block and broadcast over q
+    by the boundary."""
     params = [ChannelParam(p) for p in p_values]
     werner = ghz._werner_compact(np.asarray(q_values, dtype=float))
     out = {name: np.empty((len(q_values), len(params))) for name in METRICS}
     for start in range(0, len(params), width):
         block = params[start : start + width]
         diag, anti = ghz._damped_compact(kind, *werner, block)
-        check_compact(diag, anti)
-        w = bloch_from_compact(diag, anti)
         tangent = ghz._damped_compact(kind, ghz._TANGENT_DIAG, ghz._TANGENT_ANTI, block)
-        dw = np.broadcast_to(bloch_from_compact(*tangent)[:, None], w.shape)
-        values = evaluate_stack(METRICS, bloch=w, tangent=dw, diag=diag, anti=anti)
+        values = evaluate_stack(METRICS, diag, anti, *(part[:, None] for part in tangent))
         for name, value in values.items():
             out[name][:, start : start + len(block)] = value.T
     return out
@@ -570,25 +610,26 @@ class TestGridPath:
         "count, passes", [(0, 0), (1, 1), (25, 1), (26, 2), (51, 3), (52, 3)]
     )
     def test_checks_nothing_twice_and_damps_the_tangent_once(self, count, passes, monkeypatch):
-        calls = {"checked": 0, "damped": 0}
-        checked, damped = metrics._checked_inputs, damped_bloch_array
+        calls = {"boundary": 0, "compact": 0, "damped": 0}
 
-        def count_checked(*args):
-            calls["checked"] += 1
-            return checked(*args)
+        def counted(key, function):
+            def counting(*args):
+                calls[key] += 1
+                return function(*args)
 
-        def count_damped(*args):
-            calls["damped"] += 1
-            return damped(*args)
+            return counting
 
-        monkeypatch.setattr(metrics, "_checked_inputs", count_checked)
+        # evaluate_stack's state check, which ghz_grid must not reach.
+        monkeypatch.setattr(metrics, "check_compact", counted("boundary", check_compact))
+        monkeypatch.setattr(ghz, "check_compact", counted("compact", check_compact))
+        damped = counted("damped", damped_bloch_array)
         # ghz calls it directly and through channels._damped_compact.
-        monkeypatch.setattr(ghz, "damped_bloch_array", count_damped)
-        monkeypatch.setattr(channels, "damped_bloch_array", count_damped)
+        monkeypatch.setattr(ghz, "damped_bloch_array", damped)
+        monkeypatch.setattr(channels, "damped_bloch_array", damped)
         p_values = np.linspace(0.0, 1.0, count).tolist()
         ghz_grid(ChannelKind.DEPOLARIZING, np.linspace(GHZ_QMIN, 1.0, 40), p_values)
-        # One damping per pass and one for the tangent of every p.
-        assert calls == {"checked": 0, "damped": passes + 1}
+        # One check and one damping per pass, and one damping for the tangent of every p.
+        assert calls == {"boundary": 0, "compact": passes, "damped": passes + 1}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", list(ChannelKind))
@@ -698,18 +739,20 @@ def test_stack_check_rejects_mismatched_shapes():
         (check_compact, (np.full((2, 7), 0.125), np.zeros((2, 4), dtype=complex))),
         (compact_from_dense, (np.eye(4, dtype=complex) / 4.0,)),
         (
-            lambda w, dw: evaluate_stack(("qfi", "skew"), bloch=w, tangent=dw),
-            (np.zeros((2, 4, 3)), np.zeros((2, 4, 3))),
+            lambda *tangent: evaluate_stack(
+                ("qfi", "skew"), np.full((2, 8), 0.125), np.zeros((2, 4)), *tangent
+            ),
+            (np.zeros((2, 7)), np.zeros((2, 4), dtype=complex)),
         ),
         (
-            lambda diag, anti: evaluate_stack(("concurrence",), diag=diag, anti=anti),
+            lambda diag, anti: evaluate_stack(("concurrence",), diag, anti),
             (np.full((2, 8), 0.125), np.zeros((2, 3), dtype=complex)),
         ),
     ],
     ids=[
         "check_compact",
         "compact_from_dense",
-        "evaluate_stack-bloch",
+        "evaluate_stack-tangent",
         "evaluate_stack-compact",
     ],
 )
@@ -807,7 +850,6 @@ def _first_failure_case(kind):
     anti = np.stack([s.anti for s in states]).reshape(2, 3, 4)
     dense = dense_from_compact(diag, anti)
     w = bloch_from_compact(diag, anti)
-    dw = np.zeros_like(w)
     values = np.full((2, 3, 8), 1.0 / 8.0)
     vectors = np.broadcast_to(np.eye(8, dtype=complex), (2, 3, 8, 8))
     at = "element (0, 2): "
@@ -845,17 +887,22 @@ def _first_failure_case(kind):
             dense[index + (7 - k, k)] += 1e-6
         text = "block 1: coherence pair is not conjugate"
         return compact_from_dense, (dense,), NotXFormError, at + text
-    if kind == "kernel-bloch":
-        w[FIRST + (2, 3)] = w[FIRST + (3, 1)] = w[LATER + (0, 2)] = np.inf
-        return evaluate_stack, (("qfi",), w, dw), NotXFormError, at + "w[2, 3] is inf, not finite"
+    if kind in ("kernel-trace", "kernel-coherence", "kernel-negative"):
+        # A non-state raises in the kernel what it raises in check_compact.
+        _, args, error, message = _first_failure_case(kind.replace("kernel", "compact"))
+        tangent = np.zeros(8), np.zeros(4, dtype=complex)
+        return lambda *state: evaluate_stack(METRICS, *state, *tangent), args, error, message
     if kind == "kernel-tangent":
-        dw[FIRST + (2, 0)] = dw[FIRST + (3, 3)] = dw[LATER + (0, 1)] = np.inf
-        text = "tangent w[2, 0] is inf, not finite"
-        return evaluate_stack, (("skew",), w, dw), NotXFormError, at + text
+        tangent_diag, tangent_anti = np.zeros_like(diag), np.zeros_like(anti)
+        for index in (FIRST + (2,), FIRST + (5,), LATER + (1,)):
+            tangent_diag[index] = np.inf
+        text = "tangent diag[2] is inf, not finite"
+        args = (("skew",), diag, anti, tangent_diag, tangent_anti)
+        return evaluate_stack, args, NotXFormError, at + text
     if kind == "kernel-concurrence":
         anti[FIRST + (1,)] = anti[FIRST + (3,)] = anti[LATER + (0,)] = np.nan
         text = "anti[1] is (nan+0j), not finite"
-        return evaluate_stack, (("concurrence",), None, None, diag, anti), NotXFormError, at + text
+        return evaluate_stack, (("concurrence",), diag, anti), NotXFormError, at + text
     if kind == "singular-block":  # each block is an element of a closed form's stack
         for index, j in ((FIRST, 1), (FIRST, 3), (LATER, 0)):
             w[index + (j,)] = [0.25, 0.25, 0.0, 0.0]
@@ -914,7 +961,9 @@ FIRST_FAILURE_KINDS = [
     "dense-off-pattern",
     "dense-imaginary-diagonal",
     "dense-conjugate-pair",
-    "kernel-bloch",
+    "kernel-trace",
+    "kernel-coherence",
+    "kernel-negative",
     "kernel-tangent",
     "kernel-concurrence",
     "singular-block",

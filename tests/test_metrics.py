@@ -369,12 +369,13 @@ class TestCheckedBoundary:
                 family = ParamFamily(state=family.state)
             points.append((family, float(rng.uniform(0.2, 0.8))))
         states = [family.state(phi) for family, phi in points]
+        tangents = [family.tangent_at(phi) for family, phi in points]
         values = evaluate_stack(
             ("qfi", "skew", "concurrence"),
-            bloch=np.array([family.bloch_at(phi) for family, phi in points]),
-            tangent=np.array([family.tangent_at(phi).to_bloch_array() for family, phi in points]),
-            diag=np.array([s.diag for s in states]),
-            anti=np.array([s.anti for s in states]),
+            np.array([s.diag for s in states]),
+            np.array([s.anti for s in states]),
+            np.array([t.diag for t in tangents]),
+            np.array([t.anti for t in tangents]),
         )
         views = {
             "qfi": [qfi_total(family, phi) for family, phi in points],
