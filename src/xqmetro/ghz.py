@@ -159,9 +159,13 @@ def ghz_grid(kind: ChannelKind, q_values, p_values, metrics=METRIC_NAMES) -> dic
     return out
 
 
-def _check_point(q: float, p: float) -> ChannelParam:
+def _check_q(q: float) -> None:
     if not np.isfinite(q) or not GHZ_QMIN <= q <= 1.0:
         raise BadParameterError(f"closed forms need q in [{GHZ_QMIN}, 1], got {float(q)!r}")
+
+
+def _check_point(q: float, p: float) -> ChannelParam:
+    _check_q(q)
     return ChannelParam(p)
 
 
@@ -373,8 +377,9 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
     the pipeline's expression on the Kraus images of rho(q), one kernel
     call.  Every value is, bit for bit, what the same point alone gives.
 
-    A q or p axis that is not one-dimensional, and then every point, is
-    checked before any work, so a bad one raises :class:`BadParameterError`.
+    A q or p axis that is not one-dimensional, and then every q and p value
+    (q[0], every p, every other q), is checked before any work, so a bad
+    one raises :class:`BadParameterError`, also beside an empty axis.
     The Werner-GHZ inputs pass the checks of :class:`XState` as a stack, a
     failure naming (rho / left probe / right probe, q index); the Kraus
     images of the states do too, a failure naming (probe, p index, q index).
@@ -393,9 +398,13 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
     """
     _axis("q_values", q_values)
     _axis("p_values", p_values)
-    for q in q_values:
-        for p in p_values:
-            _check_point(q, p)
+    # Each axis once, in the order a per-point loop reports, even beside an empty axis.
+    for q in q_values[:1]:
+        _check_q(q)
+    for p in p_values:
+        ChannelParam(p)
+    for q in q_values[1:]:
+        _check_q(q)
     shape = (len(q_values), len(p_values))
     if not all(shape):
         empty = np.empty(shape)

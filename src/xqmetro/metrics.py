@@ -25,6 +25,12 @@ grid's stacks, and :func:`qfi_total`, :func:`skew_total` and
 :func:`concurrence_ghz_class`, the kernel's single-state views, which take
 only :class:`XState` states, validated when built, and check each tangent
 once.
+
+The cost of a single-state call is numpy dispatch on 4x4 arrays (the
+README gives per-call figures), so the routing mask and each closed form
+slice a block's ``w0`` and vector part once and hand the slices to
+``_gap``, and :func:`~xqmetro.xstate.bloch_from_compact` writes each Bloch
+column with one ufunc.
 """
 
 from __future__ import annotations
@@ -55,13 +61,14 @@ RANK_CUTOFF = 1e-12
 METRIC_NAMES = ("qfi", "skew", "concurrence")
 
 
-def _gap(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Minkowski contraction over the last axis of stacked Bloch 4-vectors."""
-    return w[..., 0] * v[..., 0] - np.vecdot(w[..., 1:], v[..., 1:])
+def _gap(a0: np.ndarray, a: np.ndarray, b0: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minkowski contraction of stacked Bloch 4-vectors, given as their
+    0th coordinates ``a0``, ``b0`` and vector parts ``a``, ``b`` (..., 3)."""
+    return a0 * b0 - np.vecdot(a, b)
 
 
-def _require_mixed(w: np.ndarray, gap_ww: np.ndarray, message: str) -> None:
-    singular = (w[..., 0] <= EPS_SINGULAR) | (gap_ww <= EPS_SINGULAR)
+def _require_mixed(w0: np.ndarray, gap_ww: np.ndarray, message: str) -> None:
+    singular = (w0 <= EPS_SINGULAR) | (gap_ww <= EPS_SINGULAR)
     if singular.any():
         _fail(SingularBlockError, singular, lambda i: f"{message}, got gap {gap_ww[i]:.3e}")
 
@@ -88,13 +95,13 @@ def qfi_block_mixed(w: np.ndarray, dw: np.ndarray):
     """
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    gap_ww = _gap(w, w)
-    _require_mixed(w, gap_ww, "mixed-block form needs w0 > 0 and w0^2 > |w|^2")
-    w0 = w[..., 0]
+    w0, v, dw0, dv = w[..., 0], w[..., 1:], dw[..., 0], dw[..., 1:]
+    gap_ww = _gap(w0, v, w0, v)
+    _require_mixed(w0, gap_ww, "mixed-block form needs w0 > 0 and w0^2 > |w|^2")
     # Squares go through pow() via np.float_power, the rounding of a scalar
     # x**2; an array ** 2 computes x*x, which differs in rare last bits.
-    value = np.float_power(dw[..., 0], 2.0) / w0 + (
-        np.float_power(_gap(w, dw), 2.0) / gap_ww - _gap(dw, dw)
+    value = np.float_power(dw0, 2.0) / w0 + (
+        np.float_power(_gap(w0, v, dw0, dv), 2.0) / gap_ww - _gap(dw0, dv, dw0, dv)
     ) / w0
     return _float_if_single(value)
 
@@ -110,9 +117,9 @@ def skew_block(w: np.ndarray, dw: np.ndarray):
     """
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    gap_ww = _gap(w, w)
-    _require_mixed(w, gap_ww, "skew closed form needs a strictly mixed block")
-    w0, dw0, vec, dvec = w[..., 0], dw[..., 0], w[..., 1:], dw[..., 1:]
+    w0, vec, dw0, dvec = w[..., 0], w[..., 1:], dw[..., 0], dw[..., 1:]
+    gap_ww = _gap(w0, vec, w0, vec)
+    _require_mixed(w0, gap_ww, "skew closed form needs a strictly mixed block")
     radial = np.sqrt(gap_ww)
     k = w0 + radial
     sqrt_k = np.sqrt(k)
@@ -228,7 +235,8 @@ def _kernel(metrics, w, dw, diag, anti) -> dict[str, np.ndarray]:
     """
     out = {}
     if "qfi" in metrics or "skew" in metrics:
-        mixed = (w[..., 0] > EPS_SINGULAR) & (_gap(w, w) > EPS_SINGULAR)
+        w0, v = w[..., 0], w[..., 1:]
+        mixed = (w0 > EPS_SINGULAR) & (_gap(w0, v, w0, v) > EPS_SINGULAR)
         fallback = not mixed.all()
         if fallback and dw.shape != w.shape:
             dw = np.broadcast_to(dw, w.shape)
@@ -303,7 +311,9 @@ class ParamFamily:
         The state must be an :class:`XState`, validated when built: any other
         object raises :class:`NotXFormError` naming ``phi`` and its type.
         """
-        s = _xstate(self.state(phi), f"at phi={phi!r}: ")
+        s = self.state(phi)
+        if not isinstance(s, XState):  # the message is formatted only for a failure
+            _xstate(s, f"at phi={phi!r}: ")
         return bloch_from_compact(s.diag, s.anti)
 
 

@@ -53,7 +53,9 @@ class XState:
         diag = np.array(self.diag, dtype=float)
         anti = np.array(self.anti, dtype=complex)
         if diag.shape != (8,) or anti.shape != (4,):
-            raise NotXFormError("expected 8 populations and 4 coherences")
+            raise NotXFormError(
+                f"expected 8 populations and 4 coherences, got shapes {diag.shape} and {anti.shape}"
+            )
         check_compact(diag, anti)
         diag.setflags(write=False)
         anti.setflags(write=False)
@@ -191,16 +193,18 @@ def bloch_from_compact(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     """Block Bloch coordinates ``(..., 4, 4)`` from compact X components.
 
     Leading axes of ``diag`` (..., 8) and ``anti`` (..., 4) are stack axes.
+    Each column is one ufunc written in place; ``diag`` must be real (a
+    complex one raises numpy's casting error).
     """
     diag = np.asarray(diag)
     anti = np.asarray(anti)
     upper = diag[..., :4]  # populations i of the BLOCK_PAIRS (i, j)
     lower = diag[..., :3:-1]  # populations j = 7 - i
     w = np.empty(diag.shape[:-1] + (4, 4))
-    w[..., 0] = upper + lower
-    w[..., 1] = 2.0 * anti.real
-    w[..., 2] = -2.0 * anti.imag
-    w[..., 3] = upper - lower
+    np.add(upper, lower, out=w[..., 0])
+    np.multiply(anti.real, 2.0, out=w[..., 1])
+    np.multiply(anti.imag, -2.0, out=w[..., 2])
+    np.subtract(upper, lower, out=w[..., 3])
     return w
 
 

@@ -636,3 +636,27 @@ class TestCrosscheckGrid:
         with pytest.raises(BadParameterError) as err:
             crosscheck_grid(ChannelKind.PHASE_DAMPING, q_values, p_values)
         assert str(err.value) == text
+
+    @pytest.mark.parametrize(
+        "q_values, p_values, text",
+        [
+            ([2.0], [], "closed forms need q in [0.001, 1], got 2.0"),
+            ([], [1.5], "p must lie in [0, 1], got 1.5"),
+            # Reported as a point-by-point loop would: q[0], every p, every q.
+            ([0.5, 2.0], [0.1, 1.5], "p must lie in [0, 1], got 1.5"),
+            ([3.0, 0.5], [1.5], "closed forms need q in [0.001, 1], got 3.0"),
+            ([0.5, 1e-4], [0.1, 0.2], "closed forms need q in [0.001, 1], got 0.0001"),
+        ],
+        ids=["q-beside-empty-p", "p-beside-empty-q", "p-before-later-q", "q0-first", "later-q"],
+    )
+    def test_every_axis_value_is_checked_before_any_work(
+        self, monkeypatch, q_values, p_values, text
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the grid was checked")
+
+        monkeypatch.setattr(ghz, "ghz_grid", no_work)
+        monkeypatch.setattr(ghz, "apply_kraus_dense", no_work)
+        with pytest.raises(BadParameterError) as err:
+            crosscheck_grid(ChannelKind.PHASE_DAMPING, q_values, p_values)
+        assert str(err.value) == text

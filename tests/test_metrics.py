@@ -5,7 +5,15 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from reference import block_matrix, family_oracles_at, sld_block
+from reference import (
+    SPECIAL_VALUES,
+    block_matrix,
+    family_oracles_at,
+    qfi_block_by_gap,
+    skew_block_by_gap,
+    sld_block,
+)
+from xqmetro import metrics, xstate
 from xqmetro.cli import family_oracle_errors
 from xqmetro.errors import NotXFormError, SingularBlockError
 from xqmetro.linalg import psd_sqrt
@@ -142,6 +150,64 @@ class TestBlockSkew:
         dlam = np.array([0.2, -0.1])
         classical = float(np.sum(dlam**2 / lam))
         assert abs(skew_block(w, dw) - classical) < 1e-12
+
+
+def closed_form_inputs():
+    """``{name: (w, dw)}`` block stacks: seeded mixed blocks, a tangent
+    broadcast over a stack axis, blocks whose gap straddles the 1e-10
+    switch, special-value entries, and mixed blocks with one of them."""
+    rng = np.random.default_rng(76)
+    w, dw = map(np.array, zip(*(random_mixed_block(rng) for _ in range(200))))
+    weight = rng.uniform(0.1, 0.9, 200)
+    gap = 10.0 ** rng.uniform(-11.5, -8.5, 200)
+    direction = rng.normal(size=(200, 3))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    near = np.concatenate([weight[:, None], np.sqrt(weight**2 - gap)[:, None] * direction], -1)
+    special = rng.choice(SPECIAL_VALUES, size=(2, 400, 4))
+    # One special entry in each mixed block or its tangent.
+    spoiled = np.concatenate([w, dw], -1)
+    spoiled[np.arange(200), rng.integers(0, 8, 200)] = rng.choice(SPECIAL_VALUES, 200)
+    return {
+        "mixed": (w, dw),
+        "broadcast-tangent": (w.reshape(8, 25, 4), dw[:8, None]),
+        "near-switch": (near, dw),
+        "special": (special[0], special[1]),
+        "one-special-entry": (spoiled[:, :4], spoiled[:, 4:]),
+    }
+
+
+CLOSED_FORM_INPUTS = closed_form_inputs()
+
+
+def outcome(block, w, dw):
+    """``block(w, dw)`` as its type and raw bits, or its error's type and text."""
+    with np.errstate(all="ignore"):
+        try:
+            value = block(w, dw)
+        except SingularBlockError as err:
+            return SingularBlockError, str(err)
+    return type(value), np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_INPUTS))
+@pytest.mark.parametrize(
+    "block, reference",
+    [(qfi_block_mixed, qfi_block_by_gap), (skew_block, skew_block_by_gap)],
+    ids=["qfi", "skew"],
+)
+def test_closed_forms_equal_the_whole_vector_forms_in_raw_bits(block, reference, name):
+    """The closed forms slice each block's 0th coordinate and vector part
+    once; the bits and errors are those of contractions that sliced whole
+    4-vectors per call: for the stack, each block alone, and the stack of
+    the blocks that pass alone."""
+    w, dw = CLOSED_FORM_INPUTS[name]
+    assert outcome(block, w, dw) == outcome(reference, w, dw)
+    dw = np.broadcast_to(dw, w.shape)
+    alone = [outcome(block, w[i], dw[i]) for i in np.ndindex(w.shape[:-1])]
+    assert alone == [outcome(reference, w[i], dw[i]) for i in np.ndindex(w.shape[:-1])]
+    passed = np.array([kind is float for kind, _ in alone]).reshape(w.shape[:-1])
+    assert passed.any()
+    assert outcome(block, w[passed], dw[passed]) == outcome(reference, w[passed], dw[passed])
 
 
 class TestTotals:
@@ -384,6 +450,60 @@ class TestCheckedBoundary:
         }
         for name, scalars in views.items():
             assert values[name].tobytes() == np.array(scalars).tobytes(), name
+
+
+class TestScalarPathWork:
+    """The work of one analytic :func:`qfi_total` / :func:`skew_total` call
+    on a family whose blocks are all mixed: no phi is formatted into an
+    error prefix that no error needs."""
+
+    @pytest.mark.parametrize(
+        "total, closed_form, gaps",
+        [(qfi_total, "qfi_block_mixed", 4), (skew_total, "skew_block", 2)],
+        ids=["qfi", "skew"],
+    )
+    def test_checks_once_converts_twice_and_routes_once(self, total, closed_form, gaps, monkeypatch):
+        events = []
+
+        def spy(name, function):
+            def spying(*args):
+                events.append(name)
+                value = function(*args)
+                if name == closed_form:
+                    events.append(f"end of {name}")
+                return value
+
+            return spying
+
+        # XState's check, and the conversions of bloch_at and XTangent.to_bloch_array.
+        monkeypatch.setattr(xstate, "check_compact", spy("check_compact", xstate.check_compact))
+        bloch = spy("bloch_from_compact", xstate.bloch_from_compact)
+        monkeypatch.setattr(xstate, "bloch_from_compact", bloch)
+        monkeypatch.setattr(metrics, "bloch_from_compact", bloch)
+        monkeypatch.setattr(metrics, "_gap", spy("_gap", metrics._gap))
+        monkeypatch.setattr(metrics, closed_form, spy(closed_form, getattr(metrics, closed_form)))
+        class Phi(float):
+            """A phi that records each time an error prefix formats it."""
+
+            def __repr__(self):
+                events.append("repr(phi)")
+                return float.__repr__(self)
+
+        family = random_family(np.random.default_rng(77))
+        for phi in (0.1, 0.5, 0.9):
+            events.clear()
+            total(family, Phi(phi))
+            # The routing mask's gap(w, w) is made again inside the closed
+            # form, which is public and keeps its own check.
+            assert events == [
+                "check_compact",
+                "bloch_from_compact",
+                "bloch_from_compact",
+                "_gap",
+                closed_form,
+                *["_gap"] * (gaps - 1),
+                f"end of {closed_form}",
+            ]
 
 
 def with_complex_diag(family, k, imaginary):

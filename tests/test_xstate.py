@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reference import PAULI
+from reference import PAULI, SPECIAL_VALUES, bloch_by_assignment
 from xqmetro.channels import M_EVEN, M_ODD, Z_EVEN_COUNTS, Z_ODD_COUNTS
 from xqmetro.errors import BlockNotPSDError, NotXFormError, TraceViolationError
 from xqmetro.ghz import werner_ghz
@@ -79,6 +79,20 @@ class TestXStateConstruction:
         parts[field][1] = value
         with pytest.raises(NotXFormError, match=rf"^{field}\[1\] is .*not finite"):
             XState(parts["diag"], parts["anti"])
+
+    @pytest.mark.parametrize(
+        "diag, anti, shapes",
+        [
+            (np.zeros(7), np.zeros(4), "(7,) and (4,)"),
+            (np.full(8, 0.125), np.zeros(3), "(8,) and (3,)"),
+            (np.zeros((2, 8)), np.zeros((2, 4)), "(2, 8) and (2, 4)"),
+        ],
+        ids=["short-diag", "short-anti", "stack"],
+    )
+    def test_wrong_shape_names_both_shapes(self, diag, anti, shapes):
+        with pytest.raises(NotXFormError) as err:
+            XState(diag, anti)
+        assert str(err.value) == f"expected 8 populations and 4 coherences, got shapes {shapes}"
 
     def test_dense_roundtrip(self):
         rng = np.random.default_rng(21)
@@ -271,6 +285,54 @@ class TestBlockBloch:
         with pytest.raises(NotXFormError) as err:
             check_compact(*compact_from_bloch(w))
         assert str(err.value) == f"anti[2] is {text}, not finite"
+
+
+def bloch_inputs():
+    """``{name: (diag, anti)}``: seeded states, stacks, broadcast and
+    strided inputs, and special-value entries in every column."""
+    rng = np.random.default_rng(27)
+    states = [random_xstate(rng) for _ in range(60)]
+    diag = np.array([s.diag for s in states])
+    anti = np.array([s.anti for s in states])
+    special = rng.choice(SPECIAL_VALUES, size=(3, 400, 12))
+    special_anti = np.empty((400, 4), dtype=complex)
+    special_anti.real, special_anti.imag = special[1, :, 8:], special[2, :, 8:]
+    return {
+        "one": (states[0].diag, states[0].anti),
+        "stack": (diag, anti),
+        "2d-stack": (diag.reshape(5, 12, 8), anti.reshape(5, 12, 4)),
+        "broadcast-anti": (diag, anti[0]),
+        "strided": (diag[::3], anti[::3]),
+        "normal": (rng.normal(size=(7, 8)), rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))),
+        "special": (special[0, :, :8], special_anti),
+        "integer-diag": (np.arange(8), np.arange(4) - 2j),
+    }
+
+
+BLOCH_INPUTS = bloch_inputs()
+
+
+class TestBlochColumnsInPlace:
+    """Each Bloch column is one ufunc writing into the output; the bits are
+    those of the four temporaries assigned into slices that it replaced."""
+
+    @pytest.mark.parametrize("name", list(BLOCH_INPUTS))
+    def test_equals_the_assignment_form_in_raw_bits(self, name):
+        diag, anti = BLOCH_INPUTS[name]
+        with np.errstate(all="ignore"):
+            w = bloch_from_compact(diag, anti)
+            expected = bloch_by_assignment(diag, anti)
+        assert w.shape == expected.shape
+        assert w.dtype == expected.dtype == np.float64
+        assert w.tobytes() == expected.tobytes()
+
+    def test_complex_diag_raises_numpys_casting_error(self):
+        # The slice assignment warned and kept the real part; only a
+        # hand-built XTangent reaches this, ParamFamily.tangent_at returns
+        # a real diag or raises NotXFormError.
+        tangent = XTangent(np.zeros(8, dtype=complex), np.zeros(4, dtype=complex))
+        with pytest.raises(TypeError, match=r"^Cannot cast ufunc 'add' output from dtype\('complex128'\)"):
+            tangent.to_bloch_array()
 
 
 class TestXTangent:
