@@ -10,6 +10,10 @@ stacks:
   the literal z-sector sign tables ``M_EVEN``/``M_ODD`` kept here; its
   compact composition ``_damped_compact`` is the one ``ghz`` reuses.
 
+Both take one :class:`ChannelParam` or a sequence of them; a sequence adds a
+leading parameter axis to the result, and one parameter is its one-element
+view.
+
 The two routes share no channel mathematics, so their agreement (tested to
 1e-12 elementwise) is a real check rather than a tautology.
 """
@@ -106,8 +110,10 @@ def kraus_operators(kind: ChannelKind, param: ChannelParam) -> list[np.ndarray]:
     raise BadParameterError(f"unknown channel kind {kind!r}")
 
 
-# Matrices per pass of :func:`apply_kraus_dense`; bounds its working set,
-# one (n, m^3, 64) complex temporary (64 KiB per matrix for depolarizing).
+# Matrices per pass of :func:`apply_kraus_dense`; bounds its working set to
+# one chunk's gather and one parameter's terms, two (n, m^3, 64) complex
+# buffers reused by every pass (64 KiB each per matrix for depolarizing),
+# beside the output and the per-parameter value tables.
 KRAUS_CHUNK = 4
 
 
@@ -137,35 +143,62 @@ def _triple_kraus(kind: ChannelKind, p: float):
     return cols, values
 
 
-def apply_kraus_dense(matrix: np.ndarray, kind: ChannelKind, param: ChannelParam) -> np.ndarray:
+def apply_kraus_dense(
+    matrix: np.ndarray, kind: ChannelKind, param: ChannelParam | Sequence[ChannelParam]
+) -> np.ndarray:
     """Kraus action ``sum K M K^dag`` on dense 8x8 matrices ``(..., 8, 8)`` (no validation).
 
     Leading axes are stack axes, walked ``KRAUS_CHUNK`` matrices at a time.
+    Given a sequence of parameters instead of one, the result gains a
+    leading axis with one entry per parameter; one parameter is the
+    one-element view of the same loop.
+
     Every triple operator has at most one nonzero entry per row, real or
     imaginary, in column ``c[r]`` with value ``v[r]``, so ``(K M K^dag)[r, s]
     = (v[r] M[c[r], c[s]]) conj(v[s])``.  Each matrix is viewed as its 64
-    entries and gathered with one ``take`` at the flat index ``8 c[r] + c[s]``,
-    then multiplied by ``v[r]`` and then by ``conj(v[s])``, then the Kraus sum
-    runs in operator order.  Each entry comes out bit for bit as the dense
-    product ``(K @ M) @ K^dag`` gives it for finite input, and each element
-    as it would alone.
+    entries and gathered with one ``take`` at the flat index ``8 c[r] + c[s]``.
+    The index depends on the parameter only through the column table ``c``,
+    so each chunk is gathered once per distinct table (one for pdc and pfc,
+    two for dpc, whose p = 0 rows read their own column); each parameter
+    then multiplies the gather by ``v[r]`` and then by ``conj(v[s])``, and
+    the Kraus sum runs in operator order.  Each entry comes out bit for bit
+    as the dense product ``(K @ M) @ K^dag`` gives it for finite input, and
+    each element as it would alone, for one parameter or in a sequence.
     """
-    cols, values = _triple_kraus(kind, param.p)
-    index = (8 * cols[:, :, None] + cols[:, None, :]).reshape(len(cols), 64)
-    left = np.repeat(values, 8, axis=1)  # v[r] at 8 r + s
-    right = np.tile(values.conj(), 8)  # conj(v[s]) at 8 r + s
+    single = isinstance(param, ChannelParam)
+    params = [param] if single else list(param)
     m = np.asarray(matrix, dtype=complex)
     flat = m.reshape((-1, 64))
-    out = np.empty(flat.shape, dtype=complex)
+    out = np.empty((len(params),) + flat.shape, dtype=complex)
+    # Parameters grouped by column table: {table bytes: (index, [(k, left, right)])}.
+    groups = {}
+    for k, p in enumerate(params):
+        cols, values = _triple_kraus(kind, p.p)
+        if (key := cols.tobytes()) not in groups:
+            groups[key] = ((8 * cols[:, :, None] + cols[:, None, :]).reshape(len(cols), 64), [])
+        left = np.repeat(values, 8, axis=1)  # v[r] at 8 r + s
+        right = np.tile(values.conj(), 8)  # conj(v[s]) at 8 r + s
+        groups[key][1].append((k, left, right))
+    # One chunk's gather and one parameter's terms, reused by every pass.
+    # The index never leaves [0, 64), so mode="clip" clips nothing; unlike
+    # the default mode="raise", it lets ``take`` write into its out unbuffered.
+    rows = max((len(index) for index, _ in groups.values()), default=0)  # m^3
+    gather_buffer = np.empty((KRAUS_CHUNK, rows, 64), dtype=complex)
+    terms_buffer = np.empty_like(gather_buffer)
     # A non-finite input entry stays non-finite at its output entries, for
     # the X-pattern check downstream to report; 0 * inf is not warned about.
     with np.errstate(invalid="ignore"):
         for start in range(0, len(flat), KRAUS_CHUNK):
-            terms = flat[start : start + KRAUS_CHUNK].take(index, axis=1)
-            terms *= left
-            terms *= right
-            terms.sum(axis=1, out=out[start : start + KRAUS_CHUNK])
-    return out.reshape(m.shape)
+            chunk = flat[start : start + KRAUS_CHUNK]
+            gathered, terms = gather_buffer[: len(chunk)], terms_buffer[: len(chunk)]
+            for index, members in groups.values():
+                chunk.take(index, axis=1, out=gathered, mode="clip")
+                for k, left, right in members:
+                    np.multiply(gathered, left, out=terms)
+                    terms *= right
+                    terms.sum(axis=1, out=out[k, start : start + KRAUS_CHUNK])
+    out = out.reshape((len(params),) + m.shape)
+    return out[0] if single else out
 
 
 def bloch_damping_factors(kind: ChannelKind, param: ChannelParam) -> tuple[float, float]:

@@ -166,12 +166,13 @@ def _max_error(errors) -> float:
 def channel_route_errors(states, p_values) -> tuple[float, float]:
     """Kraus completeness and Kraus-versus-Bloch route error on a corpus of states.
 
-    Per channel and p, both routes run over the whole corpus at once, and
-    every state passes the checks it would pass alone: :func:`check_compact`
-    (the checks of XState) on the input and on both images, the dense X
-    pattern on the Kraus image; a failure names its element of the stack.
-    The route error spans the raw 8x8 Kraus image, off-pattern entries
-    included.
+    Per channel, both routes run over the whole corpus and every p at once:
+    one :func:`damped_bloch_array` call and one :func:`apply_kraus_dense`
+    call, each with the sequence of parameters.  Every state passes the
+    checks it would pass alone: :func:`check_compact` (the checks of XState)
+    on the input and on both images, the dense X pattern on each p's Kraus
+    image; a failure names its element of that p's stack.  The route error
+    spans the raw 8x8 Kraus image, off-pattern entries included.
     """
     diag = np.stack([state.diag for state in states])
     anti = np.stack([state.anti for state in states])
@@ -184,10 +185,10 @@ def channel_route_errors(states, p_values) -> tuple[float, float]:
         damped = damped_bloch_array(kind, bloch, params)
         damped_diag, damped_anti = compact_from_bloch(damped)
         check_compact(damped_diag, damped_anti)
-        for k, param in enumerate(params):
+        images = apply_kraus_dense(dense, kind, params)
+        for k, (param, via_kraus) in enumerate(zip(params, images)):
             total = sum(op.conj().T @ op for op in kraus_operators(kind, param))
             completeness.append(np.abs(total - np.eye(2)).max())
-            via_kraus = apply_kraus_dense(dense, kind, param)
             compact_from_dense(via_kraus)
             via_bloch = dense_from_compact(damped_diag[k], damped_anti[k])
             route.append(np.abs(via_kraus - via_bloch).max())

@@ -369,10 +369,10 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
 
     Pipeline values ride the compact closed-form channel route, the whole
     grid in one :func:`ghz_grid` call.  Oracle values ride the dense Kraus
-    route, one :func:`apply_kraus_dense` call per p (the operators depend
-    on it) over the stack of rho(q) for every q, the skew probes rho(q -+ h)
-    with ``h = diff_step(q)``, and d rho.  The images of every p are then
-    stacked as (probe, p, q): one :func:`~xqmetro.oracle.oracle_column` call
+    route, one :func:`apply_kraus_dense` call with the whole p axis as its
+    parameter sequence, over the stack of rho(q) for every q, the skew
+    probes rho(q -+ h) with ``h = diff_step(q)``, and d rho.  Its images,
+    one per p, are then arranged as (probe, p, q): one :func:`~xqmetro.oracle.oracle_column` call
     gives the Fisher and skew oracles of the whole grid, and concurrence is
     the pipeline's expression on the Kraus images of rho(q), one kernel
     call.  Every value is, bit for bit, what the same point alone gives.
@@ -401,8 +401,7 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
     # Each axis once, in the order a per-point loop reports, even beside an empty axis.
     for q in q_values[:1]:
         _check_q(q)
-    for p in p_values:
-        ChannelParam(p)
+    params = [ChannelParam(p) for p in p_values]
     for q in q_values[1:]:
         _check_q(q)
     shape = (len(q_values), len(p_values))
@@ -425,7 +424,7 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
 
     # One Kraus image per p, then (probe, p, q) stacks of states and the
     # (p, 1) stack of d rho, which broadcasts over q as the steps do.
-    images = np.stack([apply_kraus_dense(stack, kind, ChannelParam(p)) for p in p_values])
+    images = apply_kraus_dense(stack, kind, params)
     states = images[:, :-1].reshape((len(p_values),) + diag.shape[:-1] + (8, 8)).swapaxes(0, 1)
     kraus_diag, kraus_anti = compact_from_dense(states)
     # The eigen oracle reads the raw image of rho, as it does d rho; the

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,8 +149,14 @@ def _same_bits(a, b):
     )
 
 
+# p = 0 (the depolarizing channel's second column table), interior p, a
+# repeated p and p = 1, with each table's parameters interleaved.
+MIXED_P = (0.3, 0.0, 0.7, 0.3, 1.0)
+
+
 class TestStackedKraus:
-    """A stack gives every matrix exactly what the matrix gives alone."""
+    """A stack gives every matrix exactly what the matrix gives alone, and a
+    parameter sequence every parameter what it gives alone."""
 
     @pytest.mark.parametrize("size", [1, KRAUS_CHUNK - 1, KRAUS_CHUNK, KRAUS_CHUNK + 1])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
@@ -173,13 +180,43 @@ class TestStackedKraus:
             assert _same_bits(got[index], _kraus_alone(dense[index], kind, param))
         assert _same_bits(apply_kraus_dense(dense[1, 2], kind, param), got[1, 2])
 
+    @pytest.mark.parametrize("size", [1, KRAUS_CHUNK - 1, KRAUS_CHUNK, KRAUS_CHUNK + 1])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_sequence_matches_each_parameter_alone(self, kind, size):
+        rng = np.random.default_rng(50)
+        dense = np.stack([random_xstate(rng).to_dense() for _ in range(size)])
+        params = [ChannelParam(p) for p in MIXED_P]
+        got = apply_kraus_dense(dense, kind, params)
+        assert got.shape == (len(params),) + dense.shape
+        for image, param in zip(got, params):
+            assert _same_bits(image, apply_kraus_dense(dense, kind, param)), param.p
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_sequence_on_general_matrices(self, kind):
+        rng = np.random.default_rng(51)
+        dense = rng.normal(size=(2, 3, 8, 8)) + 1j * rng.normal(size=(2, 3, 8, 8))
+        params = tuple(ChannelParam(p) for p in MIXED_P)
+        got = apply_kraus_dense(dense, kind, params)
+        assert got.shape == (len(params), 2, 3, 8, 8)
+        for image, param in zip(got, params):
+            assert _same_bits(image, apply_kraus_dense(dense, kind, param)), param.p
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8), (0, 8, 8)])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_empty_sequence(self, kind, shape):
+        matrix = np.zeros(shape, dtype=complex)
+        assert apply_kraus_dense(matrix, kind, []).shape == (0,) + shape
+        assert apply_kraus_dense(matrix, kind, ()).shape == (0,) + shape
+
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_non_finite_entry_is_reported_downstream(self, kind, p):
         # Each operator reads one input entry per output entry, and a zero
         # row reads its own entry, so a NaN anywhere stays in the image and
-        # the stacked X-pattern check names its element.
+        # the stacked X-pattern check names its element, alone or in a
+        # parameter sequence.
         param = ChannelParam(p)
+        params = [ChannelParam(0.5), param]
         for row in range(8):
             for col in range(8):
                 stack = np.stack([np.eye(8, dtype=complex) / 8.0] * 3)
@@ -187,6 +224,40 @@ class TestStackedKraus:
                 images = apply_kraus_dense(stack, kind, param)
                 with pytest.raises(NotXFormError, match=r"^element 1: "):
                     compact_from_dense(images)
+                sequence = apply_kraus_dense(stack, kind, params)
+                assert _same_bits(sequence[1], images)
+                for image in sequence:
+                    with pytest.raises(NotXFormError, match=r"^element 1: "):
+                        compact_from_dense(image)
+
+    def test_working_set_stays_one_chunk(self):
+        # The 108-state depolarizing corpus of validate --grid 9 at its 11 p
+        # values.  Bound: the output, two (64, 64) value tables per p and an
+        # index table per column table, one chunk's gather and one p's terms,
+        # plus 256 KiB of slack for numpy's 8,192-element ufunc buffer
+        # (128 KiB complex), the tables' temporaries and small objects:
+        # 1,216,512 + 1,441,792 + 65,536 + 524,288 + 262,144 bytes
+        # = 3,510,272.  Holding every chunk's gather instead needs ~7 MiB.
+        kind = ChannelKind.DEPOLARIZING
+        rng = np.random.default_rng(1)
+        dense = np.stack([random_xstate(rng).to_dense() for _ in range(108)])
+        params = [ChannelParam(p) for p in P_GRID]
+        for param in params:
+            channels._triple_kraus(kind, param.p)
+        m3, n = 64, len(dense)
+        output = len(params) * n * 64 * 16
+        tables = len(params) * 2 * m3 * 64 * 16 + 2 * m3 * 64 * 8
+        chunk = 2 * KRAUS_CHUNK * m3 * 64 * 16
+        bound = output + tables + chunk + 256 * 1024
+        assert bound == 3_510_272
+        tracemalloc.start()
+        try:
+            images = apply_kraus_dense(dense, kind, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert images.nbytes == output
+        assert peak <= bound, peak
 
 
 class TestValidateTraffic:
@@ -195,11 +266,13 @@ class TestValidateTraffic:
 
     @staticmethod
     def checked_kraus(seen):
-        def checked(stack, kind, param):
-            images = apply_kraus_dense(stack, kind, param)
-            alone = [_kraus_alone(m, kind, param) for m in stack.reshape((-1, 8, 8))]
-            assert _same_bits(images, np.reshape(alone, images.shape)), (kind, param.p)
-            seen.append((kind, param.p))
+        def checked(stack, kind, params):
+            images = apply_kraus_dense(stack, kind, params)
+            assert images.shape == (len(params),) + stack.shape
+            for image, param in zip(images, params):
+                alone = [_kraus_alone(m, kind, param) for m in stack.reshape((-1, 8, 8))]
+                assert _same_bits(image, np.reshape(alone, image.shape)), (kind, param.p)
+                seen.append((kind, param.p))
             return images
 
         return checked
@@ -232,6 +305,16 @@ class TestTripleKrausCache:
         apply_kraus_dense(dense, ChannelKind.DEPOLARIZING, param)
         after = channels._triple_kraus.cache_info()
         assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 1
+
+    def test_sequence_looks_up_each_parameter(self):
+        # One lookup per parameter, repeats included, as separate calls make.
+        params = [ChannelParam(p) for p in (math.pi / 11.0, math.e / 10.0, math.pi / 11.0)]
+        dense = np.eye(8, dtype=complex) / 8.0
+        before = channels._triple_kraus.cache_info()
+        apply_kraus_dense(dense, ChannelKind.DEPOLARIZING, params)
+        after = channels._triple_kraus.cache_info()
+        assert after.misses - before.misses == 2
         assert after.hits - before.hits == 1
 
     @pytest.mark.parametrize("kind", ALL_KINDS)

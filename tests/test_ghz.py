@@ -574,10 +574,10 @@ class TestCrosscheckGrid:
         # The stacked image checks raise where the per-point crosscheck gave a
         # SINGULAR verdict; the element is (rho / left / right probe, p index,
         # q index).
-        def leaky(stack, kind, param):
-            images = apply_kraus_dense(stack, kind, param)
-            if param.p == self.P[1]:
-                images[len(self.Q) + 2] *= 1.1  # left probe of the third q
+        def leaky(stack, kind, params):
+            images = apply_kraus_dense(stack, kind, params)
+            k = [param.p for param in params].index(self.P[1])
+            images[k, len(self.Q) + 2] *= 1.1  # left probe of the third q
             return images
 
         monkeypatch.setattr(ghz, "apply_kraus_dense", leaky)
@@ -589,10 +589,10 @@ class TestCrosscheckGrid:
         # A 1e-11 asymmetry passes the 1e-10 X-pattern checks but not the
         # eigensolver's 1e-12 Hermiticity test, which names (probe, p index,
         # q index) where the per-point oracle gave a SINGULAR verdict.
-        def leaky(stack, kind, param):
-            images = apply_kraus_dense(stack, kind, param)
-            if param.p == self.P[2]:
-                images[1, 0, 7] += 1e-11  # rho of the second q
+        def leaky(stack, kind, params):
+            images = apply_kraus_dense(stack, kind, params)
+            k = [param.p for param in params].index(self.P[2])
+            images[k, 1, 0, 7] += 1e-11  # rho of the second q
             return images
 
         monkeypatch.setattr(ghz, "apply_kraus_dense", leaky)
