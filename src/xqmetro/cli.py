@@ -44,13 +44,15 @@ from .ghz import (
     depolarizing_qfi_gap,
     ghz_grid,
 )
-from .metrics import METRIC_NAMES, _check_names, _xstate, evaluate_stack, random_family
+from .linalg import diff_step
+from .metrics import METRIC_NAMES, _check_names, evaluate_stack, random_family
 
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.cli.qfi_total.
 from .metrics import qfi_total  # noqa: F401
-from .oracle import family_oracles
+from .oracle import oracle_column
 from .xstate import (
+    _xstate,
     bloch_from_compact,
     check_compact,
     compact_from_bloch,
@@ -199,27 +201,38 @@ def family_oracle_errors(points) -> tuple[float, float]:
     """Largest Fisher and skew |pipeline - oracle| / max(oracle, 1e-9) over
     ``(family, phi)`` points.
 
-    Each point's state and tangent at ``phi`` are built once and feed both
-    columns: one :func:`evaluate_stack` call gives the pipeline column, each
-    element in raw bits what ``qfi_total`` / ``skew_total`` give alone, and
-    one :func:`oracle.family_oracles` call the other.  Every failure names
-    the point's index: a point that cannot be built prefixes ``element k: ``
-    to its error's text, and each column names its failing element.
+    Each point's state and tangent at ``phi`` and skew probes rho(phi -+ h),
+    ``h = diff_step(phi)``, are built once as compact stacks.  One
+    :func:`evaluate_stack` call checks the tangents and gives the pipeline
+    column, one :func:`oracle.oracle_column` call on the dense forms the
+    oracle column; each element is in raw bits what the point gives alone.
+    Every failure names the point's index: a point that cannot be built
+    prefixes ``element k: `` to its error's text, and each column names its
+    failing element.
     """
     points = list(points)
-    built = []
+    states, tangents, steps = ([], [], []), [], []
     for k, (family, phi) in enumerate(points):
+        h = diff_step(phi)
         try:
-            state = _xstate(family.state(phi), f"at phi={phi!r}: ")
-            built.append((state, family.tangent_at(phi)))
+            for stack, x in zip(states, (phi, phi - h, phi + h)):
+                stack.append(_xstate(family.state(x), x))
+            tangents.append(family.tangent_at(phi))
         except XQMetroError as exc:
             raise type(exc)(f"element {k}: {exc}") from exc
-    parts = [(s.diag, s.anti, t.diag, t.anti) for s, t in built]
-    stacks = [np.reshape([p[k] for p in parts], (-1, n)) for k, n in enumerate((8, 4, 8, 4))]
-    values = evaluate_stack(("qfi", "skew"), *stacks)
+        steps.append(h)
+    n = len(points)
+    diag = np.reshape([[s.diag for s in stack] for stack in states], (3, n, 8))
+    anti = np.reshape([[s.anti for s in stack] for stack in states], (3, n, 4))
+    tangent_diag = np.reshape([t.diag for t in tangents], (n, 8))
+    tangent_anti = np.reshape([t.anti for t in tangents], (n, 4))
+    values = evaluate_stack(("qfi", "skew"), diag[0], anti[0], tangent_diag, tangent_anti)
+    columns = oracle_column(
+        dense_from_compact(diag, anti), dense_from_compact(tangent_diag, tangent_anti), steps
+    )
     fisher, skew = (
         _max_error(np.abs(values[name] - column) / np.maximum(column, 1e-9))
-        for name, column in zip(("qfi", "skew"), family_oracles(points, built))
+        for name, column in zip(("qfi", "skew"), columns)
     )
     return fisher, skew
 

@@ -17,7 +17,6 @@ pipeline numbers.
 from __future__ import annotations
 
 import enum
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -333,20 +332,6 @@ class MetricCheck(NamedTuple):
         return np.abs(self.pipeline - self.oracle) / np.maximum(np.abs(self.oracle), 1.0)
 
 
-def _verdict(pipeline: float, closed_form: float) -> Verdict:
-    # A NaN or infinite pipeline value is a fault of the pipeline, whatever
-    # the reference says; it is not singular, so validate still fails on it.
-    if not math.isfinite(pipeline):
-        return Verdict.PIPELINE_NON_FINITE
-    # A closed form that is NaN or infinite is undefined at the point (the
-    # depolarizing skew form at q = 1, p = 0), not a deviation.
-    if not math.isfinite(closed_form):
-        return Verdict.SINGULAR
-    if abs(pipeline - closed_form) <= CLOSED_FORM_TOL:
-        return Verdict.AGREE
-    return Verdict.CLOSED_FORM_DEVIATES
-
-
 def crosscheck(kind: ChannelKind, q: float, p: float) -> dict[str, MetricCheck]:
     """Evaluate pipeline, reference closed form, and oracle at one grid point.
 
@@ -439,13 +424,27 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
     checks = {}
     for name, closed_form in zip(METRIC_NAMES, closed_forms):
         closed = np.empty(shape)
-        verdict = np.empty(shape, dtype=object)
         for i, q in enumerate(q_values):
             for j, p in enumerate(p_values):
                 try:
                     closed[i, j] = closed_form(kind, q, p)
                 except (XQMetroError, ZeroDivisionError, FloatingPointError):
                     closed[i, j] = np.nan
-                verdict[i, j] = _verdict(pipeline[name][i, j], closed[i, j])
-        checks[name] = MetricCheck(pipeline[name], closed, oracle[name], verdict)
+        values = pipeline[name]
+        with np.errstate(invalid="ignore"):  # inf - inf: a non-finite value, decided first
+            delta = np.abs(values - closed)
+        verdict = np.select(
+            [
+                # A NaN or infinite pipeline value is a fault of the pipeline, whatever
+                # the reference says; it is not singular, so validate still fails on it.
+                ~np.isfinite(values),
+                # A closed form that is NaN or infinite is undefined at the point (the
+                # depolarizing skew form at q = 1, p = 0), not a deviation.
+                ~np.isfinite(closed),
+                delta <= CLOSED_FORM_TOL,
+            ],
+            [Verdict.PIPELINE_NON_FINITE, Verdict.SINGULAR, Verdict.AGREE],
+            Verdict.CLOSED_FORM_DEVIATES,
+        )
+        checks[name] = MetricCheck(values, closed, oracle[name], verdict)
     return checks

@@ -51,6 +51,7 @@ from .xstate import (
     XTangent,
     _check_tangent,
     _fail,
+    _xstate,
     bloch_from_compact,
     check_compact,
 )
@@ -263,12 +264,6 @@ def _kernel(metrics, w, dw, diag, anti) -> dict[str, np.ndarray]:
     return out
 
 
-def _xstate(state, where: str = "") -> XState:
-    if not isinstance(state, XState):
-        raise NotXFormError(f"{where}expected an XState, got {type(state).__name__}")
-    return state
-
-
 @dataclass(frozen=True)
 class ParamFamily:
     """One-parameter family of X states ``phi -> rho(phi)``.
@@ -277,10 +272,12 @@ class ParamFamily:
     with shapes ``(8,)`` and ``(4,)`` (any other raises
     :class:`NotXFormError`); when absent, derivatives fall back to
     symmetric differences of the compact components with step
-    ``diff_step(phi)``, 1e-6 * max(1, |phi|).  A Hermitian tangent has a
-    real diagonal: a complex ``diag`` raises :class:`NotXFormError` from
-    :func:`~xqmetro.xstate._check_tangent`, naming ``phi``, unless its
-    imaginary parts are all zero; then it is returned as its real part.
+    ``diff_step(phi)``, 1e-6 * max(1, |phi|); a probe state that is not an
+    :class:`XState` raises :class:`NotXFormError` naming the probe's
+    ``phi``.  A Hermitian tangent has a real diagonal: a complex ``diag``
+    raises :class:`NotXFormError` from :func:`~xqmetro.xstate._check_tangent`,
+    naming ``phi``, unless its imaginary parts are all zero; then it is
+    returned as its real part.
     """
 
     state: Callable[[float], XState]
@@ -300,7 +297,7 @@ class ParamFamily:
                 tangent = XTangent(np.asarray(tangent.diag).real, tangent.anti)
             return tangent
         # Both differences probe the same two points: build each state once.
-        state = lru_cache(maxsize=2)(self.state)
+        state = lru_cache(maxsize=2)(lambda x: _xstate(self.state(x), x))
         diag = central_diff(lambda x: state(x).diag, phi)
         anti = central_diff(lambda x: state(x).anti, phi)
         return XTangent(diag, anti)
@@ -311,9 +308,7 @@ class ParamFamily:
         The state must be an :class:`XState`, validated when built: any other
         object raises :class:`NotXFormError` naming ``phi`` and its type.
         """
-        s = self.state(phi)
-        if not isinstance(s, XState):  # the message is formatted only for a failure
-            _xstate(s, f"at phi={phi!r}: ")
+        s = _xstate(self.state(phi), phi)
         return bloch_from_compact(s.diag, s.anti)
 
 

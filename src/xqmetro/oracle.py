@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NotHermitianError, NotPSDError, TraceViolationError
 from .linalg import diff_step, eigh, eigh_stack, sqrt_from_spectrum
 from .metrics import ParamFamily
-from .xstate import _check_tangent, _first_failure, _not_finite, dense_from_compact
+from .xstate import _first_failure, _not_finite, _xstate
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -67,10 +67,11 @@ def qfi_from_spectrum(values: np.ndarray, vectors: np.ndarray, drho: np.ndarray)
 
 
 def skew_sqrt_oracle(family: ParamFamily, phi: float) -> float:
-    """Skew information 4 Tr((d sqrt(rho))^2) with d sqrt(rho) by central differences."""
+    """Skew information 4 Tr((d sqrt(rho))^2) with d sqrt(rho) by central
+    differences; a probe that is not an :class:`XState` raises naming its ``phi``."""
     h = diff_step(phi)
-    left = family.state(phi - h).to_dense()
-    right = family.state(phi + h).to_dense()
+    left = _xstate(family.state(phi - h), phi - h).to_dense()
+    right = _xstate(family.state(phi + h), phi + h).to_dense()
     return float(skew_from_spectra(eigh(left), eigh(right), h))
 
 
@@ -105,31 +106,3 @@ def oracle_column(states: np.ndarray, drho: np.ndarray, steps):
     )
     fisher = qfi_from_spectrum(values[:1], vectors[:1], drho)[0]
     return fisher, skew_from_spectra((values[1], vectors[1]), (values[2], vectors[2]), steps)
-
-
-def family_oracles(points, built) -> tuple[np.ndarray, np.ndarray]:
-    """Fisher and skew oracle columns ``(fisher, skew)`` at many ``(family, phi)`` points.
-
-    ``built[k]`` is the k-th point's ``(XState, XTangent)`` pair at ``phi``.
-    Element k of the columns is, bit for bit, ``qfi_eigen_oracle(rho, drho)``
-    and ``skew_sqrt_oracle(family, phi)`` at the k-th point, with ``rho`` and
-    ``drho`` the dense forms of that pair; no points give empty columns.
-    Every point goes through one :func:`oracle_column` call with its skew
-    probes rho(phi -+ h), ``h = diff_step(phi)``; a failure there raises,
-    naming (rho / left probe / right probe, point index).  A NaN or infinite
-    tangent entry raises :class:`NotXFormError` naming the point's index and
-    the entry.
-    """
-    if not points:
-        return np.empty(0), np.empty(0)
-    states, steps = [[], [], []], []
-    for (family, phi), (state, _) in zip(points, built):
-        h = diff_step(phi)
-        for stack, rho in zip(states, (state, family.state(phi - h), family.state(phi + h))):
-            stack.append(rho.to_dense())
-        steps.append(h)
-    diag = np.array([tangent.diag for _, tangent in built])
-    anti = np.array([tangent.anti for _, tangent in built])
-    _check_tangent(diag, anti)
-    drho = dense_from_compact(diag, anti)
-    return oracle_column(np.array(states), drho, steps)

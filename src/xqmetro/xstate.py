@@ -67,6 +67,15 @@ class XState:
         return dense_from_compact(self.diag, self.anti)
 
 
+def _xstate(state, phi=None) -> XState:
+    """``state`` if it is an :class:`XState`; any other object raises
+    :class:`NotXFormError` naming its type, after ``at phi=...: `` if given."""
+    if isinstance(state, XState):
+        return state
+    where = "" if phi is None else f"at phi={phi!r}: "
+    raise NotXFormError(f"{where}expected an XState, got {type(state).__name__}")
+
+
 class XTangent(NamedTuple):
     """Derivative of an X-state family: same layout as XState.
 
@@ -135,9 +144,9 @@ def _check_tangent(diag, anti, w=None, where: str = "") -> None:
     """The one tangent check, one or stacked: ``diag`` (..., 8), ``anti`` (..., 4).
 
     Raises :class:`NotXFormError` for the first of: a NaN/+-inf entry of
-    ``diag``, then of ``anti`` (named ``tangent diag[k]``, ``tangent
-    anti[k]`` after ``where``), a ``diag`` entry that is not real, then a
-    NaN/+-inf entry of the Bloch form ``w``, if given (``tangent w[j, a]``).
+    ``diag``, then of ``anti`` (``tangent diag[k]``, ``tangent anti[k]``),
+    a ``diag`` entry that is not real, then a NaN/+-inf entry of the Bloch
+    form ``w``, if given (``tangent w[j, a]``), each named after ``where``.
     """
     diag = np.asarray(diag)
     rows = [_not_finite(f"{where}tangent diag", diag), _not_finite(f"{where}tangent anti", anti)]
@@ -145,7 +154,7 @@ def _check_tangent(diag, anti, w=None, where: str = "") -> None:
         rows.append((NotXFormError, diag.imag != 0.0,
                      lambda i, k: f"{where}tangent diag[{k}] is {diag[i + (k,)]}, not real", 1))
     if w is not None:
-        rows.append(_not_finite("tangent w", w, 2))
+        rows.append(_not_finite(f"{where}tangent w", w, 2))
     _first_failure(*rows)
 
 

@@ -12,8 +12,9 @@ import numpy as np
 
 from xqmetro import channels
 from xqmetro.errors import SingularBlockError
-from xqmetro.oracle import family_oracles
-from xqmetro.xstate import XState, _fail, xstate_from_dense
+from xqmetro.linalg import diff_step
+from xqmetro.oracle import oracle_column
+from xqmetro.xstate import XState, _check_tangent, _fail, dense_from_compact, xstate_from_dense
 
 PAULI = np.array(
     [
@@ -62,10 +63,23 @@ def sld_block(w, dw):
 
 
 def family_oracles_at(points):
-    """:func:`oracle.family_oracles` with each point's state and tangent at
-    ``phi`` built here, once per point."""
+    """Fisher and skew oracle columns ``(fisher, skew)`` at ``(family, phi)``
+    points, each point's tangent and states built here once: the stacked
+    tangent check, which names a bad tangent's point index, then one
+    :func:`oracle.oracle_column` call on every rho(phi) and skew probe
+    rho(phi -+ h), ``h = diff_step(phi)``."""
     points = list(points)
-    return family_oracles(points, [(f.state(phi), f.tangent_at(phi)) for f, phi in points])
+    tangents = [family.tangent_at(phi) for family, phi in points]
+    diag = np.reshape([t.diag for t in tangents], (-1, 8))
+    anti = np.reshape([t.anti for t in tangents], (-1, 4))
+    _check_tangent(diag, anti)
+    steps = [diff_step(phi) for _, phi in points]
+    states = [[], [], []]
+    for (family, phi), h in zip(points, steps):
+        for stack, x in zip(states, (phi, phi - h, phi + h)):
+            stack.append(family.state(x).to_dense())
+    states = np.reshape(states, (3, len(points), 8, 8))
+    return oracle_column(states, dense_from_compact(diag, anti), steps)
 
 
 # Every kind of special value a float64 entry can hold, with two ordinary ones.

@@ -27,6 +27,7 @@ from xqmetro.cli import (
 )
 from xqmetro.errors import BadParameterError, NotXFormError
 from xqmetro.ghz import GHZ_QMIN, crosscheck_grid, ghz_family, ghz_grid
+from xqmetro.linalg import diff_step
 from xqmetro.metrics import (
     ParamFamily,
     concurrence_ghz_class,
@@ -634,7 +635,7 @@ class TestOneOracleColumnPerChannel:
 
         column = spy(columns, oracle.oracle_column)
         monkeypatch.setattr(ghz, "oracle_column", column)
-        monkeypatch.setattr(oracle, "oracle_column", column)
+        monkeypatch.setattr(cli, "oracle_column", column)
         solve = spy(solves, linalg.eigh_stack)
         monkeypatch.setattr(linalg, "eigh_stack", solve)
         monkeypatch.setattr(oracle, "eigh_stack", solve)
@@ -686,14 +687,14 @@ class TestOneOracleColumnPerChannel:
     def test_family_oracle_column_is_the_per_point_oracles(self, monkeypatch):
         rng = np.random.default_rng(94)
         points = [(random_family(rng), float(rng.uniform(0.2, 0.8))) for _ in range(12)]
-        seen, family_column = [], cli.family_oracles
+        seen = []
 
         def kept(*args):
-            column = family_column(*args)
+            column = oracle.oracle_column(*args)
             seen.append(column)
             return column
 
-        monkeypatch.setattr(cli, "family_oracles", kept)
+        monkeypatch.setattr(cli, "oracle_column", kept)
         cli.family_oracle_errors(points)
         expected = [
             [
@@ -725,6 +726,19 @@ class TestOneOracleColumnPerChannel:
             NotXFormError, match=r"^element 1: at phi=0\.4: expected an XState, got ndarray$"
         ):
             cli.family_oracle_errors([(family, 0.3), (dense, 0.4)])
+
+    @pytest.mark.parametrize("sign", [-1, 1], ids=["left", "right"])
+    def test_skew_probe_that_is_not_an_xstate_names_its_point(self, sign):
+        family = random_family(np.random.default_rng(97))
+        probe = 0.4 + sign * diff_step(0.4)
+
+        def state(phi):
+            return family.state(phi).to_dense() if phi == probe else family.state(phi)
+
+        broken = ParamFamily(state=state, tangent=family.tangent)
+        with pytest.raises(NotXFormError) as err:
+            cli.family_oracle_errors([(family, 0.4), (broken, 0.4)])
+        assert str(err.value) == f"element 1: at phi={probe!r}: expected an XState, got ndarray"
 
     def test_complex_tangent_names_its_point(self):
         # Two points at one phi: only the index tells them apart.

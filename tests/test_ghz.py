@@ -1,6 +1,7 @@
 """Damped Werner-GHZ family: reference closed forms vs pipeline vs oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -376,6 +377,18 @@ class TestGridAxes:
                 grid(ChannelKind.PHASE_DAMPING, q_values, p_values, ("fisher",))
 
 
+def reference_verdict(pipeline, closed_form):
+    """The verdict rule at one point, which :func:`crosscheck_grid` applies
+    to whole (q, p) arrays: the first row that holds decides."""
+    if not math.isfinite(pipeline):
+        return Verdict.PIPELINE_NON_FINITE
+    if not math.isfinite(closed_form):
+        return Verdict.SINGULAR
+    if abs(pipeline - closed_form) <= ghz.CLOSED_FORM_TOL:
+        return Verdict.AGREE
+    return Verdict.CLOSED_FORM_DEVIATES
+
+
 def reference_crosscheck(kind, q, p):
     """One point through scalar calls only: the per-point crosscheck that
     preceded :func:`crosscheck_grid`, kept as its reference (the Kraus
@@ -403,7 +416,7 @@ def reference_crosscheck(kind, q, p):
             closed = closed_fn()
         except (XQMetroError, ZeroDivisionError, FloatingPointError):
             closed = float("nan")  # undefined here; the verdict reads the pipeline
-        return MetricCheck(pipeline, closed, oracle_val, ghz._verdict(pipeline, closed))
+        return MetricCheck(pipeline, closed, oracle_val, reference_verdict(pipeline, closed))
 
     qfi = check(
         lambda: qfi_total(family, q),
@@ -478,6 +491,27 @@ class TestCrosscheckGrid:
                 for check in checks.values():
                     assert [field.shape for field in check] == [(len(q_values), len(p_values))] * 4
                     assert check.verdict.dtype == object
+
+    @pytest.mark.filterwarnings("error")  # inf - inf must not warn
+    def test_verdicts_are_the_scalar_rule_on_special_values(self, monkeypatch):
+        # Pipeline values vary along q and closed forms along p, so the grid
+        # holds every pair: NaN and +-inf against each other (inf - inf
+        # among them) and against finite values 0, 1e-9 and 1e-7 apart.
+        values = (np.nan, np.inf, -np.inf, 0.25, 0.25 + 1e-9, 0.25 + 1e-7)
+        q_values = np.linspace(0.2, 0.7, len(values)).tolist()
+        p_values = np.linspace(0.0, 0.5, len(values)).tolist()
+        seeded = np.repeat(np.array(values)[:, None], len(p_values), axis=1)
+
+        def closed_form(kind, q, p):
+            return values[p_values.index(p)]
+
+        monkeypatch.setattr(ghz, "ghz_grid", lambda *args: dict.fromkeys(METRICS, seeded))
+        for name in ("closed_form_qfi", "closed_form_skew", "closed_form_concurrence"):
+            monkeypatch.setattr(ghz, name, closed_form)
+        expected = [[reference_verdict(pipe, closed) for closed in values] for pipe in values]
+        assert {verdict for row in expected for verdict in row} == set(Verdict)
+        for check in crosscheck_grid(ChannelKind.PHASE_FLIP, q_values, p_values).values():
+            assert check.verdict.tolist() == expected
 
     Q = (0.2, 0.5, 0.8)
     P = (0.0, 0.3, 0.6)

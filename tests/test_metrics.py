@@ -16,7 +16,7 @@ from reference import (
 from xqmetro import metrics, xstate
 from xqmetro.cli import family_oracle_errors
 from xqmetro.errors import NotXFormError, SingularBlockError
-from xqmetro.linalg import psd_sqrt
+from xqmetro.linalg import diff_step, psd_sqrt
 from xqmetro.metrics import (
     ParamFamily,
     concurrence_ghz_class,
@@ -389,7 +389,7 @@ class TestCheckedBoundary:
 
         with pytest.raises(NotXFormError) as err:
             total(ParamFamily(state=family.state, tangent=tangent), 0.5)
-        assert str(err.value) == "tangent w[0, 0] is inf, not finite"
+        assert str(err.value) == "at phi=0.5: tangent w[0, 0] is inf, not finite"
 
     @pytest.mark.filterwarnings("error")  # named before any ComplexWarning
     @pytest.mark.parametrize("total", [qfi_total, skew_total])
@@ -418,6 +418,20 @@ class TestCheckedBoundary:
         with pytest.raises(NotXFormError) as err:
             total(broken, 0.5)
         assert str(err.value) == f"at phi=0.5: expected an XState, got {name}"
+
+    @pytest.mark.parametrize("total", [qfi_total, skew_total])
+    def test_difference_probe_that_is_not_an_xstate_raises(self, total):
+        # No analytic tangent: the central difference reads the states at
+        # phi -+ h, which here are dense matrices; the state at phi is not.
+        family = random_family(np.random.default_rng(76))
+
+        def state(phi):
+            return family.state(phi) if phi == 0.5 else family.state(phi).to_dense()
+
+        probe = 0.5 + diff_step(0.5)
+        with pytest.raises(NotXFormError) as err:
+            total(ParamFamily(state=state), 0.5)
+        assert str(err.value) == f"at phi={probe!r}: expected an XState, got ndarray"
 
     def test_concurrence_of_a_state_that_is_not_an_xstate_raises(self):
         state = UncheckedState(np.full(8, 1.0 / 8.0), np.zeros(4, dtype=complex))

@@ -160,6 +160,14 @@ class TestSkewSqrtOracle:
             oracle = skew_sqrt_oracle(family, phi)
             assert abs(skew_total(family, phi) - oracle) / max(oracle, 1e-9) < 1e-5
 
+    def test_probe_that_is_not_an_xstate_names_its_phi(self):
+        family = random_family(np.random.default_rng(87))
+        dense = ParamFamily(state=lambda phi: family.state(phi).to_dense())
+        probe = 0.4 - diff_step(0.4)
+        with pytest.raises(NotXFormError) as err:
+            skew_sqrt_oracle(dense, 0.4)
+        assert str(err.value) == f"at phi={probe!r}: expected an XState, got ndarray"
+
     def test_step_override(self, monkeypatch):
         rng = np.random.default_rng(84)
         family = random_family(rng)
