@@ -290,7 +290,7 @@ def run_validation(grid: int, seed: int) -> ValidationReport:
     singular = np.count_nonzero(verdicts == Verdict.SINGULAR)
 
     dpc = grids[ChannelKind.DEPOLARIZING]
-    gap = np.array([[depolarizing_qfi_gap(q, p) for p in p_values] for q in q_values])
+    gap = depolarizing_qfi_gap(np.array(q_values)[:, None], np.array(p_values)[None, :])
     gap_mismatch = _max_error(np.abs(dpc["qfi"].closed_form_delta - gap))
     qfi_gap, skew_gap, conc_gap = (_max_error(check.closed_form_delta) for check in dpc.values())
     warnings = (

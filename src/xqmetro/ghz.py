@@ -28,9 +28,16 @@ from .channels import (
     apply_kraus_dense,
     damped_bloch_array,
 )
-from .errors import BadParameterError, XQMetroError
+from .errors import BadParameterError
 from .linalg import diff_step
-from .metrics import METRIC_NAMES, ParamFamily, _check_names, _kernel, evaluate_stack
+from .metrics import (
+    METRIC_NAMES,
+    ParamFamily,
+    _check_names,
+    _float_if_single,
+    _kernel,
+    evaluate_stack,
+)
 
 # Unused here, but importable from this module: the benchmark's tracer
 # self-test calls xqmetro.ghz.qfi_total.
@@ -158,50 +165,69 @@ def ghz_grid(kind: ChannelKind, q_values, p_values, metrics=METRIC_NAMES) -> dic
     return out
 
 
-def _check_q(q: float) -> None:
-    if not np.isfinite(q) or not GHZ_QMIN <= q <= 1.0:
-        raise BadParameterError(f"closed forms need q in [{GHZ_QMIN}, 1], got {float(q)!r}")
+def _closed_form_inputs(q, p) -> tuple[np.ndarray, np.ndarray]:
+    """``q`` and the survival ``1 - p`` as float arrays, for the closed forms.
+
+    Each closed form takes ``q`` and ``p`` as floats or as arrays that
+    broadcast, and gives a float for a float pair.  Every q is checked against
+    [``GHZ_QMIN``, 1], then every p against [0, 1] (the text of
+    :class:`ChannelParam`); the first outside, NaN included, raises naming it
+    as a float.  Every power is ``np.float_power``, which rounds as a scalar
+    ``**`` does where the array ``**`` does not, so a grid call's elements are
+    its one-point calls bit for bit.  A division by zero or a root of a
+    negative number reads NaN or infinite without a warning.
+    """
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    outside = ~((q >= GHZ_QMIN) & (q <= 1.0))
+    if outside.any():
+        value = float(q[outside][0])
+        raise BadParameterError(f"closed forms need q in [{GHZ_QMIN}, 1], got {value!r}")
+    outside = ~((p >= 0.0) & (p <= 1.0))
+    if outside.any():
+        ChannelParam(float(p[outside][0]))  # raises BadProbabilityError naming it
+    return q, 1.0 - p
 
 
-def _check_point(q: float, p: float) -> ChannelParam:
-    _check_q(q)
-    return ChannelParam(p)
-
-
-def closed_form_qfi(kind: ChannelKind, q: float, p: float) -> float:
+@np.errstate(divide="ignore", invalid="ignore")
+def closed_form_qfi(kind: ChannelKind, q, p):
     """Reference Fisher information of the damped Werner-GHZ family.
 
     Transcribed verbatim per channel.  The depolarizing expression carries a
     known factor-4 deficit in its diagonal-block term — see
     :func:`depolarizing_qfi_gap`; the phase-flip expression contains one
-    unbalanced fragment whose minimal reading is ``(2S-1)^6 (1-q)``.
+    unbalanced fragment whose minimal reading is ``(2S-1)^6 (1-q)``.  ``q``
+    and ``p`` are floats or arrays (see :func:`_closed_form_inputs`): a q
+    outside [0.001, 1] raises ``closed forms need q in [0.001, 1], got …``,
+    then a p outside [0, 1] ``p must lie in [0, 1], got …``.
     """
-    s = _check_point(q, p).survival
-    if kind is ChannelKind.PHASE_DAMPING:
-        a = 4.0 - 3.0 * q
-        num = (-3.0 * a / 16.0 + s**6 * (1.0 - q)) ** 2
-        den = a**2 / 16.0 - s**6 * (1.0 - q) ** 2
-        return 9.0 / (4.0 * a) + 3.0 / (4.0 * q) + (4.0 / a) * (
-            num / den - (9.0 / 16.0 - s**6)
-        )
+    q, s = _closed_form_inputs(q, p)
     if kind is ChannelKind.DEPOLARIZING:
-        a = 1.0 + 3.0 * s**2 - 3.0 * q * s**2
-        b = s**3 - q * s**3
-        num = (-3.0 * s**2 * a / 16.0 + s**3 * b) ** 2
-        den = a**2 / 16.0 - b**2
-        return (4.0 / a) * (num / den - (9.0 * s**4 / 16.0 - s**6)) + 3.0 * s**4 / (
-            16.0 * (1.0 - s**2 + q * s**2)
-        ) + 9.0 * s**4 / (4.0 * a)
+        s2, s3, s4, s6 = (np.float_power(s, n) for n in (2.0, 3.0, 4.0, 6.0))
+        a = 1.0 + 3.0 * s2 - 3.0 * q * s2
+        b = s3 - q * s3
+        num = np.float_power(-3.0 * s2 * a / 16.0 + s3 * b, 2.0)
+        den = np.float_power(a, 2.0) / 16.0 - np.float_power(b, 2.0)
+        return _float_if_single(
+            (4.0 / a) * (num / den - (9.0 * s4 / 16.0 - s6))
+            + 3.0 * s4 / (16.0 * (1.0 - s2 + q * s2))
+            + 9.0 * s4 / (4.0 * a)
+        )
+    # Phase damping reads S^6 where phase flip reads (2S-1)^6, and each keeps
+    # its printed leading term (they round differently).
     a = 4.0 - 3.0 * q
-    g6 = (2.0 * s - 1.0) ** 6
-    num = ((-12.0 + 9.0 * q) / 16.0 + g6 * (1.0 - q)) ** 2
-    den = a**2 / 16.0 - g6 * (1.0 - q) ** 2
-    return 3.0 / (4.0 * q) + 9.0 / (4.0 * a) + (4.0 / a) * (
-        num / den - (9.0 / 16.0 - g6)
+    if kind is ChannelKind.PHASE_DAMPING:
+        g6, lead = np.float_power(s, 6.0), -3.0 * a / 16.0
+    else:
+        g6, lead = np.float_power(2.0 * s - 1.0, 6.0), (-12.0 + 9.0 * q) / 16.0
+    num = np.float_power(lead + g6 * (1.0 - q), 2.0)
+    den = np.float_power(a, 2.0) / 16.0 - g6 * np.float_power(1.0 - q, 2.0)
+    return _float_if_single(
+        3.0 / (4.0 * q) + 9.0 / (4.0 * a) + (4.0 / a) * (num / den - (9.0 / 16.0 - g6))
     )
 
 
-def closed_form_concurrence(kind: ChannelKind, q: float, p: float) -> float:
+@np.errstate(divide="ignore", invalid="ignore")
+def closed_form_concurrence(kind: ChannelKind, q, p):
     """Reference concurrence of the damped Werner-GHZ state, per channel.
 
     Phase damping and depolarizing are transcribed verbatim (the depolarizing
@@ -210,27 +236,31 @@ def closed_form_concurrence(kind: ChannelKind, q: float, p: float) -> float:
     ``(2S-1)^3 (1-q) - 3q/4``, i.e. the anti-diagonal magnitude's derivation
     with the magnitude bars dropped: past p = 1/2 the signed cube goes
     negative while the concurrence depends on |2S-1|^3, so the magnitude
-    reading is used.
+    reading is used.  A value that is not positive, or NaN, reads 0.0.
+    Inputs and their checks are those of :func:`closed_form_qfi`.
     """
-    s = _check_point(q, p).survival
+    q, s = _closed_form_inputs(q, p)
+    s3, s6 = np.float_power(s, 3.0), np.float_power(s, 6.0)
     if kind is ChannelKind.PHASE_DAMPING:
-        return max(
-            0.0,
+        value = (
             -3.0 * q / 4.0
-            + (4.0 - 3.0 * q + 4.0 * s**3 - 4.0 * q * s**3) / 8.0
-            + (-4.0 + 3.0 * q + 4.0 * s**3 - 4.0 * q * s**3) / 8.0,
+            + (4.0 - 3.0 * q + 4.0 * s3 - 4.0 * q * s3) / 8.0
+            + (-4.0 + 3.0 * q + 4.0 * s3 - 4.0 * q * s3) / 8.0
         )
-    if kind is ChannelKind.DEPOLARIZING:
+    elif kind is ChannelKind.DEPOLARIZING:
         root = np.sqrt(
-            16.0 * (1.0 - 2.0 * s**3 + 5.0 * s**6)
-            - 8.0 * q * (3.0 - 6.0 * s**3 + 19.0 * s**6)
-            + q**2 * (9.0 - 18.0 * s**3 + 73.0 * s**6)
+            16.0 * (1.0 - 2.0 * s3 + 5.0 * s6)
+            - 8.0 * q * (3.0 - 6.0 * s3 + 19.0 * s6)
+            + np.float_power(q, 2.0) * (9.0 - 18.0 * s3 + 73.0 * s6)
         )
-        return max(0.0, (-3.0 * q * s * (1.0 + s) + root) / 8.0)
-    return max(0.0, abs(2.0 * s - 1.0) ** 3 * (1.0 - q) - 0.75 * q)
+        value = (-3.0 * q * s * (1.0 + s) + root) / 8.0
+    else:
+        value = np.float_power(np.abs(2.0 * s - 1.0), 3.0) * (1.0 - q) - 0.75 * q
+    return _float_if_single(np.where(value > 0.0, value, 0.0))
 
 
-def closed_form_skew(kind: ChannelKind, q: float, p: float) -> float:
+@np.errstate(divide="ignore", invalid="ignore")
+def closed_form_skew(kind: ChannelKind, q, p):
     """Reference skew information of the damped Werner-GHZ family.
 
     Transcribed verbatim per channel, including the depolarizing expression's
@@ -238,73 +268,62 @@ def closed_form_skew(kind: ChannelKind, q: float, p: float) -> float:
     coherence factor disagree with the pipeline; the crosscheck reports the
     deviation).  The phase-flip expression's coherence term uses the
     ``(2S-1)^6 (1-q)`` reading that mirrors the phase-damping structure.
+    At (q, p) = (1, 0) the depolarizing lambda_2 base is 0: the value is NaN,
+    which the crosscheck reports as a singular verdict.  Inputs and their
+    checks are those of :func:`closed_form_qfi`.
     """
-    s = _check_point(q, p).survival
-    if kind is ChannelKind.PHASE_DAMPING:
-        radicand = (4.0 - 3.0 * q) ** 2 / 16.0 - s**6 * (1.0 - q) ** 2
-        k = (4.0 - 3.0 * q) / 4.0 + np.sqrt(radicand)
-        lam1 = k**-0.5
-        theta1 = lam1 / np.sqrt(radicand)
-        gamma1 = lam1**3 / np.sqrt(radicand)
-        term0 = (
-            1.0
-            / (4.0 * np.sqrt(radicand))
-            * (-3.0 * np.sqrt(k) / 4.0 + s**6 * (1.0 - q) / np.sqrt(k))
-        )
-        term1 = (
-            3.0 * theta1 / 16.0 * s**3 * (1.0 - q)
-            - lam1 / 2.0 * s**3
-            - gamma1 / 4.0 * s**9 * (1.0 - q) ** 2
-        )
-        return 3.0 / (4.0 * q) + 8.0 * (term0**2 + term1**2)
+    q, s = _closed_form_inputs(q, p)
+    s3 = np.float_power(s, 3.0)
     if kind is ChannelKind.DEPOLARIZING:
-        # At (q, p) = (1, 0) the lambda_2 base is 0: the value is NaN, which
-        # the crosscheck reports as a singular verdict, not as a warning.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = s**3 - q * s**3
-            inner = ((1.0 + 3.0 * s**2) / 4.0 - 3.0 * q * s**2 / 4.0) ** 2 - b**2
-            lam2 = ((1.0 + s**2) / 4.0 - 3.0 * q * s**2 / 4.0 + np.sqrt(inner)) ** -0.5
-            theta2 = lam2 / np.sqrt(inner)
-            gamma2 = lam2**3 / np.sqrt(inner)
-            pref = 1.0 / ((1.0 + 3.0 * s**2 - 3.0 * q * s**2) ** 2 - 16.0 * b**2)
-            term0_sq = pref * (-3.0 * s**2 / 4.0 / lam2 + lam2 * s**3 * b) ** 2
-            term1 = (
-                3.0 * theta2 / 16.0 * s**2 * b
-                - lam2 / 2.0 * s**3
-                - gamma2 / 4.0 * s**3 * b
-            )
-            return 8.0 * (term0_sq + term1**2) + 3.0 * s**4 / (
-                4.0 * (1.0 - s**2 + q * s**2)
-            )
-    g3 = (2.0 * s - 1.0) ** 3
-    radicand = (4.0 - 3.0 * q) ** 2 / 16.0 - g3**2 * (1.0 - q) ** 2
-    k = (4.0 - 3.0 * q) / 4.0 + np.sqrt(radicand)
-    lam3 = k**-0.5
-    theta3 = lam3 / np.sqrt(radicand)
-    gamma3 = lam3**3 / np.sqrt(radicand)
-    term1 = (
-        3.0 * theta3 / 16.0 * g3 * (1.0 - q)
-        - lam3 / 2.0 * g3
-        - gamma3 / 4.0 * g3**3 * (1.0 - q) ** 2
-    )
-    term0_sq = (
-        1.0
-        / (16.0 * radicand)
-        * (-3.0 * np.sqrt(k) / 4.0 + g3**2 * (1.0 - q) / np.sqrt(k)) ** 2
-    )
-    return 8.0 * (term1**2 + 3.0 / (32.0 * q) + term0_sq)
+        s2, b = np.float_power(s, 2.0), s3 - q * s3
+        b2 = np.float_power(b, 2.0)
+        root = np.sqrt(np.float_power((1.0 + 3.0 * s2) / 4.0 - 3.0 * q * s2 / 4.0, 2.0) - b2)
+        lam2 = np.float_power((1.0 + s2) / 4.0 - 3.0 * q * s2 / 4.0 + root, -0.5)
+        theta2, gamma2 = lam2 / root, np.float_power(lam2, 3.0) / root
+        pref = 1.0 / (np.float_power(1.0 + 3.0 * s2 - 3.0 * q * s2, 2.0) - 16.0 * b2)
+        term0_sq = pref * np.float_power(-3.0 * s2 / 4.0 / lam2 + lam2 * s3 * b, 2.0)
+        term1 = 3.0 * theta2 / 16.0 * s2 * b - lam2 / 2.0 * s3 - gamma2 / 4.0 * s3 * b
+        return _float_if_single(
+            8.0 * (term0_sq + np.float_power(term1, 2.0))
+            + 3.0 * np.float_power(s, 4.0) / (4.0 * (1.0 - s2 + q * s2))
+        )
+    # Phase damping reads S^3 where phase flip reads (2S-1)^3, and S^9 where
+    # it reads ((2S-1)^3)^3; the two round differently, so each keeps its own.
+    if kind is ChannelKind.PHASE_DAMPING:
+        g3, g6, g9 = s3, np.float_power(s, 6.0), np.float_power(s, 9.0)
+    else:
+        g3 = np.float_power(2.0 * s - 1.0, 3.0)
+        g6, g9 = np.float_power(g3, 2.0), np.float_power(g3, 3.0)
+    u2 = np.float_power(1.0 - q, 2.0)
+    radicand = np.float_power(4.0 - 3.0 * q, 2.0) / 16.0 - g6 * u2
+    root = np.sqrt(radicand)
+    k = (4.0 - 3.0 * q) / 4.0 + root
+    lam = np.float_power(k, -0.5)
+    theta, gamma = lam / root, np.float_power(lam, 3.0) / root
+    term1 = 3.0 * theta / 16.0 * g3 * (1.0 - q) - lam / 2.0 * g3 - gamma / 4.0 * g9 * u2
+    coherence = -3.0 * np.sqrt(k) / 4.0 + g6 * (1.0 - q) / np.sqrt(k)
+    if kind is ChannelKind.PHASE_DAMPING:
+        term0 = 1.0 / (4.0 * root) * coherence
+        return _float_if_single(
+            3.0 / (4.0 * q) + 8.0 * (np.float_power(term0, 2.0) + np.float_power(term1, 2.0))
+        )
+    term0_sq = 1.0 / (16.0 * radicand) * np.float_power(coherence, 2.0)
+    return _float_if_single(8.0 * (np.float_power(term1, 2.0) + 3.0 / (32.0 * q) + term0_sq))
 
 
-def depolarizing_qfi_gap(q: float, p: float) -> float:
+@np.errstate(divide="ignore", invalid="ignore")
+def depolarizing_qfi_gap(q, p):
     """Expected deficit pipeline - closed form in the depolarizing Fisher information.
 
     The reference expression's diagonal-block term reads
     3 S^4 / (16 (1 - S^2 + q S^2)) where the pipeline and oracles give
     3 S^4 / (4 (1 - S^2 + q S^2)) — a factor-4 deficit, i.e. a gap of
-    (9/16) S^4 / (1 - S^2 + q S^2).
+    (9/16) S^4 / (1 - S^2 + q S^2).  Inputs and their checks are those of
+    :func:`closed_form_qfi`.
     """
-    s = _check_point(q, p).survival
-    return (9.0 / 16.0) * s**4 / (1.0 - s**2 + q * s**2)
+    q, s = _closed_form_inputs(q, p)
+    s2 = np.float_power(s, 2.0)
+    return _float_if_single((9.0 / 16.0) * np.float_power(s, 4.0) / (1.0 - s2 + q * s2))
 
 
 class Verdict(enum.Enum):
@@ -362,46 +381,34 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
     the pipeline's expression on the Kraus images of rho(q), one kernel
     call.  Every value is, bit for bit, what the same point alone gives.
 
-    A q or p axis that is not one-dimensional, and then every q and p value
-    (q[0], every p, every other q), is checked before any work, so a bad
-    one raises :class:`BadParameterError`, also beside an empty axis.
-    The Werner-GHZ inputs pass the checks of :class:`XState` as a stack, a
-    failure naming (rho / left probe / right probe, q index); the Kraus
-    images of the states do too, a failure naming (probe, p index, q index).
-    So does the oracle column, for the eigensolver's Hermiticity test
-    (1e-12) with :class:`NotHermitianError` and the finishes' spectrum tests
-    with :class:`NotPSDError` or :class:`TraceViolationError`; an
+    A q or p axis that is not one-dimensional raises :class:`BadParameterError`.
+    Each closed form is then called once, ``q[:, None]`` against ``p[None, :]``,
+    before any channel work: every q, then every p, is checked with the texts
+    of :func:`closed_form_qfi`, also beside an empty axis, and a closed form
+    that raises raises here.  Where one reads NaN or infinite, that metric's
+    verdict comes from the pipeline value (SINGULAR, or PIPELINE_NON_FINITE
+    for a NaN or infinite one).  The Werner-GHZ inputs pass the checks of :class:`XState` as a
+    stack, a failure naming (rho / left probe / right probe, q index); the
+    Kraus images of the states do too, a failure naming (probe, p index,
+    q index).  So does the oracle column, for the eigensolver's Hermiticity
+    test (1e-12) with :class:`NotHermitianError` and the finishes' spectrum
+    tests with :class:`NotPSDError` or :class:`TraceViolationError`; an
     eigensolver out of sweeps raises :class:`NotConvergedError`.  Each
     stacked check names its first failing element in C order, so probe by
     probe.  The Kraus image of a Hermitian state is Hermitian up to
     rounding, so a completely positive and trace-preserving channel fails
-    none of these on an in-domain point.  Only the closed forms run per
-    point: one that raises a singular-regime error is undefined at the
-    point, so that metric's closed form reads NaN and its verdict comes from
-    the pipeline value as everywhere else (SINGULAR, or PIPELINE_NON_FINITE
-    for a NaN or infinite one).
+    none of these on an in-domain point.
     """
-    _axis("q_values", q_values)
-    _axis("p_values", p_values)
-    # Each axis once, in the order a per-point loop reports, even beside an empty axis.
-    for q in q_values[:1]:
-        _check_q(q)
-    params = [ChannelParam(p) for p in p_values]
-    for q in q_values[1:]:
-        _check_q(q)
-    shape = (len(q_values), len(p_values))
-    if not all(shape):
-        empty = np.empty(shape)
-        return {
-            name: MetricCheck(empty, empty, empty, np.empty(shape, dtype=object))
-            for name in METRIC_NAMES
-        }
-    pipeline = ghz_grid(kind, q_values, p_values)
+    q, p = _axis("q_values", q_values), _axis("p_values", p_values)
+    # Looked up per call, so that a rebound closed form is the one that runs.
+    forms = (closed_form_qfi, closed_form_skew, closed_form_concurrence)
+    closed = {name: form(kind, q[:, None], p[None, :]) for name, form in zip(METRIC_NAMES, forms)}
+    pipeline = ghz_grid(kind, q, p)
 
     # Oracle inputs: rho(q), then the skew probes rho(q - h) and rho(q + h),
     # as one (3, q) stack of states followed by d rho.
-    steps = [diff_step(q) for q in q_values]
-    q, h = np.array(q_values, dtype=float), np.array(steps)
+    steps = [diff_step(x) for x in q.tolist()]
+    h = np.array(steps)
     diag, anti = _werner_compact(np.array([q, q - h, q + h]))
     check_compact(diag, anti)
     tangent = XTangent(_TANGENT_DIAG, _TANGENT_ANTI).to_dense()
@@ -409,8 +416,8 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
 
     # One Kraus image per p, then (probe, p, q) stacks of states and the
     # (p, 1) stack of d rho, which broadcasts over q as the steps do.
-    images = apply_kraus_dense(stack, kind, params)
-    states = images[:, :-1].reshape((len(p_values),) + diag.shape[:-1] + (8, 8)).swapaxes(0, 1)
+    images = apply_kraus_dense(stack, kind, [ChannelParam(x) for x in p.tolist()])
+    states = images[:, :-1].reshape((len(p),) + diag.shape[:-1] + (8, 8)).swapaxes(0, 1)
     kraus_diag, kraus_anti = compact_from_dense(states)
     # The eigen oracle reads the raw image of rho, as it does d rho; the
     # skew probes are rebuilt from their compact forms.
@@ -419,20 +426,11 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
     concurrence = evaluate_stack(("concurrence",), kraus_diag[0], kraus_anti[0])
     oracle = {"qfi": fisher.T, "skew": skew.T, "concurrence": concurrence["concurrence"].T}
 
-    # Looked up per call, so that a rebound closed form is the one that runs.
-    closed_forms = (closed_form_qfi, closed_form_skew, closed_form_concurrence)
     checks = {}
-    for name, closed_form in zip(METRIC_NAMES, closed_forms):
-        closed = np.empty(shape)
-        for i, q in enumerate(q_values):
-            for j, p in enumerate(p_values):
-                try:
-                    closed[i, j] = closed_form(kind, q, p)
-                except (XQMetroError, ZeroDivisionError, FloatingPointError):
-                    closed[i, j] = np.nan
+    for name, closed_form in closed.items():
         values = pipeline[name]
         with np.errstate(invalid="ignore"):  # inf - inf: a non-finite value, decided first
-            delta = np.abs(values - closed)
+            delta = np.abs(values - closed_form)
         verdict = np.select(
             [
                 # A NaN or infinite pipeline value is a fault of the pipeline, whatever
@@ -440,11 +438,11 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
                 ~np.isfinite(values),
                 # A closed form that is NaN or infinite is undefined at the point (the
                 # depolarizing skew form at q = 1, p = 0), not a deviation.
-                ~np.isfinite(closed),
+                ~np.isfinite(closed_form),
                 delta <= CLOSED_FORM_TOL,
             ],
             [Verdict.PIPELINE_NON_FINITE, Verdict.SINGULAR, Verdict.AGREE],
             Verdict.CLOSED_FORM_DEVIATES,
         )
-        checks[name] = MetricCheck(values, closed, oracle[name], verdict)
+        checks[name] = MetricCheck(values, closed_form, oracle[name], verdict)
     return checks

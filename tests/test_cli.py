@@ -579,6 +579,17 @@ class TestValidation:
         second = run_validation(grid=2, seed=1).render()
         assert first == second
 
+    def test_one_depolarizing_gap_call(self, monkeypatch):
+        calls = []
+
+        def spied(q, p):
+            calls.append((np.shape(q), np.shape(p)))
+            return ghz.depolarizing_qfi_gap(q, p)
+
+        monkeypatch.setattr(cli, "depolarizing_qfi_gap", spied)
+        run_validation(grid=2, seed=1)
+        assert calls == [((2, 1), (1, 3))]
+
 
 def assert_only_suites_fail(names, capsys):
     report = run_validation(grid=2, seed=1)

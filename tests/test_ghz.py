@@ -1,5 +1,7 @@
 """Damped Werner-GHZ family: reference closed forms vs pipeline vs oracles."""
 
+import functools
+import hashlib
 import itertools
 import math
 
@@ -9,9 +11,10 @@ import pytest
 from reference import apply_kraus
 from xqmetro import ghz, linalg, oracle
 from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense
-from xqmetro.cli import _grid_axes, run_validation
+from xqmetro.cli import _grid_axes, main, run_validation
 from xqmetro.errors import (
     BadParameterError,
+    BadProbabilityError,
     NotConvergedError,
     NotHermitianError,
     NotPSDError,
@@ -203,6 +206,105 @@ class TestDepolarizingDeviation:
             assert all(b <= a + 1e-10 for a, b in zip(conc, conc[1:]))
 
 
+# One closed form of (q, p) per name: "<channel>-<metric>", and the
+# depolarizing Fisher gap.
+CLOSED_FORMS = {
+    f"{kind.value}-{name}": functools.partial(form, kind)
+    for kind in ChannelKind
+    for name, form in zip(
+        ("qfi", "skew", "concurrence"),
+        (closed_form_qfi, closed_form_skew, closed_form_concurrence),
+    )
+}
+CLOSED_FORMS["dpc-gap"] = depolarizing_qfi_gap
+
+# (q axis, p axis): a fine grid over the whole domain, and validate's at --grid 17.
+FORM_GRIDS = {
+    "fine": (np.linspace(GHZ_QMIN, 1.0, 201), np.linspace(0.0, 1.0, 201)),
+    "validate17": tuple(np.array(axis) for axis in _grid_axes(17)),
+}
+
+# sha256 of the raw float64 bytes (C order, q by p) of each closed form on
+# each grid, as one scalar call per point gave them before the forms took
+# arrays; NaN payloads included.
+PINNED_DIGESTS = {
+    ("fine", "pdc-qfi"): "ba724c5ceeacac3854cb946b34702c6367fcaa30ee6e0cd2d3ec44e7c2f4632d",
+    ("fine", "pdc-skew"): "047383cf81459056c44986fb88d037970425b3b5084c016b129183583fe03dd1",
+    ("fine", "pdc-concurrence"): "8595b0bc123bde102133398edce31a4e45e9a0dff62311e84afac5ae4db415fa",
+    ("fine", "dpc-qfi"): "d78119f4f0073d5fa8cac6db019848c85d8d364b34d37a114704172a9730cee0",
+    ("fine", "dpc-skew"): "50b5d7be06b6d39e01fa2eabdc5cb39e95d5929a5ec8f78a3c644caf7a5f6ec1",
+    ("fine", "dpc-concurrence"): "1d9f09c9126a06e6270948f3cd6b20355d59f80e45be26f621b5654ce4b9420e",
+    ("fine", "pfc-qfi"): "c9ac65908d7fe788ef139927fde8d4851633cc07101d64b907e0ace2c25a604b",
+    ("fine", "pfc-skew"): "db295d7bb6840048ceb9b30b14eeebe60dd6ba6046465f3af79c70c6492cb855",
+    ("fine", "pfc-concurrence"): "82e6830c664bf6872d0def5bfb7f011eaf5afd2a6fc9a0ec5c2086d6b32c7840",
+    ("fine", "dpc-gap"): "729eb37277d212b4d29cf83d0f55693d5d517b9f069fbb415d45fc3df5522b86",
+    ("validate17", "pdc-qfi"): "dec0704c1f53c1263e3c85cad1a9a72d09c0a8fd3b2f77a76abe0455f2f78c41",
+    ("validate17", "pdc-skew"): "a0ef3851dfe3d7dfdce9d84116fca72b9c19666e8f5d84c5fb2f12bb3bf0dae8",
+    ("validate17", "pdc-concurrence"): "4b639bb756a386eb3039ac02114376378169fc7b391f17310ccd33f5e96ddda9",
+    ("validate17", "dpc-qfi"): "2c50eda0f0beffad710c5405726d4c6d5e2480ef26b5eba694b9b75a4c619046",
+    ("validate17", "dpc-skew"): "b7524262a14725b5b0ea410414527aa4092ce022e4a687b9fbf41ecbfb4c9e49",
+    ("validate17", "dpc-concurrence"): "5bd5ebc62e246c9b070d49b54268976f1a4d330b891151b0d40f8f6b151f8922",
+    ("validate17", "pfc-qfi"): "90b8b8377b37791785f2f0011f3e03a70151189af0cae6e89ff05e9d8dbfbd87",
+    ("validate17", "pfc-skew"): "b19dc50e9ce6065423fc316e449b9882352efffbada93dbe6d3825ec69d4a4f1",
+    ("validate17", "pfc-concurrence"): "cc33e879b81ab9c8d9741bd44a4dcd05b613f0ee0e7c9e59c07dc7334b3fb9fe",
+    ("validate17", "dpc-gap"): "6b448bb9957ef1a0ee1495300f908ed8d89bd6d41b5aaae0504768b3c04feec2",
+}
+
+
+def grid_call(name, grid):
+    q, p = FORM_GRIDS[grid]
+    return CLOSED_FORMS[name](q[:, None], p[None, :])
+
+
+class TestClosedFormGrid:
+    """The closed forms take whole grids, and each element is its point's value."""
+
+    @pytest.mark.parametrize("grid, name", list(PINNED_DIGESTS))
+    def test_grid_call_keeps_the_pinned_bits(self, grid, name):
+        values = grid_call(name, grid)
+        assert values.dtype == np.float64 and values.shape == tuple(map(len, FORM_GRIDS[grid]))
+        assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_DIGESTS[grid, name]
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_every_element_is_its_one_point_call(self, name):
+        form = CLOSED_FORMS[name]
+        rng = np.random.default_rng(7)
+        q_values, p_values = _grid_axes(17)
+        q_values = [GHZ_QMIN, *q_values, 1.0, *rng.uniform(GHZ_QMIN, 1.0, 8).tolist()]
+        p_values = [*p_values, 1.0, *rng.uniform(0.0, 1.0, 8).tolist()]
+        grid = form(np.array(q_values)[:, None], np.array(p_values)[None, :])
+        points = [[form(q, p) for p in p_values] for q in q_values]
+        assert {type(value) for row in points for value in row} == {float}
+        assert grid.view(np.uint64).tolist() == np.array(points).view(np.uint64).tolist()
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_on_the_fine_grid_but_dpc_skew_at_full_mixing_noiseless(self):
+        for name in CLOSED_FORMS:
+            values = grid_call(name, "fine")
+            finite = np.ones(values.shape, dtype=bool)
+            if name == "dpc-skew":
+                finite[-1, 0] = False  # (q, p) = (1, 0): the lambda_2 base is 0
+                assert np.isnan(values[-1, 0])
+            assert (np.isfinite(values) == finite).all(), name
+
+    @pytest.mark.parametrize(
+        "q, p, error, text",
+        [
+            (np.array([0.5, 2.0, 3.0]), 0.3, BadParameterError, "q in [0.001, 1], got 2.0"),
+            ([[0.5], [np.nan]], [[0.1, 1.5]], BadParameterError, "q in [0.001, 1], got nan"),
+            (0.5, np.linspace(0.0, 1.2, 3), BadProbabilityError, "[0, 1], got 1.2"),
+            ([0.5, 1e-4], 1.5, BadParameterError, "q in [0.001, 1], got 0.0001"),
+        ],
+        ids=["first-q", "nan-q", "numpy-p", "q-before-p"],
+    )
+    @pytest.mark.parametrize("name", ["pdc-qfi", "dpc-skew", "pfc-concurrence", "dpc-gap"])
+    def test_every_q_then_every_p_is_checked(self, name, q, p, error, text):
+        prefix = "p must lie in " if error is BadProbabilityError else "closed forms need "
+        with pytest.raises(error) as err:
+            CLOSED_FORMS[name](q, p)
+        assert type(err.value) is error and str(err.value) == prefix + text
+
+
 class TestCrosscheck:
     def test_healthy_channels_agree(self):
         for kind in (ChannelKind.PHASE_DAMPING, ChannelKind.PHASE_FLIP):
@@ -367,7 +469,8 @@ class TestGridAxes:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the axes were checked")
 
-        for name in ("_check_point", "_werner_compact", "_damped_compact", "apply_kraus_dense"):
+        work = ("_closed_form_inputs", "_werner_compact", "_damped_compact", "apply_kraus_dense")
+        for name in work:
             monkeypatch.setattr(ghz, name, no_work)
         with pytest.raises(BadParameterError) as err:
             grid(ChannelKind.PHASE_DAMPING, q_values, p_values)
@@ -392,8 +495,8 @@ def reference_verdict(pipeline, closed_form):
 def reference_crosscheck(kind, q, p):
     """One point through scalar calls only: the per-point crosscheck that
     preceded :func:`crosscheck_grid`, kept as its reference (the Kraus
-    family helper it used is inlined)."""
-    param = ghz._check_point(q, p)
+    family helper it used is inlined).  A closed form that raises raises."""
+    param = ChannelParam(p)
     family = ghz_family(kind, p)
     kraus_fam = ParamFamily(
         state=lambda x: apply_kraus(XState(*ghz._werner_compact(x)), kind, param)
@@ -412,10 +515,7 @@ def reference_crosscheck(kind, q, p):
             raise
         except (XQMetroError, ZeroDivisionError, FloatingPointError):
             return MetricCheck(float("nan"), float("nan"), float("nan"), Verdict.SINGULAR)
-        try:
-            closed = closed_fn()
-        except (XQMetroError, ZeroDivisionError, FloatingPointError):
-            closed = float("nan")  # undefined here; the verdict reads the pipeline
+        closed = closed_fn()
         return MetricCheck(pipeline, closed, oracle_val, reference_verdict(pipeline, closed))
 
     qfi = check(
@@ -483,6 +583,43 @@ class TestCrosscheckGrid:
                     assert tuple(one) == METRICS
                     assert report_bits(one) == report_bits(point(checks, i, j))
 
+    def test_one_call_per_closed_form_before_any_channel_work(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            function = getattr(ghz, name)
+
+            def spied(*args):
+                calls.append((name, *(np.shape(arg) for arg in args[1:])))
+                return function(*args)
+
+            monkeypatch.setattr(ghz, name, spied)
+
+        for name in (*(f"closed_form_{name}" for name in METRICS), "ghz_grid", "apply_kraus_dense"):
+            spy(name)
+        q_values, p_values = _grid_axes(9)
+        crosscheck_grid(ChannelKind.DEPOLARIZING, q_values, p_values)
+        assert calls[:3] == [(f"closed_form_{name}", (9, 1), (1, 10)) for name in METRICS]
+        assert [call[0] for call in calls[3:]] == ["ghz_grid", "apply_kraus_dense"]
+
+    @pytest.mark.parametrize("name", [f"closed_form_{name}" for name in METRICS])
+    def test_raising_closed_form_propagates(self, monkeypatch, capsys, name):
+        # Not masked as a NaN closed form: its SINGULAR verdict would be
+        # skipped by the validate suites.
+        original = getattr(ghz, name)
+
+        def raising(kind, q, p):
+            if np.any((np.asarray(q) == 0.5) & (np.asarray(p) == 0.0)):
+                raise NotPSDError("injected")
+            return original(kind, q, p)
+
+        monkeypatch.setattr(ghz, name, raising)
+        with pytest.raises(NotPSDError, match="^injected$"):
+            crosscheck_grid(ChannelKind.PHASE_FLIP, self.Q, self.P)
+        assert main(["validate", "--grid", "1", "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: injected\n"
+
     def test_empty_axis_gives_empty_arrays(self):
         for kind in ChannelKind:
             for q_values, p_values in (([], [0.1, 0.2]), ([0.5, 0.7], []), ([], [])):
@@ -503,7 +640,9 @@ class TestCrosscheckGrid:
         seeded = np.repeat(np.array(values)[:, None], len(p_values), axis=1)
 
         def closed_form(kind, q, p):
-            return values[p_values.index(p)]
+            # The grid's (1, p) row of p values: each picks its seeded value.
+            row = np.array([values[p_values.index(x)] for x in p[0].tolist()])
+            return np.broadcast_to(row, np.broadcast_shapes(q.shape, p.shape))
 
         monkeypatch.setattr(ghz, "ghz_grid", lambda *args: dict.fromkeys(METRICS, seeded))
         for name in ("closed_form_qfi", "closed_form_skew", "closed_form_concurrence"):
@@ -517,17 +656,15 @@ class TestCrosscheckGrid:
     P = (0.0, 0.3, 0.6)
 
     def assert_one_singular(self, monkeypatch, name, failing, metric):
-        """Patch ``ghz.<name>`` to raise NotPSDError where ``failing(args)``
-        holds; exactly one point's ``metric`` must turn SINGULAR, with a NaN
-        closed form and the pipeline and oracle values of the clean run."""
+        """Patch ``ghz.<name>`` to read NaN where ``failing(q, p)`` holds;
+        exactly one point's ``metric`` must turn SINGULAR, with a NaN closed
+        form and the pipeline and oracle values of the clean run."""
         kind = ChannelKind.PHASE_FLIP
         clean = crosscheck_grid(kind, self.Q, self.P)
         original = getattr(ghz, name)
 
-        def patched(*args):
-            if failing(args):
-                raise NotPSDError("injected")
-            return original(*args)
+        def patched(kind, q, p):
+            return np.where(failing(q, p), np.nan, original(kind, q, p))
 
         monkeypatch.setattr(ghz, name, patched)
         checks = crosscheck_grid(kind, self.Q, self.P)
@@ -550,14 +687,14 @@ class TestCrosscheckGrid:
         where = self.assert_one_singular(
             monkeypatch,
             "closed_form_qfi",
-            lambda args: args[1:] == (0.5, 0.3),
+            lambda q, p: (q == 0.5) & (p == 0.3),
             "qfi",
         )
         assert where == (0.5, 0.3)
 
     def test_nan_pipeline_at_raising_closed_form_fails_validate(self, monkeypatch):
-        # A closed form that raises used to turn the whole check into NaNs
-        # with a SINGULAR verdict, hiding a NaN pipeline value from validate.
+        # A closed form that is undefined (NaN) where the pipeline value is
+        # NaN must not hide that value from validate as a SINGULAR verdict.
         kind = ChannelKind.PHASE_DAMPING
         grid, closed = ghz.ghz_grid, ghz.closed_form_skew
 
@@ -567,13 +704,11 @@ class TestCrosscheckGrid:
                 values["skew"][list(q_values).index(0.5), list(p_values).index(0.0)] = np.nan
             return values
 
-        def raising(kind_, q, p):
-            if (kind_, q, p) == (kind, 0.5, 0.0):
-                raise ZeroDivisionError("injected")
-            return closed(kind_, q, p)
+        def undefined(kind_, q, p):
+            return np.where((kind_ is kind) & (q == 0.5) & (p == 0.0), np.nan, closed(kind_, q, p))
 
         monkeypatch.setattr(ghz, "ghz_grid", nan_grid)
-        monkeypatch.setattr(ghz, "closed_form_skew", raising)
+        monkeypatch.setattr(ghz, "closed_form_skew", undefined)
         check = crosscheck(kind, 0.5, 0.0)["skew"]
         assert check.verdict is Verdict.PIPELINE_NON_FINITE
         assert np.isnan(check.pipeline) and np.isnan(check.closed_form)
@@ -676,8 +811,8 @@ class TestCrosscheckGrid:
         [
             ([2.0], [], "closed forms need q in [0.001, 1], got 2.0"),
             ([], [1.5], "p must lie in [0, 1], got 1.5"),
-            # Reported as a point-by-point loop would: q[0], every p, every q.
-            ([0.5, 2.0], [0.1, 1.5], "p must lie in [0, 1], got 1.5"),
+            # Every q is checked before any p.
+            ([0.5, 2.0], [0.1, 1.5], "closed forms need q in [0.001, 1], got 2.0"),
             ([3.0, 0.5], [1.5], "closed forms need q in [0.001, 1], got 3.0"),
             ([0.5, 1e-4], [0.1, 0.2], "closed forms need q in [0.001, 1], got 0.0001"),
         ],
