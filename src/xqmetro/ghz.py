@@ -75,10 +75,11 @@ def _werner_compact(q):
     return diag, anti
 
 
-_TANGENT_DIAG = np.full(8, 1.0 / 8.0)
-_TANGENT_DIAG[0] = _TANGENT_DIAG[7] = -3.0 / 8.0
+# The Werner line is affine in q, so its q-derivative is rho(1) - rho(0).
+_TANGENT_DIAG, _TANGENT_ANTI = (
+    ends[1] - ends[0] for ends in _werner_compact(np.array([0.0, 1.0]))
+)
 _TANGENT_DIAG.setflags(write=False)
-_TANGENT_ANTI = np.array([-0.5, 0.0, 0.0, 0.0], dtype=complex)
 _TANGENT_ANTI.setflags(write=False)
 
 # (q, p) points per kernel pass in :func:`ghz_grid`.  A pass pays a fixed

@@ -46,7 +46,6 @@ from .errors import BadParameterError, NotXFormError, SingularBlockError
 # tracer rebinds, and its self-test calls, xqmetro.metrics.eigh.
 from .linalg import central_diff, eigh  # noqa: F401
 from .xstate import (
-    BLOCK_PAIRS,
     XState,
     XTangent,
     _check_tangent,
@@ -373,8 +372,6 @@ def random_family(rng: np.random.Generator) -> ParamFamily:
     elif mode == 1:
         rate = np.zeros(4)
 
-    rows = np.array([pair[0] for pair in BLOCK_PAIRS])
-    cols = np.array([pair[1] for pair in BLOCK_PAIRS])
     slope = d1 - d0
 
     def populations(phi: float) -> np.ndarray:
@@ -382,13 +379,13 @@ def random_family(rng: np.random.Generator) -> ParamFamily:
 
     def state(phi: float) -> XState:
         diag = populations(phi)
-        radius = fraction * np.sqrt(diag[rows] * diag[cols])
+        radius = fraction * np.sqrt(diag[:4] * diag[:3:-1])
         return XState(diag, radius * np.exp(1j * (theta + rate * phi)))
 
     def tangent(phi: float) -> XTangent:
         diag = populations(phi)
-        prod = diag[rows] * diag[cols]
-        dprod = slope[rows] * diag[cols] + diag[rows] * slope[cols]
+        prod = diag[:4] * diag[:3:-1]
+        dprod = slope[:4] * diag[:3:-1] + diag[:4] * slope[:3:-1]
         radius = fraction * np.sqrt(prod)
         dradius = fraction * dprod / (2.0 * np.sqrt(prod))
         phase = np.exp(1j * (theta + rate * phi))

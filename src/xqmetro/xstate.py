@@ -27,8 +27,7 @@ DIAG_TOL = 1e-12
 PATTERN_TOL = 1e-10
 
 BLOCK_PAIRS = ((0, 7), (1, 6), (2, 5), (3, 4))
-_UPPER = tuple(i for i, _ in BLOCK_PAIRS)
-_LOWER = tuple(j for _, j in BLOCK_PAIRS)
+_UPPER, _LOWER = zip(*BLOCK_PAIRS)
 _DIAGONAL = tuple(range(8))
 # Entries an X state leaves empty: all but the main diagonal and the anti-diagonal.
 _OFF_PATTERN = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
@@ -289,13 +288,12 @@ def random_xstate(rng: np.random.Generator) -> XState:
 
     Populations are a flat Dirichlet draw; each coherence is ``r e^{i theta}``
     with ``r`` uniform on [0, sqrt(rho_ii rho_jj)] and ``theta`` uniform on
-    [0, 2 pi).
+    [0, 2 pi).  The draws come in the order diag, r_0, theta_0, r_1, ...,
+    theta_3, each ``r`` and ``theta`` one unit double scaled by its bound,
+    which is bit for bit what ``rng.uniform(0, bound)`` returns.
     """
     diag = rng.dirichlet(np.ones(8))
-    anti = np.empty(4, dtype=complex)
-    for k, (i, j) in enumerate(BLOCK_PAIRS):
-        bound = np.sqrt(diag[i] * diag[j])
-        r = rng.uniform(0.0, bound)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        anti[k] = r * np.exp(1j * theta)
+    # uniform(0, b) is 0.0 + b * u with u one unit double: exactly b * u.
+    r, theta = rng.random((4, 2)).T
+    anti = np.sqrt(diag[:4] * diag[:3:-1]) * r * np.exp(1j * (2.0 * np.pi * theta))
     return XState(diag, anti)

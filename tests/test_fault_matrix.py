@@ -31,6 +31,25 @@ def odd_row_flipped():
     return table
 
 
+def concurrence_without_pair_34():
+    """``metrics._concurrence`` with the root of pair (3, 4) left out of the penalty."""
+    original = metrics._concurrence
+    keep = np.ones(8)
+    keep[3] = 0.0  # rho_33 rho_44 reads 0, so its root adds nothing
+    return lambda diag, anti: original(diag * keep, anti)
+
+
+def transverse_squared():
+    """``channels.bloch_damping_factors`` with the transverse factor squared."""
+    original = channels.bloch_damping_factors
+
+    def factors(kind, param):
+        transverse, longitudinal = original(kind, param)
+        return transverse * transverse, longitudinal
+
+    return factors
+
+
 PAPER_FORMS = "ghz-closed-form-agreement"
 
 # name: (module, attribute, faulty value, suites that validate --grid 3 --seed 0 fails)
@@ -51,15 +70,33 @@ FAULTS = {
         metrics, "_qfi_blocks_spectral", lambda: scaled("_qfi_blocks_spectral", 2.0), set()
     ),
     "m-odd-row-1-negated": (channels, "M_ODD", odd_row_flipped, {"channel-equivalence"}),
+    "concurrence-without-pair-(3,4)": (
+        metrics, "_concurrence", concurrence_without_pair_34, {PAPER_FORMS}
+    ),
+    "transverse-factor-squared": (
+        channels,
+        "bloch_damping_factors",
+        transverse_squared,
+        {
+            "channel-equivalence",
+            "ghz-concurrence-routes",
+            "ghz-qfi-oracle",
+            "ghz-skew-oracle",
+            PAPER_FORMS,
+        },
+    ),
 }
 
+SAME_CONCURRENCE = (
+    "ghz-concurrence-routes runs the same _concurrence on the Kraus and on the compact image"
+)
 BLIND = {
-    "concurrence-x1.01": "ghz-concurrence-routes runs the same _concurrence on the Kraus"
-    " and on the compact image",
+    "concurrence-x1.01": SAME_CONCURRENCE,
     "qfi-mixed-x(1+1e-7)": "family-qfi-oracle and ghz-qfi-oracle allow a relative 1e-6",
     "skew-mixed-x(1+1e-6)": "family-skew-oracle and ghz-skew-oracle allow a relative 1e-5",
     "skew-singular-x0": "family-skew-oracle: no block of its corpus takes the fallback route",
     "qfi-spectral-x2": "family-qfi-oracle: no block of its corpus takes the fallback route",
+    "concurrence-without-pair-(3,4)": SAME_CONCURRENCE,
 }
 
 

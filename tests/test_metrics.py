@@ -1,5 +1,6 @@
 """Block-level and total Fisher information, skew information, concurrence."""
 
+import hashlib
 from typing import NamedTuple
 
 import numpy as np
@@ -611,7 +612,27 @@ class TestConcurrence:
         assert concurrence_ghz_class(state) == 0.8
 
 
+# sha256 over seeds 0-99, ten random_family draws per seed: at each phi of
+# PINNED_PHIS, the raw bytes of the family's state and tangent, then the
+# generator's next double.  Taken while random_family still read the block
+# pairs through index arrays.
+PINNED_PHIS = (0.0, 0.3, 0.77, 1.0)
+RANDOM_FAMILY_DIGEST = "0afff864f3c8aca264b0619697a6972d797d02b4382376fe6de760c85adb63d8"
+
+
 class TestRandomFamily:
+    def test_families_keep_the_pinned_bits(self):
+        digest = hashlib.sha256()
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            for _ in range(10):
+                family = random_family(rng)
+                for phi in PINNED_PHIS:
+                    for point in (family.state(phi), family.tangent(phi)):
+                        digest.update(point.diag.tobytes() + point.anti.tobytes())
+            digest.update(rng.random(1).tobytes())
+        assert digest.hexdigest() == RANDOM_FAMILY_DIGEST
+
     def test_states_valid_over_parameter_range(self):
         rng = np.random.default_rng(70)
         for _ in range(10):
