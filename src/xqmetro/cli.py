@@ -69,26 +69,18 @@ def _sig12(value: float) -> str:
 
 
 def run_sweep(kind: ChannelKind, metrics, q_values, p_values) -> list[dict]:
-    """Evaluate ``metrics`` of channel ``kind`` on the (q, p) grid, q outer, p inner.
+    """The rows of :func:`render_csv`, read back: the JSON view of the sweep.
 
-    Values come from the trusted pipeline (closed-form channel route plus
-    analytic d/dq), evaluated over the whole grid by :func:`ghz_grid` and
-    rounded to 12 significant digits, ``float(f"{x:.12g}")``, the numbers
-    the CSV cells print; metrics not requested are None.  The arguments are
-    what the ``sweep`` flags parse to, and :func:`ghz_grid` checks them as it
-    checks any caller's.
+    One dict per data line, q outer, p inner, keyed by ``CSV_HEADER``: the
+    channel label, then ``float(cell)`` for each number (so each is the
+    number its cell prints) and None for the empty cell of a metric not
+    requested.
     """
-    grid = ghz_grid(kind, q_values, p_values, metrics)
-    q_values = [float(f"{q:.12g}") for q in q_values]
-    p_values = [float(f"{p:.12g}") for p in p_values]
-    rows = [
-        {"channel": kind.value, "q": q, "p": p, **dict.fromkeys(METRIC_NAMES)}
-        for q in q_values
-        for p in p_values
-    ]
-    for name, values in grid.items():
-        for row, x in zip(rows, values.ravel().tolist()):
-            row[name] = float(f"{x:.12g}")
+    rows = []
+    for line in render_csv(kind, metrics, q_values, p_values).splitlines()[1:]:
+        label, *cells = line.split(",")
+        numbers = (float(cell) if cell else None for cell in cells)
+        rows.append(dict(zip(CSV_HEADER, (label, *numbers))))
     return rows
 
 
@@ -99,6 +91,8 @@ def render_csv(kind: ChannelKind, metrics, q_values, p_values) -> str:
     the line template repeated per line: ``%.12g`` (the text of
     ``f"{x:.12g}"``) per requested metric, an empty cell per other one.  No
     field needs quoting: they are numbers, empty cells and the channel label.
+    The arguments are what the ``sweep`` flags parse to, and
+    :func:`ghz_grid` checks them as it checks any caller's.
     """
     grid = ghz_grid(kind, q_values, p_values, metrics)
     q_cells = [f"{q:.12g}" for q in q_values]
@@ -110,10 +104,6 @@ def render_csv(kind: ChannelKind, metrics, q_values, p_values) -> str:
     p_column = p_cells * len(q_cells)
     fields = tuple(chain.from_iterable(zip(q_column, p_column, *columns)))
     return ",".join(CSV_HEADER) + "\n" + (line * len(q_column)) % fields
-
-
-def render_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -173,8 +163,9 @@ def channel_route_errors(states, p_values) -> tuple[float, float]:
     call, each with the sequence of parameters.  Every state passes the
     checks it would pass alone: :func:`check_compact` (the checks of XState)
     on the input and on both images, the dense X pattern on each p's Kraus
-    image; a failure names its element of that p's stack.  The route error
-    spans the raw 8x8 Kraus image, off-pattern entries included.
+    image; a failure of that pattern names the channel, the p index and its
+    element of that p's stack.  The route error spans the raw 8x8 Kraus
+    image, off-pattern entries included.
     """
     diag = np.stack([state.diag for state in states])
     anti = np.stack([state.anti for state in states])
@@ -191,7 +182,10 @@ def channel_route_errors(states, p_values) -> tuple[float, float]:
         for k, (param, via_kraus) in enumerate(zip(params, images)):
             total = sum(op.conj().T @ op for op in kraus_operators(kind, param))
             completeness.append(np.abs(total - np.eye(2)).max())
-            compact_from_dense(via_kraus)
+            try:
+                compact_from_dense(via_kraus)
+            except XQMetroError as exc:
+                raise type(exc)(f"{kind.value}, p index {k}: {exc}") from exc
             via_bloch = dense_from_compact(damped_diag[k], damped_anti[k])
             route.append(np.abs(via_kraus - via_bloch).max())
     return _max_error(completeness), _max_error(route)
@@ -466,7 +460,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "sweep":
             sweep = (args.channel, args.metrics, args.q, args.p)
-            text = render_csv(*sweep) if args.format == "csv" else render_json(run_sweep(*sweep))
+            if args.format == "csv":
+                text = render_csv(*sweep)
+            else:
+                text = json.dumps(run_sweep(*sweep), indent=2) + "\n"
             _emit(text, args.output)
             return 0
         if args.command == "validate":

@@ -795,6 +795,22 @@ class TestSuiteErrorsAreNotSoftened:
         assert route == pytest.approx(1e-11, rel=1e-3)
         assert not route <= 1e-12
 
+    def test_kraus_image_off_the_pattern_names_channel_p_and_element(self, monkeypatch):
+        def leaky(dense, kind, params):
+            images = apply_kraus_dense(dense, kind, params)
+            if kind is ChannelKind.PHASE_FLIP:
+                images[3, 5, 0, 1] += 1e-3
+            return images
+
+        monkeypatch.setattr(cli, "apply_kraus_dense", leaky)
+        rng = np.random.default_rng(3)
+        states = [random_xstate(rng) for _ in range(8)]
+        with pytest.raises(NotXFormError) as err:
+            channel_route_errors(states, np.linspace(0.0, 1.0, 5).tolist())
+        assert str(err.value) == (
+            "pfc, p index 3: element 5: off-pattern entry [0, 1] of magnitude 1.000e-03"
+        )
+
     def test_concurrence_route_error_is_absolute(self, monkeypatch):
         # Relative to an oracle value of 3, a 2.5e-12 gap would read below
         # the suite's 1e-12 tolerance; the absolute gap fails it.

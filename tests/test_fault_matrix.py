@@ -1,20 +1,23 @@
 """Fault matrix: which ``validate`` suites fail when the pipeline is broken on purpose.
 
-Each fault rebinds one module attribute of the pipeline, the way a wrong
-edit would change it, and ``run_validation(3, 0)`` runs with it.  The first
-test pins the exact set of failing suites per fault, so that a rewrite of
-``validate`` can make it neither more nor less sensitive unnoticed.  The
-second asks for more: a failing suite other than ``ghz-closed-form-agreement``,
-the comparison with the paper's transcribed forms, which cover only the
-Werner-GHZ family and are themselves wrong for depolarizing.  A fault that
-no other suite catches today is a strict xfail that names the blind suite;
-closing the gap turns it into a pass that must be unmarked.
+Each fault replaces one function or table of the pipeline, the way a wrong
+edit would change it, in every ``xqmetro`` module that binds it, and
+``run_validation(3, 0)`` runs with it.  The first test pins the exact set of
+failing suites per fault, so that a rewrite of ``validate`` can make it
+neither more nor less sensitive unnoticed.  The second asks for more: a
+failing suite other than ``ghz-closed-form-agreement``, the comparison with
+the paper's transcribed forms, which cover only the Werner-GHZ family and
+are themselves wrong for depolarizing.  A fault that no other suite catches
+today is a strict xfail that names the blind suite; closing the gap turns it
+into a pass that must be unmarked.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
-from xqmetro import channels, metrics
+from xqmetro import channels, metrics, xstate
 from xqmetro.cli import run_validation
 
 
@@ -48,6 +51,33 @@ def transverse_squared():
         return transverse * transverse, longitudinal
 
     return factors
+
+
+def populations_1_6_swapped():
+    """``xstate.bloch_from_compact`` with populations 1 and 6 (block 1's pair) swapped."""
+    original = xstate.bloch_from_compact
+
+    def bloch(diag, anti):
+        diag = np.array(diag)
+        diag[..., [1, 6]] = diag[..., [6, 1]]
+        return original(diag, anti)
+
+    return bloch
+
+
+def rebind_everywhere(monkeypatch, original, value):
+    """Bind ``value`` wherever an ``xqmetro`` module binds ``original``, as an
+    import-time rebinding would; ``monkeypatch`` restores every binding.
+    Returns the names of the modules rebound."""
+    rebound = []
+    for module_name, module in sorted(sys.modules.items()):
+        if module is None or not (module_name == "xqmetro" or module_name.startswith("xqmetro.")):
+            continue
+        for attr, bound in list(vars(module).items()):
+            if bound is original:
+                monkeypatch.setattr(module, attr, value)
+                rebound.append(module_name)
+    return rebound
 
 
 PAPER_FORMS = "ghz-closed-form-agreement"
@@ -85,6 +115,9 @@ FAULTS = {
             PAPER_FORMS,
         },
     ),
+    "populations-1-6-swapped": (
+        xstate, "bloch_from_compact", populations_1_6_swapped, {"channel-equivalence"}
+    ),
 }
 
 SAME_CONCURRENCE = (
@@ -102,7 +135,7 @@ BLIND = {
 
 def failing_suites(monkeypatch, fault):
     module, name, faulty, _ = FAULTS[fault]
-    monkeypatch.setattr(module, name, faulty())
+    rebind_everywhere(monkeypatch, getattr(module, name), faulty())
     report = run_validation(3, 0)
     return {suite.name for suite in report.suites if not suite.passed}
 
@@ -123,3 +156,12 @@ def test_exact_failing_suites(monkeypatch, fault):
 )
 def test_caught_beyond_the_paper_forms(monkeypatch, fault):
     assert failing_suites(monkeypatch, fault) - {PAPER_FORMS}
+
+
+def test_a_fault_reaches_every_binding(monkeypatch):
+    original = xstate.bloch_from_compact
+    rebound = rebind_everywhere(monkeypatch, original, populations_1_6_swapped())
+    modules = ("channels", "cli", "ghz", "metrics", "xstate")
+    assert rebound == [f"xqmetro.{name}" for name in modules]
+    monkeypatch.undo()
+    assert all(sys.modules[name].bloch_from_compact is original for name in rebound)

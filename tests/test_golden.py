@@ -17,6 +17,10 @@ The ``validate`` reports for (grid, seed) = (9, 1), (17, 5) and (1, 3) are
 held to sha256 digests of the same command's output, taken before the
 validate suites became shared functions of ``cli`` and the acceptance gate.
 
+The JSON sweeps of one metric subset each are held to sha256 digests taken
+while ``run_sweep`` still rounded the grid values itself, before its rows
+became the CSV cells read back: no golden file has a ``null`` cell.
+
 The validate report prints oracle and route errors near 1e-16, so it also
 pins the last bits of the scalar totals and of both channel routes on the
 seeded corpus.  Regenerate a file only for an intended change of output, and
@@ -51,6 +55,39 @@ def test_sweep_output_is_byte_identical(channel, fmt, tmp_path):
     argv = ["sweep", "--channel", channel, "--q", SWEEP_Q, "--p", "0:1:21"]
     assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"sweep-{channel}.{fmt}").read_bytes()
+
+
+JSON_Q = "0.001,0.01,0.3333333333333,0.5,0.77,1"
+
+
+@pytest.mark.parametrize(
+    "channel, metrics, digest",
+    [
+        ("pdc", "skew", "e36b4a92750f30844b612afcb068d8e5b956a230c5972bea28391c2b92ee9b60"),
+        (
+            "pdc",
+            "concurrence,qfi",
+            "d35102d6b5365ca5d523bd24300cd44566074647ddf2e545fd45fdb30a344815",
+        ),
+        ("dpc", "skew", "c034ae721dd958d4a777d337e38810d2280c23c75ec62be9b7ee24b6b37d8a94"),
+        (
+            "dpc",
+            "concurrence,qfi",
+            "973452443f9d37b72dc3149e308f38df4d592e4b54ca78b540189d65d0bf77eb",
+        ),
+        ("pfc", "skew", "fb05d33cac03fe8acbe1f5ba591860c3936dc3bc27d4c06295fa71ba43d323ff"),
+        (
+            "pfc",
+            "concurrence,qfi",
+            "c0e68e0cf274a44bdf928e6799893b09d0e2e1c18f651549497e2dd826fe7103",
+        ),
+    ],
+)
+def test_sweep_json_sha256(channel, metrics, digest, tmp_path):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--channel", channel, "--metrics", metrics, "--q", JSON_Q, "--p", "0:1:101"]
+    assert main(argv + ["--format", "json", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _validate_report(grid, seed):

@@ -335,6 +335,30 @@ def test_totals_return_python_floats_on_a_rank1_family():
     assert type(concurrence_ghz_class(family.state(0.4))) is float
 
 
+RANK1_SKEW_DEFECT = pytest.mark.xfail(
+    strict=True,
+    reason="F2, ROADMAP item 1: _skew_block_singular is exact only for pure blocks",
+)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        0.2,
+        0.4,
+        pytest.param(0.6, marks=RANK1_SKEW_DEFECT),
+        pytest.param(0.8, marks=RANK1_SKEW_DEFECT),
+    ],
+)
+def test_skew_lies_between_fisher_and_twice_fisher_on_a_rank1_family(phi):
+    # F <= S <= 2F holds for every state and tangent, so it is held with no
+    # tolerance.  The rank-1 block's skew stand-in gives S/F = 0.9943 at
+    # phi = 0.6 and 0.9770 at phi = 0.8.
+    family = rank1_family()
+    fisher = qfi_total(family, phi)
+    assert fisher <= skew_total(family, phi) <= 2.0 * fisher
+
+
 def zero_population_family():
     """Population 1 is zero, so block (1, 6) has weight 0 along the family."""
     d0 = np.array([0.30, 0.0, 0.10, 0.02, 0.08, 0.15, 0.25, 0.10])
