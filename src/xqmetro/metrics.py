@@ -36,7 +36,6 @@ column with one ufunc.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -44,12 +43,13 @@ import numpy as np
 from .errors import BadParameterError, NotXFormError, SingularBlockError
 # eigh is unused here, but importable from this module: the benchmark's
 # tracer rebinds, and its self-test calls, xqmetro.metrics.eigh.
-from .linalg import central_diff, eigh  # noqa: F401
+from .linalg import central_diff, diff_step, eigh  # noqa: F401
 from .xstate import (
     XState,
     XTangent,
     _check_tangent,
     _fail,
+    _real_diag,
     _xstate,
     bloch_from_compact,
     check_compact,
@@ -192,9 +192,10 @@ def evaluate_stack(
     (this kernel's single-state views) give for it alone.
 
     The boundary, in order: an unknown metric name raises
-    :class:`BadParameterError`; the states pass :func:`check_compact` (the
-    errors :class:`XState` raises, naming the element); a tangent that does
-    not broadcast raises :class:`NotXFormError` naming the shapes, and
+    :class:`BadParameterError`; the states have real populations and pass
+    :func:`check_compact` (the errors :class:`XState` raises, naming the
+    element); a tangent that does not broadcast raises
+    :class:`NotXFormError` naming the shapes, and
     :func:`~xqmetro.xstate._check_tangent` names its first bad entry; then
     ``"qfi"`` or ``"skew"`` without a tangent raises
     :class:`BadParameterError`.  A tangent need not have trace 0: central
@@ -202,7 +203,7 @@ def evaluate_stack(
     about 1e-6 at h = 1e-6.
     """
     metrics = _check_names(metrics)
-    diag, anti = np.asarray(diag, dtype=float), np.asarray(anti, dtype=complex)
+    diag, anti = np.asarray(_real_diag(diag), dtype=float), np.asarray(anti, dtype=complex)
     check_compact(diag, anti)
     w = dw = None
     if tangent_diag is not None and tangent_anti is not None:
@@ -215,10 +216,7 @@ def evaluate_stack(
                 f" got shapes {np.shape(tangent_diag)} and {np.shape(tangent_anti)}"
             ) from None
         w = bloch_from_compact(diag, anti)
-        with np.errstate(all="ignore"):  # a non-finite or overflowing entry is named below
-            dw = bloch_from_compact(tangent_diag.real, tangent_anti)
-        if np.iscomplexobj(tangent_diag) or not np.isfinite(dw).all():
-            _check_tangent(tangent_diag, tangent_anti, dw)
+        dw = _check_tangent(tangent_diag, tangent_anti)
     elif "qfi" in metrics or "skew" in metrics:
         raise BadParameterError("metrics 'qfi' and 'skew' need tangent_diag and tangent_anti")
     return _kernel(metrics, w, dw, diag, anti)
@@ -292,13 +290,15 @@ class ParamFamily:
                     f" {shapes[1]}, expected (8,) and (4,)"
                 )
             if np.iscomplexobj(tangent.diag):
-                _check_tangent(tangent.diag, tangent.anti, where=f"at phi={phi!r}: ")
+                _check_tangent(tangent.diag, tangent.anti, phi)
                 tangent = XTangent(np.asarray(tangent.diag).real, tangent.anti)
             return tangent
-        # Both differences probe the same two points: build each state once.
-        state = lru_cache(maxsize=2)(lambda x: _xstate(self.state(x), x))
-        diag = central_diff(lambda x: state(x).diag, phi)
-        anti = central_diff(lambda x: state(x).anti, phi)
+        # Each probe state built once, phi + h first as central_diff asks; told
+        # apart by side, not by x, since a NaN x equals no other.
+        h = diff_step(phi)
+        upper, lower = (_xstate(self.state(x), x) for x in (phi + h, phi - h))
+        diag = central_diff(lambda x: (upper if x > phi else lower).diag, phi)
+        anti = central_diff(lambda x: (upper if x > phi else lower).anti, phi)
         return XTangent(diag, anti)
 
     def bloch_at(self, phi: float) -> np.ndarray:
@@ -315,17 +315,13 @@ def _total(name: str, family: ParamFamily, phi: float) -> float:
     """Metric ``name`` of the family at ``phi`` through the kernel's core.
 
     The state comes checked from :meth:`ParamFamily.bloch_at`, and the
-    tangent's diag real from :meth:`ParamFamily.tangent_at`.  The tangent
-    is tested once, on the Bloch array the core reads; only a failure runs
-    :func:`~xqmetro.xstate._check_tangent`, which names ``phi`` and the
-    first NaN/+-inf compact entry, or the first Bloch entry if only the
-    Bloch form overflows.
+    tangent's Bloch form from :func:`~xqmetro.xstate._check_tangent`, which
+    names ``phi`` and the first NaN/+-inf compact entry, or the first Bloch
+    entry if only the Bloch form overflows.
     """
     w = family.bloch_at(phi)
     tangent = family.tangent_at(phi)
-    dw = tangent.to_bloch_array()
-    if not np.isfinite(dw).all():
-        _check_tangent(tangent.diag, tangent.anti, dw, f"at phi={phi!r}: ")
+    dw = _check_tangent(tangent.diag, tangent.anti, phi)
     return float(_kernel((name,), w, dw, None, None)[name])
 
 

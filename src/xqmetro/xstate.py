@@ -40,7 +40,8 @@ class XState:
     Attributes
     ----------
     diag : ndarray, shape (8,)
-        Real populations in basis order.
+        Real populations in basis order; a complex one with a nonzero (or
+        NaN) imaginary part raises :class:`NotXFormError`.
     anti : ndarray, shape (4,)
         Complex upper anti-diagonal entries, one per block pair.
     """
@@ -49,12 +50,13 @@ class XState:
     anti: np.ndarray
 
     def __post_init__(self):
-        diag = np.array(self.diag, dtype=float)
+        diag = np.asarray(self.diag)
         anti = np.array(self.anti, dtype=complex)
         if diag.shape != (8,) or anti.shape != (4,):
             raise NotXFormError(
                 f"expected 8 populations and 4 coherences, got shapes {diag.shape} and {anti.shape}"
             )
+        diag = np.array(_real_diag(diag), dtype=float)
         check_compact(diag, anti)
         diag.setflags(write=False)
         anti.setflags(write=False)
@@ -88,9 +90,6 @@ class XTangent(NamedTuple):
 
     def to_dense(self) -> np.ndarray:
         return dense_from_compact(self.diag, self.anti)
-
-    def to_bloch_array(self) -> np.ndarray:
-        return bloch_from_compact(self.diag, self.anti)
 
 
 def dense_from_compact(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
@@ -139,22 +138,42 @@ def _not_finite(name: str, values, entries: int = 1, error=NotXFormError):
     )
 
 
-def _check_tangent(diag, anti, w=None, where: str = "") -> None:
+def _not_real(name: str, values):
+    """Row naming the first entry of ``values`` with a nonzero or NaN imaginary part."""
+    return (NotXFormError, values.imag != 0.0,
+            lambda i, k: f"{name}[{k}] is {values[i + (k,)]}, not real", 1)
+
+
+def _real_diag(diag) -> np.ndarray:
+    """``diag`` (..., 8) as real populations; a nonzero or NaN imaginary part raises."""
+    diag = np.asarray(diag)
+    if diag.dtype.kind == "c":
+        _first_failure(_not_real("diag", np.atleast_1d(diag)))
+        diag = diag.real
+    return diag
+
+
+def _check_tangent(diag, anti, phi=None) -> np.ndarray:
     """The one tangent check, one or stacked: ``diag`` (..., 8), ``anti`` (..., 4).
 
-    Raises :class:`NotXFormError` for the first of: a NaN/+-inf entry of
-    ``diag``, then of ``anti`` (``tangent diag[k]``, ``tangent anti[k]``),
-    a ``diag`` entry that is not real, then a NaN/+-inf entry of the Bloch
-    form ``w``, if given (``tangent w[j, a]``), each named after ``where``.
+    Returns the tangent's Bloch form ``(..., 4, 4)``, or raises :class:`NotXFormError`
+    for the first of: a NaN/+-inf entry of ``diag``, then of ``anti`` (``tangent
+    diag[k]``, ``tangent anti[k]``), a ``diag`` entry that is not real, then a
+    NaN/+-inf Bloch entry (``tangent w[j, a]``), each after ``at phi=...: `` if given.
     """
     diag = np.asarray(diag)
-    rows = [_not_finite(f"{where}tangent diag", diag), _not_finite(f"{where}tangent anti", anti)]
-    if np.iscomplexobj(diag):
-        rows.append((NotXFormError, diag.imag != 0.0,
-                     lambda i, k: f"{where}tangent diag[{k}] is {diag[i + (k,)]}, not real", 1))
-    if w is not None:
-        rows.append(_not_finite(f"{where}tangent w", w, 2))
-    _first_failure(*rows)
+    with np.errstate(all="ignore"):  # a non-finite or overflowing entry is named below
+        w = bloch_from_compact(diag.real, anti)
+    if diag.dtype.kind != "c" and np.isfinite(w).all():
+        return w
+    where = "" if phi is None else f"at phi={phi!r}: "
+    _first_failure(
+        _not_finite(f"{where}tangent diag", diag),
+        _not_finite(f"{where}tangent anti", anti),
+        _not_real(f"{where}tangent diag", diag),
+        _not_finite(f"{where}tangent w", w, 2),
+    )
+    return w
 
 
 def check_compact(diag: np.ndarray, anti: np.ndarray) -> None:

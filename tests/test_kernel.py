@@ -514,6 +514,22 @@ class TestKernelBoundary:
             evaluate_stack(("skew",), diag, anti, tangent_diag, tangent_anti)
         assert str(err.value) == "element 1: tangent w[0, 0] is inf, not finite"
 
+    @pytest.mark.parametrize("name", METRICS)
+    def test_complex_state_populations(self, name):
+        diag, anti, tangent_diag, tangent_anti = edge_stack()
+        complex_diag = diag.astype(complex)
+        complex_diag.imag[0, 1] = -0.0
+        same = evaluate_stack((name,), complex_diag, anti, tangent_diag, tangent_anti)
+        expected = evaluate_stack((name,), diag, anti, tangent_diag, tangent_anti)
+        assert same[name].tobytes() == expected[name].tobytes()
+        complex_diag[3, 6] += 0.05j
+        with pytest.raises(NotXFormError) as err:
+            evaluate_stack((name,), complex_diag, anti, tangent_diag, tangent_anti)
+        assert str(err.value) == f"element 3: diag[6] is {complex_diag[3, 6]}, not real"
+        # A complex scalar is named as one entry, not failed on its missing axis.
+        with pytest.raises(NotXFormError, match=r"^diag\[0\] is \(0\.125\+0\.5j\), not real$"):
+            evaluate_stack((name,), 0.125 + 0.5j, anti[0], tangent_diag[0], tangent_anti[0])
+
     @pytest.mark.parametrize("diag, anti", [((7,), (4,)), ((8,), (3,)), ((2, 8), (3, 4))])
     def test_state_shapes_raise(self, diag, anti):
         message = (

@@ -28,7 +28,7 @@ from xqmetro.metrics import (
     skew_block,
     skew_total,
 )
-from xqmetro.xstate import BLOCK_PAIRS, XState, XTangent
+from xqmetro.xstate import BLOCK_PAIRS, XState, XTangent, random_xstate
 
 
 def random_mixed_block(rng):
@@ -378,7 +378,7 @@ class TestCheckedBoundary:
     """The scalar views check each input once and then enter the kernel's
     core; these pin what that boundary still guarantees."""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("total", [qfi_total, skew_total])
     def test_finite_tangent_overflowing_in_bloch_form_is_named(self, total):
         family = random_family(np.random.default_rng(72))
@@ -391,6 +391,20 @@ class TestCheckedBoundary:
         with pytest.raises(NotXFormError) as err:
             total(ParamFamily(state=family.state, tangent=tangent), 0.5)
         assert str(err.value) == "at phi=0.5: tangent w[0, 0] is inf, not finite"
+
+    @pytest.mark.filterwarnings("error")  # named before inf - inf warns
+    @pytest.mark.parametrize("total", [qfi_total, skew_total])
+    def test_infinite_tangent_pair_is_named(self, total):
+        family = random_family(np.random.default_rng(72))
+
+        def tangent(phi):
+            diag = family.tangent(phi).diag.copy()
+            diag[2] = diag[5] = np.inf
+            return XTangent(diag, family.tangent(phi).anti)
+
+        with pytest.raises(NotXFormError) as err:
+            total(ParamFamily(state=family.state, tangent=tangent), 0.5)
+        assert str(err.value) == "at phi=0.5: tangent diag[2] is inf, not finite"
 
     @pytest.mark.filterwarnings("error")  # named before any ComplexWarning
     @pytest.mark.parametrize("total", [qfi_total, skew_total])
@@ -433,6 +447,25 @@ class TestCheckedBoundary:
         with pytest.raises(NotXFormError) as err:
             total(ParamFamily(state=state), 0.5)
         assert str(err.value) == f"at phi={probe!r}: expected an XState, got ndarray"
+
+    def test_difference_builds_each_probe_once_upper_first(self):
+        family = random_family(np.random.default_rng(78))
+        calls = []
+
+        def state(phi):
+            calls.append(phi)
+            return family.state(phi)
+
+        ParamFamily(state=state).tangent_at(0.5)
+        assert calls == [0.5 + diff_step(0.5), 0.5 - diff_step(0.5)]
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf])
+    def test_difference_at_a_non_finite_phi_finds_its_probes(self, phi):
+        # A NaN probe point equals no other float, so the probes are not
+        # looked up by their phi; a family that ignores phi has tangent 0.
+        state = random_xstate(np.random.default_rng(79))
+        tangent = ParamFamily(state=lambda _: state).tangent_at(phi)
+        assert not tangent.diag.any() and not tangent.anti.any()
 
     def test_concurrence_of_a_state_that_is_not_an_xstate_raises(self):
         state = UncheckedState(np.full(8, 1.0 / 8.0), np.zeros(4, dtype=complex))
@@ -490,7 +523,7 @@ class TestScalarPathWork:
 
             return spying
 
-        # XState's check, and the conversions of bloch_at and XTangent.to_bloch_array.
+        # XState's check, and the conversions of bloch_at and _check_tangent.
         monkeypatch.setattr(xstate, "check_compact", spy("check_compact", xstate.check_compact))
         bloch = spy("bloch_from_compact", xstate.bloch_from_compact)
         monkeypatch.setattr(xstate, "bloch_from_compact", bloch)

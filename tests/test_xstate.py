@@ -101,6 +101,25 @@ class TestXStateConstruction:
             XState(diag, anti)
         assert str(err.value) == f"expected 8 populations and 4 coherences, got shapes {shapes}"
 
+    @pytest.mark.parametrize(
+        "imaginary, text", [(0.05j, r"\(0\.125\+0\.05j\)"), (complex(0.0, np.nan), r"\(0\.125\+nanj\)")]
+    )
+    def test_complex_population_with_an_imaginary_part_is_named(self, imaginary, text):
+        # A float cast would drop the imaginary part with only a ComplexWarning.
+        diag = np.full(8, 0.125, dtype=complex)
+        diag[2] += imaginary
+        with pytest.raises(NotXFormError, match=rf"^diag\[2\] is {text}, not real$"):
+            XState(diag, np.zeros(4))
+
+    @pytest.mark.parametrize("imaginary", [0.0, -0.0])
+    def test_complex_population_with_zero_imaginary_parts_keeps_its_real_bits(self, imaginary):
+        state = random_xstate(np.random.default_rng(23))
+        diag = state.diag.astype(complex)
+        diag.imag[5] = imaginary
+        same = XState(diag, state.anti)  # no ComplexWarning: warnings are errors here
+        assert same.diag.dtype == np.float64
+        assert same.diag.tobytes() == state.diag.tobytes()
+
     def test_dense_roundtrip(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -344,12 +363,12 @@ class TestBlochColumnsInPlace:
         assert w.tobytes() == expected.tobytes()
 
     def test_complex_diag_raises_numpys_casting_error(self):
-        # The slice assignment warned and kept the real part; only a
-        # hand-built XTangent reaches this, ParamFamily.tangent_at returns
-        # a real diag or raises NotXFormError.
+        # The slice assignment warned and kept the real part; the package
+        # passes only real diags: _check_tangent converts a complex one's
+        # real part, after checking that its imaginary parts are zero.
         tangent = XTangent(np.zeros(8, dtype=complex), np.zeros(4, dtype=complex))
         with pytest.raises(TypeError, match=r"^Cannot cast ufunc 'add' output from dtype\('complex128'\)"):
-            tangent.to_bloch_array()
+            bloch_from_compact(*tangent)
 
 
 class TestXTangent:
@@ -369,4 +388,4 @@ class TestXTangent:
         b = random_xstate(rng)
         tangent = XTangent(b.diag - a.diag, b.anti - a.anti)
         expected = bloch_from_compact(b.diag, b.anti) - bloch_from_compact(a.diag, a.anti)
-        np.testing.assert_allclose(tangent.to_bloch_array(), expected, atol=1e-13)
+        np.testing.assert_allclose(bloch_from_compact(*tangent), expected, atol=1e-13)
