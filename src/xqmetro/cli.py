@@ -188,6 +188,7 @@ def channel_route_errors(states, p_values) -> tuple[float, float]:
                 raise type(exc)(f"{kind.value}, p index {k}: {exc}") from exc
             via_bloch = dense_from_compact(damped_diag[k], damped_anti[k])
             route.append(np.abs(via_kraus - via_bloch).max())
+        images = via_kraus = None  # not held through the next channel's Kraus pass
     return _max_error(completeness), _max_error(route)
 
 

@@ -35,9 +35,16 @@ class EigenDecomposition(NamedTuple):
 
 
 def _offdiag_norm(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of the off-diagonal part of each matrix ``(..., k, k)``."""
-    off = np.where(np.eye(a.shape[-1], dtype=bool), 0.0, a)
-    return np.sqrt(np.sum(np.abs(off) ** 2, axis=(-2, -1)))
+    """Frobenius norm of the off-diagonal part of each matrix ``(..., k, k)``.
+
+    One float temporary, zeroed on the diagonal and squared in place; the
+    tests hold it in raw bits to the complex ``np.where`` form it replaced.
+    """
+    n = a.shape[-1]
+    off = np.abs(a)
+    off[..., range(n), range(n)] = 0.0
+    np.square(off, out=off)
+    return np.sqrt(np.sum(off, axis=(-2, -1)))
 
 
 def eigh(matrix: np.ndarray) -> EigenDecomposition:
@@ -92,6 +99,7 @@ def eigh_stack(matrices: np.ndarray) -> EigenDecomposition:
             (NotHermitianError, ~hermitian, lambda i: "matrix is not Hermitian within 1e-12"),
         )
     a = ((a + a_dagger) / 2.0).reshape((-1, n, n))
+    del a_dagger  # not held through the sweeps
     vec = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
 
     for _ in range(MAX_SWEEPS):

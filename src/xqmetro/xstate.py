@@ -41,7 +41,10 @@ class XState:
     ----------
     diag : ndarray, shape (8,)
         Real populations in basis order; a complex one with a nonzero (or
-        NaN) imaginary part raises :class:`NotXFormError`.
+        NaN) imaginary part raises :class:`NotXFormError`.  Compact input is
+        given entry by entry, so no imaginary part is allowed here, while
+        :func:`xstate_from_dense` drops one up to 1e-10 from a diagonal that
+        arithmetic produced.
     anti : ndarray, shape (4,)
         Complex upper anti-diagonal entries, one per block pair.
     """
@@ -288,11 +291,17 @@ def compact_from_dense(matrix: np.ndarray):
 def xstate_from_dense(matrix: np.ndarray) -> XState:
     """Validate a dense matrix as an X state and return its compact form.
 
+    Dense input comes from arithmetic (a Kraus image, a matrix product), so
+    an imaginary part on its diagonal is held to the 1e-10 of the other
+    pattern checks and dropped, where :class:`XState`, given its populations
+    entry by entry, rejects any.
+
     Raises
     ------
     NotXFormError
-        If any entry outside the X pattern exceeds 1e-10 in magnitude, or the
-        pattern entries are not Hermitian-consistent at that tolerance.
+        If any entry outside the X pattern exceeds 1e-10 in magnitude, a
+        diagonal entry has an imaginary part beyond 1e-10, or the pattern
+        entries are not Hermitian-consistent at that tolerance.
     TraceViolationError, BlockNotPSDError
         If the compact form violates the state invariants.
     """

@@ -3,9 +3,9 @@
 No number the package prints needs these: the channel views of one state,
 a block's 2x2 matrix and its symmetric logarithmic derivative, the family
 oracle column that builds its own points, and the earlier forms of the
-Bloch conversion and the mixed closed forms, which the package's must
-match in raw bits.  They are written on top of the package's stacked
-routes, or from the definitions alone.
+Bloch conversion, the Jacobi convergence norm and the mixed closed forms,
+which the package's must match in raw bits.  They are written on top of the
+package's stacked routes, or from the definitions alone.
 """
 
 import numpy as np
@@ -100,6 +100,14 @@ def bloch_by_assignment(diag, anti):
     w[..., 2] = -2.0 * anti.imag
     w[..., 3] = upper - lower
     return w
+
+
+def offdiag_norm_where(a):
+    """Frobenius norm of each matrix's off-diagonal part through a complex
+    ``np.where`` copy: the form of ``linalg._offdiag_norm`` before it zeroed
+    and squared one float temporary in place."""
+    off = np.where(np.eye(a.shape[-1], dtype=bool), 0.0, a)
+    return np.sqrt(np.sum(np.abs(off) ** 2, axis=(-2, -1)))
 
 
 def gap(w, v):

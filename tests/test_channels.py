@@ -259,6 +259,33 @@ class TestStackedKraus:
         assert images.nbytes == output
         assert peak <= bound, peak
 
+    def test_channel_suite_holds_one_channels_images(self):
+        # The channel suite of validate --grid 9 --seed 1: 108 states at 11 p
+        # values.  Bound: the one-chunk Kraus pass above (3,510,272 bytes,
+        # its output included), the corpus' dense and Bloch stacks, and the
+        # Bloch route's images with their compact forms, plus 64 KiB of slack
+        # for the corpus' compact stacks, the checks' temporaries and small
+        # objects: 3,510,272 + 124,416 + 304,128 + 65,536 = 4,004,352.
+        # Holding the previous channel's Kraus images through the next
+        # channel's pass peaked at 5,174,267.
+        rng = np.random.default_rng(1)
+        states = [random_xstate(rng) for _ in range(108)]
+        for kind in ALL_KINDS:
+            for p in P_GRID:
+                channels._triple_kraus(kind, p)
+        n, m = len(states), len(P_GRID)
+        corpus = n * 64 * 16 + n * 16 * 8
+        bloch_route = m * n * (16 * 8 + 8 * 8 + 4 * 16)
+        bound = 3_510_272 + corpus + bloch_route + 64 * 1024
+        assert bound == 4_004_352
+        tracemalloc.start()
+        try:
+            cli.channel_route_errors(states, list(P_GRID))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, peak
+
 
 class TestValidateTraffic:
     """Every stack ``validate --grid 9 --seed 1`` sends through the Kraus
@@ -285,6 +312,25 @@ class TestValidateTraffic:
         monkeypatch.setattr(cli, "apply_kraus_dense", self.checked_kraus(seen))
         cli.channel_route_errors(states, p_values)
         assert seen == [(kind, p) for kind in ALL_KINDS for p in p_values]
+
+    def test_kraus_image_diagonals_are_exactly_real(self, monkeypatch):
+        # validate never leans on compact_from_dense's 1e-10 allowance for an
+        # imaginary population: all 4,404 Kraus images of --grid 9 --seed 1
+        # (channel suite and crosscheck grids, d rho included) have diagonals
+        # whose imaginary parts are zero.
+        diagonals = []
+
+        def recorded(stack, kind, params):
+            images = apply_kraus_dense(stack, kind, params)
+            diagonals.append(np.diagonal(images, axis1=-2, axis2=-1).reshape(-1, 8))
+            return images
+
+        monkeypatch.setattr(cli, "apply_kraus_dense", recorded)
+        monkeypatch.setattr(ghz, "apply_kraus_dense", recorded)
+        cli.run_validation(9, 1)
+        diagonals = np.concatenate(diagonals)
+        assert len(diagonals) == 4_404
+        assert (diagonals.imag == 0.0).all()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_crosscheck_grid_p_axis(self, monkeypatch, kind):

@@ -120,6 +120,22 @@ class TestXStateConstruction:
         assert same.diag.dtype == np.float64
         assert same.diag.tobytes() == state.diag.tobytes()
 
+    def test_dense_and_compact_constructors_keep_their_two_realness_rules(self):
+        # A dense diagonal comes out of arithmetic, so its imaginary part is
+        # held to the 1e-10 of the other pattern checks and dropped; compact
+        # populations are given entry by entry, so any imaginary part raises.
+        diag = np.full(8, 0.125, dtype=complex)
+        diag[2] += 1e-12j
+        from_dense = xstate_from_dense(np.diag(diag))
+        assert from_dense.diag.dtype == np.float64
+        assert from_dense.diag.tobytes() == np.full(8, 0.125).tobytes()
+        with pytest.raises(NotXFormError, match=r"^diag\[2\] is \(0\.125\+1e-12j\), not real$"):
+            XState(diag, np.zeros(4))
+        diag[2] = 0.125 + 2e-10j
+        beyond = r"^diagonal entry \[2, 2\] has imaginary part 2\.000e-10 beyond 1e-10$"
+        with pytest.raises(NotXFormError, match=beyond):
+            xstate_from_dense(np.diag(diag))
+
     def test_dense_roundtrip(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
