@@ -111,10 +111,14 @@ def kraus_operators(kind: ChannelKind, param: ChannelParam) -> list[np.ndarray]:
 
 
 # Matrices per pass of :func:`apply_kraus_dense`; bounds its working set to
-# one chunk's gather and one parameter's terms, two (n, m^3, 64) complex
-# buffers reused by every pass (64 KiB each per matrix for depolarizing),
-# beside the output and the per-parameter value tables.
-KRAUS_CHUNK = 4
+# one chunk's gather and one parameter's terms, two (n, m^3, width) complex
+# buffers reused by every pass, where width counts the live output entries
+# (16 on X states: 256 KiB each for depolarizing), beside the output and the
+# per-parameter value tables.  Re-scanned on the live-width passes (warm,
+# 2 vCPUs, numpy 2.4): the three passes of validate --grid 9's channel suite
+# take 13.5, 11.6, 10.7, 10.3 and 11.3 ms at 4, 8, 16, 32 and 64, so 16 is
+# the smaller working set of the two fastest.
+KRAUS_CHUNK = 16
 
 
 @lru_cache(maxsize=256)
@@ -125,9 +129,9 @@ def _triple_kraus(kind: ChannelKind, p: float):
     reads, for row r, column ``c_k[r]`` with value ``v_k[r]``.  A zero row
     reads its own column with value 0, so a non-finite input entry reaches
     its own output entry (0 * nan is nan).  Returns ``c`` and ``v``, each of
-    shape (m^3, 8).  The caller builds its (m^3, 64) gather tables from them
-    on every call: they take microseconds, and caching them would hold 13x
-    the memory per entry.
+    shape (m^3, 8).  :func:`apply_kraus_dense` takes its (m^3, width) gather
+    and value tables from them on every call, at the output entries that
+    call's input can reach: they take microseconds.
     """
     # K_a x K_b x K_c entry by entry as (a * b) * c, the products np.kron
     # makes, for every (a, b, c) in operator order at once.
@@ -164,39 +168,64 @@ def apply_kraus_dense(
     the Kraus sum runs in operator order.  Each entry comes out bit for bit
     as the dense product ``(K @ M) @ K^dag`` gives it for finite input, and
     each element as it would alone, for one parameter or in a sequence.
+
+    Only the live output entries are computed: those where some operator of
+    the table reads an input entry that is nonzero in some matrix of the
+    stack (NaN included), 16 of 64 on X states, and always (0, 0) and
+    (7, 7).  Every other entry is a sum of terms ``(v[r] 0) conj(v[s])``
+    with finite ``v``, each a signed zero, and numpy's sum starts from its
+    identity +0.0, so the entry is exactly +0.0, which is what the output
+    holds there.  A general matrix leaves all 64 entries live.
     """
     single = isinstance(param, ChannelParam)
     params = [param] if single else list(param)
     m = np.asarray(matrix, dtype=complex)
     flat = m.reshape((-1, 64))
-    out = np.empty((len(params),) + flat.shape, dtype=complex)
-    # Parameters grouped by column table: {table bytes: (index, [(k, left, right)])}.
+    support = (flat != 0).any(axis=0)  # NaN != 0, so a NaN entry reaches its outputs
+    # Parameters grouped by column table: {table bytes: (index, live, [(k, left, right)])}.
     groups = {}
     for k, p in enumerate(params):
         cols, values = _triple_kraus(kind, p.p)
         if (key := cols.tobytes()) not in groups:
-            groups[key] = ((8 * cols[:, :, None] + cols[:, None, :]).reshape(len(cols), 64), [])
-        left = np.repeat(values, 8, axis=1)  # v[r] at 8 r + s
-        right = np.tile(values.conj(), 8)  # conj(v[s]) at 8 r + s
-        groups[key][1].append((k, left, right))
-    # One chunk's gather and one parameter's terms, reused by every pass.
-    # The index never leaves [0, 64), so mode="clip" clips nothing; unlike
-    # the default mode="raise", it lets ``take`` write into its out unbuffered.
-    rows = max((len(index) for index, _ in groups.values()), default=0)  # m^3
-    gather_buffer = np.empty((KRAUS_CHUNK, rows, 64), dtype=complex)
+            index = (8 * cols[:, :, None] + cols[:, None, :]).reshape(len(cols), 64)
+            reach = support[index].any(axis=0)
+            # Two entries at least: numpy sums a one-entry-wide stack of
+            # terms pairwise, not in operator order.
+            reach[[0, 63]] = True
+            live = np.flatnonzero(reach)
+            groups[key] = (index[:, live], live, [])
+        _, live, members = groups[key]
+        # v[r] and conj(v[s]) at each live 8 r + s.
+        members.append((k, values[:, live // 8], values.conj()[:, live % 8]))
+    # Where the output is allocated moves the heap layout, and with it the
+    # peak RSS of validate --grid 9: 41.0 MiB before the tables, 40.4 MiB
+    # after the buffers, 40.2 MiB here.
+    out = np.zeros((len(params),) + flat.shape, dtype=complex)
+    # One chunk's gather and one parameter's terms and sums, reused by every
+    # pass.  The index never leaves [0, 64), so mode="clip" clips nothing;
+    # unlike the default mode="raise", it lets ``take`` write into its out
+    # unbuffered.
+    rows = max((len(index) for index, _, _ in groups.values()), default=0)  # m^3
+    width = max((len(live) for _, live, _ in groups.values()), default=0)
+    gather_buffer = np.empty(KRAUS_CHUNK * rows * width, dtype=complex)
     terms_buffer = np.empty_like(gather_buffer)
+    sums_buffer = np.empty(KRAUS_CHUNK * width, dtype=complex)
     # A non-finite input entry stays non-finite at its output entries, for
     # the X-pattern check downstream to report; 0 * inf is not warned about.
     with np.errstate(invalid="ignore"):
         for start in range(0, len(flat), KRAUS_CHUNK):
             chunk = flat[start : start + KRAUS_CHUNK]
-            gathered, terms = gather_buffer[: len(chunk)], terms_buffer[: len(chunk)]
-            for index, members in groups.values():
+            for index, live, members in groups.values():
+                shape, size = (len(chunk),) + index.shape, len(chunk) * index.size
+                gathered = gather_buffer[:size].reshape(shape)
+                terms = terms_buffer[:size].reshape(shape)
+                sums = sums_buffer[: len(chunk) * len(live)].reshape((len(chunk), len(live)))
                 chunk.take(index, axis=1, out=gathered, mode="clip")
                 for k, left, right in members:
                     np.multiply(gathered, left, out=terms)
                     terms *= right
-                    terms.sum(axis=1, out=out[k, start : start + KRAUS_CHUNK])
+                    terms.sum(axis=1, out=sums)
+                    out[k, start : start + KRAUS_CHUNK][:, live] = sums
     out = out.reshape((len(params),) + m.shape)
     return out[0] if single else out
 

@@ -422,8 +422,10 @@ def crosscheck_grid(kind: ChannelKind, q_values, p_values) -> dict[str, MetricCh
     kraus_diag, kraus_anti = compact_from_dense(states)
     # The eigen oracle reads the raw image of rho, as it does d rho; the
     # skew probes are rebuilt from their compact forms.
-    probes = dense_from_compact(kraus_diag[1:], kraus_anti[1:])
-    fisher, skew = oracle_column(np.concatenate([states[:1], probes]), images[:, -1:], steps)
+    column = np.concatenate([states[:1], dense_from_compact(kraus_diag[1:], kraus_anti[1:])])
+    drho = images[:, -1:].copy()
+    del images, states  # not held through the oracle column
+    fisher, skew = oracle_column(column, drho, steps)
     concurrence = evaluate_stack(("concurrence",), kraus_diag[0], kraus_anti[0])
     oracle = {"qfi": fisher.T, "skew": skew.T, "concurrence": concurrence["concurrence"].T}
 

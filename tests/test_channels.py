@@ -232,24 +232,28 @@ class TestStackedKraus:
 
     def test_working_set_stays_one_chunk(self):
         # The 108-state depolarizing corpus of validate --grid 9 at its 11 p
-        # values.  Bound: the output, two (64, 64) value tables per p and an
-        # index table per column table, one chunk's gather and one p's terms,
-        # plus 256 KiB of slack for numpy's 8,192-element ufunc buffer
-        # (128 KiB complex), the tables' temporaries and small objects:
-        # 1,216,512 + 1,441,792 + 65,536 + 524,288 + 262,144 bytes
-        # = 3,510,272.  Holding every chunk's gather instead needs ~7 MiB.
+        # values; X states leave 16 of the 64 output entries live.  Bound:
+        # the output, two (64, 16) value tables per p and a live index table
+        # per column table, one chunk's gather and one p's terms, plus
+        # 256 KiB of slack for numpy's 8,192-element ufunc buffer (128 KiB
+        # complex), the tables' temporaries (a full (64, 64) index table
+        # among them), the chunk's sums and small objects:
+        # 1,216,512 + 376,832 + 524,288 + 262,144 bytes = 2,379,776.
+        # Computing all 64 entries 4 matrices at a time peaked at 3,399,891;
+        # holding every chunk's gather instead takes 1,769,472 for the gather
+        # alone.
         kind = ChannelKind.DEPOLARIZING
         rng = np.random.default_rng(1)
         dense = np.stack([random_xstate(rng).to_dense() for _ in range(108)])
         params = [ChannelParam(p) for p in P_GRID]
         for param in params:
             channels._triple_kraus(kind, param.p)
-        m3, n = 64, len(dense)
+        m3, width, n = 64, 16, len(dense)
         output = len(params) * n * 64 * 16
-        tables = len(params) * 2 * m3 * 64 * 16 + 2 * m3 * 64 * 8
-        chunk = 2 * KRAUS_CHUNK * m3 * 64 * 16
+        tables = len(params) * 2 * m3 * width * 16 + 2 * m3 * width * 8
+        chunk = 2 * KRAUS_CHUNK * m3 * width * 16
         bound = output + tables + chunk + 256 * 1024
-        assert bound == 3_510_272
+        assert bound == 2_379_776
         tracemalloc.start()
         try:
             images = apply_kraus_dense(dense, kind, params)
@@ -261,13 +265,14 @@ class TestStackedKraus:
 
     def test_channel_suite_holds_one_channels_images(self):
         # The channel suite of validate --grid 9 --seed 1: 108 states at 11 p
-        # values.  Bound: the one-chunk Kraus pass above (3,510,272 bytes,
+        # values.  Bound: the one-chunk Kraus pass above (2,379,776 bytes,
         # its output included), the corpus' dense and Bloch stacks, and the
         # Bloch route's images with their compact forms, plus 64 KiB of slack
         # for the corpus' compact stacks, the checks' temporaries and small
-        # objects: 3,510,272 + 124,416 + 304,128 + 65,536 = 4,004,352.
-        # Holding the previous channel's Kraus images through the next
-        # channel's pass peaked at 5,174,267.
+        # objects: 2,379,776 + 124,416 + 304,128 + 65,536 = 2,873,856.
+        # Computing all 64 Kraus entries peaked at 3,957,459, and holding the
+        # previous channel's Kraus images through the next channel's pass on
+        # top of that at 5,174,267.
         rng = np.random.default_rng(1)
         states = [random_xstate(rng) for _ in range(108)]
         for kind in ALL_KINDS:
@@ -276,8 +281,8 @@ class TestStackedKraus:
         n, m = len(states), len(P_GRID)
         corpus = n * 64 * 16 + n * 16 * 8
         bloch_route = m * n * (16 * 8 + 8 * 8 + 4 * 16)
-        bound = 3_510_272 + corpus + bloch_route + 64 * 1024
-        assert bound == 4_004_352
+        bound = 2_379_776 + corpus + bloch_route + 64 * 1024
+        assert bound == 2_873_856
         tracemalloc.start()
         try:
             cli.channel_route_errors(states, list(P_GRID))
@@ -285,6 +290,77 @@ class TestStackedKraus:
         finally:
             tracemalloc.stop()
         assert peak <= bound, peak
+
+
+# Flat positions of the X pattern: the diagonal and the anti-diagonal.
+X_PATTERN = np.array([r == s or r + s == 7 for r in range(8) for s in range(8)])
+
+
+class TestLiveEntries:
+    """The Kraus route computes only the image entries its input can reach:
+    a route that drops a reachable entry fails these."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_mixed_stack_keeps_every_elements_bits(self, kind):
+        # A general matrix makes every entry reachable for the whole stack,
+        # and the X state with a NaN off the pattern reaches the entries that
+        # read it; the X states on either side keep the bits they have alone.
+        rng = np.random.default_rng(52)
+        states = [random_xstate(rng).to_dense() for _ in range(KRAUS_CHUNK + 2)]
+        general = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        poisoned = random_xstate(rng).to_dense()
+        row, col = 2, 3
+        poisoned[row, col] = np.nan
+        stack = np.stack(states[:2] + [general, poisoned] + states[2:])
+        cleaned = poisoned.copy()
+        cleaned[row, col] = 0.0
+        params = [ChannelParam(p) for p in MIXED_P]
+        sequence = apply_kraus_dense(stack, kind, params)
+        for param, in_sequence in zip(params, sequence):
+            image = apply_kraus_dense(stack, kind, param)
+            assert _same_bits(in_sequence, image), param.p
+            for k, matrix in enumerate(stack):
+                if k == 3:
+                    continue
+                assert _same_bits(image[k], _kraus_alone(matrix, kind, param)), (param.p, k)
+            # The poisoned element: NaN exactly where some operator reads the
+            # NaN, elsewhere the bits of its clean twin.
+            cols, _ = channels._triple_kraus(kind, param.p)
+            reads = ((cols[:, :, None] == row) & (cols[:, None, :] == col)).any(axis=0)
+            assert (np.isnan(image[3]) == reads).all(), param.p
+            clean = _kraus_alone(cleaned, kind, param)
+            assert _same_bits(image[3][~reads], clean[~reads]), param.p
+            assert _same_bits(apply_kraus_dense(poisoned, kind, param), image[3]), param.p
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_off_pattern_entries_are_positive_zero(self, kind):
+        # On X states, every entry off the pattern is exactly +0.0 in raw
+        # bits, real and imaginary part, and every entry on it is what the
+        # matrix gives alone.
+        rng = np.random.default_rng(53)
+        dense = np.stack([random_xstate(rng).to_dense() for _ in range(KRAUS_CHUNK + 1)])
+        params = [ChannelParam(p) for p in P_GRID]
+        images = apply_kraus_dense(dense, kind, params)
+        bits = images.reshape(len(params), len(dense), 64).view(np.uint64)
+        assert not bits[:, :, np.repeat(~X_PATTERN, 2)].any()
+        for image, param in zip(images, params):
+            alone = np.stack([_kraus_alone(m, kind, param) for m in dense])
+            assert _same_bits(image, alone), param.p
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_nonzero_entry_anywhere(self, kind):
+        # The narrowest inputs: each of the 64 entries alone, one reachable
+        # set each; the corners (0, 0) and (7, 7) keep every pass two
+        # entries wide, where numpy's sum runs in operator order.
+        rng = np.random.default_rng(54)
+        values = rng.normal(size=64) + 1j * rng.normal(size=64)
+        for param in (ChannelParam(0.0), ChannelParam(0.3), ChannelParam(1.0)):
+            for entry in range(64):
+                matrix = np.zeros(64, dtype=complex)
+                matrix[entry] = values[entry]
+                matrix = matrix.reshape(8, 8)
+                got = apply_kraus_dense(matrix, kind, param)
+                assert _same_bits(got, _kraus_alone(matrix, kind, param)), (param.p, entry)
 
 
 class TestValidateTraffic:

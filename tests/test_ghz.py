@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -628,6 +629,31 @@ class TestCrosscheckGrid:
                 for check in checks.values():
                     assert [field.shape for field in check] == [(len(q_values), len(p_values))] * 4
                     assert check.verdict.dtype == object
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_oracle_column_holds_no_kraus_images(self, kind):
+        # validate --grid 17's axes, where crosscheck_grid sets validate's
+        # traced peak.  Bound, in units of the oracle column's input
+        # S = 3 probes x 18 p x 17 q x 1,024 bytes = 940,032: the input,
+        # held through the column (S); the Jacobi solver's matrix and
+        # eigenvectors (2 S), and in a sweep one rotation's gathered subsets
+        # of both (up to 2 S) with the rotation's column and row copies (up
+        # to S); plus S of slack for d rho, the compact images, the
+        # pipeline's grids, the finishes' temporaries and small objects:
+        # 7 S = 6,580,224.  Holding the Kraus images, their states view and
+        # the rebuilt probes through the column peaked at 7,708,130 (pfc).
+        q_values, p_values = _grid_axes(17)
+        crosscheck_grid(kind, q_values, p_values)  # fills the caches
+        column = 3 * len(p_values) * len(q_values) * 64 * 16
+        bound = 7 * column
+        assert bound == 6_580_224
+        tracemalloc.start()
+        try:
+            crosscheck_grid(kind, q_values, p_values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, peak
 
     @pytest.mark.filterwarnings("error")  # inf - inf must not warn
     def test_verdicts_are_the_scalar_rule_on_special_values(self, monkeypatch):
