@@ -126,20 +126,23 @@ def _triple_kraus(kind: ChannelKind, p: float):
     """Triple operators K_a x K_b x K_c as the per-row tables of :func:`apply_kraus_dense`.
 
     Every triple operator has at most one nonzero entry per row: operator k
-    reads, for row r, column ``c_k[r]`` with value ``v_k[r]``.  A zero row
-    reads its own column with value 0, so a non-finite input entry reaches
-    its own output entry (0 * nan is nan).  Returns ``c`` and ``v``, each of
-    shape (m^3, 8).  :func:`apply_kraus_dense` takes its (m^3, width) gather
-    and value tables from them on every call, at the output entries that
-    call's input can reach: they take microseconds.
+    reads, for row r, column ``c_k[r]`` with value ``v_k[r]``.  The column
+    table ``c`` is the channel's, the same for every p: it is read at
+    p = 1/2, where no operator of the three channels vanishes, and a row
+    that is zero at every p reads its own column.  ``v`` is the entry at p
+    in that column, 0 where the row vanishes at this p; a non-finite input
+    entry reaches every output entry that reads it (0 * nan is nan).
+    Returns ``c`` and ``v``, each of shape (m^3, 8).
     """
     # K_a x K_b x K_c entry by entry as (a * b) * c, the products np.kron
-    # makes, for every (a, b, c) in operator order at once.
-    ops = np.stack(kraus_operators(kind, ChannelParam(p)))
-    m = len(ops)
-    pairs = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(m * m, 4, 4)
-    kr = (pairs[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(m**3, 8, 8)
-    nonzero = kr != 0
+    # makes, for every (a, b, c) in operator order at once, at p = 1/2 and at p.
+    ops = np.stack([kraus_operators(kind, ChannelParam(x)) for x in (0.5, p)])
+    m = ops.shape[1]
+    pairs = ops[..., :, None, :, None, :, None] * ops[..., None, :, None, :, None, :]
+    pairs = pairs.reshape(2, m * m, 4, 4)
+    kr = pairs[..., :, None, :, None, :, None] * ops[..., None, :, None, :, None, :]
+    half, kr = kr.reshape(2, m**3, 8, 8)
+    nonzero = half != 0
     cols = np.where(nonzero.any(axis=-1), np.argmax(nonzero, axis=-1), np.arange(8))
     values = np.take_along_axis(kr, cols[..., None], axis=-1)[..., 0]
     for table in (cols, values):
@@ -161,42 +164,39 @@ def apply_kraus_dense(
     imaginary, in column ``c[r]`` with value ``v[r]``, so ``(K M K^dag)[r, s]
     = (v[r] M[c[r], c[s]]) conj(v[s])``.  Each matrix is viewed as its 64
     entries and gathered with one ``take`` at the flat index ``8 c[r] + c[s]``.
-    The index depends on the parameter only through the column table ``c``,
-    so each chunk is gathered once per distinct table (one for pdc and pfc,
-    two for dpc, whose p = 0 rows read their own column); each parameter
-    then multiplies the gather by ``v[r]`` and then by ``conj(v[s])``, and
-    the Kraus sum runs in operator order.  Each entry comes out bit for bit
-    as the dense product ``(K @ M) @ K^dag`` gives it for finite input, and
-    each element as it would alone, for one parameter or in a sequence.
+    The column table ``c`` is the channel's, so each chunk is gathered once;
+    each parameter then multiplies the gather by ``v[r]`` and then by
+    ``conj(v[s])``, and the Kraus sum runs in operator order.  Each entry
+    comes out bit for bit as the dense product ``(K @ M) @ K^dag`` gives it
+    for finite input, and each element as it would alone, for one parameter
+    or in a sequence.
 
-    Only the live output entries are computed: those where some operator of
-    the table reads an input entry that is nonzero in some matrix of the
-    stack (NaN included), 16 of 64 on X states, and always (0, 0) and
-    (7, 7).  Every other entry is a sum of terms ``(v[r] 0) conj(v[s])``
-    with finite ``v``, each a signed zero, and numpy's sum starts from its
-    identity +0.0, so the entry is exactly +0.0, which is what the output
-    holds there.  A general matrix leaves all 64 entries live.
+    Only the live output entries are computed: those where some operator
+    reads an input entry that is nonzero in some matrix of the stack (NaN
+    included), 16 of 64 on X states, and always (0, 0) and (7, 7).  Every
+    other entry is a sum of terms ``(v[r] 0) conj(v[s])`` with finite ``v``,
+    each a signed zero, and numpy's sum starts from its identity +0.0, so
+    the entry is exactly +0.0, which is what the output holds there.  A
+    general matrix leaves all 64 entries live.
     """
     single = isinstance(param, ChannelParam)
     params = [param] if single else list(param)
     m = np.asarray(matrix, dtype=complex)
     flat = m.reshape((-1, 64))
+    tables = [_triple_kraus(kind, p.p) for p in params]
+    if not tables:
+        return np.zeros((0,) + m.shape, dtype=complex)
+    cols = tables[0][0]
+    index = (8 * cols[:, :, None] + cols[:, None, :]).reshape(len(cols), 64)
     support = (flat != 0).any(axis=0)  # NaN != 0, so a NaN entry reaches its outputs
-    # Parameters grouped by column table: {table bytes: (index, live, [(k, left, right)])}.
-    groups = {}
-    for k, p in enumerate(params):
-        cols, values = _triple_kraus(kind, p.p)
-        if (key := cols.tobytes()) not in groups:
-            index = (8 * cols[:, :, None] + cols[:, None, :]).reshape(len(cols), 64)
-            reach = support[index].any(axis=0)
-            # Two entries at least: numpy sums a one-entry-wide stack of
-            # terms pairwise, not in operator order.
-            reach[[0, 63]] = True
-            live = np.flatnonzero(reach)
-            groups[key] = (index[:, live], live, [])
-        _, live, members = groups[key]
-        # v[r] and conj(v[s]) at each live 8 r + s.
-        members.append((k, values[:, live // 8], values.conj()[:, live % 8]))
+    reach = support[index].any(axis=0)
+    # Two entries at least: numpy sums a one-entry-wide stack of terms
+    # pairwise, not in operator order.
+    reach[[0, 63]] = True
+    live = np.flatnonzero(reach)
+    index = index[:, live]
+    # v[r] and conj(v[s]) at each live 8 r + s.
+    factors = [(values[:, live // 8], values.conj()[:, live % 8]) for _, values in tables]
     # Where the output is allocated moves the heap layout, and with it the
     # peak RSS of validate --grid 9: 41.0 MiB before the tables, 40.4 MiB
     # after the buffers, 40.2 MiB here.
@@ -205,27 +205,24 @@ def apply_kraus_dense(
     # pass.  The index never leaves [0, 64), so mode="clip" clips nothing;
     # unlike the default mode="raise", it lets ``take`` write into its out
     # unbuffered.
-    rows = max((len(index) for index, _, _ in groups.values()), default=0)  # m^3
-    width = max((len(live) for _, live, _ in groups.values()), default=0)
-    gather_buffer = np.empty(KRAUS_CHUNK * rows * width, dtype=complex)
+    gather_buffer = np.empty(KRAUS_CHUNK * index.size, dtype=complex)
     terms_buffer = np.empty_like(gather_buffer)
-    sums_buffer = np.empty(KRAUS_CHUNK * width, dtype=complex)
+    sums_buffer = np.empty(KRAUS_CHUNK * len(live), dtype=complex)
     # A non-finite input entry stays non-finite at its output entries, for
     # the X-pattern check downstream to report; 0 * inf is not warned about.
     with np.errstate(invalid="ignore"):
         for start in range(0, len(flat), KRAUS_CHUNK):
             chunk = flat[start : start + KRAUS_CHUNK]
-            for index, live, members in groups.values():
-                shape, size = (len(chunk),) + index.shape, len(chunk) * index.size
-                gathered = gather_buffer[:size].reshape(shape)
-                terms = terms_buffer[:size].reshape(shape)
-                sums = sums_buffer[: len(chunk) * len(live)].reshape((len(chunk), len(live)))
-                chunk.take(index, axis=1, out=gathered, mode="clip")
-                for k, left, right in members:
-                    np.multiply(gathered, left, out=terms)
-                    terms *= right
-                    terms.sum(axis=1, out=sums)
-                    out[k, start : start + KRAUS_CHUNK][:, live] = sums
+            shape, size = (len(chunk),) + index.shape, len(chunk) * index.size
+            gathered = gather_buffer[:size].reshape(shape)
+            terms = terms_buffer[:size].reshape(shape)
+            sums = sums_buffer[: len(chunk) * len(live)].reshape((len(chunk), len(live)))
+            chunk.take(index, axis=1, out=gathered, mode="clip")
+            for k, (left, right) in enumerate(factors):
+                np.multiply(gathered, left, out=terms)
+                terms *= right
+                terms.sum(axis=1, out=sums)
+                out[k, start : start + KRAUS_CHUNK][:, live] = sums
     out = out.reshape((len(params),) + m.shape)
     return out[0] if single else out
 

@@ -13,6 +13,7 @@ independent of the closed-form code paths they are used to check.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -90,7 +91,7 @@ def eigh_stack(matrices: np.ndarray) -> EigenDecomposition:
     stack_shape, n = a.shape[:-2], a.shape[-1]
     a_dagger = a.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):  # inf - inf: a non-finite entry, named below
-        hermitian = np.max(np.abs(a - a_dagger), axis=(-2, -1)) <= HERMITICITY_TOL
+        hermitian = np.max(np.abs(a - a_dagger), axis=(-2, -1), initial=0.0) <= HERMITICITY_TOL
     if not hermitian.all():
         # A non-finite entry leaves a NaN or an infinity in A - A^dagger,
         # so the finiteness check rides on this failure branch.
@@ -98,7 +99,7 @@ def eigh_stack(matrices: np.ndarray) -> EigenDecomposition:
             _not_finite("matrix", a, 2, NotHermitianError),
             (NotHermitianError, ~hermitian, lambda i: "matrix is not Hermitian within 1e-12"),
         )
-    a = ((a + a_dagger) / 2.0).reshape((-1, n, n))
+    a = ((a + a_dagger) / 2.0).reshape((math.prod(stack_shape), n, n))
     del a_dagger  # not held through the sweeps
     vec = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
 
@@ -110,12 +111,9 @@ def eigh_stack(matrices: np.ndarray) -> EigenDecomposition:
             for q in range(p + 1, n):
                 apq = a[:, p, q]
                 rotate = active & (np.hypot(apq.real, apq.imag) != 0.0)
-                if rotate.all():
-                    _rotate(a, vec, p, q)
-                elif rotate.any():
-                    sub_a, sub_vec = a[rotate], vec[rotate]
-                    _rotate(sub_a, sub_vec, p, q)
-                    a[rotate], vec[rotate] = sub_a, sub_vec
+                if rotate.any():
+                    k = slice(None) if rotate.all() else np.flatnonzero(rotate)
+                    _rotate(a, vec, p, q, k)
     else:
         raise NotConvergedError(
             f"Jacobi iteration on a {n}x{n} matrix did not converge in {MAX_SWEEPS} sweeps"
@@ -132,44 +130,45 @@ def eigh_stack(matrices: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values.reshape(stack_shape + (n,)), vec)
 
 
-def _rotate(a: np.ndarray, vec: np.ndarray, p: int, q: int) -> None:
-    """Jacobi rotation (p, q), in place on stacks ``a`` and ``vec``.
+def _rotate(a: np.ndarray, vec: np.ndarray, p: int, q: int, k: slice | np.ndarray) -> None:
+    """Jacobi rotation (p, q), in place on the elements ``k`` of stacks ``a`` and ``vec``.
 
+    ``k`` is ``slice(None)`` or the indices of the rotating elements.
     ``|a_pq|`` is ``np.hypot`` of its parts, the rounding of a scalar
     complex ``abs`` (the array ``np.abs`` differs in rare last bits), so
     results equal the per-matrix loop kept as the tests' reference.
     """
-    apq = a[:, p, q]
+    apq = a[k, p, q]
     magnitude = np.hypot(apq.real, apq.imag)
     phase = apq / magnitude
-    app = a[:, p, p].real
-    aqq = a[:, q, q].real
+    app = a[k, p, p].real
+    aqq = a[k, q, q].real
     theta = 0.5 * np.arctan2(2.0 * magnitude, app - aqq)
     c = np.cos(theta)[:, None]
     s = np.sin(theta)[:, None]
 
-    a[:, :, q] *= np.conj(phase)[:, None]
-    a[:, q, :] *= phase[:, None]
-    vec[:, :, q] *= np.conj(phase)[:, None]
+    a[k, :, q] *= np.conj(phase)[:, None]
+    a[k, q, :] *= phase[:, None]
+    vec[k, :, q] *= np.conj(phase)[:, None]
 
-    col_p = a[:, :, p].copy()
-    col_q = a[:, :, q].copy()
-    a[:, :, p] = c * col_p + s * col_q
-    a[:, :, q] = -s * col_p + c * col_q
-    row_p = a[:, p, :].copy()
-    row_q = a[:, q, :].copy()
-    a[:, p, :] = c * row_p + s * row_q
-    a[:, q, :] = -s * row_p + c * row_q
+    col_p = a[k, :, p].copy()
+    col_q = a[k, :, q].copy()
+    a[k, :, p] = c * col_p + s * col_q
+    a[k, :, q] = -s * col_p + c * col_q
+    row_p = a[k, p, :].copy()
+    row_q = a[k, q, :].copy()
+    a[k, p, :] = c * row_p + s * row_q
+    a[k, q, :] = -s * row_p + c * row_q
 
-    vcol_p = vec[:, :, p].copy()
-    vcol_q = vec[:, :, q].copy()
-    vec[:, :, p] = c * vcol_p + s * vcol_q
-    vec[:, :, q] = -s * vcol_p + c * vcol_q
+    vcol_p = vec[k, :, p].copy()
+    vcol_q = vec[k, :, q].copy()
+    vec[k, :, p] = c * vcol_p + s * vcol_q
+    vec[k, :, q] = -s * vcol_p + c * vcol_q
 
-    a[:, p, q] = 0.0
-    a[:, q, p] = 0.0
-    a[:, p, p] = a[:, p, p].real
-    a[:, q, q] = a[:, q, q].real
+    a[k, p, q] = 0.0
+    a[k, q, p] = 0.0
+    a[k, p, p] = a[k, p, p].real
+    a[k, q, q] = a[k, q, q].real
 
 
 def sqrt_from_spectrum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -44,15 +44,15 @@ def qfi_from_spectrum(values: np.ndarray, vectors: np.ndarray, drho: np.ndarray)
     are stack axes; ``drho`` ``(..., n, n)`` broadcasts against them.  The
     (i, j) terms are added in one order for the whole stack, so every
     element is, in raw bits, what it gives alone.  Raises
-    :class:`NotPSDError` for an eigenvalue below -1e-12 and
-    :class:`TraceViolationError` for a trace off 1 by more than 1e-10,
-    naming the first such element (C order) of a stack.
+    :class:`NotPSDError` for a lowest eigenvalue below -1e-12 or NaN and
+    :class:`TraceViolationError` for a trace off 1 by more than 1e-10 or
+    NaN, naming the first such element (C order) of a stack.
     """
     trace = values.sum(axis=-1)
     _first_failure(
-        (NotPSDError, values[..., 0] < -PSD_TOL,
+        (NotPSDError, ~(values[..., 0] >= -PSD_TOL),
          lambda i: f"state eigenvalue {values[i][0]:.3e} below -1e-12"),
-        (TraceViolationError, abs(trace - 1.0) > TRACE_TOL,
+        (TraceViolationError, ~(abs(trace - 1.0) <= TRACE_TOL),
          lambda i: f"state trace {float(trace[i])!r} differs from 1"),
     )
     overlap = vectors.conj().swapaxes(-1, -2) @ drho @ vectors
@@ -101,7 +101,7 @@ def oracle_column(states: np.ndarray, drho: np.ndarray, steps):
     """
     values, vectors = eigh_stack(states)
     _first_failure(  # tested here, so that the failure names the probe as well
-        (NotPSDError, values[..., 0] < -PSD_TOL,
+        (NotPSDError, ~(values[..., 0] >= -PSD_TOL),
          lambda i: f"state eigenvalue {values[i][0]:.3e} below -1e-12"),
     )
     fisher = qfi_from_spectrum(values[:1], vectors[:1], drho)[0]

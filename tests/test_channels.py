@@ -452,6 +452,16 @@ class TestTripleKrausCache:
             assert not rest.any()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_column_table_is_the_channels(self, kind):
+        # One column table per channel, read where no operator vanishes, so
+        # a call gathers each chunk once whatever its p values; the
+        # depolarizing rows that vanish at p = 0 read the same columns.
+        cols = channels._triple_kraus(kind, 0.5)[0]
+        axes = [cli._grid_axes(grid)[1] for grid in (1, 3, 9, 17)]
+        for p in P_GRID + tuple(p for axis in axes for p in axis):
+            assert _same_bits(channels._triple_kraus(kind, p)[0], cols), p
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_entry_holds_at_most_24576_bytes(self, kind):
         # 24,576 bytes is the largest entry (depolarizing, 64 operators) when
         # it held broadcast views; caching the per-call (m^3, 64) gather

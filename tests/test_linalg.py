@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xqmetro import linalg
+from xqmetro import cli, ghz, linalg, oracle
 from xqmetro.errors import NotConvergedError, NotHermitianError, NotPSDError, XQMetroError
 from xqmetro.channels import ChannelKind, ChannelParam, apply_kraus_dense
 from xqmetro.linalg import central_diff, eigh, eigh_stack, psd_sqrt
@@ -250,10 +250,10 @@ class TestEighStack:
     def test_working_set_stays_four_stacks(self, n):
         # Bound: 4x the stack's bytes.  The solver's copy and its
         # eigenvectors take 2x; before the sweeps, A^dagger, A + A^dagger and
-        # its half take 3x; in a sweep, one rotation's gathered subsets of
-        # both and their column copies stay under 2x on X states, where most
-        # pairs (p, q) are zero.  Holding A^dagger through the sweeps read
-        # 5.01x at 270 states and 4.51x at 918.
+        # its half take 3x; in a sweep, a rotation copies only one pair of
+        # columns or rows of the elements it rotates, and the off-diagonal
+        # norm takes a float half of the stack.  Holding A^dagger through
+        # the sweeps read 5.01x at 270 states and 4.51x at 918.
         rng = np.random.default_rng(37)
         stack = np.stack([random_xstate(rng).to_dense() for _ in range(n)])
         tracemalloc.start()
@@ -264,9 +264,39 @@ class TestEighStack:
             tracemalloc.stop()
         assert peak <= 4 * stack.nbytes, peak / stack.nbytes
 
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_working_set_on_the_oracle_stack(self, monkeypatch, kind):
+        # The stack crosscheck_grid hands the oracle column at validate
+        # --grid 9's axes: Kraus images, most of them converged after a
+        # sweep or two, so most rotations move a part of the stack.  Bound
+        # as above, 4x its bytes.  Gathering the rotating elements' whole
+        # matrices and scattering them back read 3.87x (pdc), 5.41x (dpc)
+        # and 5.67x (pfc).
+        stacks = []
+
+        def recorded(states):
+            stacks.append(states.copy())
+            return eigh_stack(states)
+
+        monkeypatch.setattr(oracle, "eigh_stack", recorded)
+        ghz.crosscheck_grid(kind, *cli._grid_axes(9))
+        (stack,) = stacks
+        assert stack.shape == (3, 10, 9, 8, 8)
+        tracemalloc.start()
+        try:
+            eigh_stack(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * stack.nbytes, peak / stack.nbytes
+
     def test_empty_stack(self):
-        values, vectors = eigh_stack(np.zeros((0, 8, 8), dtype=complex))
-        assert values.shape == (0, 8) and vectors.shape == (0, 8, 8)
+        # No matrices, or 0x0 ones: empty spectra, no error.
+        for shape in ((0, 8, 8), (0, 0), (2, 0, 0), (0, 0, 0), (2, 3, 0, 0)):
+            values, vectors = eigh_stack(np.zeros(shape, dtype=complex))
+            assert values.shape == shape[:-1] and vectors.shape == shape, shape
+        values, vectors = eigh(np.zeros((0, 0)))
+        assert values.shape == (0,) and vectors.shape == (0, 0)
 
     def test_non_convergence_raises_eigh_message(self, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)

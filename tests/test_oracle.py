@@ -346,6 +346,33 @@ class TestFinishErrors:
         with pytest.raises(TraceViolationError, match=r"^state trace 1\.1 differs from 1$"):
             qfi_from_spectrum(values[4], vectors[4], vectors[4])
 
+    def test_qfi_nan_spectrum(self):
+        # NaN fails both spectrum tests, as a negative eigenvalue and a
+        # trace off 1 do; a NaN weight would otherwise drop out of the sum.
+        drho = np.diag([0.0, 1.0, -1.0]).astype(complex)
+        with pytest.raises(NotPSDError, match=r"^state eigenvalue nan below -1e-12$"):
+            qfi_from_spectrum(np.array([np.nan, 0.5, 0.5]), np.eye(3), drho)
+        values, vectors = self.stack((2, 3))
+        values[1, 2, 0] = np.nan
+        with pytest.raises(NotPSDError, match=r"^element \(1, 2\): state eigenvalue nan"):
+            qfi_from_spectrum(values, vectors, vectors)
+        values[1, 2, 0] = 1.0 / 8.0
+        values[0, 1, 5] = np.nan
+        with pytest.raises(TraceViolationError, match=r"^element \(0, 1\): state trace nan"):
+            qfi_from_spectrum(values, vectors, vectors)
+
+    def test_column_names_a_nan_spectrum(self, monkeypatch):
+        states = np.broadcast_to(np.eye(8, dtype=complex) / 8.0, (3, 4, 8, 8)).copy()
+
+        def poisoned(matrices):
+            values, vectors = eigh_stack(matrices)
+            values[1, 2, 0] = np.nan
+            return values, vectors
+
+        monkeypatch.setattr(oracle, "eigh_stack", poisoned)
+        with pytest.raises(NotPSDError, match=r"^element \(1, 2\): state eigenvalue nan"):
+            oracle_column(states, np.zeros((8, 8), dtype=complex), [1e-6] * 4)
+
     def test_sqrt_not_psd(self):
         values, vectors = self.stack((4,))
         values[3, 0] = -1e-9
