@@ -205,18 +205,16 @@ def apply_kraus_dense(
     # pass.  The index never leaves [0, 64), so mode="clip" clips nothing;
     # unlike the default mode="raise", it lets ``take`` write into its out
     # unbuffered.
-    gather_buffer = np.empty(KRAUS_CHUNK * index.size, dtype=complex)
+    gather_buffer = np.empty((KRAUS_CHUNK,) + index.shape, dtype=complex)
     terms_buffer = np.empty_like(gather_buffer)
-    sums_buffer = np.empty(KRAUS_CHUNK * len(live), dtype=complex)
+    sums_buffer = np.empty((KRAUS_CHUNK, len(live)), dtype=complex)
     # A non-finite input entry stays non-finite at its output entries, for
     # the X-pattern check downstream to report; 0 * inf is not warned about.
     with np.errstate(invalid="ignore"):
         for start in range(0, len(flat), KRAUS_CHUNK):
             chunk = flat[start : start + KRAUS_CHUNK]
-            shape, size = (len(chunk),) + index.shape, len(chunk) * index.size
-            gathered = gather_buffer[:size].reshape(shape)
-            terms = terms_buffer[:size].reshape(shape)
-            sums = sums_buffer[: len(chunk) * len(live)].reshape((len(chunk), len(live)))
+            n = len(chunk)
+            gathered, terms, sums = gather_buffer[:n], terms_buffer[:n], sums_buffer[:n]
             chunk.take(index, axis=1, out=gathered, mode="clip")
             for k, (left, right) in enumerate(factors):
                 np.multiply(gathered, left, out=terms)
@@ -258,11 +256,6 @@ M_EVEN.setflags(write=False)
 M_ODD.setflags(write=False)
 
 
-def _sign_product(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``m @ v`` over the last axis of a stack of 4-vectors ``v``."""
-    return np.einsum("rk,...k->...r", m, v)
-
-
 def damped_bloch_array(
     kind: ChannelKind, w: np.ndarray, param: ChannelParam | Sequence[ChannelParam]
 ) -> np.ndarray:
@@ -295,8 +288,9 @@ def damped_bloch_array(
             scale = np.array(
                 [[factors[k][1] ** n_z for n_z in counts] for k in mixing]
             ).reshape((-1,) + (1,) * (w.ndim - 2) + (4,))
-            out[mixing, ..., col] = 0.25 * _sign_product(
-                m, scale * _sign_product(m.T, out[mixing, ..., col])
+            # m @ (scale * (m.T @ v)) for each 4-vector v along the last axis.
+            out[mixing, ..., col] = 0.25 * np.einsum(
+                "rk,...k->...r", m, scale * np.einsum("rk,...k->...r", m.T, out[mixing, ..., col])
             )
     return out[0] if single else out
 

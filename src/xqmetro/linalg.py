@@ -151,19 +151,11 @@ def _rotate(a: np.ndarray, vec: np.ndarray, p: int, q: int, k: slice | np.ndarra
     a[k, q, :] *= phase[:, None]
     vec[k, :, q] *= np.conj(phase)[:, None]
 
-    col_p = a[k, :, p].copy()
-    col_q = a[k, :, q].copy()
-    a[k, :, p] = c * col_p + s * col_q
-    a[k, :, q] = -s * col_p + c * col_q
-    row_p = a[k, p, :].copy()
-    row_q = a[k, q, :].copy()
-    a[k, p, :] = c * row_p + s * row_q
-    a[k, q, :] = -s * row_p + c * row_q
-
-    vcol_p = vec[k, :, p].copy()
-    vcol_q = vec[k, :, q].copy()
-    vec[k, :, p] = c * vcol_p + s * vcol_q
-    vec[k, :, q] = -s * vcol_p + c * vcol_q
+    # The column pair of A, its row pair (a column pair of A's transposed view), that of V.
+    for m in (a, a.swapaxes(-1, -2), vec):
+        x, y = m[k, :, p].copy(), m[k, :, q].copy()
+        m[k, :, p] = c * x + s * y
+        m[k, :, q] = -s * x + c * y
 
     a[k, p, q] = 0.0
     a[k, q, p] = 0.0
@@ -171,18 +163,21 @@ def _rotate(a: np.ndarray, vec: np.ndarray, p: int, q: int, k: slice | np.ndarra
     a[k, q, q] = a[k, q, q].real
 
 
+def _not_psd(name: str, values: np.ndarray):
+    """Row naming an ascending spectrum ``(..., k)`` whose lowest value is below -1e-12 or NaN."""
+    lowest = values[..., 0]
+    return (NotPSDError, ~(lowest >= -PSD_CLAMP), lambda i: f"{name} {lowest[i]:.3e} below -1e-12")
+
+
 def sqrt_from_spectrum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Principal square roots of PSD Hermitian matrices from their :func:`eigh_stack` spectra.
 
     ``values`` ``(..., k)`` and ``vectors`` ``(..., k, k)``; leading axes are
     stack axes, and every element is, in raw bits, what it gives alone.
-    Eigenvalues in ``[-1e-12, 0]`` are clamped to zero; anything lower raises
-    ``NotPSDError``, naming the first such element (C order) for a stack.
+    Eigenvalues in ``[-1e-12, 0]`` are clamped to zero; anything lower, or NaN,
+    raises ``NotPSDError``, naming the first such element (C order) for a stack.
     """
-    lowest = values[..., 0]
-    _first_failure(
-        (NotPSDError, lowest < -PSD_CLAMP, lambda i: f"eigenvalue {lowest[i]:.3e} below -1e-12")
-    )
+    _first_failure(_not_psd("eigenvalue", values))
     clamped = np.clip(values, 0.0, None)
     root = (vectors * np.sqrt(clamped)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
     return (root + root.conj().swapaxes(-1, -2)) / 2.0

@@ -49,6 +49,8 @@ from .xstate import (
     XTangent,
     _check_tangent,
     _fail,
+    _first_failure,
+    _not_finite,
     _real_diag,
     _xstate,
     bloch_from_compact,
@@ -67,10 +69,28 @@ def _gap(a0: np.ndarray, a: np.ndarray, b0: np.ndarray, b: np.ndarray) -> np.nda
     return a0 * b0 - np.vecdot(a, b)
 
 
-def _require_mixed(w0: np.ndarray, gap_ww: np.ndarray, message: str) -> None:
-    singular = (w0 <= EPS_SINGULAR) | (gap_ww <= EPS_SINGULAR)
-    if singular.any():
-        _fail(SingularBlockError, singular, lambda i: f"{message}, got gap {gap_ww[i]:.3e}")
+def _mixed(w0: np.ndarray, gap_ww: np.ndarray) -> np.ndarray:
+    """The routing predicate: a block takes the mixed closed forms where this holds."""
+    return (w0 > EPS_SINGULAR) & (gap_ww > EPS_SINGULAR)
+
+
+def _unpack(w, dw, message: str):
+    """The mixed closed forms' checked unpacking: ``w0, v, dw0, dv, gap(w, w)``.
+
+    Raises, naming the element of a stack, :class:`NotXFormError` for the first
+    NaN/+-inf ``w[j]``, then ``dw[j]``, before any arithmetic, and then
+    :class:`SingularBlockError` with ``message`` for a block that is not :func:`_mixed`.
+    """
+    w = np.asarray(w, dtype=float)
+    dw = np.asarray(dw, dtype=float)
+    if not (np.isfinite(w).all() and np.isfinite(dw).all()):
+        _first_failure(_not_finite("w", w), _not_finite("dw", dw))
+    w0, v, dw0, dv = w[..., 0], w[..., 1:], dw[..., 0], dw[..., 1:]
+    gap_ww = _gap(w0, v, w0, v)
+    mixed = _mixed(w0, gap_ww)
+    if not mixed.all():
+        _fail(SingularBlockError, ~mixed, lambda i: f"{message}, got gap {gap_ww[i]:.3e}")
+    return w0, v, dw0, dv, gap_ww
 
 
 def _check_names(metrics: Iterable[str]) -> tuple[str, ...]:
@@ -93,11 +113,7 @@ def qfi_block_mixed(w: np.ndarray, dw: np.ndarray):
     valid for w0 > 0 and gap(w, w) > 0.  ``w``, ``dw`` have shape
     ``(..., 4)``; a single block gives a float.
     """
-    w = np.asarray(w, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    w0, v, dw0, dv = w[..., 0], w[..., 1:], dw[..., 0], dw[..., 1:]
-    gap_ww = _gap(w0, v, w0, v)
-    _require_mixed(w0, gap_ww, "mixed-block form needs w0 > 0 and w0^2 > |w|^2")
+    w0, v, dw0, dv, gap_ww = _unpack(w, dw, "mixed-block form needs w0 > 0 and w0^2 > |w|^2")
     # Squares go through pow() via np.float_power, the rounding of a scalar
     # x**2; an array ** 2 computes x*x, which differs in rare last bits.
     value = np.float_power(dw0, 2.0) / w0 + (
@@ -115,11 +131,7 @@ def skew_block(w: np.ndarray, dw: np.ndarray):
     Normalisation: 4 Tr((d sqrt(rho))^2).  ``w``, ``dw`` have shape
     ``(..., 4)``; a single block gives a float.
     """
-    w = np.asarray(w, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    w0, vec, dw0, dvec = w[..., 0], w[..., 1:], dw[..., 0], dw[..., 1:]
-    gap_ww = _gap(w0, vec, w0, vec)
-    _require_mixed(w0, gap_ww, "skew closed form needs a strictly mixed block")
+    w0, vec, dw0, dvec, gap_ww = _unpack(w, dw, "skew closed form needs a strictly mixed block")
     radial = np.sqrt(gap_ww)
     k = w0 + radial
     sqrt_k = np.sqrt(k)
@@ -234,7 +246,7 @@ def _kernel(metrics, w, dw, diag, anti) -> dict[str, np.ndarray]:
     out = {}
     if "qfi" in metrics or "skew" in metrics:
         w0, v = w[..., 0], w[..., 1:]
-        mixed = (w0 > EPS_SINGULAR) & (_gap(w0, v, w0, v) > EPS_SINGULAR)
+        mixed = _mixed(w0, _gap(w0, v, w0, v))
         fallback = not mixed.all()
         if fallback and dw.shape != w.shape:
             dw = np.broadcast_to(dw, w.shape)

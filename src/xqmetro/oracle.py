@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPSDError, TraceViolationError
-from .linalg import diff_step, eigh, eigh_stack, sqrt_from_spectrum
+from .errors import NotHermitianError, TraceViolationError
+from .linalg import _not_psd, diff_step, eigh, eigh_stack, sqrt_from_spectrum
 from .metrics import ParamFamily
 from .xstate import _first_failure, _not_finite, _xstate
 
-PSD_TOL = 1e-12
 TRACE_TOL = 1e-10
 # Eigenpairs with lam_i + lam_j at or below this are null pairs.  It equals
 # metrics.RANK_CUTOFF but is not imported from there: the oracles stay
@@ -50,8 +49,7 @@ def qfi_from_spectrum(values: np.ndarray, vectors: np.ndarray, drho: np.ndarray)
     """
     trace = values.sum(axis=-1)
     _first_failure(
-        (NotPSDError, ~(values[..., 0] >= -PSD_TOL),
-         lambda i: f"state eigenvalue {values[i][0]:.3e} below -1e-12"),
+        _not_psd("state eigenvalue", values),
         (TraceViolationError, ~(abs(trace - 1.0) <= TRACE_TOL),
          lambda i: f"state trace {float(trace[i])!r} differs from 1"),
     )
@@ -100,9 +98,6 @@ def oracle_column(states: np.ndarray, drho: np.ndarray, steps):
     eigensolver's, a spectrum below -1e-12 or a trace of rho off 1.
     """
     values, vectors = eigh_stack(states)
-    _first_failure(  # tested here, so that the failure names the probe as well
-        (NotPSDError, ~(values[..., 0] >= -PSD_TOL),
-         lambda i: f"state eigenvalue {values[i][0]:.3e} below -1e-12"),
-    )
+    _first_failure(_not_psd("state eigenvalue", values))  # here, so the probe is named too
     fisher = qfi_from_spectrum(values[:1], vectors[:1], drho)[0]
     return fisher, skew_from_spectra((values[1], vectors[1]), (values[2], vectors[2]), steps)

@@ -11,7 +11,7 @@ package's stacked routes, or from the definitions alone.
 import numpy as np
 
 from xqmetro import channels
-from xqmetro.errors import SingularBlockError
+from xqmetro.errors import NotXFormError, SingularBlockError
 from xqmetro.linalg import diff_step
 from xqmetro.oracle import oracle_column
 from xqmetro.xstate import XState, _check_tangent, _fail, dense_from_compact, xstate_from_dense
@@ -115,8 +115,16 @@ def gap(w, v):
     return w[..., 0] * v[..., 0] - np.vecdot(w[..., 1:], v[..., 1:])
 
 
+def _require_finite(w, dw):
+    """The first NaN/+-inf entry of ``w``, then of ``dw``, raises naming it."""
+    for name, x in (("w", w), ("dw", dw)):
+        bad = ~np.isfinite(x)
+        if bad.any():
+            _fail(NotXFormError, bad, lambda i, j: f"{name}[{j}] is {x[i + (j,)]}, not finite", 1)
+
+
 def _require_mixed(w, gap_ww, message):
-    singular = (w[..., 0] <= 1e-10) | (gap_ww <= 1e-10)
+    singular = ~((w[..., 0] > 1e-10) & (gap_ww > 1e-10))  # a NaN gap is not mixed
     if singular.any():
         _fail(SingularBlockError, singular, lambda i: f"{message}, got gap {gap_ww[i]:.3e}")
 
@@ -126,6 +134,7 @@ def qfi_block_by_gap(w, dw):
     contraction slicing its arguments again."""
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
+    _require_finite(w, dw)
     gap_ww = gap(w, w)
     _require_mixed(w, gap_ww, "mixed-block form needs w0 > 0 and w0^2 > |w|^2")
     w0 = w[..., 0]
@@ -139,6 +148,7 @@ def skew_block_by_gap(w, dw):
     """``metrics.skew_block`` with its ``gap(w, w)`` on whole 4-vectors."""
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
+    _require_finite(w, dw)
     gap_ww = gap(w, w)
     _require_mixed(w, gap_ww, "skew closed form needs a strictly mixed block")
     w0, dw0, vec, dvec = w[..., 0], dw[..., 0], w[..., 1:], dw[..., 1:]

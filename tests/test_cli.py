@@ -26,7 +26,7 @@ from xqmetro.cli import (
     run_validation,
 )
 from xqmetro.errors import BadParameterError, NotXFormError
-from xqmetro.ghz import GHZ_QMIN, crosscheck_grid, ghz_family, ghz_grid
+from xqmetro.ghz import GHZ_QMIN, closed_form_qfi, crosscheck_grid, ghz_family, ghz_grid
 from xqmetro.linalg import diff_step
 from xqmetro.metrics import (
     ParamFamily,
@@ -828,6 +828,34 @@ class TestSuiteErrorsAreNotSoftened:
             "ghz-concurrence-routes"
         }
         assert suites["ghz-concurrence-routes"].max_error == pytest.approx(2.5e-12, rel=1e-3)
+
+    def test_singular_verdict_point_counts_in_the_oracle_suites(self, monkeypatch):
+        # The oracle deltas never read the closed form, so a point whose
+        # closed form is NaN (a singular verdict) is still compared there.
+        def qfi_nan_at_first_point(kind, q, p):
+            value = closed_form_qfi(kind, q, p)
+            if kind is ChannelKind.DEPOLARIZING:
+                value[0, 0] = np.nan
+            return value
+
+        shifted = []
+
+        def grid_with_shifted_oracle(kind, q_values, p_values):
+            checks = crosscheck_grid(kind, q_values, p_values)
+            if kind is ChannelKind.DEPOLARIZING:
+                fisher = checks["qfi"]
+                assert fisher.verdict[0, 0] is ghz.Verdict.SINGULAR
+                fisher.oracle[0, 0] += 1e-3
+                shifted.append(fisher.oracle_delta[0, 0])
+            return checks
+
+        monkeypatch.setattr(ghz, "closed_form_qfi", qfi_nan_at_first_point)
+        monkeypatch.setattr(cli, "crosscheck_grid", grid_with_shifted_oracle)
+        report = run_validation(grid=1, seed=0)
+        suites = {suite.name: suite for suite in report.suites}
+        assert {name for name, suite in suites.items() if not suite.passed} == {"ghz-qfi-oracle"}
+        assert suites["ghz-qfi-oracle"].max_error == shifted[0] > 1e-4
+        assert "singular-verdict metrics: 1 " in report.notes[0]
 
 
 class TestSubprocessDeterminism:

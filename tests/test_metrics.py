@@ -185,8 +185,8 @@ def outcome(block, w, dw):
     with np.errstate(all="ignore"):
         try:
             value = block(w, dw)
-        except SingularBlockError as err:
-            return SingularBlockError, str(err)
+        except (NotXFormError, SingularBlockError) as err:
+            return type(err), str(err)
     return type(value), np.asarray(value).tobytes()
 
 
@@ -209,6 +209,26 @@ def test_closed_forms_equal_the_whole_vector_forms_in_raw_bits(block, reference,
     passed = np.array([kind is float for kind, _ in alone]).reshape(w.shape[:-1])
     assert passed.any()
     assert outcome(block, w[passed], dw[passed]) == outcome(reference, w[passed], dw[passed])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", ["w", "dw"])
+@pytest.mark.parametrize("block", [qfi_block_mixed, skew_block], ids=["qfi", "skew"])
+def test_closed_forms_name_a_non_finite_entry(block, side, bad):
+    """A NaN/+-inf entry of ``w`` or ``dw`` raises naming it, before any
+    arithmetic warns (warnings are errors here), and after its element in a
+    stack; the first bad entry of ``w`` is named before any of ``dw``."""
+    w, dw = np.array([0.5, 0.1, 0.0, 0.2]), np.array([0.1, 0.0, 0.3, -0.2])
+    one = {"w": w.copy(), "dw": dw.copy()}
+    one[side][2] = bad
+    with pytest.raises(NotXFormError, match=rf"^{side}\[2\] is {bad}, not finite$"):
+        block(one["w"], one["dw"])
+    stack = {"w": np.stack([w] * 3), "dw": np.stack([dw] * 3)}
+    stack[side][1, 3] = bad
+    if side == "w":
+        stack["dw"][0, 0] = bad  # an earlier element, but dw is read once w is sound
+    with pytest.raises(NotXFormError, match=rf"^element 1: {side}\[3\] is {bad}, not finite$"):
+        block(stack["w"], stack["dw"])
 
 
 class TestTotals:

@@ -383,6 +383,18 @@ class TestFinishErrors:
         with pytest.raises(NotPSDError, match=r"^element 3: eigenvalue"):
             skew_from_spectra(self.stack((4,)), (values, vectors), np.full(4, 1e-6))
 
+    def test_sqrt_nan_spectrum(self):
+        # NaN fails the eigenvalue floor as a value below it does, instead of
+        # giving an all-NaN root and a NaN skew.
+        with pytest.raises(NotPSDError, match=r"^eigenvalue nan below -1e-12$"):
+            sqrt_from_spectrum(np.array([np.nan, 0.5, 0.5]), np.eye(3))
+        values, vectors = self.stack((2, 3))
+        values[1, 2, 0] = np.nan
+        with pytest.raises(NotPSDError, match=r"^element \(1, 2\): eigenvalue nan below -1e-12$"):
+            sqrt_from_spectrum(values, vectors)
+        with pytest.raises(NotPSDError, match=r"^element \(1, 2\): eigenvalue nan"):
+            skew_from_spectra(self.stack((2, 3)), (values, vectors), np.full((2, 3), 1e-6))
+
     def test_column_names_probe_and_point(self):
         states = np.broadcast_to(np.eye(8, dtype=complex) / 8.0, (3, 4, 8, 8)).copy()
         drho = np.zeros((8, 8), dtype=complex)
